@@ -8,12 +8,14 @@ otherwise they go to stdout (multiple artifacts are separated by ``# file:``
 header lines).  All outputs are deterministic for a given config and seed:
 fixed float formats, sorted JSON keys, no timestamps.
 
-Exit codes: 0 success, 2 configuration/usage error, 3 infeasible request.
+Exit codes: 0 success, 2 configuration/usage error (including a NaN or
+infinite number flag), 3 infeasible request.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -40,6 +42,17 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return f"{value:.6f}"
     return str(value)
+
+
+def _finite_float(text: str) -> float:
+    """argparse type for float flags: NaN and infinities are usage errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
 
 
 def _csv(header: list[str], rows: list[dict]) -> str:
@@ -252,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp, SCHEME_NAMES)
     sp.add_argument(
         "--obo-db",
-        type=float,
+        type=_finite_float,
         default=None,
         help="evaluate one back-off instead of the 0-30 dB sweep",
     )
@@ -276,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument(
         "--snr-db",
-        type=float,
+        type=_finite_float,
         action="append",
         default=None,
         help="uplink SNR point in dB (repeatable; default: profile list)",
@@ -292,11 +305,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", type=Path, default=None)
     sp.add_argument("--rounds", type=int, default=200)
     sp.add_argument("--workers", type=int, default=20)
-    sp.add_argument("--detection-snr", type=float, default=1.0)
-    sp.add_argument("--step-scale", type=float, default=1.0)
-    sp.add_argument("--initial-gap", type=float, default=10.0)
-    sp.add_argument("--smoothness-l1", type=float, default=float(PARAM_DIM))
-    sp.add_argument("--noise-l1", type=float, default=float(PARAM_DIM))
+    sp.add_argument("--detection-snr", type=_finite_float, default=1.0)
+    sp.add_argument("--step-scale", type=_finite_float, default=1.0)
+    sp.add_argument("--initial-gap", type=_finite_float, default=10.0)
+    sp.add_argument("--smoothness-l1", type=_finite_float, default=float(PARAM_DIM))
+    sp.add_argument("--noise-l1", type=_finite_float, default=float(PARAM_DIM))
     sp.set_defaults(func=cmd_bound)
 
     return parser

@@ -8,6 +8,7 @@ radius, and a 20-device training run.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -92,6 +93,8 @@ class TrainConfig:
             raise ConfigError("partition must be 'homogeneous' or 'heterogeneous'")
         if not self.snr_db or not self.seeds:
             raise ConfigError("snr_db and seeds must be non-empty")
+        if not all(math.isfinite(s) for s in self.snr_db):
+            raise ConfigError("snr_db values must be finite")
         if self.csc_coverage_m <= 0 or self.obda_coverage_m <= 0:
             raise ConfigError("coverage radii must be positive")
 

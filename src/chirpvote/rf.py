@@ -26,7 +26,6 @@ from .waveform import ComplexSignal, WaveformConfig
 
 RCM_REFERENCE_DB = 1.52
 CM_SLOPE = 1.52
-ACLR_SEGMENT_LEN = 1024
 
 
 @dataclass(frozen=True)
@@ -109,14 +108,18 @@ def occupied_band(cfg: WaveformConfig) -> tuple[float, float]:
     return ((cfg.bin_low - 0.5) * df, (cfg.bin_high + 0.5) * df)
 
 
-def aclr(sig: ComplexSignal, inband: tuple[float, float]) -> float:
-    """Out-of-band to in-band power ratio, dB (negative = cleaner)."""
+def aclr(sig: ComplexSignal, inband: tuple[float, float], segment_len: int) -> float:
+    """Out-of-band to in-band power ratio, dB (negative = cleaner).
+
+    The PSD uses ``segment_len``-sample segments, or one segment spanning
+    the whole signal when it is shorter.
+    """
     f_lo, f_hi = inband
     if f_hi <= f_lo:
         raise ValueError("in-band interval must have positive width")
     if f_hi - f_lo >= sig.sample_rate:
         raise ValueError("in-band interval wider than the sampled bandwidth")
-    seg = min(ACLR_SEGMENT_LEN, len(sig))
+    seg = min(segment_len, len(sig))
     freqs, dens = power_spectrum(sig.samples, sig.sample_rate, seg)
     inside = (freqs >= f_lo) & (freqs <= f_hi)
     p_in = dens[inside].sum()
@@ -127,10 +130,18 @@ def aclr(sig: ComplexSignal, inband: tuple[float, float]) -> float:
 
 
 def aclr_at_obo(
-    pa: RappPa, stream: ComplexSignal, inband: tuple[float, float], obo_db: float
+    pa: RappPa,
+    stream: ComplexSignal,
+    inband: tuple[float, float],
+    obo_db: float,
+    segment_len: int = 1024,
 ) -> float:
-    """ACLR of the stream driven through the PA at the given back-off."""
-    return aclr(apply_pa(pa, scale_to_obo(replace(pa, obo_db=obo_db), stream)), inband)
+    """ACLR of the stream driven through the PA at the given back-off.
+
+    The ``segment_len`` default is ``MetricsConfig.segment_len``'s.
+    """
+    driven = apply_pa(pa, scale_to_obo(replace(pa, obo_db=obo_db), stream))
+    return aclr(driven, inband, segment_len)
 
 
 def obo_for_aclr(
@@ -140,24 +151,25 @@ def obo_for_aclr(
     target_db: float,
     obo_range: tuple[float, float] = (0.0, 30.0),
     tol_db: float = 0.1,
+    segment_len: int = 1024,
 ) -> float:
     """Smallest back-off meeting the ACLR target, by bisection.
 
     ACLR is monotone non-increasing in OBO down to the scheme's distortion
     floor; if even the top of ``obo_range`` misses the target the solve is
-    infeasible.
+    infeasible. ``segment_len`` is passed to :func:`aclr_at_obo`.
     """
     lo, hi = obo_range
-    if aclr_at_obo(pa, stream, inband, hi) > target_db:
+    if aclr_at_obo(pa, stream, inband, hi, segment_len) > target_db:
         raise InfeasibleError(
             f"ACLR target {target_db:.2f} dB below the distortion floor at "
             f"{hi:.1f} dB back-off"
         )
-    if aclr_at_obo(pa, stream, inband, lo) <= target_db:
+    if aclr_at_obo(pa, stream, inband, lo, segment_len) <= target_db:
         return lo
     while hi - lo > tol_db:
         mid = 0.5 * (lo + hi)
-        if aclr_at_obo(pa, stream, inband, mid) <= target_db:
+        if aclr_at_obo(pa, stream, inband, mid, segment_len) <= target_db:
             hi = mid
         else:
             lo = mid

@@ -118,7 +118,9 @@ def aclr_study(cfg: ExperimentConfig, seed: int, obo_db: float | None = None) ->
             {
                 "scheme": scheme,
                 "obo_db": float(obo),
-                "aclr_db": aclr_at_obo(cfg.pa, stream, inband, float(obo)),
+                "aclr_db": aclr_at_obo(
+                    cfg.pa, stream, inband, float(obo), cfg.metrics.segment_len
+                ),
             }
             for obo in obos
         ]
@@ -143,6 +145,7 @@ def coverage_study(cfg: ExperimentConfig, seed: int) -> list[dict]:
                 inband,
                 cfg.aclr_target_db,
                 tol_db=cfg.metrics.obo_step_db,
+                segment_len=cfg.metrics.segment_len,
             )
         except InfeasibleError:
             rows.append(
@@ -212,8 +215,13 @@ def scheme_phy(scheme: str) -> tuple[str, int | None]:
 def run_scheme_training(
     cfg: ExperimentConfig, scheme: str, snr_db: float, seed: int
 ) -> TrainState:
+    return _train_scheme(cfg, scheme, snr_db, training_setup(cfg, seed))
+
+
+def _train_scheme(
+    cfg: ExperimentConfig, scheme: str, snr_db: float, setup: TrainSetup
+) -> TrainState:
     phy, votes = scheme_phy(scheme)
-    setup = training_setup(cfg, seed)
     if votes is not None:
         setup = replace(setup, votes_per_block=votes)
     return run_training(setup, phy, cfg.train.rounds, snr_db, cfg.train.step_size)
@@ -237,7 +245,8 @@ def train_sweep(
     for scheme in schemes:
         for snr_db in snr_points:
             for seed in seeds:
-                state = run_scheme_training(cfg, scheme, float(snr_db), seed)
+                setup = training_setup(cfg, seed)
+                state = _train_scheme(cfg, scheme, float(snr_db), setup)
                 key = {"scheme": scheme, "snr_db": float(snr_db), "seed": seed}
                 history += [
                     {
@@ -256,7 +265,7 @@ def train_sweep(
                         "final_train_loss": last.train_loss,
                     }
                 )
-                distances, losses = loss_by_distance(state, training_setup(cfg, seed))
+                distances, losses = loss_by_distance(state, setup)
                 loss_rows += [
                     {
                         **key,

@@ -272,6 +272,24 @@ class TestErrorPaths:
             run("pmepr", "--scheme", "bogus")
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_snr_exits_2(self, tmp_path, value, capsys):
+        # NaN noise power would compare false against zero and run noiseless
+        cfg = write_cfg(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            run("train", "--config", cfg, "--scheme", "ideal", f"--snr-db={value}")
+        assert exc.value.code == 2
+        assert "not a finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--detection-snr", "--step-scale", "--noise-l1"])
+    def test_non_finite_bound_input_exits_2(self, tmp_path, flag):
+        # a NaN bound would be written as the non-JSON token NaN
+        out = tmp_path / "bound"
+        with pytest.raises(SystemExit) as exc:
+            run("bound", flag, "nan", "--out", out)
+        assert exc.value.code == 2
+        assert not out.exists()
+
     def test_missing_command_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             run()

@@ -79,6 +79,8 @@ class TestValidation:
             TrainConfig(partition="dirichlet")
         with pytest.raises(ConfigError):
             TrainConfig(seeds=())
+        with pytest.raises(ConfigError):
+            TrainConfig(snr_db=(10.0, float("nan")))
 
 
 class TestDictConversion:

@@ -1,9 +1,14 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+import chirpvote
 from chirpvote.numerics import fresnel, fresnel_array, power_spectrum
 
 
@@ -104,3 +109,62 @@ class TestPowerSpectrum:
             power_spectrum(x, 1.0, 0)
         with pytest.raises(ValueError):
             power_spectrum(x, 1.0, 256)
+
+
+class TestPowerSpectrumOracle:
+    """The batched periodogram against ``scipy.signal.welch`` with the same
+    recipe (periodic Hann, 50% overlap, no detrend, two-sided density)."""
+
+    @staticmethod
+    def _welch(x, fs, seg):
+        from scipy.signal import welch
+
+        freqs, dens = welch(
+            x,
+            fs=fs,
+            window="hann",
+            nperseg=seg,
+            noverlap=seg // 2,
+            detrend=False,
+            return_onesided=False,
+            scaling="density",
+        )
+        order = np.argsort(freqs)
+        return freqs[order], dens[order]
+
+    @pytest.mark.parametrize("complex_input", [True, False], ids=["complex", "real"])
+    @pytest.mark.parametrize(
+        "n, seg",
+        [(1024, 1024), (1500, 1024), (4097, 64), (1001, 7), (1000, 1)],
+        ids=["n=seg", "remainder", "even-seg", "odd-seg", "one-point"],
+    )
+    def test_matches_welch(self, n, seg, complex_input):
+        rng = np.random.default_rng(n + seg)
+        x = rng.standard_normal(n)
+        if complex_input:
+            x = x + 1j * rng.standard_normal(n)
+        freqs, dens = power_spectrum(x, 15.36e6, seg)
+        ref_freqs, ref_dens = self._welch(x, 15.36e6, seg)
+        np.testing.assert_array_equal(freqs, ref_freqs)
+        np.testing.assert_allclose(dens, ref_dens, rtol=1e-12, atol=0)
+
+    def test_strided_input_matches_welch(self):
+        rng = np.random.default_rng(11)
+        base = rng.standard_normal(9000) + 1j * rng.standard_normal(9000)
+        x = base[::3]
+        assert not x.flags.c_contiguous
+        freqs, dens = power_spectrum(x, 1.0e6, 128)
+        ref_freqs, ref_dens = self._welch(x, 1.0e6, 128)
+        np.testing.assert_array_equal(freqs, ref_freqs)
+        np.testing.assert_allclose(dens, ref_dens, rtol=1e-12, atol=0)
+
+    def test_cli_import_does_not_load_scipy_signal(self):
+        src = str(Path(chirpvote.__file__).resolve().parents[1])
+        code = "import sys, chirpvote.cli; sys.exit('scipy.signal' in sys.modules)"
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            env={"PYTHONPATH": src, "PATH": ""},
+            capture_output=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr.decode()

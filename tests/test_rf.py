@@ -1,10 +1,15 @@
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chirpvote import rf, studies
 from chirpvote._rng import keyed_rng
+from chirpvote.config import ExperimentConfig, MetricsConfig
 from chirpvote.errors import InfeasibleError
+from chirpvote.numerics import power_spectrum
 from chirpvote.oac import random_csc_traffic, random_qpsk
 from chirpvote.rf import (
     MetricDistribution,
@@ -137,9 +142,9 @@ class TestAclr:
     def test_band_validation(self):
         sig = _tone()
         with pytest.raises(ValueError):
-            aclr(sig, (1e6, 1e6))
+            aclr(sig, (1e6, 1e6), 1024)
         with pytest.raises(ValueError):
-            aclr(sig, (-20e6, 20e6))
+            aclr(sig, (-20e6, 20e6), 1024)
 
     def test_occupied_band_matches_grid(self):
         lo, hi = occupied_band(CFG)
@@ -150,7 +155,7 @@ class TestAclr:
 
     def test_inband_tone_leaks_little(self):
         sig = _tone(n=16384, f0=1.0e6)
-        assert aclr(sig, (-2e6, 2e6)) < -40.0
+        assert aclr(sig, (-2e6, 2e6), 1024) < -40.0
 
     def test_linear_regime_aclr_improves_with_backoff(self):
         pa = RappPa()
@@ -175,6 +180,36 @@ class TestAclr:
         band = occupied_band(CFG)
         with pytest.raises(InfeasibleError):
             obo_for_aclr(pa, stream, band, -60.0)
+
+
+class TestSegmentLenWiring:
+    """``metrics.segment_len`` is the PSD segment length of every ACLR."""
+
+    def test_studies_pass_the_config_field(self, monkeypatch):
+        seen = []
+
+        def spy(samples, sample_rate, segment_len):
+            seen.append(segment_len)
+            return power_spectrum(samples, sample_rate, segment_len)
+
+        monkeypatch.setattr(rf, "power_spectrum", spy)
+        cfg = ExperimentConfig(
+            metrics=MetricsConfig(stream_symbols=50, obo_step_db=5.0, segment_len=256),
+            schemes=("csc_mv_2",),
+        )
+        studies.aclr_study(cfg, 0)
+        studies.coverage_study(cfg, 0)
+        assert len(seen) > 7 and set(seen) == {256}
+
+    def test_segment_len_changes_aclr(self):
+        stream = _csc_stream(2, 64, seed=6)
+        band = occupied_band(CFG)
+        assert aclr(stream, band, 256) != aclr(stream, band, 1024)
+
+    def test_library_defaults_match_config(self):
+        default = MetricsConfig().segment_len
+        for fn in (aclr_at_obo, obo_for_aclr):
+            assert inspect.signature(fn).parameters["segment_len"].default == default
 
 
 class TestMetricDistribution:
