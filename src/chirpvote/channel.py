@@ -52,10 +52,15 @@ class ChannelRealization:
         return phases @ self.gains
 
 
+def epa_tap_delays(cfg: WaveformConfig) -> np.ndarray:
+    """EPA tap delays snapped to the nearest sample at the configured rate."""
+    return np.rint(np.asarray(EPA_DELAYS_NS) * 1e-9 * cfg.sample_rate).astype(int)
+
+
 def draw_epa(cfg: WaveformConfig, rng: np.random.Generator) -> ChannelRealization:
     """One EPA realization: Rayleigh gains on the profile snapped to the
     sample grid, unit average power."""
-    delays = np.rint(np.asarray(EPA_DELAYS_NS) * 1e-9 * cfg.sample_rate).astype(int)
+    delays = epa_tap_delays(cfg)
     powers = 10.0 ** (np.asarray(EPA_POWERS_DB) / 10.0)
     powers = powers / powers.sum()
     n = len(delays)

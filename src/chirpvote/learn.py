@@ -22,22 +22,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._rng import keyed_rng
-from .channel import draw_epa, draw_sync_offset, propagate, superpose
+from .channel import draw_epa, draw_sync_offset, epa_tap_delays
 from .datasets import Dataset
 from .deployment import Deployment, PowerControlParams, link_power
-from .errors import ConfigError
+from .errors import ConfigError, InfeasibleError
 from .oac import (
     VotePlan,
     build_vote_plan,
     detect_mv,
     decode_obda,
-    encode_csc,
     encode_obda,
     guard_for_votes,
     obda_blocks_needed,
     sign_pm1,
 )
-from .waveform import WaveformConfig, build_fdss, despread, spread
+from .waveform import WaveformConfig, build_fdss
 
 INPUT_DIM = 64
 HIDDEN_DIM = 32
@@ -195,6 +194,14 @@ class TrainSetup:
             raise ConfigError("batch_size and votes_per_block must be positive")
         if self.max_sync_offset < 0:
             raise ConfigError("max_sync_offset must be non-negative")
+        # the spectral uplinks model delay plus timing offset as a circular
+        # shift, which holds only while both fit in the cyclic prefix
+        delay = int(epa_tap_delays(self.wave).max()) + self.max_sync_offset
+        if delay > self.wave.cp_len:
+            raise InfeasibleError(
+                f"largest EPA tap delay plus max_sync_offset is {delay} samples, "
+                f"beyond the {self.wave.cp_len}-sample cyclic prefix"
+            )
 
 
 @dataclass(frozen=True)
@@ -272,43 +279,51 @@ def _csc_majority(
 ) -> np.ndarray:
     """Frequency-domain simulation of the chirp majority-vote uplink.
 
-    Works bin-by-bin on the occupied subcarriers: each chirp tone is a unit
-    spectral impulse, so a device's transmitted spectrum is a sum of
-    phase-rotated impulse columns; the multipath channel and timing offset
-    enter as the per-bin response, and receiver noise is white across bins
-    because the transforms are orthonormal.  Matches the sample-level chain
-    (spread / propagate / superpose / despread) to floating-point accuracy;
-    the sample-level chain stays available via ``csc_majority_sampled``.
+    Works bin-by-bin on the occupied subcarriers.  Every chirp tone in slot u
+    is one of two spectral rows, ``tone[u, +]`` or ``tone[u, -]``, so the
+    superposed spectrum is the sum over the 2V (slot, sign) groups of
+    ``(phases[u, s] @ weights) * tone[u, s]``: ``phases[u, s]`` is the
+    (blocks x devices) matrix of vote phases, zero where a device's vote in
+    slot u has the other sign, and row k of ``weights`` is device k's link
+    amplitude times its channel and timing-offset response times the shaping
+    vector.  Receiver noise is white across bins because the transforms are
+    orthonormal.  The votes equal those of the sample-level chain (spread /
+    propagate / superpose / despread, kept in the test suite as an oracle)
+    while the largest tap delay plus the timing offset fits in the cyclic
+    prefix, which ``TrainSetup`` enforces.
     """
     wave = setup.wave
     plan = _csc_plan(setup)
     m = wave.num_bins
+    v = plan.votes_per_block
     fdss = build_fdss(wave)
     bins = wave.bin_indices
-    # spectral template: column t holds DFT of a unit impulse at bin index b
+    # spectral template: row b holds the DFT of a unit impulse at bin b
     table = np.exp(
         -2j * np.pi * np.outer(np.arange(m), bins % m) / m
     ) / math.sqrt(m)
     links = _per_ed_links(setup, setup.coverage_csc_m)
-    amp = math.sqrt(wave.idft_size / setup.votes_per_block)
-    num_blocks = plan.num_blocks
-    received = np.zeros((num_blocks, m), dtype=complex)
-    pad = num_blocks * plan.votes_per_block - plan.grad_dim
-    for k in range(votes.shape[0]):
+    amp = math.sqrt(wave.idft_size / v)
+    num_eds = votes.shape[0]
+    # padding slots past grad_dim keep phase 0 and so transmit nothing
+    phases = np.zeros((num_eds, plan.num_blocks * v), dtype=complex)
+    weights = np.empty((num_eds, m), dtype=complex)
+    for k in range(num_eds):
         rng = keyed_rng(setup.seed, "phase", state.round_index, k)
-        phases = np.exp(2j * np.pi * rng.random(plan.grad_dim))
-        choice = np.where(votes[k] > 0, plan.pos_bin, plan.neg_bin)
-        if pad:
-            phases = np.concatenate([phases, np.zeros(pad)])
-            choice = np.concatenate([choice, np.zeros(pad, dtype=int)])
-        phases = phases.reshape(num_blocks, plan.votes_per_block)
-        choice = choice.reshape(num_blocks, plan.votes_per_block)
-        spectrum = np.zeros((num_blocks, m), dtype=complex)
-        for u in range(plan.votes_per_block):
-            spectrum += phases[:, u, None] * table[choice[:, u]]
+        phases[k, : plan.grad_dim] = np.exp(2j * np.pi * rng.random(plan.grad_dim))
         realization, offset = _channel_draws(setup, state.round_index, k)
         response = realization.frequency_response(bins, wave.idft_size, offset)
-        received += math.sqrt(links[k]) * amp * (response * fdss) * spectrum
+        weights[k] = math.sqrt(links[k]) * amp * response * fdss
+    positive = np.zeros(phases.shape, dtype=bool)
+    positive[:, : plan.grad_dim] = votes > 0
+    # (slot, block, device)
+    phases = phases.reshape(num_eds, plan.num_blocks, v).transpose(2, 1, 0)
+    positive = positive.reshape(num_eds, plan.num_blocks, v).transpose(2, 1, 0)
+    pos_tone, neg_tone = table[plan.pos_bin[:v]], table[plan.neg_bin[:v]]
+    received = np.zeros((plan.num_blocks, m), dtype=complex)
+    for u in range(v):
+        received += (np.where(positive[u], phases[u], 0) @ weights) * pos_tone[u]
+        received += (np.where(positive[u], 0, phases[u]) @ weights) * neg_tone[u]
     if noise_power > 0:
         nrng = keyed_rng(setup.seed, "noise", state.round_index)
         received += math.sqrt(noise_power / 2.0) * (
@@ -319,39 +334,6 @@ def _csc_majority(
     folded = np.zeros_like(shaped)
     folded[:, bins % m] = shaped
     despreads = np.fft.ifft(folded, norm="ortho", axis=1)
-    return detect_mv(plan, despreads).mv
-
-
-def csc_majority_sampled(
-    state: TrainState, setup: TrainSetup, votes: np.ndarray, noise_power: float
-) -> np.ndarray:
-    """Sample-level reference for the chirp uplink: full spread / multipath /
-    superposition / despread chain.  Slower than the spectral path but uses
-    the identical keyed draws for phases, channels and offsets, so the two
-    agree exactly when noise is disabled."""
-    wave = setup.wave
-    plan = _csc_plan(setup)
-    fdss = build_fdss(wave)
-    links = _per_ed_links(setup, setup.coverage_csc_m)
-    amp = math.sqrt(wave.idft_size / setup.votes_per_block)
-    arrivals = []  # per device: (list of per-block ComplexSignal, link power)
-    for k in range(votes.shape[0]):
-        rng = keyed_rng(setup.seed, "phase", state.round_index, k)
-        blocks = encode_csc(plan, votes[k], rng) * amp
-        realization, offset = _channel_draws(setup, state.round_index, k)
-        rx = [propagate(realization, offset, spread(wave, fdss, row)) for row in blocks]
-        arrivals.append((rx, links[k]))
-    noise_rng = keyed_rng(setup.seed, "noise", state.round_index)
-    despreads = np.vstack(
-        [
-            despread(
-                wave,
-                fdss,
-                superpose([(rx[s], p) for rx, p in arrivals], noise_power, noise_rng),
-            )
-            for s in range(plan.num_blocks)
-        ]
-    )
     return detect_mv(plan, despreads).mv
 
 
@@ -378,7 +360,7 @@ def _obda_majority(
             nrng.standard_normal(received.shape)
             + 1j * nrng.standard_normal(received.shape)
         )
-    return decode_obda(received, PARAM_DIM, noise_power)
+    return decode_obda(received, PARAM_DIM)
 
 
 PHY_MODES = ("ideal", "csc_mv", "obda")

@@ -194,15 +194,8 @@ def encode_obda(
     return x * scale
 
 
-def decode_obda(
-    received: np.ndarray, grad_dim: int, noise_power: float = 0.0
-) -> np.ndarray:
-    """Component-sign detection on the aggregated subcarriers.
-
-    noise_power is accepted for interface symmetry with the energy detector's
-    report; a sign decision needs no noise scaling.
-    """
-    del noise_power
+def decode_obda(received: np.ndarray, grad_dim: int) -> np.ndarray:
+    """Component-sign detection on the aggregated subcarriers."""
     r = np.asarray(received).ravel()
     signs = np.empty(2 * r.size)
     signs[0::2] = r.real

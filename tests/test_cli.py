@@ -301,3 +301,13 @@ class TestErrorPaths:
         cfg = write_cfg(tmp_path, name="wide.json", schemes=("csc_mv_28",))
         assert run("pmepr", "--config", cfg) == 3
         assert capsys.readouterr().err.startswith("infeasible:")
+
+    def test_sync_offset_beyond_cyclic_prefix_exit_3(self, tmp_path, capsys):
+        # 12 samples of timing error plus the 6-sample EPA tail overrun the
+        # 16-sample cyclic prefix, so the spectral uplink would be wrong
+        cfg = tmp_path / "late.json"
+        cfg.write_text('{"train": {"max_sync_offset": 12}}')
+        out = tmp_path / "train"
+        assert run("train", "--config", cfg, "--scheme", "csc_mv_2", "--out", out) == 3
+        assert capsys.readouterr().err.startswith("infeasible:")
+        assert not out.exists()

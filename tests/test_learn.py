@@ -7,21 +7,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chirpvote._rng import keyed_rng
+from chirpvote.channel import epa_tap_delays, propagate, superpose
 from chirpvote.config import default_config
 from chirpvote.datasets import synthetic_digits
 from chirpvote.deployment import Deployment
-from chirpvote.errors import ConfigError
+from chirpvote.errors import ConfigError, InfeasibleError
 from chirpvote.learn import (
     PARAM_DIM,
     BoundParams,
     RoundRecord,
+    TrainSetup,
     TrainState,
+    _channel_draws,
     _collect_votes,
     _csc_majority,
+    _csc_plan,
     _obda_majority,
+    _per_ed_links,
     apply_update,
     convergence_bound,
-    csc_majority_sampled,
     default_step_size,
     evaluate,
     forward_logits,
@@ -38,6 +42,8 @@ from chirpvote.learn import (
     run_training,
 )
 from chirpvote import studies
+from chirpvote.oac import detect_mv, encode_csc
+from chirpvote.waveform import build_fdss, despread, spread
 
 
 def _tiny_cfg(num_eds=5, samples=120, partition="homogeneous"):
@@ -259,6 +265,48 @@ class TestTrainingMechanics:
         with pytest.raises(ConfigError):
             initial_state(setup, 0.0)
 
+    def test_setup_rejects_offset_beyond_cyclic_prefix(self):
+        setup = studies.training_setup(_tiny_cfg(), 0)
+        room = setup.wave.cp_len - int(epa_tap_delays(setup.wave).max())
+        assert replace(setup, max_sync_offset=room).max_sync_offset == room
+        with pytest.raises(InfeasibleError):
+            replace(setup, max_sync_offset=room + 1)
+        with pytest.raises(InfeasibleError):
+            replace(setup, wave=replace(setup.wave, cp_len=5), max_sync_offset=0)
+
+
+def csc_majority_sampled(
+    state: TrainState, setup: TrainSetup, votes: np.ndarray, noise_power: float
+) -> np.ndarray:
+    """Sample-level reference for the chirp uplink: full spread / multipath /
+    superposition / despread chain.  Slower than the spectral path but uses
+    the identical keyed draws for phases, channels and offsets, so the two
+    agree exactly when noise is disabled."""
+    wave = setup.wave
+    plan = _csc_plan(setup)
+    fdss = build_fdss(wave)
+    links = _per_ed_links(setup, setup.coverage_csc_m)
+    amp = math.sqrt(wave.idft_size / setup.votes_per_block)
+    arrivals = []  # per device: (list of per-block ComplexSignal, link power)
+    for k in range(votes.shape[0]):
+        rng = keyed_rng(setup.seed, "phase", state.round_index, k)
+        blocks = encode_csc(plan, votes[k], rng) * amp
+        realization, offset = _channel_draws(setup, state.round_index, k)
+        rx = [propagate(realization, offset, spread(wave, fdss, row)) for row in blocks]
+        arrivals.append((rx, links[k]))
+    noise_rng = keyed_rng(setup.seed, "noise", state.round_index)
+    despreads = np.vstack(
+        [
+            despread(
+                wave,
+                fdss,
+                superpose([(rx[s], p) for rx, p in arrivals], noise_power, noise_rng),
+            )
+            for s in range(plan.num_blocks)
+        ]
+    )
+    return detect_mv(plan, despreads).mv
+
 
 class TestRadioAggregation:
     def test_spectral_path_matches_sampled_path_noiseless(self):
@@ -268,6 +316,36 @@ class TestRadioAggregation:
         fast = _csc_majority(state, setup, votes, 0.0)
         slow = csc_majority_sampled(state, setup, votes, 0.0)
         np.testing.assert_array_equal(fast, slow)
+
+    # the oracle costs up to 1.7 s per example (one vote per block, six
+    # devices), so the example count is kept small
+    @settings(max_examples=6, deadline=None)
+    @given(
+        votes_per_block=st.sampled_from((1, 2, 4)),
+        num_eds=st.integers(1, 6),
+        # every admissible offset: cp_len (16) minus the largest EPA tap (6)
+        max_sync_offset=st.integers(0, 10),
+        seed=st.integers(0, 3),
+        round_index=st.integers(0, 5),
+    )
+    def test_spectral_path_matches_sampled_path_property(
+        self, votes_per_block, num_eds, max_sync_offset, seed, round_index
+    ):
+        setup = replace(
+            studies.training_setup(_tiny_cfg(num_eds=num_eds, samples=60), seed),
+            votes_per_block=votes_per_block,
+            max_sync_offset=max_sync_offset,
+        )
+        state = TrainState(
+            weights=initial_state(setup, 0.02).weights,
+            step_size=0.02,
+            round_index=round_index,
+        )
+        votes = _collect_votes(state, setup)
+        np.testing.assert_array_equal(
+            _csc_majority(state, setup, votes, 0.0),
+            csc_majority_sampled(state, setup, votes, 0.0),
+        )
 
     def test_single_device_noiseless_csc_recovers_votes(self):
         setup = studies.training_setup(_tiny_cfg(num_eds=1, samples=60), 4)
