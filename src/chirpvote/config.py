@@ -85,8 +85,13 @@ class TrainConfig:
             raise ConfigError("num_eds, rounds and batch_size must be positive")
         if self.step_size <= 0:
             raise ConfigError("step_size must be positive")
-        if self.dataset not in ("synthetic", "idx"):
-            raise ConfigError("dataset must be 'synthetic' or 'idx'")
+        if self.dataset == "idx":
+            raise ConfigError(
+                "dataset 'idx' cannot be set in a profile: IDX files need explicit "
+                "paths; load them with chirpvote.datasets.idx_digits"
+            )
+        if self.dataset != "synthetic":
+            raise ConfigError("dataset must be 'synthetic'")
         if self.train_samples < 1 or self.test_samples < 1:
             raise ConfigError("sample counts must be positive")
         if self.partition not in ("homogeneous", "heterogeneous"):

@@ -70,14 +70,17 @@ def synthetic_digits(
     labels = np.arange(n_samples) % 10
     rng.shuffle(labels)
     templates = np.stack([_glyph_array(k) for k in range(10)])
-    feats = np.empty((n_samples, 64))
     shifts = rng.integers(-max_shift, max_shift + 1, size=(n_samples, 2))
     amps = 0.8 + 0.4 * rng.random(n_samples)
     noise = noise_std * rng.standard_normal((n_samples, 8, 8))
-    for i in range(n_samples):
-        img = np.roll(templates[labels[i]], tuple(shifts[i]), axis=(0, 1))
-        feats[i] = (amps[i] * img + noise[i]).ravel()
-    return Dataset(features=feats, labels=labels)
+    # np.roll by (sr, sc) puts template pixel ((r - sr) % 8, (c - sc) % 8) at (r, c)
+    grid = np.arange(8)
+    rows = (grid - shifts[:, :1]) % 8
+    cols = (grid - shifts[:, 1:]) % 8
+    feats = templates[labels[:, None, None], rows[:, :, None], cols[:, None, :]]
+    feats *= amps[:, None, None]
+    feats += noise
+    return Dataset(features=feats.reshape(n_samples, 64), labels=labels)
 
 
 def load_idx(path: str | Path) -> np.ndarray:

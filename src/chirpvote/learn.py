@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -74,39 +75,60 @@ def forward_logits(w: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
+    z = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _sample_nll(probs: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per-sample cross-entropy of class probabilities (..., n, 10)."""
+    picked = np.take_along_axis(probs, y[..., None], axis=-1)[..., 0]
+    return -np.log(picked + 1e-300)
 
 
 def loss_and_gradient(
     w: np.ndarray, x: np.ndarray, y: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy over the batch and its flat gradient."""
+) -> tuple[float | np.ndarray, np.ndarray]:
+    """Mean cross-entropy over the batch and its flat gradient.
+
+    ``x`` is one batch (n, 64) or a stack of equal-size batches (..., n, 64)
+    with labels (..., n); a stack gives one loss per batch, shape (...), and
+    gradients (..., PARAM_DIM) from the same batched products.
+    """
     w = np.asarray(w, dtype=float)
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=int)
     if w.shape != (PARAM_DIM,):
         raise ValueError(f"parameter vector must have length {PARAM_DIM}")
     w1, b1, w2, b2 = _unpack(w)
-    n = x.shape[0]
     h = np.tanh(x @ w1 + b1)
     probs = _softmax(h @ w2 + b2)
-    loss = float(-np.mean(np.log(probs[np.arange(n), y] + 1e-300)))
-    delta2 = probs.copy()
-    delta2[np.arange(n), y] -= 1.0
-    delta2 /= n
-    g_w2 = h.T @ delta2
-    g_b2 = delta2.sum(axis=0)
+    loss = np.mean(_sample_nll(probs, y), axis=-1)
+    # subtracting the one-hot labels leaves the other entries bit-exact
+    delta2 = probs - (y[..., None] == np.arange(NUM_CLASSES))
+    delta2 /= x.shape[-2]
+    g_w2 = h.swapaxes(-1, -2) @ delta2
+    g_b2 = delta2.sum(axis=-2)
     delta1 = (delta2 @ w2.T) * (1.0 - h**2)
-    g_w1 = x.T @ delta1
-    g_b1 = delta1.sum(axis=0)
-    return loss, np.concatenate([g_w1.ravel(), g_b1, g_w2.ravel(), g_b2])
+    g_w1 = x.swapaxes(-1, -2) @ delta1
+    g_b1 = delta1.sum(axis=-2)
+    lead = x.shape[:-2]
+    grad = np.concatenate(
+        [g_w1.reshape(*lead, -1), g_b1, g_w2.reshape(*lead, -1), g_b2], axis=-1
+    )
+    return (float(loss) if loss.ndim == 0 else loss), grad
 
 
-def mean_loss(w: np.ndarray, data: Dataset) -> float:
-    loss, _ = loss_and_gradient(w, data.features, data.labels)
-    return loss
+def mean_loss(
+    w: np.ndarray, data: Dataset, bounds: np.ndarray | None = None
+) -> np.ndarray:
+    """Mean cross-entropy of each contiguous segment
+    ``data[bounds[i]:bounds[i + 1]]`` (by default one segment, the whole
+    set), from one forward pass over ``data``."""
+    nll = _sample_nll(_softmax(forward_logits(w, data.features)), data.labels)
+    if bounds is None:
+        bounds = (0, len(data))
+    return np.array([np.mean(nll[a:b]) for a, b in zip(bounds[:-1], bounds[1:])])
 
 
 def predict(w: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -119,16 +141,31 @@ def evaluate(w: np.ndarray, data: Dataset) -> float:
 
 
 def local_gradient(
-    w: np.ndarray, data: Dataset, batch_size: int, rng: np.random.Generator
+    w: np.ndarray,
+    datasets: Sequence[Dataset],
+    batch_size: int,
+    rngs: Sequence[np.random.Generator],
 ) -> np.ndarray:
-    """Mini-batch gradient on a uniform without-replacement draw."""
+    """Mini-batch gradients of all devices, shape (len(datasets), PARAM_DIM).
+
+    Device k draws min(batch_size, n_k) of its samples uniformly without
+    replacement with ``rngs[k]``.  Devices with equal batch sizes share one
+    stacked ``loss_and_gradient`` pass, normally a single pass for all.
+    """
     if batch_size < 1:
         raise ValueError("batch_size must be positive")
-    n = len(data)
-    take = min(batch_size, n)
-    idx = rng.choice(n, size=take, replace=False)
-    _, grad = loss_and_gradient(w, data.features[idx], data.labels[idx])
-    return grad
+    batches = [
+        d.subset(rng.choice(len(d), size=min(batch_size, len(d)), replace=False))
+        for d, rng in zip(datasets, rngs, strict=True)
+    ]
+    sizes = np.array([len(b) for b in batches])
+    grads = np.empty((len(batches), PARAM_DIM))
+    for size in np.unique(sizes):
+        group = np.flatnonzero(sizes == size)
+        x = np.stack([batches[k].features for k in group])
+        y = np.stack([batches[k].labels for k in group])
+        _, grads[group] = loss_and_gradient(w, x, y)
+    return grads
 
 
 def ideal_mv(votes: np.ndarray) -> np.ndarray:
@@ -186,6 +223,9 @@ class TrainSetup:
     votes_per_block: int = 2
     max_sync_offset: int = 4
     tci_threshold: float = 0.1
+    #: all local datasets end to end; device k holds rows bounds[k]:bounds[k+1]
+    train_set: Dataset = field(init=False, repr=False, compare=False)
+    bounds: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.datasets) != self.deployment.num_eds:
@@ -202,6 +242,22 @@ class TrainSetup:
                 f"largest EPA tap delay plus max_sync_offset is {delay} samples, "
                 f"beyond the {self.wave.cp_len}-sample cyclic prefix"
             )
+        pooled = Dataset(
+            features=np.concatenate([d.features for d in self.datasets]),
+            labels=np.concatenate([d.labels for d in self.datasets]),
+        )
+        bounds = np.cumsum([0] + [len(d) for d in self.datasets])
+        object.__setattr__(self, "train_set", pooled)
+        object.__setattr__(self, "bounds", bounds)
+        # hold the data once: the local datasets become views into the pool
+        object.__setattr__(
+            self,
+            "datasets",
+            tuple(
+                Dataset(features=pooled.features[a:b], labels=pooled.labels[a:b])
+                for a, b in zip(bounds[:-1], bounds[1:])
+            ),
+        )
 
 
 @dataclass(frozen=True)
@@ -248,11 +304,11 @@ def apply_update(state: TrainState, mv: np.ndarray, record: RoundRecord) -> Trai
 
 
 def _collect_votes(state: TrainState, setup: TrainSetup) -> np.ndarray:
-    votes = np.empty((setup.deployment.num_eds, PARAM_DIM))
-    for k, data in enumerate(setup.datasets):
-        rng = keyed_rng(setup.seed, "batch", state.round_index, k)
-        votes[k] = sign_pm1(local_gradient(state.weights, data, setup.batch_size, rng))
-    return votes
+    rngs = [
+        keyed_rng(setup.seed, "batch", state.round_index, k)
+        for k in range(setup.deployment.num_eds)
+    ]
+    return sign_pm1(local_gradient(state.weights, setup.datasets, setup.batch_size, rngs))
 
 
 def _per_ed_links(setup: TrainSetup, coverage_m: float) -> np.ndarray:
@@ -381,7 +437,7 @@ def run_round(state: TrainState, setup: TrainSetup, phy: str, snr_db: float) -> 
     else:
         mv = _obda_majority(state, setup, votes, noise_power)
     new_weights = state.weights - state.step_size * mv
-    per_ed = tuple(mean_loss(new_weights, d) for d in setup.datasets)
+    per_ed = tuple(mean_loss(new_weights, setup.train_set, setup.bounds).tolist())
     record = RoundRecord(
         round_index=state.round_index,
         train_loss=float(np.mean(per_ed)),
@@ -404,7 +460,7 @@ def run_training(
 
 def loss_by_distance(state: TrainState, setup: TrainSetup) -> tuple[np.ndarray, np.ndarray]:
     """Final per-device training loss against device distance."""
-    losses = np.array([mean_loss(state.weights, d) for d in setup.datasets])
+    losses = mean_loss(state.weights, setup.train_set, setup.bounds)
     return setup.deployment.ed_distances.copy(), losses
 
 

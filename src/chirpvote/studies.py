@@ -14,7 +14,7 @@ from ._rng import keyed_rng
 from .config import ExperimentConfig, scheme_votes
 from .datasets import Dataset, synthetic_digits
 from .deployment import Deployment, coverage_radius, snr_vs_distance
-from .errors import ConfigError, InfeasibleError
+from .errors import InfeasibleError
 from .learn import (
     TrainSetup,
     TrainState,
@@ -171,13 +171,9 @@ def snr_distance_study(cfg: ExperimentConfig, n_points: int = 81) -> list[dict]:
 
 def load_training_data(cfg: ExperimentConfig, seed: int) -> tuple[Dataset, Dataset]:
     t = cfg.train
-    if t.dataset == "synthetic":
-        train = synthetic_digits(t.train_samples, seed)
-        test = synthetic_digits(t.test_samples, seed + 10_000)
-        return train, test
-    raise ConfigError(
-        "dataset 'idx' needs explicit file paths; use chirpvote.datasets.idx_digits"
-    )
+    train = synthetic_digits(t.train_samples, seed)
+    test = synthetic_digits(t.test_samples, seed + 10_000)
+    return train, test
 
 
 def training_setup(cfg: ExperimentConfig, seed: int) -> TrainSetup:
@@ -215,16 +211,18 @@ def scheme_phy(scheme: str) -> tuple[str, int | None]:
 def run_scheme_training(
     cfg: ExperimentConfig, scheme: str, snr_db: float, seed: int
 ) -> TrainState:
-    return _train_scheme(cfg, scheme, snr_db, training_setup(cfg, seed))
+    return _train_scheme(cfg, scheme, snr_db, training_setup(cfg, seed))[0]
 
 
 def _train_scheme(
     cfg: ExperimentConfig, scheme: str, snr_db: float, setup: TrainSetup
-) -> TrainState:
+) -> tuple[TrainState, TrainSetup]:
+    """The trained state and the setup it ran on (the scheme's vote count)."""
     phy, votes = scheme_phy(scheme)
     if votes is not None:
         setup = replace(setup, votes_per_block=votes)
-    return run_training(setup, phy, cfg.train.rounds, snr_db, cfg.train.step_size)
+    state = run_training(setup, phy, cfg.train.rounds, snr_db, cfg.train.step_size)
+    return state, setup
 
 
 def train_sweep(
@@ -245,8 +243,11 @@ def train_sweep(
     for scheme in schemes:
         for snr_db in snr_points:
             for seed in seeds:
-                setup = training_setup(cfg, seed)
-                state = _train_scheme(cfg, scheme, float(snr_db), setup)
+                # no reference to the unreplaced set-up is kept, so one
+                # pooled training set is alive while the scheme trains
+                state, setup = _train_scheme(
+                    cfg, scheme, float(snr_db), training_setup(cfg, seed)
+                )
                 key = {"scheme": scheme, "snr_db": float(snr_db), "seed": seed}
                 history += [
                     {

@@ -146,6 +146,14 @@ class TestFiles:
         with pytest.raises(ConfigError):
             load_config(tmp_path / "nope.json")
 
+    def test_idx_dataset_rejected_at_load(self, tmp_path):
+        data = config_to_dict(default_config())
+        data["train"]["dataset"] = "idx"
+        path = tmp_path / "idx.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ConfigError, match=r"'idx'.*chirpvote\.datasets\.idx_digits"):
+            load_config(path)
+
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

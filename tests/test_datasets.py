@@ -3,14 +3,51 @@ import struct
 import numpy as np
 import pytest
 
+from chirpvote._rng import keyed_rng
 from chirpvote.datasets import (
     Dataset,
+    _glyph_array,
     downsample_to_8x8,
     idx_digits,
     load_idx,
     synthetic_digits,
 )
 from chirpvote.errors import ConfigError
+
+
+def synthetic_digits_loop(
+    n_samples: int, seed: int, noise_std: float = 0.2, max_shift: int = 1
+) -> Dataset:
+    """Per-sample reference for synthetic_digits: the same keyed draws, one
+    np.roll of the template per sample."""
+    rng = keyed_rng(seed, "synthetic-digits")
+    labels = np.arange(n_samples) % 10
+    rng.shuffle(labels)
+    templates = np.stack([_glyph_array(k) for k in range(10)])
+    feats = np.empty((n_samples, 64))
+    shifts = rng.integers(-max_shift, max_shift + 1, size=(n_samples, 2))
+    amps = 0.8 + 0.4 * rng.random(n_samples)
+    noise = noise_std * rng.standard_normal((n_samples, 8, 8))
+    for i in range(n_samples):
+        img = np.roll(templates[labels[i]], tuple(shifts[i]), axis=(0, 1))
+        feats[i] = (amps[i] * img + noise[i]).ravel()
+    return Dataset(features=feats, labels=labels)
+
+
+class TestRollOracle:
+    @pytest.mark.parametrize("max_shift", [0, 1, 2, 3])
+    @pytest.mark.parametrize("n_samples, seed", [(1, 0), (7, 3), (333, 11)])
+    def test_gather_matches_roll_loop(self, max_shift, n_samples, seed):
+        fast = synthetic_digits(n_samples, seed, max_shift=max_shift)
+        ref = synthetic_digits_loop(n_samples, seed, max_shift=max_shift)
+        assert np.array_equal(fast.features, ref.features)
+        assert np.array_equal(fast.labels, ref.labels)
+
+    def test_gather_matches_roll_loop_noiseless(self):
+        # without noise the images are the shifted templates times the amplitude
+        fast = synthetic_digits(101, 4, noise_std=0.0, max_shift=3)
+        ref = synthetic_digits_loop(101, 4, noise_std=0.0, max_shift=3)
+        assert np.array_equal(fast.features, ref.features)
 
 
 class TestSynthetic:

@@ -42,7 +42,7 @@ from chirpvote.learn import (
     run_training,
 )
 from chirpvote import studies
-from chirpvote.oac import detect_mv, encode_csc
+from chirpvote.oac import detect_mv, encode_csc, sign_pm1
 from chirpvote.waveform import build_fdss, despread, spread
 
 
@@ -116,8 +116,8 @@ class TestModel:
     def test_local_gradient_full_batch_deterministic(self):
         data = synthetic_digits(40, seed=1)
         w = init_params(2)
-        g1 = local_gradient(w, data, 40, keyed_rng(0, "a"))
-        g2 = local_gradient(w, data, 40, keyed_rng(1, "b"))
+        g1 = local_gradient(w, [data], 40, [keyed_rng(0, "a")])[0]
+        g2 = local_gradient(w, [data], 40, [keyed_rng(1, "b")])[0]
         _, ref = loss_and_gradient(w, data.features, data.labels)
         # batch == dataset: the draw is without replacement, so both match
         np.testing.assert_allclose(np.sort(g1), np.sort(ref), atol=1e-12)
@@ -126,7 +126,7 @@ class TestModel:
     def test_local_gradient_batch_validation(self):
         data = synthetic_digits(10, seed=0)
         with pytest.raises(ValueError):
-            local_gradient(init_params(0), data, 0, keyed_rng(0, "x"))
+            local_gradient(init_params(0), [data], 0, [keyed_rng(0, "x")])
 
 
 class TestMajorityVote:
@@ -273,6 +273,108 @@ class TestTrainingMechanics:
             replace(setup, max_sync_offset=room + 1)
         with pytest.raises(InfeasibleError):
             replace(setup, wave=replace(setup.wave, cp_len=5), max_sync_offset=0)
+
+
+def local_gradient_loop(state: TrainState, setup: TrainSetup) -> np.ndarray:
+    """Per-device reference for the stacked gradient pass: the same keyed
+    batch draws, one 2-D loss_and_gradient call per device."""
+    grads = []
+    for k, data in enumerate(setup.datasets):
+        rng = keyed_rng(setup.seed, "batch", state.round_index, k)
+        idx = rng.choice(len(data), size=min(setup.batch_size, len(data)), replace=False)
+        _, grad = loss_and_gradient(state.weights, data.features[idx], data.labels[idx])
+        grads.append(grad)
+    return np.array(grads)
+
+
+def mean_loss_loop(w: np.ndarray, setup: TrainSetup) -> tuple[float, ...]:
+    """Per-device reference for the pooled loss pass: one forward pass and
+    one softmax cross-entropy per local dataset."""
+    losses = []
+    for data in setup.datasets:
+        logits = forward_logits(w, data.features)
+        z = logits - logits.max(axis=1, keepdims=True)
+        e = np.exp(z)
+        probs = e / e.sum(axis=1, keepdims=True)
+        nll = np.log(probs[np.arange(len(data)), data.labels] + 1e-300)
+        losses.append(float(-np.mean(nll)))
+    return tuple(losses)
+
+
+#: (devices, training samples, partition, seed): one equal-size group, and
+#: ragged label splits with devices holding fewer samples than a batch
+RAGGED_CASES = [
+    (5, 120, "homogeneous", 0),
+    (7, 150, "heterogeneous", 0),
+    (8, 300, "heterogeneous", 1),
+    (20, 2000, "heterogeneous", 1),
+]
+
+
+class TestBatchedAgainstLoops:
+    def _states(self, case, rounds=3):
+        num_eds, samples, partition, seed = case
+        setup = studies.training_setup(_tiny_cfg(num_eds, samples, partition), seed)
+        state = initial_state(setup, 0.02)
+        states = [state]
+        for _ in range(rounds):
+            state = run_round(state, setup, "ideal", 20.0)
+            states.append(state)
+        return setup, states
+
+    @pytest.mark.parametrize("case", RAGGED_CASES)
+    def test_stacked_votes_match_device_loop(self, case):
+        setup, states = self._states(case)
+        for state in states:
+            ref = local_gradient_loop(state, setup)
+            rngs = [
+                keyed_rng(setup.seed, "batch", state.round_index, k)
+                for k in range(len(setup.datasets))
+            ]
+            grads = local_gradient(state.weights, setup.datasets, setup.batch_size, rngs)
+            assert np.array_equal(grads, ref)
+            assert np.array_equal(_collect_votes(state, setup), sign_pm1(ref))
+
+    def test_ragged_cases_are_ragged(self):
+        def batch_sizes(case):
+            setup = self._states(case, rounds=0)[0]
+            return {min(len(d), setup.batch_size) for d in setup.datasets}
+
+        assert len(batch_sizes(RAGGED_CASES[1])) > 1
+        assert max(batch_sizes(RAGGED_CASES[1])) < 32
+        assert len(batch_sizes(RAGGED_CASES[2])) == 3
+        assert max(batch_sizes(RAGGED_CASES[2])) == 32
+
+    @pytest.mark.parametrize("case", RAGGED_CASES)
+    def test_pooled_losses_match_device_loop(self, case):
+        setup, states = self._states(case)
+        for state in states[1:]:
+            ref = mean_loss_loop(state.weights, setup)
+            assert state.history[-1].per_ed_loss == ref
+            assert state.history[-1].train_loss == float(np.mean(ref))
+        _, losses = loss_by_distance(states[-1], setup)
+        assert np.array_equal(losses, mean_loss_loop(states[-1].weights, setup))
+
+    def test_stacked_losses_match_two_dimensional_calls(self):
+        rng = np.random.default_rng(5)
+        w = init_params(1)
+        x = rng.standard_normal((4, 9, 64))
+        y = rng.integers(0, 10, (4, 9))
+        losses, grads = loss_and_gradient(w, x, y)
+        assert losses.shape == (4,) and grads.shape == (4, PARAM_DIM)
+        for k in range(4):
+            loss, grad = loss_and_gradient(w, x[k], y[k])
+            assert losses[k] == loss
+            assert np.array_equal(grads[k], grad)
+
+    def test_local_datasets_are_views_of_the_pooled_set(self):
+        setup = studies.training_setup(_tiny_cfg(7, 150, "heterogeneous"), 0)
+        for base in (setup, replace(setup, votes_per_block=4)):
+            assert base.bounds[-1] == len(base.train_set) == 150
+            for k, data in enumerate(base.datasets):
+                a, b = base.bounds[k], base.bounds[k + 1]
+                assert np.shares_memory(data.features, base.train_set.features)
+                assert np.array_equal(data.labels, base.train_set.labels[a:b])
 
 
 def csc_majority_sampled(
