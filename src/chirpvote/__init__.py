@@ -49,7 +49,7 @@ from .learn import (
     run_round,
     run_training,
 )
-from .numerics import fresnel, fresnel_array, power_spectrum
+from .numerics import fresnel_array, power_spectrum
 from .oac import (
     VotePlan,
     build_vote_plan,
@@ -61,12 +61,10 @@ from .oac import (
     votes_per_block,
 )
 from .rf import (
-    MetricDistribution,
     RappPa,
     aclr,
     aclr_at_obo,
     cubic_metric,
-    drive,
     obo_for_aclr,
     occupied_band,
     pmepr,
@@ -95,7 +93,6 @@ __all__ = [
     "ExperimentConfig",
     "FramingError",
     "InfeasibleError",
-    "MetricDistribution",
     "MetricsConfig",
     "PowerControlParams",
     "RappPa",
@@ -122,12 +119,10 @@ __all__ = [
     "detect_mv",
     "draw_epa",
     "draw_sync_offset",
-    "drive",
     "encode_csc",
     "encode_obda",
     "epa_rms_delay_spread_ns",
     "evaluate",
-    "fresnel",
     "fresnel_array",
     "guard_for_votes",
     "ideal_mv",

@@ -9,7 +9,7 @@ header lines).  All outputs are deterministic for a given config and seed:
 fixed float formats, sorted JSON keys, no timestamps.
 
 Exit codes: 0 success, 2 configuration/usage error (including a NaN or
-infinite number flag), 3 infeasible request.
+infinite number flag and a negative seed), 3 infeasible request.
 """
 from __future__ import annotations
 
@@ -52,6 +52,17 @@ def _finite_float(text: str) -> float:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
+def _seed_int(text: str) -> int:
+    """argparse type for --seed: random streams need a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be non-negative: {text!r}")
     return value
 
 
@@ -232,7 +243,7 @@ def cmd_bound(args) -> int:
 
 def _add_common(sp: argparse.ArgumentParser, scheme_choices=None) -> None:
     sp.add_argument("--config", type=Path, default=None, help="JSON experiment profile")
-    sp.add_argument("--seed", type=int, default=None, help="override the profile seed")
+    sp.add_argument("--seed", type=_seed_int, default=None, help="override the profile seed")
     sp.add_argument(
         "--out", type=Path, default=None, help="output directory (default: stdout)"
     )

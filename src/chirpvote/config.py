@@ -69,7 +69,6 @@ class TrainConfig:
     dataset: str = "synthetic"
     train_samples: int = 2000
     test_samples: int = 2000
-    votes_per_block: int = 2
     max_sync_offset: int = 4
     tci_threshold: float = 0.1
     partition: str = "homogeneous"
@@ -98,6 +97,8 @@ class TrainConfig:
             raise ConfigError("partition must be 'homogeneous' or 'heterogeneous'")
         if not self.snr_db or not self.seeds:
             raise ConfigError("snr_db and seeds must be non-empty")
+        if min(self.seeds) < 0:
+            raise ConfigError("seeds must be non-negative")
         if not all(math.isfinite(s) for s in self.snr_db):
             raise ConfigError("snr_db values must be finite")
         if self.csc_coverage_m <= 0 or self.obda_coverage_m <= 0:
@@ -114,7 +115,6 @@ class ExperimentConfig:
     metrics: MetricsConfig = field(default_factory=MetricsConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
     schemes: tuple[str, ...] = SCHEME_NAMES
-    num_eds: int = 50
     r_min: float = 10.0
     r_max: float = 50.0
     aclr_target_db: float = -22.0
@@ -127,8 +127,8 @@ class ExperimentConfig:
             scheme_votes(name)  # validates
         if not self.schemes:
             raise ConfigError("at least one scheme is required")
-        if self.num_eds < 1:
-            raise ConfigError("num_eds must be positive")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
         if not 0 < self.r_min <= self.r_max:
             raise ConfigError("need 0 < r_min <= r_max")
 

@@ -3,13 +3,14 @@
 Each round, every edge device computes a mini-batch gradient of a shared
 two-layer MLP, reduces it to per-coordinate sign votes, and the votes are
 aggregated to a majority decision that all devices apply with a common step
-size.  Three aggregation paths are provided:
+size.  The scheme token (see ``config.scheme_votes``) selects the
+aggregation:
 
-* ``ideal``    -- error-free majority vote (upper bound);
-* ``csc_mv``   -- votes ride on chirp tones with energy detection at the
-                  receiver (no channel knowledge anywhere);
-* ``obda``     -- QPSK sign modulation with truncated channel inversion at
-                  the transmitters (needs channel knowledge).
+* ``ideal``      -- error-free majority vote (upper bound);
+* ``csc_mv_<V>`` -- V votes per block ride on chirp tones with energy
+                    detection at the receiver (no channel knowledge anywhere);
+* ``obda``       -- QPSK sign modulation with truncated channel inversion at
+                    the transmitters (needs channel knowledge).
 
 The radio paths share batch, channel, timing-offset and noise draws through
 keyed RNG streams so schemes can be compared on identical realisations.
@@ -18,12 +19,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Sequence
 
 import numpy as np
 
 from ._rng import keyed_rng
 from .channel import draw_epa, draw_sync_offset, epa_tap_delays
+from .config import scheme_votes
 from .datasets import Dataset
 from .deployment import Deployment, PowerControlParams, link_power
 from .errors import ConfigError, InfeasibleError
@@ -220,7 +223,6 @@ class TrainSetup:
     coverage_obda_m: float
     seed: int = 0
     batch_size: int = 32
-    votes_per_block: int = 2
     max_sync_offset: int = 4
     tci_threshold: float = 0.1
     #: all local datasets end to end; device k holds rows bounds[k]:bounds[k+1]
@@ -230,8 +232,8 @@ class TrainSetup:
     def __post_init__(self) -> None:
         if len(self.datasets) != self.deployment.num_eds:
             raise ConfigError("one local dataset per device is required")
-        if self.batch_size < 1 or self.votes_per_block < 1:
-            raise ConfigError("batch_size and votes_per_block must be positive")
+        if self.batch_size < 1:
+            raise ConfigError("batch_size must be positive")
         if self.max_sync_offset < 0:
             raise ConfigError("max_sync_offset must be non-negative")
         # the spectral uplinks model delay plus timing offset as a circular
@@ -284,13 +286,6 @@ def initial_state(setup: TrainSetup, step_size: float) -> TrainState:
     return TrainState(weights=init_params(setup.seed), step_size=step_size)
 
 
-def default_step_size(smoothness_l1: float, batch_size: int) -> float:
-    """Step size 1/sqrt(L1-smoothness * batch), a standard sign-descent rule."""
-    if smoothness_l1 <= 0 or batch_size < 1:
-        raise ValueError("smoothness_l1 and batch_size must be positive")
-    return 1.0 / math.sqrt(smoothness_l1 * batch_size)
-
-
 def apply_update(state: TrainState, mv: np.ndarray, record: RoundRecord) -> TrainState:
     mv = np.asarray(mv)
     if mv.shape != state.weights.shape:
@@ -317,8 +312,8 @@ def _per_ed_links(setup: TrainSetup, coverage_m: float) -> np.ndarray:
     )
 
 
-def _csc_plan(setup: TrainSetup) -> VotePlan:
-    guard = guard_for_votes(setup.wave.num_bins, setup.votes_per_block)
+def _csc_plan(setup: TrainSetup, votes_per_block: int) -> VotePlan:
+    guard = guard_for_votes(setup.wave.num_bins, votes_per_block)
     return build_vote_plan(PARAM_DIM, setup.wave.num_bins, guard)
 
 
@@ -330,10 +325,27 @@ def _channel_draws(setup: TrainSetup, round_index: int, k: int):
     return realization, offset
 
 
+def _add_noise(
+    received: np.ndarray, setup: TrainSetup, round_index: int, noise_power: float
+) -> None:
+    """Add the round's complex white receiver noise to ``received`` in place."""
+    if noise_power > 0:
+        nrng = keyed_rng(setup.seed, "noise", round_index)
+        received += math.sqrt(noise_power / 2.0) * (
+            nrng.standard_normal(received.shape)
+            + 1j * nrng.standard_normal(received.shape)
+        )
+
+
 def _csc_majority(
-    state: TrainState, setup: TrainSetup, votes: np.ndarray, noise_power: float
+    state: TrainState,
+    setup: TrainSetup,
+    votes: np.ndarray,
+    noise_power: float,
+    votes_per_block: int,
 ) -> np.ndarray:
-    """Frequency-domain simulation of the chirp majority-vote uplink.
+    """Frequency-domain simulation of the chirp majority-vote uplink with
+    ``votes_per_block`` votes per symbol block.
 
     Works bin-by-bin on the occupied subcarriers.  Every chirp tone in slot u
     is one of two spectral rows, ``tone[u, +]`` or ``tone[u, -]``, so the
@@ -349,7 +361,7 @@ def _csc_majority(
     prefix, which ``TrainSetup`` enforces.
     """
     wave = setup.wave
-    plan = _csc_plan(setup)
+    plan = _csc_plan(setup, votes_per_block)
     m = wave.num_bins
     v = plan.votes_per_block
     fdss = build_fdss(wave)
@@ -380,12 +392,7 @@ def _csc_majority(
     for u in range(v):
         received += (np.where(positive[u], phases[u], 0) @ weights) * pos_tone[u]
         received += (np.where(positive[u], 0, phases[u]) @ weights) * neg_tone[u]
-    if noise_power > 0:
-        nrng = keyed_rng(setup.seed, "noise", state.round_index)
-        received += math.sqrt(noise_power / 2.0) * (
-            nrng.standard_normal(received.shape)
-            + 1j * nrng.standard_normal(received.shape)
-        )
+    _add_noise(received, setup, state.round_index, noise_power)
     shaped = np.conj(fdss) * received
     folded = np.zeros_like(shaped)
     folded[:, bins % m] = shaped
@@ -410,32 +417,39 @@ def _obda_majority(
         )
         tx = encode_obda(votes[k], response, setup.tci_threshold)
         received += math.sqrt(links[k]) * amp * response * tx
-    if noise_power > 0:
-        nrng = keyed_rng(setup.seed, "noise", state.round_index)
-        received += math.sqrt(noise_power / 2.0) * (
-            nrng.standard_normal(received.shape)
-            + 1j * nrng.standard_normal(received.shape)
-        )
+    _add_noise(received, setup, state.round_index, noise_power)
     return decode_obda(received, PARAM_DIM)
 
 
-PHY_MODES = ("ideal", "csc_mv", "obda")
+def _ideal_majority(
+    state: TrainState, setup: TrainSetup, votes: np.ndarray, noise_power: float
+) -> np.ndarray:
+    return ideal_mv(votes)
 
 
-def run_round(state: TrainState, setup: TrainSetup, phy: str, snr_db: float) -> TrainState:
+def scheme_uplink(scheme: str):
+    """The aggregation a scheme token names, as a function
+    ``(state, setup, votes, noise_power) -> majority vote``: the error-free
+    vote for ``ideal``, else the uplink and vote count that
+    ``config.scheme_votes`` gives.  An unknown token raises ConfigError."""
+    if scheme == "ideal":
+        return _ideal_majority
+    votes_per_block = scheme_votes(scheme)
+    if votes_per_block is None:
+        return _obda_majority
+    return partial(_csc_majority, votes_per_block=votes_per_block)
+
+
+def run_round(
+    state: TrainState, setup: TrainSetup, scheme: str, snr_db: float
+) -> TrainState:
     """One training round: local gradients, sign votes, aggregation over the
-    selected physical layer, then the shared model update.  The recorded
+    scheme's uplink, then the shared model update.  The recorded
     loss/accuracy describe the model after the update."""
-    if phy not in PHY_MODES:
-        raise ConfigError(f"unknown phy mode {phy!r}; expected one of {PHY_MODES}")
+    uplink = scheme_uplink(scheme)
     votes = _collect_votes(state, setup)
     noise_power = setup.power.p_ref * 10.0 ** (-snr_db / 10.0)
-    if phy == "ideal":
-        mv = ideal_mv(votes)
-    elif phy == "csc_mv":
-        mv = _csc_majority(state, setup, votes, noise_power)
-    else:
-        mv = _obda_majority(state, setup, votes, noise_power)
+    mv = uplink(state, setup, votes, noise_power)
     new_weights = state.weights - state.step_size * mv
     per_ed = tuple(mean_loss(new_weights, setup.train_set, setup.bounds).tolist())
     record = RoundRecord(
@@ -448,13 +462,13 @@ def run_round(state: TrainState, setup: TrainSetup, phy: str, snr_db: float) -> 
 
 
 def run_training(
-    setup: TrainSetup, phy: str, rounds: int, snr_db: float, step_size: float
+    setup: TrainSetup, scheme: str, rounds: int, snr_db: float, step_size: float
 ) -> TrainState:
     if rounds < 1:
         raise ConfigError("rounds must be positive")
     state = initial_state(setup, step_size)
     for _ in range(rounds):
-        state = run_round(state, setup, phy, snr_db)
+        state = run_round(state, setup, scheme, snr_db)
     return state
 
 

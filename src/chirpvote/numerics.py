@@ -18,34 +18,18 @@ the frequency axis sorted ascending; ``scipy.signal`` itself is not imported.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import fresnel as _scipy_fresnel
 
 
-@dataclass(frozen=True)
-class FresnelPair:
-    """Values (C(x), S(x)) of the Fresnel cosine and sine integrals."""
-
-    c: float
-    s: float
-
-
 def fresnel_array(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized (C(x), S(x)) for a real array."""
+    """Fresnel integrals (C(x), S(x)) of a real array; odd in x."""
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("fresnel requires finite input")
     s, c = _scipy_fresnel(x)  # SciPy returns the pair as (S, C)
     return c, s
-
-
-def fresnel(x: float) -> FresnelPair:
-    """Fresnel integrals C(x), S(x); odd in x."""
-    c, s = fresnel_array(np.asarray([float(x)]))
-    return FresnelPair(c=float(c[0]), s=float(s[0]))
 
 
 def power_spectrum(

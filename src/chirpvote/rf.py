@@ -16,11 +16,11 @@ periodogram). All are scale-invariant where the definitions demand it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleError
+from .errors import ConfigError, InfeasibleError
 from .numerics import power_spectrum
 from .waveform import ComplexSignal, WaveformConfig
 
@@ -30,25 +30,24 @@ CM_SLOPE = 1.52
 
 @dataclass(frozen=True)
 class RappPa:
-    """Rapp AM/AM nonlinearity with an input-referred operating point."""
+    """Rapp AM/AM nonlinearity; the operating back-off is set per call."""
 
     sat_amplitude: float = 1.0
     smoothness: float = 0.9
-    obo_db: float = 10.0
 
     def __post_init__(self) -> None:
         if self.sat_amplitude <= 0:
-            raise ValueError("sat_amplitude must be positive")
+            raise ConfigError("sat_amplitude must be positive")
         if self.smoothness <= 0:
-            raise ValueError("smoothness must be positive")
+            raise ConfigError("smoothness must be positive")
 
 
-def scale_to_obo(pa: RappPa, sig: ComplexSignal) -> ComplexSignal:
+def scale_to_obo(pa: RappPa, sig: ComplexSignal, obo_db: float) -> ComplexSignal:
     """Scale the signal so its mean power sits obo_db below PA saturation."""
     mean_power = sig.mean_power
     if mean_power <= 0:
         raise ValueError("cannot scale a zero-power signal")
-    target = pa.sat_amplitude**2 * 10.0 ** (-pa.obo_db / 10.0)
+    target = pa.sat_amplitude**2 * 10.0 ** (-obo_db / 10.0)
     return ComplexSignal(
         samples=sig.samples * math.sqrt(target / mean_power),
         sample_period=sig.sample_period,
@@ -64,18 +63,9 @@ def apply_pa(pa: RappPa, sig: ComplexSignal) -> ComplexSignal:
     return ComplexSignal(samples=y, sample_period=sig.sample_period)
 
 
-def drive(pa: RappPa, sig: ComplexSignal) -> ComplexSignal:
-    """Scale to the PA operating point, then amplify."""
-    return apply_pa(pa, scale_to_obo(pa, sig))
-
-
 def pmepr(sig: ComplexSignal) -> float:
     """Peak-to-mean envelope power ratio in dB."""
-    power = np.abs(sig.samples) ** 2
-    mean = power.mean()
-    if mean <= 0:
-        raise ValueError("pmepr of a zero-power signal is undefined")
-    return float(10.0 * np.log10(power.max() / mean))
+    return float(pmepr_batch(np.asarray(sig.samples)[None, :])[0])
 
 
 def pmepr_batch(symbols: np.ndarray) -> np.ndarray:
@@ -140,7 +130,7 @@ def aclr_at_obo(
 
     The ``segment_len`` default is ``MetricsConfig.segment_len``'s.
     """
-    driven = apply_pa(pa, scale_to_obo(replace(pa, obo_db=obo_db), stream))
+    driven = apply_pa(pa, scale_to_obo(pa, stream, obo_db))
     return aclr(driven, inband, segment_len)
 
 
@@ -174,27 +164,3 @@ def obo_for_aclr(
         else:
             lo = mid
     return 0.5 * (lo + hi)
-
-
-@dataclass(frozen=True)
-class MetricDistribution:
-    """Sorted empirical distribution of a dB-valued metric."""
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=float)
-        if v.size == 0:
-            raise ValueError("distribution must be non-empty")
-        object.__setattr__(self, "values", np.sort(v))
-
-    @classmethod
-    def from_samples(cls, samples: np.ndarray) -> "MetricDistribution":
-        return cls(values=np.asarray(samples, dtype=float))
-
-    def percentile(self, p: float) -> float:
-        return float(np.percentile(self.values, p))
-
-    @property
-    def median(self) -> float:
-        return self.percentile(50.0)

@@ -192,37 +192,16 @@ def training_setup(cfg: ExperimentConfig, seed: int) -> TrainSetup:
         coverage_obda_m=t.obda_coverage_m,
         seed=seed,
         batch_size=t.batch_size,
-        votes_per_block=t.votes_per_block,
         max_sync_offset=t.max_sync_offset,
         tci_threshold=t.tci_threshold,
     )
 
 
-def scheme_phy(scheme: str) -> tuple[str, int | None]:
-    """Map a scheme token to (phy mode, votes per block)."""
-    if scheme == "ideal":
-        return "ideal", None
-    votes = scheme_votes(scheme)
-    if votes is None:
-        return "obda", None
-    return "csc_mv", votes
-
-
 def run_scheme_training(
     cfg: ExperimentConfig, scheme: str, snr_db: float, seed: int
 ) -> TrainState:
-    return _train_scheme(cfg, scheme, snr_db, training_setup(cfg, seed))[0]
-
-
-def _train_scheme(
-    cfg: ExperimentConfig, scheme: str, snr_db: float, setup: TrainSetup
-) -> tuple[TrainState, TrainSetup]:
-    """The trained state and the setup it ran on (the scheme's vote count)."""
-    phy, votes = scheme_phy(scheme)
-    if votes is not None:
-        setup = replace(setup, votes_per_block=votes)
-    state = run_training(setup, phy, cfg.train.rounds, snr_db, cfg.train.step_size)
-    return state, setup
+    t = cfg.train
+    return run_training(training_setup(cfg, seed), scheme, t.rounds, snr_db, t.step_size)
 
 
 def train_sweep(
@@ -243,10 +222,9 @@ def train_sweep(
     for scheme in schemes:
         for snr_db in snr_points:
             for seed in seeds:
-                # no reference to the unreplaced set-up is kept, so one
-                # pooled training set is alive while the scheme trains
-                state, setup = _train_scheme(
-                    cfg, scheme, float(snr_db), training_setup(cfg, seed)
+                setup = training_setup(cfg, seed)
+                state = run_training(
+                    setup, scheme, cfg.train.rounds, float(snr_db), cfg.train.step_size
                 )
                 key = {"scheme": scheme, "snr_db": float(snr_db), "seed": seed}
                 history += [

@@ -292,7 +292,6 @@ def test_criterion_10_cli_byte_determinism(tmp_path):
             snr_db=(10.0,),
             seeds=(0,),
         ),
-        num_eds=8,
     )
     cfg_path = tmp_path / "determinism.json"
     save_config(cfg, cfg_path)

@@ -24,7 +24,6 @@ def write_cfg(tmp_path, name="cfg.json", **overrides):
             snr_db=(10.0,),
             seeds=(0,),
         ),
-        num_eds=8,
         **overrides,
     )
     path = tmp_path / name
@@ -311,3 +310,45 @@ class TestErrorPaths:
         assert run("train", "--config", cfg, "--scheme", "csc_mv_2", "--out", out) == 3
         assert capsys.readouterr().err.startswith("infeasible:")
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["aclr", "pmepr"])
+    @pytest.mark.parametrize("pa", [{"sat_amplitude": 0.0}, {"smoothness": -1.0}])
+    def test_bad_pa_exits_2(self, tmp_path, command, pa, capsys):
+        cfg = tmp_path / "pa.json"
+        cfg.write_text(json.dumps({"pa": pa}))
+        assert run(command, "--config", cfg, "--scheme", "obda") == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "command", ["pmepr", "cm", "aclr", "coverage", "train", "waveform-dump"]
+    )
+    def test_negative_seed_flag_exits_2(self, tmp_path, command, capsys):
+        cfg = write_cfg(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            run(command, "--config", cfg, "--seed", "-1")
+        assert exc.value.code == 2
+        assert "seed must be non-negative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("profile", [{"seed": -3}, {"train": {"seeds": [-1]}}])
+    def test_negative_profile_seed_exits_2(self, tmp_path, profile, capsys):
+        cfg = tmp_path / "seed.json"
+        cfg.write_text(json.dumps(profile))
+        assert run("train", "--config", cfg, "--scheme", "ideal") == 2
+        assert "non-negative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "profile, key",
+        [
+            ({"num_eds": 1}, "num_eds"),
+            ({"pa": {"obo_db": 99.0}}, "obo_db"),
+            ({"train": {"votes_per_block": 7}}, "votes_per_block"),
+        ],
+    )
+    def test_removed_key_exits_2(self, tmp_path, profile, key, capsys):
+        # the scheme token sets the vote count and aclr/coverage set the
+        # back-off, so these keys would change no output
+        cfg = tmp_path / "removed.json"
+        cfg.write_text(json.dumps(profile))
+        assert run("train", "--config", cfg, "--scheme", "ideal") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err

@@ -1,5 +1,6 @@
 """Configuration tree: defaults, validation, and JSON round-trips."""
 import json
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +17,8 @@ from chirpvote import (
     save_config,
     scheme_votes,
 )
+
+PROFILES = Path(__file__).resolve().parents[1] / "scripts" / "profiles"
 
 
 class TestSchemeTokens:
@@ -37,7 +40,6 @@ class TestDefaults:
         assert cfg.wave.num_bins == 54
         assert cfg.wave.idft_size == 64
         assert cfg.schemes == SCHEME_NAMES
-        assert cfg.num_eds == 50
         assert 0 < cfg.r_min <= cfg.r_max
         assert cfg.train.partition == "homogeneous"
         assert cfg.train.seeds == (0, 1, 2, 3, 4)
@@ -82,6 +84,12 @@ class TestValidation:
         with pytest.raises(ConfigError):
             TrainConfig(snr_db=(10.0, float("nan")))
 
+    def test_negative_seeds(self):
+        with pytest.raises(ConfigError, match="non-negative"):
+            ExperimentConfig(seed=-3)
+        with pytest.raises(ConfigError, match="non-negative"):
+            TrainConfig(seeds=(0, -1))
+
 
 class TestDictConversion:
     def test_round_trip_preserves_equality(self):
@@ -91,7 +99,6 @@ class TestDictConversion:
     def test_round_trip_non_default(self):
         cfg = ExperimentConfig(
             schemes=("csc_mv_4", "obda"),
-            num_eds=12,
             r_min=5.0,
             r_max=25.0,
             aclr_target_db=-30.0,
@@ -133,14 +140,20 @@ class TestDictConversion:
 
 class TestFiles:
     def test_json_file_round_trip(self, tmp_path):
-        cfg = ExperimentConfig(num_eds=9, train=TrainConfig(rounds=3, seeds=(5,)))
+        cfg = ExperimentConfig(seed=9, train=TrainConfig(rounds=3, seeds=(5,)))
         path = tmp_path / "profile.json"
         save_config(cfg, path)
         assert load_config(path) == cfg
         # the stored form is ordinary JSON a human can edit
         raw = json.loads(path.read_text())
-        assert raw["num_eds"] == 9
+        assert raw["seed"] == 9
         assert raw["train"]["rounds"] == 3
+
+    @pytest.mark.parametrize(
+        "path", sorted(PROFILES.glob("*.json")), ids=lambda p: p.name
+    )
+    def test_shipped_profiles_load(self, path):
+        assert isinstance(load_config(path), ExperimentConfig)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):

@@ -26,7 +26,6 @@ from chirpvote.learn import (
     _per_ed_links,
     apply_update,
     convergence_bound,
-    default_step_size,
     evaluate,
     forward_logits,
     ideal_mv,
@@ -215,11 +214,6 @@ class TestTrainingMechanics:
         with pytest.raises(ValueError):
             apply_update(state, np.ones(3), rec)
 
-    def test_default_step_size_rule(self):
-        assert default_step_size(100.0, 4) == pytest.approx(0.05)
-        with pytest.raises(ValueError):
-            default_step_size(0.0, 4)
-
     def test_run_round_unknown_phy(self):
         setup = studies.training_setup(_tiny_cfg(), 0)
         state = initial_state(setup, 0.02)
@@ -229,10 +223,27 @@ class TestTrainingMechanics:
     def test_run_round_deterministic(self):
         setup = studies.training_setup(_tiny_cfg(), 0)
         state = initial_state(setup, 0.02)
-        a = run_round(state, setup, "csc_mv", 15.0)
-        b = run_round(state, setup, "csc_mv", 15.0)
+        a = run_round(state, setup, "csc_mv_2", 15.0)
+        b = run_round(state, setup, "csc_mv_2", 15.0)
         np.testing.assert_array_equal(a.weights, b.weights)
         assert a.history == b.history
+
+    @pytest.mark.parametrize(
+        "scheme, uplink",
+        [
+            ("ideal", lambda s, t, v, p: ideal_mv(v)),
+            ("csc_mv_1", lambda s, t, v, p: _csc_majority(s, t, v, p, 1)),
+            ("csc_mv_4", lambda s, t, v, p: _csc_majority(s, t, v, p, 4)),
+            ("obda", _obda_majority),
+        ],
+    )
+    def test_scheme_token_selects_uplink(self, scheme, uplink):
+        setup = studies.training_setup(_tiny_cfg(), 2)
+        state = initial_state(setup, 0.02)
+        noise_power = setup.power.p_ref * 10.0 ** (-15.0 / 10.0)
+        mv = uplink(state, setup, _collect_votes(state, setup), noise_power)
+        new = run_round(state, setup, scheme, 15.0)
+        assert np.array_equal(new.weights, state.weights - 0.02 * mv)
 
     def test_batches_shared_between_phy_modes(self):
         setup = studies.training_setup(_tiny_cfg(), 3)
@@ -369,7 +380,7 @@ class TestBatchedAgainstLoops:
 
     def test_local_datasets_are_views_of_the_pooled_set(self):
         setup = studies.training_setup(_tiny_cfg(7, 150, "heterogeneous"), 0)
-        for base in (setup, replace(setup, votes_per_block=4)):
+        for base in (setup, replace(setup, batch_size=8)):
             assert base.bounds[-1] == len(base.train_set) == 150
             for k, data in enumerate(base.datasets):
                 a, b = base.bounds[k], base.bounds[k + 1]
@@ -378,17 +389,21 @@ class TestBatchedAgainstLoops:
 
 
 def csc_majority_sampled(
-    state: TrainState, setup: TrainSetup, votes: np.ndarray, noise_power: float
+    state: TrainState,
+    setup: TrainSetup,
+    votes: np.ndarray,
+    noise_power: float,
+    votes_per_block: int,
 ) -> np.ndarray:
     """Sample-level reference for the chirp uplink: full spread / multipath /
     superposition / despread chain.  Slower than the spectral path but uses
     the identical keyed draws for phases, channels and offsets, so the two
     agree exactly when noise is disabled."""
     wave = setup.wave
-    plan = _csc_plan(setup)
+    plan = _csc_plan(setup, votes_per_block)
     fdss = build_fdss(wave)
     links = _per_ed_links(setup, setup.coverage_csc_m)
-    amp = math.sqrt(wave.idft_size / setup.votes_per_block)
+    amp = math.sqrt(wave.idft_size / votes_per_block)
     arrivals = []  # per device: (list of per-block ComplexSignal, link power)
     for k in range(votes.shape[0]):
         rng = keyed_rng(setup.seed, "phase", state.round_index, k)
@@ -415,8 +430,8 @@ class TestRadioAggregation:
         setup = studies.training_setup(_tiny_cfg(num_eds=4, samples=100), 2)
         state = initial_state(setup, 0.02)
         votes = _collect_votes(state, setup)
-        fast = _csc_majority(state, setup, votes, 0.0)
-        slow = csc_majority_sampled(state, setup, votes, 0.0)
+        fast = _csc_majority(state, setup, votes, 0.0, 2)
+        slow = csc_majority_sampled(state, setup, votes, 0.0, 2)
         np.testing.assert_array_equal(fast, slow)
 
     # the oracle costs up to 1.7 s per example (one vote per block, six
@@ -435,7 +450,6 @@ class TestRadioAggregation:
     ):
         setup = replace(
             studies.training_setup(_tiny_cfg(num_eds=num_eds, samples=60), seed),
-            votes_per_block=votes_per_block,
             max_sync_offset=max_sync_offset,
         )
         state = TrainState(
@@ -445,8 +459,8 @@ class TestRadioAggregation:
         )
         votes = _collect_votes(state, setup)
         np.testing.assert_array_equal(
-            _csc_majority(state, setup, votes, 0.0),
-            csc_majority_sampled(state, setup, votes, 0.0),
+            _csc_majority(state, setup, votes, 0.0, votes_per_block),
+            csc_majority_sampled(state, setup, votes, 0.0, votes_per_block),
         )
 
     def test_single_device_noiseless_csc_recovers_votes(self):
@@ -454,14 +468,14 @@ class TestRadioAggregation:
         # heavy fading cannot flip a single device's energy detection
         state = initial_state(setup, 0.02)
         votes = _collect_votes(state, setup)
-        out = _csc_majority(state, setup, votes, 0.0)
+        out = _csc_majority(state, setup, votes, 0.0, 2)
         np.testing.assert_array_equal(out, votes[0])
 
     def test_csc_majority_tracks_ideal_at_high_snr(self):
         setup = studies.training_setup(_tiny_cfg(num_eds=5, samples=150), 5)
         state = initial_state(setup, 0.02)
         votes = _collect_votes(state, setup)
-        radio = _csc_majority(state, setup, votes, 1e-6)
+        radio = _csc_majority(state, setup, votes, 1e-6, 2)
         ideal = ideal_mv(votes)
         assert np.mean(radio == ideal) > 0.7
 

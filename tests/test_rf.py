@@ -12,14 +12,12 @@ from chirpvote.errors import InfeasibleError
 from chirpvote.numerics import power_spectrum
 from chirpvote.oac import random_csc_traffic, random_qpsk
 from chirpvote.rf import (
-    MetricDistribution,
     RappPa,
     aclr,
     aclr_at_obo,
     apply_pa,
     cubic_metric,
     cubic_metric_batch,
-    drive,
     obo_for_aclr,
     occupied_band,
     pmepr,
@@ -80,21 +78,14 @@ class TestRappPa:
         assert np.angle(out) == pytest.approx(1.234, abs=1e-12)
 
     def test_scale_to_obo_sets_mean_power(self):
-        pa = RappPa(sat_amplitude=2.0, obo_db=7.0)
+        pa = RappPa(sat_amplitude=2.0)
         rng = np.random.default_rng(0)
         sig = ComplexSignal(
             samples=rng.standard_normal(512) + 1j * rng.standard_normal(512),
             sample_period=1.0,
         )
-        out = scale_to_obo(pa, sig)
+        out = scale_to_obo(pa, sig, 7.0)
         assert out.mean_power == pytest.approx(4.0 * 10 ** (-0.7), rel=1e-12)
-
-    def test_drive_composition(self):
-        pa = RappPa(obo_db=6.0)
-        sig = _tone()
-        d = drive(pa, sig)
-        ref = apply_pa(pa, scale_to_obo(pa, sig))
-        np.testing.assert_allclose(d.samples, ref.samples)
 
 
 class TestEnvelopeMetrics:
@@ -211,15 +202,3 @@ class TestSegmentLenWiring:
         for fn in (aclr_at_obo, obo_for_aclr):
             assert inspect.signature(fn).parameters["segment_len"].default == default
 
-
-class TestMetricDistribution:
-    def test_sorted_and_percentiles(self):
-        d = MetricDistribution.from_samples(np.array([3.0, 1.0, 2.0]))
-        assert list(d.values) == [1.0, 2.0, 3.0]
-        assert d.median == pytest.approx(2.0)
-        assert d.percentile(0.0) == pytest.approx(1.0)
-        assert d.percentile(100.0) == pytest.approx(3.0)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            MetricDistribution.from_samples(np.array([]))
