@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import FramingError, InfeasibleError
+from .errors import FramingError
 from .waveform import ComplexSignal, WaveformConfig
 
 EPA_DELAYS_NS: tuple[float, ...] = (0.0, 30.0, 70.0, 90.0, 110.0, 190.0, 410.0)
@@ -36,10 +36,6 @@ class ChannelRealization:
 
     delays: np.ndarray
     gains: np.ndarray
-
-    @property
-    def max_delay(self) -> int:
-        return int(self.delays.max())
 
     def frequency_response(
         self, bin_indices: np.ndarray, idft_size: int, offset_samples: int = 0
@@ -111,19 +107,3 @@ def superpose(
         scale = math.sqrt(noise_power / 2.0)
         total = total + scale * (rng.standard_normal(length) + 1j * rng.standard_normal(length))
     return ComplexSignal(samples=total, sample_period=period)
-
-
-def min_guard_bins(cfg: WaveformConfig, t_chn: float, t_sync: float) -> int:
-    """Smallest guard width (in bins) whose time aperture covers the channel
-    delay spread plus the synchronization error."""
-    if t_chn < 0 or t_sync < 0:
-        raise ValueError("durations must be non-negative")
-    need = t_chn + t_sync
-    symbol = cfg.symbol_period
-    if need > symbol:
-        raise InfeasibleError("guard requirement exceeds the symbol duration")
-    spacing = symbol / cfg.num_bins
-    guard = int(math.ceil(need / spacing - 1e-9)) if need > 0 else 0
-    if cfg.num_bins // (2 + 2 * guard) < 1:
-        raise InfeasibleError("guard width leaves no room for votes")
-    return guard

@@ -211,14 +211,16 @@ def cmd_waveform_dump(args) -> int:
 
 def cmd_bound(args) -> int:
     cfg = load_config(args.config) if args.config else default_config()
+    rounds = cfg.train.rounds if args.rounds is None else args.rounds
+    workers = cfg.train.num_eds if args.workers is None else args.workers
     params = BoundParams(
         smoothness=np.array([args.smoothness_l1]),
         grad_noise_scale=np.array([args.noise_l1]),
         initial_gap=args.initial_gap,
         step_scale=args.step_scale,
-        num_workers=args.workers,
+        num_workers=workers,
         detection_snr=args.detection_snr,
-        num_rounds=args.rounds,
+        num_rounds=rounds,
     )
     try:
         value = convergence_bound(params)
@@ -229,8 +231,8 @@ def cmd_bound(args) -> int:
         "detection_snr": args.detection_snr,
         "initial_gap": args.initial_gap,
         "noise_l1": args.noise_l1,
-        "num_rounds": args.rounds,
-        "num_workers": args.workers,
+        "num_rounds": rounds,
+        "num_workers": workers,
         "smoothness_l1": args.smoothness_l1,
         "step_scale": args.step_scale,
     }
@@ -241,9 +243,12 @@ def cmd_bound(args) -> int:
     return 0
 
 
-def _add_common(sp: argparse.ArgumentParser, scheme_choices=None) -> None:
+def _add_common(sp: argparse.ArgumentParser, scheme_choices=None, seed=True) -> None:
     sp.add_argument("--config", type=Path, default=None, help="JSON experiment profile")
-    sp.add_argument("--seed", type=_seed_int, default=None, help="override the profile seed")
+    if seed:
+        sp.add_argument(
+            "--seed", type=_seed_int, default=None, help="override the profile seed"
+        )
     sp.add_argument(
         "--out", type=Path, default=None, help="output directory (default: stdout)"
     )
@@ -287,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_coverage)
 
     sp = sub.add_parser("snr-distance", help="uplink SNR versus distance")
-    _add_common(sp)
+    _add_common(sp, seed=False)
     sp.set_defaults(func=cmd_snr_distance)
 
     sp = sub.add_parser("train", help="federated sign-vote training sweep")
@@ -314,8 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("bound", help="analytic convergence guarantee")
     sp.add_argument("--config", type=Path, default=None)
     sp.add_argument("--out", type=Path, default=None)
-    sp.add_argument("--rounds", type=int, default=200)
-    sp.add_argument("--workers", type=int, default=20)
+    sp.add_argument("--rounds", type=int, default=None, help="default: train.rounds")
+    sp.add_argument("--workers", type=int, default=None, help="default: train.num_eds")
     sp.add_argument("--detection-snr", type=_finite_float, default=1.0)
     sp.add_argument("--step-scale", type=_finite_float, default=1.0)
     sp.add_argument("--initial-gap", type=_finite_float, default=10.0)

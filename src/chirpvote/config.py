@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields
+from numbers import Integral, Real
 from pathlib import Path
 
 from .deployment import PowerControlParams
@@ -66,7 +67,6 @@ class TrainConfig:
     snr_db: tuple[float, ...] = (20.0,)
     batch_size: int = 32
     step_size: float = 0.02
-    dataset: str = "synthetic"
     train_samples: int = 2000
     test_samples: int = 2000
     max_sync_offset: int = 4
@@ -78,19 +78,18 @@ class TrainConfig:
     obda_coverage_m: float = 30.73
 
     def __post_init__(self) -> None:
+        if not all(isinstance(s, Real) for s in self.snr_db) or not all(
+            isinstance(s, Integral) for s in self.seeds
+        ):
+            raise ConfigError(
+                "snr_db entries must be numbers and seeds entries non-negative integers"
+            )
         object.__setattr__(self, "snr_db", tuple(float(s) for s in self.snr_db))
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
         if self.num_eds < 1 or self.rounds < 1 or self.batch_size < 1:
             raise ConfigError("num_eds, rounds and batch_size must be positive")
         if self.step_size <= 0:
             raise ConfigError("step_size must be positive")
-        if self.dataset == "idx":
-            raise ConfigError(
-                "dataset 'idx' cannot be set in a profile: IDX files need explicit "
-                "paths; load them with chirpvote.datasets.idx_digits"
-            )
-        if self.dataset != "synthetic":
-            raise ConfigError("dataset must be 'synthetic'")
         if self.train_samples < 1 or self.test_samples < 1:
             raise ConfigError("sample counts must be positive")
         if self.partition not in ("homogeneous", "heterogeneous"):

@@ -82,22 +82,6 @@ def coverage_radius(pc: PowerControlParams) -> float:
     return pc.r_ref * 10.0 ** ((pc.obo_ref - pc.obo_min) / (10.0 * pc.beta))
 
 
-def received_power(pc: PowerControlParams, r_p: float, d: np.ndarray | float):
-    """Received power under fractional power control, clamped at r_p.
-
-    P(d) = p_ref * (d/r_ref)^(beta - alpha) for d < r_p, frozen at the r_p
-    value beyond. With full compensation (beta = alpha) this is p_ref
-    everywhere; the beyond-coverage decay appears in the link SNR, where the
-    transmit clamp binds (see snr_vs_distance).
-    """
-    d = np.asarray(d, dtype=float)
-    base = np.minimum(d, r_p) / pc.r_ref
-    expo = pc.beta - pc.alpha
-    with np.errstate(divide="ignore"):
-        power = pc.p_ref * base**expo
-    return power if power.ndim else float(power)
-
-
 def link_power(pc: PowerControlParams, r_p: float, d: np.ndarray | float):
     """Delivered power with the transmit clamp binding beyond coverage:
 

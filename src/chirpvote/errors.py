@@ -15,10 +15,9 @@ class ConfigError(ChirpVoteError, ValueError):
 
 
 class InfeasibleError(ChirpVoteError):
-    """A solve has no solution in the admissible range (e.g. an ACLR
-
-    target below the scheme's distortion floor, or a guard requirement
-    that leaves no room for votes)."""
+    """A request has no solution in the admissible range (e.g. an ACLR
+    target below the scheme's distortion floor, more vote pairs than fit in
+    the band, or a delay beyond the untapered cyclic prefix)."""
 
 
 class FramingError(ChirpVoteError, ValueError):

@@ -237,12 +237,15 @@ class TrainSetup:
         if self.max_sync_offset < 0:
             raise ConfigError("max_sync_offset must be non-negative")
         # the spectral uplinks model delay plus timing offset as a circular
-        # shift, which holds only while both fit in the cyclic prefix
-        delay = int(epa_tap_delays(self.wave).max()) + self.max_sync_offset
-        if delay > self.wave.cp_len:
+        # shift, which holds only while both stay inside the untapered part
+        # of the cyclic prefix: its first window_rolloff samples are ramped
+        tap = int(epa_tap_delays(self.wave).max())
+        room = self.wave.cp_len - self.wave.window_rolloff
+        if tap + self.max_sync_offset > room:
             raise InfeasibleError(
-                f"largest EPA tap delay plus max_sync_offset is {delay} samples, "
-                f"beyond the {self.wave.cp_len}-sample cyclic prefix"
+                f"largest EPA tap delay ({tap}) plus max_sync_offset "
+                f"({self.max_sync_offset}) exceeds cp_len - window_rolloff ({room}), "
+                "the untapered cyclic-prefix samples"
             )
         pooled = Dataset(
             features=np.concatenate([d.features for d in self.datasets]),
@@ -307,9 +310,7 @@ def _collect_votes(state: TrainState, setup: TrainSetup) -> np.ndarray:
 
 
 def _per_ed_links(setup: TrainSetup, coverage_m: float) -> np.ndarray:
-    return np.array(
-        [link_power(setup.power, coverage_m, d) for d in setup.deployment.ed_distances]
-    )
+    return link_power(setup.power, coverage_m, setup.deployment.ed_distances)
 
 
 def _csc_plan(setup: TrainSetup, votes_per_block: int) -> VotePlan:
@@ -357,8 +358,8 @@ def _csc_majority(
     vector.  Receiver noise is white across bins because the transforms are
     orthonormal.  The votes equal those of the sample-level chain (spread /
     propagate / superpose / despread, kept in the test suite as an oracle)
-    while the largest tap delay plus the timing offset fits in the cyclic
-    prefix, which ``TrainSetup`` enforces.
+    while the largest tap delay plus the timing offset fits in the untapered
+    part of the cyclic prefix, which ``TrainSetup`` enforces.
     """
     wave = setup.wave
     plan = _csc_plan(setup, votes_per_block)

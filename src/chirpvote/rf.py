@@ -63,11 +63,6 @@ def apply_pa(pa: RappPa, sig: ComplexSignal) -> ComplexSignal:
     return ComplexSignal(samples=y, sample_period=sig.sample_period)
 
 
-def pmepr(sig: ComplexSignal) -> float:
-    """Peak-to-mean envelope power ratio in dB."""
-    return float(pmepr_batch(np.asarray(sig.samples)[None, :])[0])
-
-
 def pmepr_batch(symbols: np.ndarray) -> np.ndarray:
     """PMEPR per row for an (n_symbols, n_samples) array of symbol bodies."""
     power = np.abs(symbols) ** 2
@@ -77,12 +72,9 @@ def pmepr_batch(symbols: np.ndarray) -> np.ndarray:
     return 10.0 * np.log10(power.max(axis=-1) / mean)
 
 
-def cubic_metric(sig: ComplexSignal) -> float:
-    """Cubic metric in dB: (RCM - 1.52)/1.52 with RCM from the cubed envelope."""
-    return float(cubic_metric_batch(np.asarray(sig.samples)[None, :])[0])
-
-
 def cubic_metric_batch(symbols: np.ndarray) -> np.ndarray:
+    """Cubic metric in dB per row: (RCM - 1.52)/1.52 with RCM from the cubed
+    envelope."""
     power = np.abs(symbols) ** 2
     mean = power.mean(axis=-1)
     if np.any(mean <= 0):

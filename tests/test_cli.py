@@ -168,8 +168,9 @@ class TestTrainCommand:
         data = json.loads(cfg.read_text())
         data["train"]["dataset"] = "idx"
         cfg.write_text(json.dumps(data))
+        # no profile key selects the data: IDX files are loaded in Python
         assert run("train", "--config", cfg, "--scheme", "ideal") == 2
-        assert "idx" in capsys.readouterr().err
+        assert "unknown keys ['dataset']" in capsys.readouterr().err
 
 
 class TestWaveformDump:
@@ -209,6 +210,14 @@ class TestBoundCommand:
         assert payload["num_workers"] == 5
         assert payload["num_rounds"] == 100
         assert payload["bound"] > 0
+
+    def test_defaults_come_from_the_profile(self, tmp_path, capsys):
+        cfg = tmp_path / "small.json"
+        cfg.write_text(json.dumps({"train": {"num_eds": 4, "rounds": 5}}))
+        assert run("bound", "--config", cfg) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["num_workers"] == 4
+        assert payload["num_rounds"] == 5
 
     def test_invalid_arguments_exit_2(self, capsys):
         assert run("bound", "--rounds", "0") == 2
@@ -289,6 +298,12 @@ class TestErrorPaths:
         assert exc.value.code == 2
         assert not out.exists()
 
+    def test_snr_distance_takes_no_seed(self):
+        # the SNR map has no random draw, so a seed would change nothing
+        with pytest.raises(SystemExit) as exc:
+            run("snr-distance", "--seed", "0")
+        assert exc.value.code == 2
+
     def test_missing_command_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             run()
@@ -311,6 +326,20 @@ class TestErrorPaths:
         assert capsys.readouterr().err.startswith("infeasible:")
         assert not out.exists()
 
+    @pytest.mark.parametrize("offset, code", [(8, 0), (9, 3), (10, 3)])
+    def test_sync_offset_into_window_taper_exit_3(self, tmp_path, offset, code, capsys):
+        # the first window_rolloff (2) cyclic-prefix samples are tapered, so
+        # the 6-sample EPA tail leaves room for offsets up to 16 - 2 - 6 = 8
+        data = json.loads(write_cfg(tmp_path).read_text())
+        data["train"]["max_sync_offset"] = offset
+        cfg = tmp_path / "taper.json"
+        cfg.write_text(json.dumps(data))
+        out = tmp_path / "train"
+        assert run("train", "--config", cfg, "--scheme", "csc_mv_2", "--out", out) == code
+        if code:
+            assert "cp_len - window_rolloff" in capsys.readouterr().err
+            assert not out.exists()
+
     @pytest.mark.parametrize("command", ["aclr", "pmepr"])
     @pytest.mark.parametrize("pa", [{"sat_amplitude": 0.0}, {"smoothness": -1.0}])
     def test_bad_pa_exits_2(self, tmp_path, command, pa, capsys):
@@ -329,7 +358,9 @@ class TestErrorPaths:
         assert exc.value.code == 2
         assert "seed must be non-negative" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("profile", [{"seed": -3}, {"train": {"seeds": [-1]}}])
+    @pytest.mark.parametrize(
+        "profile", [{"seed": -3}, {"train": {"seeds": [-1]}}, {"train": {"seeds": ["x"]}}]
+    )
     def test_negative_profile_seed_exits_2(self, tmp_path, profile, capsys):
         cfg = tmp_path / "seed.json"
         cfg.write_text(json.dumps(profile))
@@ -342,11 +373,13 @@ class TestErrorPaths:
             ({"num_eds": 1}, "num_eds"),
             ({"pa": {"obo_db": 99.0}}, "obo_db"),
             ({"train": {"votes_per_block": 7}}, "votes_per_block"),
+            ({"train": {"dataset": "synthetic"}}, "dataset"),
         ],
     )
     def test_removed_key_exits_2(self, tmp_path, profile, key, capsys):
-        # the scheme token sets the vote count and aclr/coverage set the
-        # back-off, so these keys would change no output
+        # the scheme token sets the vote count, aclr/coverage set the
+        # back-off and synthetic digits are the only profile data, so these
+        # keys would change no output
         cfg = tmp_path / "removed.json"
         cfg.write_text(json.dumps(profile))
         assert run("train", "--config", cfg, "--scheme", "ideal") == 2

@@ -4,11 +4,10 @@ from pathlib import Path
 
 import pytest
 
-from chirpvote import (
-    ConfigError,
+from chirpvote.config import (
+    SCHEME_NAMES,
     ExperimentConfig,
     MetricsConfig,
-    SCHEME_NAMES,
     TrainConfig,
     config_from_dict,
     config_to_dict,
@@ -17,8 +16,10 @@ from chirpvote import (
     save_config,
     scheme_votes,
 )
+from chirpvote.errors import ConfigError
 
-PROFILES = Path(__file__).resolve().parents[1] / "scripts" / "profiles"
+ROOT = Path(__file__).resolve().parents[1]
+PROFILES = ROOT / "scripts" / "profiles"
 
 
 class TestSchemeTokens:
@@ -44,6 +45,11 @@ class TestDefaults:
         assert cfg.train.partition == "homogeneous"
         assert cfg.train.seeds == (0, 1, 2, 3, 4)
         assert cfg.power.obo_min <= cfg.power.obo_ref
+
+    def test_readme_lists_the_default_profile(self):
+        block = (ROOT / "README.md").read_text().split("```json\n", 1)[1]
+        listed = json.loads(block.split("```", 1)[0])
+        assert listed == json.loads(json.dumps(config_to_dict(default_config())))
 
     def test_sequence_fields_coerced_to_tuples(self):
         train = TrainConfig(snr_db=[5, 10], seeds=[3])
@@ -76,13 +82,15 @@ class TestValidation:
         with pytest.raises(ConfigError):
             TrainConfig(batch_size=0)
         with pytest.raises(ConfigError):
-            TrainConfig(dataset="mnist-url")
-        with pytest.raises(ConfigError):
             TrainConfig(partition="dirichlet")
         with pytest.raises(ConfigError):
             TrainConfig(seeds=())
         with pytest.raises(ConfigError):
             TrainConfig(snr_db=(10.0, float("nan")))
+        # non-numeric entries (a string is a sequence of characters)
+        for bad in ({"snr_db": ("loud",)}, {"snr_db": "20"}, {"seeds": ("x",)}, {"seeds": (1.5,)}):
+            with pytest.raises(ConfigError, match="seeds entries non-negative integers"):
+                TrainConfig(**bad)
 
     def test_negative_seeds(self):
         with pytest.raises(ConfigError, match="non-negative"):
@@ -160,11 +168,13 @@ class TestFiles:
             load_config(tmp_path / "nope.json")
 
     def test_idx_dataset_rejected_at_load(self, tmp_path):
+        # the profile has no data source: IDX files are read in Python with
+        # chirpvote.datasets.idx_digits, so a dataset key is unknown
         data = config_to_dict(default_config())
         data["train"]["dataset"] = "idx"
         path = tmp_path / "idx.json"
         path.write_text(json.dumps(data))
-        with pytest.raises(ConfigError, match=r"'idx'.*chirpvote\.datasets\.idx_digits"):
+        with pytest.raises(ConfigError, match=r"unknown keys \['dataset'\]"):
             load_config(path)
 
     def test_malformed_json(self, tmp_path):

@@ -7,7 +7,6 @@ from chirpvote.deployment import (
     PowerControlParams,
     coverage_radius,
     link_power,
-    received_power,
     snr_vs_distance,
 )
 from chirpvote.errors import ConfigError
@@ -47,32 +46,6 @@ class TestCoverageRadius:
     def test_beta_zero_undefined(self):
         with pytest.raises(ValueError):
             coverage_radius(PowerControlParams(alpha=4.0, beta=0.0))
-
-
-class TestReceivedPower:
-    def test_partial_compensation_shape(self):
-        pc = PowerControlParams(alpha=4.0, beta=2.0, r_ref=10.0)
-        r_p = 30.0
-        d = np.array([10.0, 20.0, 29.0, 30.0, 45.0])
-        p = received_power(pc, r_p, d)
-        # decaying like d^(beta - alpha) inside coverage
-        assert p[0] == pytest.approx(1.0)
-        assert p[1] == pytest.approx((20.0 / 10.0) ** (2.0 - 4.0))
-        # frozen at the coverage value beyond r_p
-        assert p[3] == pytest.approx((30.0 / 10.0) ** -2.0)
-        assert p[4] == pytest.approx(p[3])
-
-    def test_continuity_at_coverage_radius(self):
-        pc = PowerControlParams(alpha=4.0, beta=3.0, r_ref=10.0)
-        r_p = 25.0
-        inside = received_power(pc, r_p, r_p - 1e-9)
-        outside = received_power(pc, r_p, r_p + 1e-9)
-        assert inside == pytest.approx(outside, rel=1e-6)
-
-    def test_full_compensation_is_flat(self):
-        d = np.linspace(10.0, 60.0, 11)
-        p = received_power(PC, 30.0, d)
-        np.testing.assert_allclose(p, 1.0)
 
 
 class TestLinkPower:

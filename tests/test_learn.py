@@ -10,7 +10,7 @@ from chirpvote._rng import keyed_rng
 from chirpvote.channel import epa_tap_delays, propagate, superpose
 from chirpvote.config import default_config
 from chirpvote.datasets import synthetic_digits
-from chirpvote.deployment import Deployment
+from chirpvote.deployment import Deployment, link_power
 from chirpvote.errors import ConfigError, InfeasibleError
 from chirpvote.learn import (
     PARAM_DIM,
@@ -43,6 +43,12 @@ from chirpvote.learn import (
 from chirpvote import studies
 from chirpvote.oac import detect_mv, encode_csc, sign_pm1
 from chirpvote.waveform import build_fdss, despread, spread
+
+
+def _max_admitted_offset(wave) -> int:
+    """Largest max_sync_offset TrainSetup admits: the delay must stay inside
+    the untapered part of the cyclic prefix."""
+    return wave.cp_len - wave.window_rolloff - int(epa_tap_delays(wave).max())
 
 
 def _tiny_cfg(num_eds=5, samples=120, partition="homogeneous"):
@@ -278,10 +284,17 @@ class TestTrainingMechanics:
 
     def test_setup_rejects_offset_beyond_cyclic_prefix(self):
         setup = studies.training_setup(_tiny_cfg(), 0)
-        room = setup.wave.cp_len - int(epa_tap_delays(setup.wave).max())
+        room = _max_admitted_offset(setup.wave)
+        # 16-sample prefix, 2 tapered samples, 6-sample EPA tail
+        assert room == 8
         assert replace(setup, max_sync_offset=room).max_sync_offset == room
-        with pytest.raises(InfeasibleError):
+        with pytest.raises(InfeasibleError, match="max_sync_offset.*window_rolloff"):
             replace(setup, max_sync_offset=room + 1)
+        # without the taper the whole prefix is usable
+        untapered = replace(setup.wave, window_rolloff=0)
+        assert replace(setup, wave=untapered, max_sync_offset=room + 2).max_sync_offset == 10
+        with pytest.raises(InfeasibleError):
+            replace(setup, wave=untapered, max_sync_offset=room + 3)
         with pytest.raises(InfeasibleError):
             replace(setup, wave=replace(setup.wave, cp_len=5), max_sync_offset=0)
 
@@ -378,6 +391,15 @@ class TestBatchedAgainstLoops:
             assert losses[k] == loss
             assert np.array_equal(grads[k], grad)
 
+    @pytest.mark.parametrize("case", RAGGED_CASES)
+    def test_link_powers_match_device_loop(self, case):
+        setup = self._states(case, rounds=0)[0]
+        for coverage in (setup.coverage_csc_m, setup.coverage_obda_m):
+            ref = [link_power(setup.power, coverage, d) for d in setup.deployment.ed_distances]
+            links = _per_ed_links(setup, coverage)
+            assert links.shape == (len(ref),)
+            assert np.array_equal(links, ref)
+
     def test_local_datasets_are_views_of_the_pooled_set(self):
         setup = studies.training_setup(_tiny_cfg(7, 150, "heterogeneous"), 0)
         for base in (setup, replace(setup, batch_size=8)):
@@ -440,8 +462,8 @@ class TestRadioAggregation:
     @given(
         votes_per_block=st.sampled_from((1, 2, 4)),
         num_eds=st.integers(1, 6),
-        # every admissible offset: cp_len (16) minus the largest EPA tap (6)
-        max_sync_offset=st.integers(0, 10),
+        # every offset TrainSetup admits (0-8 at the defaults)
+        max_sync_offset=st.integers(0, _max_admitted_offset(default_config().wave)),
         seed=st.integers(0, 3),
         round_index=st.integers(0, 5),
     )

@@ -16,11 +16,9 @@ from chirpvote.rf import (
     aclr,
     aclr_at_obo,
     apply_pa,
-    cubic_metric,
     cubic_metric_batch,
     obo_for_aclr,
     occupied_band,
-    pmepr,
     pmepr_batch,
     scale_to_obo,
 )
@@ -90,29 +88,26 @@ class TestRappPa:
 
 class TestEnvelopeMetrics:
     def test_constant_envelope_pmepr_zero(self):
-        assert pmepr(_tone()) == pytest.approx(0.0, abs=1e-9)
+        assert pmepr_batch(_tone().samples[None])[0] == pytest.approx(0.0, abs=1e-9)
 
     @settings(max_examples=30, deadline=None)
     @given(st.floats(min_value=0.01, max_value=100.0))
     def test_pmepr_scale_invariant(self, scale):
         rng = np.random.default_rng(1)
         x = rng.standard_normal(256) + 1j * rng.standard_normal(256)
-        a = ComplexSignal(samples=x, sample_period=1.0)
-        b = ComplexSignal(samples=scale * x, sample_period=1.0)
-        assert pmepr(a) == pytest.approx(pmepr(b), abs=1e-9)
+        a, b = pmepr_batch(x[None]), pmepr_batch(scale * x[None])
+        assert a[0] == pytest.approx(b[0], abs=1e-9)
 
     def test_pmepr_batch_matches_scalar(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal((5, 128)) + 1j * rng.standard_normal((5, 128))
         batch = pmepr_batch(x)
         for i in range(5):
-            assert batch[i] == pytest.approx(
-                pmepr(ComplexSignal(samples=x[i], sample_period=1.0))
-            )
+            assert batch[i] == pytest.approx(pmepr_batch(x[i][None])[0])
 
     def test_constant_envelope_cubic_metric(self):
         # RCM of a constant envelope is 0 dB, so CM = -1 exactly
-        assert cubic_metric(_tone()) == pytest.approx(-1.0, abs=1e-9)
+        assert cubic_metric_batch(_tone().samples[None])[0] == pytest.approx(-1.0, abs=1e-9)
 
     def test_single_chirp_cubic_metric_below_zero(self):
         rng = keyed_rng(0, "cm-test")
@@ -122,11 +117,11 @@ class TestEnvelopeMetrics:
         assert med < 0.0
 
     def test_zero_signal_rejected(self):
-        dead = ComplexSignal(samples=np.zeros(16, dtype=complex), sample_period=1.0)
+        dead = np.zeros((1, 16), dtype=complex)
         with pytest.raises(ValueError):
-            pmepr(dead)
+            pmepr_batch(dead)
         with pytest.raises(ValueError):
-            cubic_metric(dead)
+            cubic_metric_batch(dead)
 
 
 class TestAclr:
