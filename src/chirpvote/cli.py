@@ -101,17 +101,11 @@ def _seed(args, cfg: ExperimentConfig) -> int:
     return cfg.seed if args.seed is None else args.seed
 
 
-def _out_dir(args, cfg: ExperimentConfig) -> Path | None:
-    if args.out is not None:
-        return args.out
-    return Path(cfg.out_dir) if cfg.out_dir else None
-
-
 def cmd_pmepr(args) -> int:
     cfg = _load_cfg(args)
     rows, summary = studies.pmepr_report(cfg, _seed(args, cfg))
     _emit(
-        _out_dir(args, cfg),
+        args.out,
         [
             ("pmepr_distribution.csv", _csv(["scheme", "percentile", "value_db"], rows)),
             ("pmepr_summary.json", _json(summary)),
@@ -124,7 +118,7 @@ def cmd_cm(args) -> int:
     cfg = _load_cfg(args)
     rows, summary = studies.cm_report(cfg, _seed(args, cfg))
     _emit(
-        _out_dir(args, cfg),
+        args.out,
         [
             ("cm_distribution.csv", _csv(["scheme", "percentile", "value_db"], rows)),
             ("cm_summary.json", _json(summary)),
@@ -137,7 +131,7 @@ def cmd_aclr(args) -> int:
     cfg = _load_cfg(args)
     rows = studies.aclr_study(cfg, _seed(args, cfg), args.obo_db)
     _emit(
-        _out_dir(args, cfg),
+        args.out,
         [("aclr_vs_obo.csv", _csv(["scheme", "obo_db", "aclr_db"], rows))],
     )
     return 0
@@ -147,7 +141,7 @@ def cmd_coverage(args) -> int:
     cfg = _load_cfg(args)
     rows = studies.coverage_study(cfg, _seed(args, cfg))
     _emit(
-        _out_dir(args, cfg),
+        args.out,
         [("coverage.csv", _csv(["scheme", "status", "obo_min_db", "coverage_m"], rows))],
     )
     return 0
@@ -157,7 +151,7 @@ def cmd_snr_distance(args) -> int:
     cfg = _load_cfg(args)
     rows = studies.snr_distance_study(cfg)
     _emit(
-        _out_dir(args, cfg),
+        args.out,
         [("snr_vs_distance.csv", _csv(["distance_m", "snr_db"], rows))],
     )
     return 0
@@ -170,7 +164,7 @@ def cmd_train(args) -> int:
     seeds = (args.seed,) if args.seed is not None else cfg.train.seeds
     history, summary, loss_rows = studies.train_sweep(cfg, schemes, snr_points, seeds)
     _emit(
-        _out_dir(args, cfg),
+        args.out,
         [
             (
                 "train_history.csv",
@@ -205,7 +199,7 @@ def cmd_waveform_dump(args) -> int:
     lines += [
         f"{i},{v.real:.12e},{v.imag:.12e}" for i, v in enumerate(sig.samples)
     ]
-    _emit(_out_dir(args, cfg), [("waveform_symbol.csv", "\n".join(lines) + "\n")])
+    _emit(args.out, [("waveform_symbol.csv", "\n".join(lines) + "\n")])
     return 0
 
 
@@ -239,7 +233,7 @@ def cmd_bound(args) -> int:
     if cfg.train.partition == "heterogeneous":
         # the guarantee assumes statistically identical workers
         payload["advisory"] = True
-    _emit(_out_dir(args, cfg), [("bound.json", _json(payload))])
+    _emit(args.out, [("bound.json", _json(payload))])
     return 0
 
 

@@ -9,32 +9,32 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
-from numbers import Integral, Real
+import sys
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import NewType, get_args, get_origin, get_type_hints
 
 from .deployment import PowerControlParams
 from .errors import ConfigError
 from .rf import RappPa
 from .waveform import WaveformConfig
 
+#: votes per block of each scheme token; None marks the QPSK baseline
+_SCHEME_VOTES = {"csc_mv_1": 1, "csc_mv_2": 2, "csc_mv_4": 4, "obda": None}
+
 #: scheme identifiers accepted across the CLI and config files
-SCHEME_NAMES = ("csc_mv_1", "csc_mv_2", "csc_mv_4", "obda")
+SCHEME_NAMES = tuple(_SCHEME_VOTES)
+
+#: a random-stream key; keyed_rng needs a non-negative integer
+Seed = NewType("Seed", int)
 
 
 def scheme_votes(name: str) -> int | None:
     """Votes per block for a chirp scheme, None for the QPSK baseline."""
-    if name == "obda":
-        return None
-    if name.startswith("csc_mv_"):
-        try:
-            votes = int(name[len("csc_mv_") :])
-        except ValueError:
-            raise ConfigError(f"unknown scheme {name!r}") from None
-        if votes < 1:
-            raise ConfigError(f"unknown scheme {name!r}")
-        return votes
-    raise ConfigError(f"unknown scheme {name!r}")
+    try:
+        return _SCHEME_VOTES[name]
+    except KeyError:
+        raise ConfigError(f"unknown scheme {name!r}") from None
 
 
 @dataclass(frozen=True)
@@ -72,22 +72,20 @@ class TrainConfig:
     max_sync_offset: int = 4
     tci_threshold: float = 0.1
     partition: str = "homogeneous"
-    seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
+    seeds: tuple[Seed, ...] = (0, 1, 2, 3, 4)
     # power-control clamp radii (coverage) used by the simulated uplinks
     csc_coverage_m: float = 46.5
     obda_coverage_m: float = 30.73
 
     def __post_init__(self) -> None:
-        if not all(isinstance(s, Real) for s in self.snr_db) or not all(
-            isinstance(s, Integral) for s in self.seeds
-        ):
-            raise ConfigError(
-                "snr_db entries must be numbers and seeds entries non-negative integers"
-            )
+        if isinstance(self.snr_db, str) or isinstance(self.seeds, str):
+            raise ConfigError("snr_db and seeds must be sequences, not strings")
         object.__setattr__(self, "snr_db", tuple(float(s) for s in self.snr_db))
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
         if self.num_eds < 1 or self.rounds < 1 or self.batch_size < 1:
             raise ConfigError("num_eds, rounds and batch_size must be positive")
+        if self.max_sync_offset < 0:
+            raise ConfigError("max_sync_offset must be non-negative")
         if self.step_size <= 0:
             raise ConfigError("step_size must be positive")
         if self.train_samples < 1 or self.test_samples < 1:
@@ -117,8 +115,7 @@ class ExperimentConfig:
     r_min: float = 10.0
     r_max: float = 50.0
     aclr_target_db: float = -22.0
-    seed: int = 0
-    out_dir: str | None = None
+    seed: Seed = 0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "schemes", tuple(str(s) for s in self.schemes))
@@ -141,13 +138,46 @@ _SECTIONS = {
 }
 
 
+#: what a profile value must be, by field annotation
+_EXPECTED = {
+    int: "an integer", Seed: "a non-negative integer", float: "a finite number", str: "a string"
+}
+
+
+def _fits(value, kind) -> bool:
+    """Whether a JSON value has a field's annotated type: an integer (not a
+    bool) for int, a finite number for float, a list of such for a tuple."""
+    if get_origin(kind) is tuple:
+        return isinstance(value, (list, tuple)) and all(_fits(v, get_args(kind)[0]) for v in value)
+    if kind not in _EXPECTED:  # an already built section
+        return True
+    if isinstance(value, bool):
+        return False
+    if kind is float:
+        # a comparison, not math.isfinite, which overflows on a huge integer;
+        # it is false for NaN, the infinities and integers no float can hold
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    return isinstance(value, getattr(kind, "__supertype__", kind))
+
+
+def _describe(kind) -> str:
+    if get_origin(kind) is tuple:
+        return f"a list, each entry {_describe(get_args(kind)[0])}"
+    return _EXPECTED[kind]
+
+
 def _build(cls, data: dict, where: str):
     if not isinstance(data, dict):
         raise ConfigError(f"{where}: expected an object")
-    allowed = {f.name for f in fields(cls)}
-    unknown = sorted(set(data) - allowed)
+    kinds = get_type_hints(cls)
+    unknown = sorted(set(data) - set(kinds))
     if unknown:
         raise ConfigError(f"{where}: unknown keys {unknown}")
+    for name, value in data.items():
+        if not _fits(value, kinds[name]):
+            raise ConfigError(
+                f"{where}: {name} must be {_describe(kinds[name])}, got {value!r}"
+            )
     try:
         return cls(**data)
     except TypeError as exc:

@@ -7,8 +7,9 @@ size.  The scheme token (see ``config.scheme_votes``) selects the
 aggregation:
 
 * ``ideal``      -- error-free majority vote (upper bound);
-* ``csc_mv_<V>`` -- V votes per block ride on chirp tones with energy
-                    detection at the receiver (no channel knowledge anywhere);
+* ``csc_mv_<V>`` -- V = 1, 2 or 4 votes per block ride on chirp tones with
+                    energy detection at the receiver (no channel knowledge
+                    anywhere);
 * ``obda``       -- QPSK sign modulation with truncated channel inversion at
                     the transmitters (needs channel knowledge).
 
@@ -19,14 +20,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from typing import Sequence
 
 import numpy as np
 
 from ._rng import keyed_rng
 from .channel import draw_epa, draw_sync_offset, epa_tap_delays
-from .config import scheme_votes
+from .config import TrainConfig, scheme_votes
 from .datasets import Dataset
 from .deployment import Deployment, PowerControlParams, link_power
 from .errors import ConfigError, InfeasibleError
@@ -181,8 +182,11 @@ def ideal_mv(votes: np.ndarray) -> np.ndarray:
 
 def partition_dataset(
     full: Dataset, deployment: Deployment, mode: str = "homogeneous"
-) -> list[Dataset]:
+) -> tuple[Dataset, np.ndarray]:
     """Split a dataset across the deployed devices (a true partition).
+
+    Returns the samples in device order and the row bounds: device k holds
+    rows ``bounds[k]:bounds[k + 1]``, in their order within ``full``.
 
     ``homogeneous``   -- each label's samples round-robin over all devices.
     ``heterogeneous`` -- devices inside radius r_max/sqrt(2) receive only
@@ -207,61 +211,48 @@ def partition_dataset(
     for eds, labels in groups:
         pool = np.flatnonzero(np.isin(full.labels, labels))
         assignment[pool] = eds[np.arange(pool.size) % eds.size]
-    return [full.subset(np.flatnonzero(assignment == e)) for e in range(k)]
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(assignment, minlength=k))))
+    return full.subset(np.argsort(assignment, kind="stable")), bounds
 
 
 @dataclass(frozen=True)
 class TrainSetup:
-    """Everything a training run needs besides the mutable model state."""
+    """Everything a training run needs besides the mutable model state.
+
+    ``train`` is the profile's own section: batch size, step size, rounds,
+    timing offset, inversion threshold and clamp radii are read from it.
+    """
 
     wave: WaveformConfig
-    deployment: Deployment
-    datasets: tuple[Dataset, ...]
-    test_set: Dataset
     power: PowerControlParams
-    coverage_csc_m: float
-    coverage_obda_m: float
-    seed: int = 0
-    batch_size: int = 32
-    max_sync_offset: int = 4
-    tci_threshold: float = 0.1
+    train: TrainConfig
+    deployment: Deployment
     #: all local datasets end to end; device k holds rows bounds[k]:bounds[k+1]
-    train_set: Dataset = field(init=False, repr=False, compare=False)
-    bounds: np.ndarray = field(init=False, repr=False, compare=False)
+    train_set: Dataset
+    bounds: np.ndarray
+    test_set: Dataset
+    seed: int = 0
 
     def __post_init__(self) -> None:
-        if len(self.datasets) != self.deployment.num_eds:
+        if len(self.bounds) != self.deployment.num_eds + 1:
             raise ConfigError("one local dataset per device is required")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be positive")
-        if self.max_sync_offset < 0:
-            raise ConfigError("max_sync_offset must be non-negative")
         # the spectral uplinks model delay plus timing offset as a circular
         # shift, which holds only while both stay inside the untapered part
         # of the cyclic prefix: its first window_rolloff samples are ramped
         tap = int(epa_tap_delays(self.wave).max())
         room = self.wave.cp_len - self.wave.window_rolloff
-        if tap + self.max_sync_offset > room:
+        if tap + self.train.max_sync_offset > room:
             raise InfeasibleError(
                 f"largest EPA tap delay ({tap}) plus max_sync_offset "
-                f"({self.max_sync_offset}) exceeds cp_len - window_rolloff ({room}), "
+                f"({self.train.max_sync_offset}) exceeds cp_len - window_rolloff ({room}), "
                 "the untapered cyclic-prefix samples"
             )
-        pooled = Dataset(
-            features=np.concatenate([d.features for d in self.datasets]),
-            labels=np.concatenate([d.labels for d in self.datasets]),
-        )
-        bounds = np.cumsum([0] + [len(d) for d in self.datasets])
-        object.__setattr__(self, "train_set", pooled)
-        object.__setattr__(self, "bounds", bounds)
-        # hold the data once: the local datasets become views into the pool
-        object.__setattr__(
-            self,
-            "datasets",
-            tuple(
-                Dataset(features=pooled.features[a:b], labels=pooled.labels[a:b])
-                for a, b in zip(bounds[:-1], bounds[1:])
-            ),
+
+    @cached_property
+    def datasets(self) -> tuple[Dataset, ...]:
+        """Device k's local dataset: a view of its rows of ``train_set``."""
+        return tuple(
+            self.train_set.subset(slice(a, b)) for a, b in zip(self.bounds[:-1], self.bounds[1:])
         )
 
 
@@ -276,37 +267,22 @@ class RoundRecord:
 @dataclass(frozen=True)
 class TrainState:
     weights: np.ndarray
-    step_size: float
     round_index: int = 0
     history: tuple[RoundRecord, ...] = field(default_factory=tuple)
 
 
-def initial_state(setup: TrainSetup, step_size: float) -> TrainState:
+def initial_state(setup: TrainSetup) -> TrainState:
     """Common starting point: the initial weights depend only on the seed,
     so different aggregation schemes start from the same model."""
-    if step_size <= 0:
-        raise ConfigError("step_size must be positive")
-    return TrainState(weights=init_params(setup.seed), step_size=step_size)
+    return TrainState(weights=init_params(setup.seed))
 
 
-def apply_update(state: TrainState, mv: np.ndarray, record: RoundRecord) -> TrainState:
-    mv = np.asarray(mv)
-    if mv.shape != state.weights.shape:
-        raise ValueError("majority-vote vector must match the parameter shape")
-    return TrainState(
-        weights=state.weights - state.step_size * mv,
-        step_size=state.step_size,
-        round_index=state.round_index + 1,
-        history=state.history + (record,),
-    )
-
-
-def _collect_votes(state: TrainState, setup: TrainSetup) -> np.ndarray:
+def _collect_votes(weights: np.ndarray, round_index: int, setup: TrainSetup) -> np.ndarray:
     rngs = [
-        keyed_rng(setup.seed, "batch", state.round_index, k)
+        keyed_rng(setup.seed, "batch", round_index, k)
         for k in range(setup.deployment.num_eds)
     ]
-    return sign_pm1(local_gradient(state.weights, setup.datasets, setup.batch_size, rngs))
+    return sign_pm1(local_gradient(weights, setup.datasets, setup.train.batch_size, rngs))
 
 
 def _per_ed_links(setup: TrainSetup, coverage_m: float) -> np.ndarray:
@@ -321,7 +297,7 @@ def _csc_plan(setup: TrainSetup, votes_per_block: int) -> VotePlan:
 def _channel_draws(setup: TrainSetup, round_index: int, k: int):
     realization = draw_epa(setup.wave, keyed_rng(setup.seed, "channel", round_index, k))
     offset = draw_sync_offset(
-        setup.max_sync_offset, keyed_rng(setup.seed, "sync", round_index, k)
+        setup.train.max_sync_offset, keyed_rng(setup.seed, "sync", round_index, k)
     )
     return realization, offset
 
@@ -339,7 +315,7 @@ def _add_noise(
 
 
 def _csc_majority(
-    state: TrainState,
+    round_index: int,
     setup: TrainSetup,
     votes: np.ndarray,
     noise_power: float,
@@ -371,16 +347,16 @@ def _csc_majority(
     table = np.exp(
         -2j * np.pi * np.outer(np.arange(m), bins % m) / m
     ) / math.sqrt(m)
-    links = _per_ed_links(setup, setup.coverage_csc_m)
+    links = _per_ed_links(setup, setup.train.csc_coverage_m)
     amp = math.sqrt(wave.idft_size / v)
     num_eds = votes.shape[0]
     # padding slots past grad_dim keep phase 0 and so transmit nothing
     phases = np.zeros((num_eds, plan.num_blocks * v), dtype=complex)
     weights = np.empty((num_eds, m), dtype=complex)
     for k in range(num_eds):
-        rng = keyed_rng(setup.seed, "phase", state.round_index, k)
+        rng = keyed_rng(setup.seed, "phase", round_index, k)
         phases[k, : plan.grad_dim] = np.exp(2j * np.pi * rng.random(plan.grad_dim))
-        realization, offset = _channel_draws(setup, state.round_index, k)
+        realization, offset = _channel_draws(setup, round_index, k)
         response = realization.frequency_response(bins, wave.idft_size, offset)
         weights[k] = math.sqrt(links[k]) * amp * response * fdss
     positive = np.zeros(phases.shape, dtype=bool)
@@ -393,7 +369,7 @@ def _csc_majority(
     for u in range(v):
         received += (np.where(positive[u], phases[u], 0) @ weights) * pos_tone[u]
         received += (np.where(positive[u], 0, phases[u]) @ weights) * neg_tone[u]
-    _add_noise(received, setup, state.round_index, noise_power)
+    _add_noise(received, setup, round_index, noise_power)
     shaped = np.conj(fdss) * received
     folded = np.zeros_like(shaped)
     folded[:, bins % m] = shaped
@@ -402,35 +378,35 @@ def _csc_majority(
 
 
 def _obda_majority(
-    state: TrainState, setup: TrainSetup, votes: np.ndarray, noise_power: float
+    round_index: int, setup: TrainSetup, votes: np.ndarray, noise_power: float
 ) -> np.ndarray:
     """Frequency-domain simulation of the QPSK/channel-inversion uplink."""
     wave = setup.wave
     m = wave.num_bins
-    links = _per_ed_links(setup, setup.coverage_obda_m)
+    links = _per_ed_links(setup, setup.train.obda_coverage_m)
     amp = math.sqrt(wave.idft_size / m)
     blocks = obda_blocks_needed(PARAM_DIM, m)
     received = np.zeros((blocks, m), dtype=complex)
     for k in range(votes.shape[0]):
-        realization, offset = _channel_draws(setup, state.round_index, k)
+        realization, offset = _channel_draws(setup, round_index, k)
         response = realization.frequency_response(
             wave.bin_indices, wave.idft_size, offset
         )
-        tx = encode_obda(votes[k], response, setup.tci_threshold)
+        tx = encode_obda(votes[k], response, setup.train.tci_threshold)
         received += math.sqrt(links[k]) * amp * response * tx
-    _add_noise(received, setup, state.round_index, noise_power)
+    _add_noise(received, setup, round_index, noise_power)
     return decode_obda(received, PARAM_DIM)
 
 
 def _ideal_majority(
-    state: TrainState, setup: TrainSetup, votes: np.ndarray, noise_power: float
+    round_index: int, setup: TrainSetup, votes: np.ndarray, noise_power: float
 ) -> np.ndarray:
     return ideal_mv(votes)
 
 
 def scheme_uplink(scheme: str):
     """The aggregation a scheme token names, as a function
-    ``(state, setup, votes, noise_power) -> majority vote``: the error-free
+    ``(round_index, setup, votes, noise_power) -> majority vote``: the error-free
     vote for ``ideal``, else the uplink and vote count that
     ``config.scheme_votes`` gives.  An unknown token raises ConfigError."""
     if scheme == "ideal":
@@ -448,27 +424,29 @@ def run_round(
     scheme's uplink, then the shared model update.  The recorded
     loss/accuracy describe the model after the update."""
     uplink = scheme_uplink(scheme)
-    votes = _collect_votes(state, setup)
+    votes = _collect_votes(state.weights, state.round_index, setup)
     noise_power = setup.power.p_ref * 10.0 ** (-snr_db / 10.0)
-    mv = uplink(state, setup, votes, noise_power)
-    new_weights = state.weights - state.step_size * mv
-    per_ed = tuple(mean_loss(new_weights, setup.train_set, setup.bounds).tolist())
+    mv = uplink(state.round_index, setup, votes, noise_power)
+    weights = state.weights - setup.train.step_size * mv
+    per_ed = tuple(mean_loss(weights, setup.train_set, setup.bounds).tolist())
     record = RoundRecord(
         round_index=state.round_index,
         train_loss=float(np.mean(per_ed)),
-        test_accuracy=evaluate(new_weights, setup.test_set),
+        test_accuracy=evaluate(weights, setup.test_set),
         per_ed_loss=per_ed,
     )
-    return apply_update(state, mv, record)
+    return TrainState(
+        weights=weights,
+        round_index=state.round_index + 1,
+        history=state.history + (record,),
+    )
 
 
-def run_training(
-    setup: TrainSetup, scheme: str, rounds: int, snr_db: float, step_size: float
-) -> TrainState:
-    if rounds < 1:
-        raise ConfigError("rounds must be positive")
-    state = initial_state(setup, step_size)
-    for _ in range(rounds):
+def run_training(setup: TrainSetup, scheme: str, snr_db: float) -> TrainState:
+    """``setup.train.rounds`` rounds of ``scheme`` at ``snr_db`` from the
+    seed's initial model."""
+    state = initial_state(setup)
+    for _ in range(setup.train.rounds):
         state = run_round(state, setup, scheme, snr_db)
     return state
 

@@ -31,11 +31,18 @@ def votes_per_block(num_bins: int, guard_bins: int) -> int:
 
 
 def guard_for_votes(num_bins: int, votes: int) -> int:
-    """Widest guard that still fits the requested votes per symbol."""
+    """Widest guard that fits the requested votes per symbol, which must then
+    be exactly ``votes``: if it fits more, every narrower guard does too, so
+    no guard carries exactly ``votes`` and InfeasibleError is raised."""
     if votes < 1 or votes > num_bins // 2:
         raise InfeasibleError(f"cannot fit {votes} vote pairs in {num_bins} bins")
     guard = (num_bins // votes - 2) // 2
-    assert votes_per_block(num_bins, guard) >= votes
+    fitted = votes_per_block(num_bins, guard)
+    if fitted != votes:
+        raise InfeasibleError(
+            f"no guard width gives exactly {votes} vote pairs in {num_bins} bins "
+            f"(the widest guard that fits them, {guard}, gives {fitted})"
+        )
     return guard
 
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from ._rng import keyed_rng
 from .config import ExperimentConfig, scheme_votes
-from .datasets import Dataset, synthetic_digits
+from .datasets import synthetic_digits
 from .deployment import Deployment, coverage_radius, snr_vs_distance
 from .errors import InfeasibleError
 from .learn import (
@@ -169,39 +169,29 @@ def snr_distance_study(cfg: ExperimentConfig, n_points: int = 81) -> list[dict]:
     ]
 
 
-def load_training_data(cfg: ExperimentConfig, seed: int) -> tuple[Dataset, Dataset]:
-    t = cfg.train
-    train = synthetic_digits(t.train_samples, seed)
-    test = synthetic_digits(t.test_samples, seed + 10_000)
-    return train, test
-
-
 def training_setup(cfg: ExperimentConfig, seed: int) -> TrainSetup:
     """Assemble deployment, partitioned data and radio parameters for one run."""
     t = cfg.train
     deployment = Deployment.sample(t.num_eds, cfg.r_min, cfg.r_max, seed)
-    train, test = load_training_data(cfg, seed)
-    parts = partition_dataset(train, deployment, t.partition)
+    train_set, bounds = partition_dataset(
+        synthetic_digits(t.train_samples, seed), deployment, t.partition
+    )
     return TrainSetup(
         wave=cfg.wave,
-        deployment=deployment,
-        datasets=tuple(parts),
-        test_set=test,
         power=cfg.power,
-        coverage_csc_m=t.csc_coverage_m,
-        coverage_obda_m=t.obda_coverage_m,
+        train=t,
+        deployment=deployment,
+        train_set=train_set,
+        bounds=bounds,
+        test_set=synthetic_digits(t.test_samples, seed + 10_000),
         seed=seed,
-        batch_size=t.batch_size,
-        max_sync_offset=t.max_sync_offset,
-        tci_threshold=t.tci_threshold,
     )
 
 
 def run_scheme_training(
     cfg: ExperimentConfig, scheme: str, snr_db: float, seed: int
 ) -> TrainState:
-    t = cfg.train
-    return run_training(training_setup(cfg, seed), scheme, t.rounds, snr_db, t.step_size)
+    return run_training(training_setup(cfg, seed), scheme, snr_db)
 
 
 def train_sweep(
@@ -223,9 +213,7 @@ def train_sweep(
         for snr_db in snr_points:
             for seed in seeds:
                 setup = training_setup(cfg, seed)
-                state = run_training(
-                    setup, scheme, cfg.train.rounds, float(snr_db), cfg.train.step_size
-                )
+                state = run_training(setup, scheme, float(snr_db))
                 key = {"scheme": scheme, "snr_db": float(snr_db), "seed": seed}
                 history += [
                     {

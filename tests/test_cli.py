@@ -7,7 +7,7 @@ import pytest
 from chirpvote import cli, studies
 from chirpvote._rng import keyed_rng
 from chirpvote.config import ExperimentConfig, MetricsConfig, TrainConfig, save_config
-from chirpvote.waveform import build_fdss, spread
+from chirpvote.waveform import WaveformConfig, build_fdss, spread
 
 N_PERCENTILES = len(studies.PERCENTILES)
 
@@ -256,12 +256,6 @@ class TestDeterminism:
         for name in names:
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
-    def test_profile_out_dir_field(self, tmp_path):
-        out = tmp_path / "from-profile"
-        cfg = write_cfg(tmp_path, name="outdir.json", out_dir=str(out))
-        assert run("snr-distance", "--config", cfg) == 0
-        assert (out / "snr_vs_distance.csv").exists()
-
 
 class TestErrorPaths:
     def test_malformed_config_exit_2(self, tmp_path, capsys):
@@ -310,11 +304,23 @@ class TestErrorPaths:
         assert exc.value.code == 2
 
     def test_oversubscribed_scheme_exit_3(self, tmp_path, capsys):
-        # csc_mv_28 is a well-formed token but 28 vote pairs cannot fit in
-        # 54 bins, so the run is rejected as infeasible rather than invalid
-        cfg = write_cfg(tmp_path, name="wide.json", schemes=("csc_mv_28",))
+        # csc_mv_4 is a valid token but 4 vote pairs cannot fit in 6 bins,
+        # so the run is rejected as infeasible rather than invalid
+        narrow = WaveformConfig(num_bins=6, bin_low=-3, bin_high=2, sweep_cycles=4.0)
+        cfg = write_cfg(tmp_path, name="narrow.json", wave=narrow, schemes=("csc_mv_4",))
         assert run("pmepr", "--config", cfg) == 3
         assert capsys.readouterr().err.startswith("infeasible:")
+
+    @pytest.mark.parametrize("command", ["pmepr", "train"])
+    def test_inexact_vote_count_exit_3(self, tmp_path, command, capsys):
+        # in 30 bins the widest guard that fits 4 vote pairs fits 5, and the
+        # next wider one fits 3, so csc_mv_4 cannot run as named
+        wave = WaveformConfig(num_bins=30, bin_low=-15, bin_high=14, sweep_cycles=26.0)
+        cfg = write_cfg(tmp_path, name="thirty.json", wave=wave)
+        out = tmp_path / command
+        assert run(command, "--config", cfg, "--scheme", "csc_mv_4", "--out", out) == 3
+        assert "exactly 4 vote pairs" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_sync_offset_beyond_cyclic_prefix_exit_3(self, tmp_path, capsys):
         # 12 samples of timing error plus the 6-sample EPA tail overrun the
@@ -368,18 +374,40 @@ class TestErrorPaths:
         assert "non-negative" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "profile, field",
+        [
+            ({"train": {"num_eds": 2.5}}, "num_eds"),
+            ({"train": {"num_eds": True}}, "num_eds"),
+            ({"seed": 1.5}, "seed"),
+            ({"train": {"step_size": float("nan")}}, "step_size"),
+            ({"r_max": float("inf")}, "r_max"),
+            ({"train": {"snr_db": [20.0, float("-inf")]}}, "snr_db"),
+            ({"train": {"seeds": [0, True]}}, "seeds"),
+            ({"train": {"snr_db": [10**400]}}, "snr_db"),
+        ],
+    )
+    def test_mistyped_profile_value_exits_2(self, tmp_path, profile, field, capsys):
+        # integer fields take integers only, float fields finite numbers only
+        cfg = tmp_path / "typed.json"
+        cfg.write_text(json.dumps(profile))
+        assert run("train", "--config", cfg, "--scheme", "ideal") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{field} must be" in err
+
+    @pytest.mark.parametrize(
         "profile, key",
         [
             ({"num_eds": 1}, "num_eds"),
             ({"pa": {"obo_db": 99.0}}, "obo_db"),
             ({"train": {"votes_per_block": 7}}, "votes_per_block"),
             ({"train": {"dataset": "synthetic"}}, "dataset"),
+            ({"out_dir": "results"}, "out_dir"),
         ],
     )
     def test_removed_key_exits_2(self, tmp_path, profile, key, capsys):
         # the scheme token sets the vote count, aclr/coverage set the
-        # back-off and synthetic digits are the only profile data, so these
-        # keys would change no output
+        # back-off, synthetic digits are the only profile data and --out
+        # sets the output directory, so these keys would change no output
         cfg = tmp_path / "removed.json"
         cfg.write_text(json.dumps(profile))
         assert run("train", "--config", cfg, "--scheme", "ideal") == 2

@@ -29,7 +29,10 @@ class TestSchemeTokens:
         assert scheme_votes("csc_mv_4") == 4
         assert scheme_votes("obda") is None
 
-    @pytest.mark.parametrize("bad", ["qpsk", "csc_mv_0", "csc_mv_x", "", "csc"])
+    # only the listed tokens: csc_mv_3 and csc_mv_7 are well formed but not schemes
+    @pytest.mark.parametrize(
+        "bad", ["qpsk", "csc_mv_0", "csc_mv_x", "", "csc", "csc_mv_3", "csc_mv_7"]
+    )
     def test_unknown_scheme_rejected(self, bad):
         with pytest.raises(ConfigError):
             scheme_votes(bad)
@@ -87,10 +90,20 @@ class TestValidation:
             TrainConfig(seeds=())
         with pytest.raises(ConfigError):
             TrainConfig(snr_db=(10.0, float("nan")))
-        # non-numeric entries (a string is a sequence of characters)
-        for bad in ({"snr_db": ("loud",)}, {"snr_db": "20"}, {"seeds": ("x",)}, {"seeds": (1.5,)}):
-            with pytest.raises(ConfigError, match="seeds entries non-negative integers"):
+        with pytest.raises(ConfigError, match="max_sync_offset"):
+            TrainConfig(max_sync_offset=-1)
+        with pytest.raises(ConfigError, match="step_size"):
+            TrainConfig(step_size=0.0)
+        with pytest.raises(ConfigError, match="rounds"):
+            TrainConfig(rounds=0)
+        for bad in ({"snr_db": "20"}, {"seeds": "12"}):
+            with pytest.raises(ConfigError, match="not strings"):
                 TrainConfig(**bad)
+        # entries of the wrong type are rejected where a profile is read (a
+        # string is a sequence of characters)
+        for bad in ({"snr_db": ["loud"]}, {"snr_db": "20"}, {"seeds": ["x"]}, {"seeds": [1.5]}):
+            with pytest.raises(ConfigError, match="must be a list, each entry"):
+                config_from_dict({"train": bad})
 
     def test_negative_seeds(self):
         with pytest.raises(ConfigError, match="non-negative"):
@@ -111,7 +124,6 @@ class TestDictConversion:
             r_max=25.0,
             aclr_target_db=-30.0,
             seed=7,
-            out_dir="results/run7",
             metrics=MetricsConfig(num_symbols=500, segment_len=256),
             train=TrainConfig(rounds=10, snr_db=(0.0, 10.0), seeds=(1, 2)),
         )

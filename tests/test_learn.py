@@ -9,13 +9,12 @@ from hypothesis import strategies as st
 from chirpvote._rng import keyed_rng
 from chirpvote.channel import epa_tap_delays, propagate, superpose
 from chirpvote.config import default_config
-from chirpvote.datasets import synthetic_digits
+from chirpvote.datasets import Dataset, synthetic_digits
 from chirpvote.deployment import Deployment, link_power
 from chirpvote.errors import ConfigError, InfeasibleError
 from chirpvote.learn import (
     PARAM_DIM,
     BoundParams,
-    RoundRecord,
     TrainSetup,
     TrainState,
     _channel_draws,
@@ -24,7 +23,6 @@ from chirpvote.learn import (
     _csc_plan,
     _obda_majority,
     _per_ed_links,
-    apply_update,
     convergence_bound,
     evaluate,
     forward_logits,
@@ -51,7 +49,7 @@ def _max_admitted_offset(wave) -> int:
     return wave.cp_len - wave.window_rolloff - int(epa_tap_delays(wave).max())
 
 
-def _tiny_cfg(num_eds=5, samples=120, partition="homogeneous"):
+def _tiny_cfg(num_eds=5, samples=120, partition="homogeneous", **train):
     cfg = default_config()
     return replace(
         cfg,
@@ -61,8 +59,15 @@ def _tiny_cfg(num_eds=5, samples=120, partition="homogeneous"):
             train_samples=samples,
             test_samples=80,
             partition=partition,
+            **train,
         ),
     )
+
+
+def _parts(data, dep, mode):
+    """Per-device datasets of a partition, in device order."""
+    pool, bounds = partition_dataset(data, dep, mode)
+    return [pool.subset(slice(a, b)) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 class TestModel:
@@ -164,7 +169,7 @@ class TestPartition:
     def test_homogeneous_true_partition(self):
         data = synthetic_digits(2000, seed=0)
         dep = Deployment.sample(20, 10.0, 50.0, seed=0)
-        parts = partition_dataset(data, dep, "homogeneous")
+        parts = _parts(data, dep, "homogeneous")
         sizes = [len(p) for p in parts]
         assert sum(sizes) == 2000
         assert max(sizes) - min(sizes) <= 1
@@ -175,7 +180,7 @@ class TestPartition:
     def test_heterogeneous_label_split(self):
         data = synthetic_digits(1000, seed=1)
         dep = self._deployment([12.0, 20.0, 30.0, 40.0, 48.0])
-        parts = partition_dataset(data, dep, "heterogeneous")
+        parts = _parts(data, dep, "heterogeneous")
         boundary = 50.0 / math.sqrt(2.0)
         for dist, p in zip(dep.ed_distances, parts):
             if dist <= boundary:
@@ -183,6 +188,19 @@ class TestPartition:
             else:
                 assert set(p.labels) <= set(range(5, 10))
         assert sum(len(p) for p in parts) == 1000
+
+    def test_pool_keeps_each_devices_rows_in_dataset_order(self):
+        # row i of the tagged set carries i in every feature
+        labels = synthetic_digits(300, seed=2).labels
+        tagged = Dataset(features=np.repeat(np.arange(300.0)[:, None], 64, axis=1), labels=labels)
+        dep = self._deployment([12.0, 20.0, 30.0, 40.0, 48.0])
+        pool, bounds = partition_dataset(tagged, dep, "heterogeneous")
+        rows = pool.features[:, 0]
+        assert sorted(rows) == list(range(300))
+        assert bounds[0] == 0 and bounds[-1] == 300 and len(bounds) == 6
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            assert np.all(np.diff(rows[a:b]) > 0)
+            assert np.array_equal(pool.labels[a:b], labels[rows[a:b].astype(int)])
 
     def test_heterogeneous_needs_both_sides(self):
         data = synthetic_digits(100, seed=0)
@@ -205,30 +223,19 @@ class TestPartition:
 class TestTrainingMechanics:
     def test_initial_state_shared_across_schemes(self):
         setup = studies.training_setup(_tiny_cfg(), 7)
-        a = initial_state(setup, 0.02)
-        b = initial_state(setup, 0.02)
+        a = initial_state(setup)
+        b = initial_state(setup)
         np.testing.assert_array_equal(a.weights, b.weights)
-
-    def test_apply_update_steps_and_records(self):
-        state = TrainState(weights=np.zeros(PARAM_DIM), step_size=0.1)
-        mv = np.ones(PARAM_DIM, dtype=int)
-        rec = RoundRecord(0, 1.0, 0.1, (1.0,))
-        new = apply_update(state, mv, rec)
-        np.testing.assert_allclose(new.weights, -0.1)
-        assert new.round_index == 1
-        assert new.history == (rec,)
-        with pytest.raises(ValueError):
-            apply_update(state, np.ones(3), rec)
 
     def test_run_round_unknown_phy(self):
         setup = studies.training_setup(_tiny_cfg(), 0)
-        state = initial_state(setup, 0.02)
+        state = initial_state(setup)
         with pytest.raises(ConfigError):
             run_round(state, setup, "carrier-pigeon", 20.0)
 
     def test_run_round_deterministic(self):
         setup = studies.training_setup(_tiny_cfg(), 0)
-        state = initial_state(setup, 0.02)
+        state = initial_state(setup)
         a = run_round(state, setup, "csc_mv_2", 15.0)
         b = run_round(state, setup, "csc_mv_2", 15.0)
         np.testing.assert_array_equal(a.weights, b.weights)
@@ -237,30 +244,32 @@ class TestTrainingMechanics:
     @pytest.mark.parametrize(
         "scheme, uplink",
         [
-            ("ideal", lambda s, t, v, p: ideal_mv(v)),
-            ("csc_mv_1", lambda s, t, v, p: _csc_majority(s, t, v, p, 1)),
-            ("csc_mv_4", lambda s, t, v, p: _csc_majority(s, t, v, p, 4)),
+            ("ideal", lambda r, t, v, p: ideal_mv(v)),
+            ("csc_mv_1", lambda r, t, v, p: _csc_majority(r, t, v, p, 1)),
+            ("csc_mv_4", lambda r, t, v, p: _csc_majority(r, t, v, p, 4)),
             ("obda", _obda_majority),
         ],
     )
     def test_scheme_token_selects_uplink(self, scheme, uplink):
-        setup = studies.training_setup(_tiny_cfg(), 2)
-        state = initial_state(setup, 0.02)
+        # a non-default step size: run_round must take it from the profile
+        setup = studies.training_setup(_tiny_cfg(step_size=0.05), 2)
+        state = initial_state(setup)
         noise_power = setup.power.p_ref * 10.0 ** (-15.0 / 10.0)
-        mv = uplink(state, setup, _collect_votes(state, setup), noise_power)
+        votes = _collect_votes(state.weights, 0, setup)
+        mv = uplink(0, setup, votes, noise_power)
         new = run_round(state, setup, scheme, 15.0)
-        assert np.array_equal(new.weights, state.weights - 0.02 * mv)
+        assert np.array_equal(new.weights, state.weights - 0.05 * mv)
 
     def test_batches_shared_between_phy_modes(self):
         setup = studies.training_setup(_tiny_cfg(), 3)
-        state = initial_state(setup, 0.02)
-        v1 = _collect_votes(state, setup)
-        v2 = _collect_votes(state, setup)
+        state = initial_state(setup)
+        v1 = _collect_votes(state.weights, state.round_index, setup)
+        v2 = _collect_votes(state.weights, state.round_index, setup)
         np.testing.assert_array_equal(v1, v2)
 
     def test_training_produces_history(self):
-        setup = studies.training_setup(_tiny_cfg(), 1)
-        state = run_training(setup, "ideal", 3, 20.0, 0.02)
+        setup = studies.training_setup(_tiny_cfg(rounds=3), 1)
+        state = run_training(setup, "ideal", 20.0)
         assert state.round_index == 3
         assert len(state.history) == 3
         assert [r.round_index for r in state.history] == [0, 1, 2]
@@ -268,7 +277,7 @@ class TestTrainingMechanics:
 
     def test_loss_by_distance_shapes(self):
         setup = studies.training_setup(_tiny_cfg(), 1)
-        state = initial_state(setup, 0.02)
+        state = initial_state(setup)
         d, losses = loss_by_distance(state, setup)
         assert d.shape == losses.shape == (5,)
         assert np.all(losses > 0)
@@ -276,27 +285,29 @@ class TestTrainingMechanics:
     def test_setup_validation(self):
         setup = studies.training_setup(_tiny_cfg(), 0)
         with pytest.raises(ConfigError):
-            replace(setup, datasets=setup.datasets[:-1])
-        with pytest.raises(ConfigError):
-            replace(setup, batch_size=0)
-        with pytest.raises(ConfigError):
-            initial_state(setup, 0.0)
+            replace(setup, bounds=setup.bounds[:-1])
 
     def test_setup_rejects_offset_beyond_cyclic_prefix(self):
         setup = studies.training_setup(_tiny_cfg(), 0)
         room = _max_admitted_offset(setup.wave)
         # 16-sample prefix, 2 tapered samples, 6-sample EPA tail
         assert room == 8
-        assert replace(setup, max_sync_offset=room).max_sync_offset == room
+        def offset(max_sync_offset, **wave):
+            return replace(
+                setup,
+                wave=replace(setup.wave, **wave),
+                train=replace(setup.train, max_sync_offset=max_sync_offset),
+            ).train.max_sync_offset
+
+        assert offset(room) == room
         with pytest.raises(InfeasibleError, match="max_sync_offset.*window_rolloff"):
-            replace(setup, max_sync_offset=room + 1)
+            offset(room + 1)
         # without the taper the whole prefix is usable
-        untapered = replace(setup.wave, window_rolloff=0)
-        assert replace(setup, wave=untapered, max_sync_offset=room + 2).max_sync_offset == 10
+        assert offset(room + 2, window_rolloff=0) == 10
         with pytest.raises(InfeasibleError):
-            replace(setup, wave=untapered, max_sync_offset=room + 3)
+            offset(room + 3, window_rolloff=0)
         with pytest.raises(InfeasibleError):
-            replace(setup, wave=replace(setup.wave, cp_len=5), max_sync_offset=0)
+            offset(0, cp_len=5)
 
 
 def local_gradient_loop(state: TrainState, setup: TrainSetup) -> np.ndarray:
@@ -305,7 +316,7 @@ def local_gradient_loop(state: TrainState, setup: TrainSetup) -> np.ndarray:
     grads = []
     for k, data in enumerate(setup.datasets):
         rng = keyed_rng(setup.seed, "batch", state.round_index, k)
-        idx = rng.choice(len(data), size=min(setup.batch_size, len(data)), replace=False)
+        idx = rng.choice(len(data), size=min(setup.train.batch_size, len(data)), replace=False)
         _, grad = loss_and_gradient(state.weights, data.features[idx], data.labels[idx])
         grads.append(grad)
     return np.array(grads)
@@ -339,7 +350,7 @@ class TestBatchedAgainstLoops:
     def _states(self, case, rounds=3):
         num_eds, samples, partition, seed = case
         setup = studies.training_setup(_tiny_cfg(num_eds, samples, partition), seed)
-        state = initial_state(setup, 0.02)
+        state = initial_state(setup)
         states = [state]
         for _ in range(rounds):
             state = run_round(state, setup, "ideal", 20.0)
@@ -355,14 +366,15 @@ class TestBatchedAgainstLoops:
                 keyed_rng(setup.seed, "batch", state.round_index, k)
                 for k in range(len(setup.datasets))
             ]
-            grads = local_gradient(state.weights, setup.datasets, setup.batch_size, rngs)
+            grads = local_gradient(state.weights, setup.datasets, setup.train.batch_size, rngs)
             assert np.array_equal(grads, ref)
-            assert np.array_equal(_collect_votes(state, setup), sign_pm1(ref))
+            votes = _collect_votes(state.weights, state.round_index, setup)
+            assert np.array_equal(votes, sign_pm1(ref))
 
     def test_ragged_cases_are_ragged(self):
         def batch_sizes(case):
             setup = self._states(case, rounds=0)[0]
-            return {min(len(d), setup.batch_size) for d in setup.datasets}
+            return {min(len(d), setup.train.batch_size) for d in setup.datasets}
 
         assert len(batch_sizes(RAGGED_CASES[1])) > 1
         assert max(batch_sizes(RAGGED_CASES[1])) < 32
@@ -394,7 +406,7 @@ class TestBatchedAgainstLoops:
     @pytest.mark.parametrize("case", RAGGED_CASES)
     def test_link_powers_match_device_loop(self, case):
         setup = self._states(case, rounds=0)[0]
-        for coverage in (setup.coverage_csc_m, setup.coverage_obda_m):
+        for coverage in (setup.train.csc_coverage_m, setup.train.obda_coverage_m):
             ref = [link_power(setup.power, coverage, d) for d in setup.deployment.ed_distances]
             links = _per_ed_links(setup, coverage)
             assert links.shape == (len(ref),)
@@ -402,7 +414,7 @@ class TestBatchedAgainstLoops:
 
     def test_local_datasets_are_views_of_the_pooled_set(self):
         setup = studies.training_setup(_tiny_cfg(7, 150, "heterogeneous"), 0)
-        for base in (setup, replace(setup, batch_size=8)):
+        for base in (setup, replace(setup, train=replace(setup.train, batch_size=8))):
             assert base.bounds[-1] == len(base.train_set) == 150
             for k, data in enumerate(base.datasets):
                 a, b = base.bounds[k], base.bounds[k + 1]
@@ -411,7 +423,7 @@ class TestBatchedAgainstLoops:
 
 
 def csc_majority_sampled(
-    state: TrainState,
+    round_index: int,
     setup: TrainSetup,
     votes: np.ndarray,
     noise_power: float,
@@ -424,16 +436,16 @@ def csc_majority_sampled(
     wave = setup.wave
     plan = _csc_plan(setup, votes_per_block)
     fdss = build_fdss(wave)
-    links = _per_ed_links(setup, setup.coverage_csc_m)
+    links = _per_ed_links(setup, setup.train.csc_coverage_m)
     amp = math.sqrt(wave.idft_size / votes_per_block)
     arrivals = []  # per device: (list of per-block ComplexSignal, link power)
     for k in range(votes.shape[0]):
-        rng = keyed_rng(setup.seed, "phase", state.round_index, k)
+        rng = keyed_rng(setup.seed, "phase", round_index, k)
         blocks = encode_csc(plan, votes[k], rng) * amp
-        realization, offset = _channel_draws(setup, state.round_index, k)
+        realization, offset = _channel_draws(setup, round_index, k)
         rx = [propagate(realization, offset, spread(wave, fdss, row)) for row in blocks]
         arrivals.append((rx, links[k]))
-    noise_rng = keyed_rng(setup.seed, "noise", state.round_index)
+    noise_rng = keyed_rng(setup.seed, "noise", round_index)
     despreads = np.vstack(
         [
             despread(
@@ -450,10 +462,9 @@ def csc_majority_sampled(
 class TestRadioAggregation:
     def test_spectral_path_matches_sampled_path_noiseless(self):
         setup = studies.training_setup(_tiny_cfg(num_eds=4, samples=100), 2)
-        state = initial_state(setup, 0.02)
-        votes = _collect_votes(state, setup)
-        fast = _csc_majority(state, setup, votes, 0.0, 2)
-        slow = csc_majority_sampled(state, setup, votes, 0.0, 2)
+        votes = _collect_votes(initial_state(setup).weights, 0, setup)
+        fast = _csc_majority(0, setup, votes, 0.0, 2)
+        slow = csc_majority_sampled(0, setup, votes, 0.0, 2)
         np.testing.assert_array_equal(fast, slow)
 
     # the oracle costs up to 1.7 s per example (one vote per block, six
@@ -470,42 +481,32 @@ class TestRadioAggregation:
     def test_spectral_path_matches_sampled_path_property(
         self, votes_per_block, num_eds, max_sync_offset, seed, round_index
     ):
-        setup = replace(
-            studies.training_setup(_tiny_cfg(num_eds=num_eds, samples=60), seed),
-            max_sync_offset=max_sync_offset,
-        )
-        state = TrainState(
-            weights=initial_state(setup, 0.02).weights,
-            step_size=0.02,
-            round_index=round_index,
-        )
-        votes = _collect_votes(state, setup)
+        cfg = _tiny_cfg(num_eds=num_eds, samples=60, max_sync_offset=max_sync_offset)
+        setup = studies.training_setup(cfg, seed)
+        votes = _collect_votes(initial_state(setup).weights, round_index, setup)
         np.testing.assert_array_equal(
-            _csc_majority(state, setup, votes, 0.0, votes_per_block),
-            csc_majority_sampled(state, setup, votes, 0.0, votes_per_block),
+            _csc_majority(round_index, setup, votes, 0.0, votes_per_block),
+            csc_majority_sampled(round_index, setup, votes, 0.0, votes_per_block),
         )
 
     def test_single_device_noiseless_csc_recovers_votes(self):
         setup = studies.training_setup(_tiny_cfg(num_eds=1, samples=60), 4)
         # heavy fading cannot flip a single device's energy detection
-        state = initial_state(setup, 0.02)
-        votes = _collect_votes(state, setup)
-        out = _csc_majority(state, setup, votes, 0.0, 2)
+        votes = _collect_votes(initial_state(setup).weights, 0, setup)
+        out = _csc_majority(0, setup, votes, 0.0, 2)
         np.testing.assert_array_equal(out, votes[0])
 
     def test_csc_majority_tracks_ideal_at_high_snr(self):
         setup = studies.training_setup(_tiny_cfg(num_eds=5, samples=150), 5)
-        state = initial_state(setup, 0.02)
-        votes = _collect_votes(state, setup)
-        radio = _csc_majority(state, setup, votes, 1e-6, 2)
+        votes = _collect_votes(initial_state(setup).weights, 0, setup)
+        radio = _csc_majority(0, setup, votes, 1e-6, 2)
         ideal = ideal_mv(votes)
         assert np.mean(radio == ideal) > 0.7
 
     def test_obda_majority_tracks_ideal_at_high_snr(self):
         setup = studies.training_setup(_tiny_cfg(num_eds=5, samples=150), 5)
-        state = initial_state(setup, 0.02)
-        votes = _collect_votes(state, setup)
-        radio = _obda_majority(state, setup, votes, 1e-6)
+        votes = _collect_votes(initial_state(setup).weights, 0, setup)
+        radio = _obda_majority(0, setup, votes, 1e-6)
         ideal = ideal_mv(votes)
         assert np.mean(radio == ideal) > 0.7
 

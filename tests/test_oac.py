@@ -37,9 +37,14 @@ class TestArithmetic:
         assert votes_per_block(M, guard) == votes
 
     def test_guard_roundtrip_feasible_range(self):
+        # the widest guard giving exactly v votes, or InfeasibleError if none does
         for v in range(1, M // 2 + 1):
-            g = guard_for_votes(M, v)
-            assert votes_per_block(M, g) >= v
+            exact = [g for g in range(M) if votes_per_block(M, g) == v]
+            if exact:
+                assert guard_for_votes(M, v) == max(exact)
+            else:
+                with pytest.raises(InfeasibleError, match="exactly"):
+                    guard_for_votes(M, v)
 
     def test_guard_infeasible(self):
         with pytest.raises(InfeasibleError):
