@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 from typing import Sequence
 
 import numpy as np
 
-from ._rng import keyed_rng
+from ._rng import keyed_rng, keyed_rngs
 from .channel import draw_epa, draw_sync_offset, epa_tap_delays
 from .config import TrainConfig, scheme_votes
 from .datasets import Dataset
@@ -188,7 +188,9 @@ def partition_dataset(
     Returns the samples in device order and the row bounds: device k holds
     rows ``bounds[k]:bounds[k + 1]``, in their order within ``full``.
 
-    ``homogeneous``   -- each label's samples round-robin over all devices.
+    ``homogeneous``   -- sample i goes to device i mod num_eds, dealt in
+    index order over all labels at once: every device holds the same number
+    of samples (to within one), but labels are not balanced per device.
     ``heterogeneous`` -- devices inside radius r_max/sqrt(2) receive only
     labels 0-4 and the outer ring only labels 5-9, so that near and far
     devices hold disjoint halves of the task.
@@ -278,10 +280,7 @@ def initial_state(setup: TrainSetup) -> TrainState:
 
 
 def _collect_votes(weights: np.ndarray, round_index: int, setup: TrainSetup) -> np.ndarray:
-    rngs = [
-        keyed_rng(setup.seed, "batch", round_index, k)
-        for k in range(setup.deployment.num_eds)
-    ]
+    rngs = keyed_rngs(setup.seed, "batch", round_index, count=setup.deployment.num_eds)
     return sign_pm1(local_gradient(weights, setup.datasets, setup.train.batch_size, rngs))
 
 
@@ -289,29 +288,88 @@ def _per_ed_links(setup: TrainSetup, coverage_m: float) -> np.ndarray:
     return link_power(setup.power, coverage_m, setup.deployment.ed_distances)
 
 
-def _csc_plan(setup: TrainSetup, votes_per_block: int) -> VotePlan:
-    guard = guard_for_votes(setup.wave.num_bins, votes_per_block)
-    return build_vote_plan(PARAM_DIM, setup.wave.num_bins, guard)
-
-
-def _channel_draws(setup: TrainSetup, round_index: int, k: int):
-    realization = draw_epa(setup.wave, keyed_rng(setup.seed, "channel", round_index, k))
-    offset = draw_sync_offset(
-        setup.train.max_sync_offset, keyed_rng(setup.seed, "sync", round_index, k)
+def _channel_responses(setup: TrainSetup, round_index: int) -> np.ndarray:
+    """Each device's EPA channel and timing-offset response on the occupied
+    bins this round, (devices x M)."""
+    wave = setup.wave
+    count = setup.deployment.num_eds
+    channels = keyed_rngs(setup.seed, "channel", round_index, count=count)
+    syncs = keyed_rngs(setup.seed, "sync", round_index, count=count)
+    return np.array(
+        [
+            draw_epa(wave, channel).frequency_response(
+                wave.bin_indices,
+                wave.idft_size,
+                draw_sync_offset(setup.train.max_sync_offset, sync),
+            )
+            for channel, sync in zip(channels, syncs)
+        ]
     )
-    return realization, offset
 
 
-def _add_noise(
-    received: np.ndarray, setup: TrainSetup, round_index: int, noise_power: float
-) -> None:
-    """Add the round's complex white receiver noise to ``received`` in place."""
-    if noise_power > 0:
-        nrng = keyed_rng(setup.seed, "noise", round_index)
-        received += math.sqrt(noise_power / 2.0) * (
-            nrng.standard_normal(received.shape)
-            + 1j * nrng.standard_normal(received.shape)
-        )
+def _receiver_noise(
+    setup: TrainSetup, round_index: int, noise_power: float, shape: tuple[int, int]
+) -> np.ndarray:
+    """The round's complex white receiver noise of per-bin variance
+    ``noise_power``: all real parts are drawn first, then all imaginary parts."""
+    rng = keyed_rng(setup.seed, "noise", round_index)
+    noise = np.empty(shape, dtype=complex)
+    noise.real = rng.standard_normal(shape)
+    noise.imag = rng.standard_normal(shape)
+    noise *= math.sqrt(noise_power / 2.0)
+    return noise
+
+
+@dataclass(frozen=True)
+class _ChirpReceiver:
+    """The round-independent parts of the chirp uplink for one waveform and
+    vote count."""
+
+    plan: VotePlan
+    fdss: np.ndarray
+    #: ``shaped[:, fold]`` puts occupied bin j at despread bin ``bins[j] % M``
+    fold: np.ndarray
+    #: ``response[..., shifts[2u + s]]`` is ``response`` circularly shifted
+    #: to the bin of slot u's sign-s tone (+ first)
+    shifts: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def _chirp_receiver(wave: WaveformConfig, votes_per_block: int) -> _ChirpReceiver:
+    m = wave.num_bins
+    plan = build_vote_plan(PARAM_DIM, m, guard_for_votes(m, votes_per_block))
+    # bin group 2u+s heads at bin (2u+s) * group_width
+    tones = np.arange(2 * plan.votes_per_block) * plan.group_width
+    receiver = _ChirpReceiver(
+        plan=plan,
+        fdss=build_fdss(wave),
+        fold=np.argsort(wave.bin_indices % m),
+        shifts=(np.arange(m) - tones[:, None]) % m,
+    )
+    # every round shares these arrays
+    for a in (receiver.fdss, receiver.fold, receiver.shifts):
+        a.flags.writeable = False
+    return receiver
+
+
+def _vote_phases(
+    setup: TrainSetup, round_index: int, votes: np.ndarray, plan: VotePlan
+) -> np.ndarray:
+    """The round's vote phases as a (blocks x 2V*devices) matrix.  Column
+    (u, s, k) holds device k's unit phase in slot u of each block where its
+    vote has sign s (+ first), else 0; padding slots past grad_dim hold 0."""
+    num_eds, v = votes.shape[0], plan.votes_per_block
+    uniforms = np.empty((num_eds, plan.grad_dim))
+    for row, rng in zip(uniforms, keyed_rngs(setup.seed, "phase", round_index, count=num_eds)):
+        rng.random(out=row)
+    phases = 2j * np.pi * uniforms.T
+    np.exp(phases, out=phases)
+    stacked = np.zeros((plan.num_blocks, v, 2, num_eds), dtype=complex)
+    slots = stacked.reshape(plan.num_blocks * v, 2, num_eds)[: plan.grad_dim]
+    positive = votes.T > 0
+    np.copyto(slots[:, 0], phases, where=positive)
+    np.copyto(slots[:, 1], phases, where=~positive)
+    return stacked.reshape(plan.num_blocks, -1)
 
 
 def _csc_majority(
@@ -321,59 +379,40 @@ def _csc_majority(
     noise_power: float,
     votes_per_block: int,
 ) -> np.ndarray:
-    """Frequency-domain simulation of the chirp majority-vote uplink with
+    """Despread-domain simulation of the chirp majority-vote uplink with
     ``votes_per_block`` votes per symbol block.
 
-    Works bin-by-bin on the occupied subcarriers.  Every chirp tone in slot u
-    is one of two spectral rows, ``tone[u, +]`` or ``tone[u, -]``, so the
-    superposed spectrum is the sum over the 2V (slot, sign) groups of
-    ``(phases[u, s] @ weights) * tone[u, s]``: ``phases[u, s]`` is the
-    (blocks x devices) matrix of vote phases, zero where a device's vote in
-    slot u has the other sign, and row k of ``weights`` is device k's link
-    amplitude times its channel and timing-offset response times the shaping
-    vector.  Receiver noise is white across bins because the transforms are
-    orthonormal.  The votes equal those of the sample-level chain (spread /
-    propagate / superpose / despread, kept in the test suite as an oracle)
-    while the largest tap delay plus the timing offset fits in the untapered
-    part of the cyclic prefix, which ``TrainSetup`` enforces.
+    The receiver is linear up to energy detection, and a tone at bin b
+    despreads to the bin-0 despread response circularly shifted by b.  So
+    each device's bin-0 response -- its link amplitude times its channel and
+    timing-offset response, shaped by ``fdss`` and matched by ``conj(fdss)``,
+    folded and inverse transformed -- is computed once per round, and the
+    despread signal is one product of the (blocks x 2V*devices) vote-phase
+    matrix with those responses shifted to each (slot, sign) tone bin.
+    Receiver noise is white across bins because the transforms are
+    orthonormal; it takes the matched shaping and the one remaining
+    (blocks x M) inverse transform.  The votes equal those of the
+    sample-level chain (spread / propagate / superpose / despread, kept in
+    the test suite as an oracle) while the largest tap delay plus the timing
+    offset fits in the untapered part of the cyclic prefix, which
+    ``TrainSetup`` enforces.
     """
     wave = setup.wave
-    plan = _csc_plan(setup, votes_per_block)
-    m = wave.num_bins
-    v = plan.votes_per_block
-    fdss = build_fdss(wave)
-    bins = wave.bin_indices
-    # spectral template: row b holds the DFT of a unit impulse at bin b
-    table = np.exp(
-        -2j * np.pi * np.outer(np.arange(m), bins % m) / m
-    ) / math.sqrt(m)
+    rx = _chirp_receiver(wave, votes_per_block)
+    plan, m = rx.plan, wave.num_bins
     links = _per_ed_links(setup, setup.train.csc_coverage_m)
-    amp = math.sqrt(wave.idft_size / v)
-    num_eds = votes.shape[0]
-    # padding slots past grad_dim keep phase 0 and so transmit nothing
-    phases = np.zeros((num_eds, plan.num_blocks * v), dtype=complex)
-    weights = np.empty((num_eds, m), dtype=complex)
-    for k in range(num_eds):
-        rng = keyed_rng(setup.seed, "phase", round_index, k)
-        phases[k, : plan.grad_dim] = np.exp(2j * np.pi * rng.random(plan.grad_dim))
-        realization, offset = _channel_draws(setup, round_index, k)
-        response = realization.frequency_response(bins, wave.idft_size, offset)
-        weights[k] = math.sqrt(links[k]) * amp * response * fdss
-    positive = np.zeros(phases.shape, dtype=bool)
-    positive[:, : plan.grad_dim] = votes > 0
-    # (slot, block, device)
-    phases = phases.reshape(num_eds, plan.num_blocks, v).transpose(2, 1, 0)
-    positive = positive.reshape(num_eds, plan.num_blocks, v).transpose(2, 1, 0)
-    pos_tone, neg_tone = table[plan.pos_bin[:v]], table[plan.neg_bin[:v]]
-    received = np.zeros((plan.num_blocks, m), dtype=complex)
-    for u in range(v):
-        received += (np.where(positive[u], phases[u], 0) @ weights) * pos_tone[u]
-        received += (np.where(positive[u], 0, phases[u]) @ weights) * neg_tone[u]
-    _add_noise(received, setup, round_index, noise_power)
-    shaped = np.conj(fdss) * received
-    folded = np.zeros_like(shaped)
-    folded[:, bins % m] = shaped
-    despreads = np.fft.ifft(folded, norm="ortho", axis=1)
+    amp = math.sqrt(wave.idft_size / plan.votes_per_block)
+    weights = (np.sqrt(links) * amp)[:, None] * _channel_responses(setup, round_index) * rx.fdss
+    matched = (np.conj(rx.fdss) * weights)[:, rx.fold]
+    response = np.fft.ifft(matched, norm="ortho", axis=1) / math.sqrt(m)
+    # rows (slot, sign, device), as the columns of the vote-phase matrix
+    shifted = response[:, rx.shifts].transpose(1, 0, 2).reshape(-1, m)
+    despreads = _vote_phases(setup, round_index, votes, plan) @ shifted
+    if noise_power > 0:
+        noise = _receiver_noise(setup, round_index, noise_power, despreads.shape)
+        noise *= np.conj(rx.fdss)
+        noise = noise[:, rx.fold]
+        despreads += np.fft.ifft(noise, norm="ortho", axis=1, out=noise)
     return detect_mv(plan, despreads).mv
 
 
@@ -387,14 +426,11 @@ def _obda_majority(
     amp = math.sqrt(wave.idft_size / m)
     blocks = obda_blocks_needed(PARAM_DIM, m)
     received = np.zeros((blocks, m), dtype=complex)
-    for k in range(votes.shape[0]):
-        realization, offset = _channel_draws(setup, round_index, k)
-        response = realization.frequency_response(
-            wave.bin_indices, wave.idft_size, offset
-        )
+    for k, response in enumerate(_channel_responses(setup, round_index)):
         tx = encode_obda(votes[k], response, setup.train.tci_threshold)
         received += math.sqrt(links[k]) * amp * response * tx
-    _add_noise(received, setup, round_index, noise_power)
+    if noise_power > 0:
+        received += _receiver_noise(setup, round_index, noise_power, received.shape)
     return decode_obda(received, PARAM_DIM)
 
 

@@ -42,24 +42,31 @@ class RappPa:
             raise ConfigError("smoothness must be positive")
 
 
-def scale_to_obo(pa: RappPa, sig: ComplexSignal, obo_db: float) -> ComplexSignal:
-    """Scale the signal so its mean power sits obo_db below PA saturation."""
+def drive_pa(pa: RappPa, sig: ComplexSignal, obo_db: float) -> ComplexSignal:
+    """PA output for ``sig`` driven at ``obo_db`` back-off.
+
+    The signal is scaled by g so that its mean power sits ``obo_db`` below
+    saturation, then passed through the Rapp curve.  The curve is evaluated
+    on g^2 |x|^2 from ``sig.power``, which is computed once however many
+    back-offs the signal is driven at, and g x is divided by the real
+    divisor through the real and imaginary parts, as complex division by a
+    real number does.
+    """
     mean_power = sig.mean_power
     if mean_power <= 0:
         raise ValueError("cannot scale a zero-power signal")
-    target = pa.sat_amplitude**2 * 10.0 ** (-obo_db / 10.0)
-    return ComplexSignal(
-        samples=sig.samples * math.sqrt(target / mean_power),
-        sample_period=sig.sample_period,
-    )
-
-
-def apply_pa(pa: RappPa, sig: ComplexSignal) -> ComplexSignal:
-    """Amplify (sample-wise AM/AM); the caller scales to the operating point."""
+    gain2 = pa.sat_amplitude**2 * 10.0 ** (-obo_db / 10.0) / mean_power
+    gain = math.sqrt(gain2)
+    divisor = sig.power * (gain2 / pa.sat_amplitude**2)
+    np.power(divisor, pa.smoothness, out=divisor)
+    divisor += 1.0
+    np.power(divisor, 1.0 / (2.0 * pa.smoothness), out=divisor)
     x = sig.samples
-    expo = 2.0 * pa.smoothness
-    mag = np.abs(x) / pa.sat_amplitude
-    y = x / (1.0 + mag**expo) ** (1.0 / expo)
+    y = np.empty_like(x)
+    np.multiply(x.real, gain, out=y.real)
+    np.multiply(x.imag, gain, out=y.imag)
+    y.real /= divisor
+    y.imag /= divisor
     return ComplexSignal(samples=y, sample_period=sig.sample_period)
 
 
@@ -122,8 +129,7 @@ def aclr_at_obo(
 
     The ``segment_len`` default is ``MetricsConfig.segment_len``'s.
     """
-    driven = apply_pa(pa, scale_to_obo(pa, stream, obo_db))
-    return aclr(driven, inband, segment_len)
+    return aclr(drive_pa(pa, stream, obo_db), inband, segment_len)
 
 
 def obo_for_aclr(

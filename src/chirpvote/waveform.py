@@ -24,6 +24,7 @@ raised-cosine weighted overlap-add at the symbol boundaries.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -102,9 +103,14 @@ class ComplexSignal:
     def sample_rate(self) -> float:
         return 1.0 / self.sample_period
 
-    @property
+    @cached_property
+    def power(self) -> np.ndarray:
+        """Instantaneous power |samples|^2, computed once per signal."""
+        return np.abs(self.samples) ** 2
+
+    @cached_property
     def mean_power(self) -> float:
-        return float(np.mean(np.abs(self.samples) ** 2))
+        return float(np.mean(self.power))
 
 
 def build_fdss(cfg: WaveformConfig) -> np.ndarray:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chirpvote._rng import keyed_rng
-from chirpvote.channel import epa_tap_delays, propagate, superpose
+from chirpvote.channel import draw_epa, draw_sync_offset, epa_tap_delays, propagate, superpose
 from chirpvote.config import default_config
 from chirpvote.datasets import Dataset, synthetic_digits
 from chirpvote.deployment import Deployment, link_power
@@ -17,10 +17,8 @@ from chirpvote.learn import (
     BoundParams,
     TrainSetup,
     TrainState,
-    _channel_draws,
     _collect_votes,
     _csc_majority,
-    _csc_plan,
     _obda_majority,
     _per_ed_links,
     convergence_bound,
@@ -39,7 +37,7 @@ from chirpvote.learn import (
     run_training,
 )
 from chirpvote import studies
-from chirpvote.oac import detect_mv, encode_csc, sign_pm1
+from chirpvote.oac import build_vote_plan, detect_mv, encode_csc, guard_for_votes, sign_pm1
 from chirpvote.waveform import build_fdss, despread, spread
 
 
@@ -176,6 +174,16 @@ class TestPartition:
         # every device sees every class
         for p in parts:
             assert set(p.labels) == set(range(10))
+
+    def test_homogeneous_deals_samples_in_index_order(self):
+        # device k holds rows k, k + K, k + 2K, ... whatever their labels
+        labels = synthetic_digits(203, seed=3).labels
+        tagged = Dataset(features=np.repeat(np.arange(203.0)[:, None], 64, axis=1), labels=labels)
+        dep = Deployment.sample(5, 10.0, 50.0, seed=0)
+        pool, bounds = partition_dataset(tagged, dep, "homogeneous")
+        for k, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+            assert np.array_equal(pool.features[a:b, 0], np.arange(k, 203, 5))
+            assert np.array_equal(pool.labels[a:b], labels[k::5])
 
     def test_heterogeneous_label_split(self):
         data = synthetic_digits(1000, seed=1)
@@ -420,6 +428,20 @@ class TestBatchedAgainstLoops:
                 a, b = base.bounds[k], base.bounds[k + 1]
                 assert np.shares_memory(data.features, base.train_set.features)
                 assert np.array_equal(data.labels, base.train_set.labels[a:b])
+
+
+def _csc_plan(setup: TrainSetup, votes_per_block: int):
+    m = setup.wave.num_bins
+    return build_vote_plan(PARAM_DIM, m, guard_for_votes(m, votes_per_block))
+
+
+def _channel_draws(setup: TrainSetup, round_index: int, k: int):
+    """Device k's channel and timing offset this round, each from its own key."""
+    realization = draw_epa(setup.wave, keyed_rng(setup.seed, "channel", round_index, k))
+    offset = draw_sync_offset(
+        setup.train.max_sync_offset, keyed_rng(setup.seed, "sync", round_index, k)
+    )
+    return realization, offset
 
 
 def csc_majority_sampled(

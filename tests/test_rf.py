@@ -1,4 +1,5 @@
 import inspect
+import math
 
 import numpy as np
 import pytest
@@ -15,12 +16,11 @@ from chirpvote.rf import (
     RappPa,
     aclr,
     aclr_at_obo,
-    apply_pa,
     cubic_metric_batch,
+    drive_pa,
     obo_for_aclr,
     occupied_band,
     pmepr_batch,
-    scale_to_obo,
 )
 from chirpvote.waveform import (
     ComplexSignal,
@@ -32,6 +32,28 @@ from chirpvote.waveform import (
 )
 
 CFG = WaveformConfig()
+
+
+def scale_to_obo(pa: RappPa, sig: ComplexSignal, obo_db: float) -> ComplexSignal:
+    """Reference: scale the signal so its mean power sits obo_db below PA
+    saturation."""
+    mean_power = float(np.mean(np.abs(sig.samples) ** 2))
+    if mean_power <= 0:
+        raise ValueError("cannot scale a zero-power signal")
+    target = pa.sat_amplitude**2 * 10.0 ** (-obo_db / 10.0)
+    return ComplexSignal(
+        samples=sig.samples * math.sqrt(target / mean_power),
+        sample_period=sig.sample_period,
+    )
+
+
+def apply_pa(pa: RappPa, sig: ComplexSignal) -> ComplexSignal:
+    """Reference: the Rapp curve sample by sample, on |x| itself."""
+    x = sig.samples
+    expo = 2.0 * pa.smoothness
+    mag = np.abs(x) / pa.sat_amplitude
+    y = x / (1.0 + mag**expo) ** (1.0 / expo)
+    return ComplexSignal(samples=y, sample_period=sig.sample_period)
 
 
 def _tone(n=4096, fs=15.36e6, f0=1.0e6, amp=1.0):
@@ -84,6 +106,21 @@ class TestRappPa:
         )
         out = scale_to_obo(pa, sig, 7.0)
         assert out.mean_power == pytest.approx(4.0 * 10 ** (-0.7), rel=1e-12)
+
+    @pytest.mark.parametrize("smoothness", [0.9, 3.0])
+    def test_drive_matches_scale_then_amplify(self, smoothness):
+        pa = RappPa(sat_amplitude=1.5, smoothness=smoothness)
+        stream = _csc_stream(2, 32, seed=7)
+        for obo in (0.0, 3.3, 10.0, 30.0):
+            ref = apply_pa(pa, scale_to_obo(pa, stream, obo)).samples
+            out = drive_pa(pa, stream, obo)
+            assert out.sample_period == stream.sample_period
+            np.testing.assert_allclose(out.samples, ref, rtol=1e-14, atol=0)
+
+    def test_drive_rejects_zero_power(self):
+        dead = ComplexSignal(samples=np.zeros(8, dtype=complex), sample_period=1.0)
+        with pytest.raises(ValueError):
+            drive_pa(RappPa(), dead, 3.0)
 
 
 class TestEnvelopeMetrics:
