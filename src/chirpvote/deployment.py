@@ -32,12 +32,14 @@ class PowerControlParams:
     noise_power: float = 0.01
 
     def __post_init__(self) -> None:
-        if not 0 <= self.beta <= self.alpha:
-            raise ConfigError("compensation exponent beta must lie in [0, alpha]")
+        if not 0 < self.beta <= self.alpha:
+            raise ConfigError("compensation exponent beta must lie in (0, alpha]")
         if self.r_ref <= 0:
             raise ConfigError("r_ref must be positive")
         if self.p_ref <= 0:
             raise ConfigError("p_ref must be positive")
+        if self.obo_ref < 0:
+            raise ConfigError("obo_ref must be non-negative")
         if self.obo_min > self.obo_ref:
             raise ConfigError("obo_min cannot exceed obo_ref")
         if self.noise_power <= 0:
@@ -77,8 +79,6 @@ class Deployment:
 
 def coverage_radius(pc: PowerControlParams) -> float:
     """Largest distance at which power control sustains the target power."""
-    if pc.beta == 0:
-        raise ValueError("coverage radius is undefined for beta = 0")
     return pc.r_ref * 10.0 ** ((pc.obo_ref - pc.obo_min) / (10.0 * pc.beta))
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, partial
+from functools import lru_cache, partial
 from typing import Sequence
 
 import numpy as np
@@ -38,7 +38,6 @@ from .oac import (
     decode_obda,
     encode_obda,
     guard_for_votes,
-    obda_blocks_needed,
     sign_pm1,
 )
 from .waveform import WaveformConfig, build_fdss
@@ -146,29 +145,31 @@ def evaluate(w: np.ndarray, data: Dataset) -> float:
 
 def local_gradient(
     w: np.ndarray,
-    datasets: Sequence[Dataset],
+    data: Dataset,
+    bounds: np.ndarray,
     batch_size: int,
     rngs: Sequence[np.random.Generator],
 ) -> np.ndarray:
-    """Mini-batch gradients of all devices, shape (len(datasets), PARAM_DIM).
+    """Mini-batch gradients of all devices, shape (len(bounds) - 1, PARAM_DIM).
 
-    Device k draws min(batch_size, n_k) of its samples uniformly without
-    replacement with ``rngs[k]``.  Devices with equal batch sizes share one
+    Device k holds rows ``bounds[k]:bounds[k + 1]`` of ``data`` and draws
+    min(batch_size, n_k) of them uniformly without replacement with
+    ``rngs[k]``.  Devices with equal batch sizes share one gather and one
     stacked ``loss_and_gradient`` pass, normally a single pass for all.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be positive")
-    batches = [
-        d.subset(rng.choice(len(d), size=min(batch_size, len(d)), replace=False))
-        for d, rng in zip(datasets, rngs, strict=True)
+    counts = np.diff(bounds)
+    rows = [
+        start + rng.choice(n, size=min(batch_size, n), replace=False)
+        for start, n, rng in zip(bounds[:-1], counts, rngs, strict=True)
     ]
-    sizes = np.array([len(b) for b in batches])
-    grads = np.empty((len(batches), PARAM_DIM))
+    sizes = np.minimum(counts, batch_size)
+    grads = np.empty((len(rows), PARAM_DIM))
     for size in np.unique(sizes):
         group = np.flatnonzero(sizes == size)
-        x = np.stack([batches[k].features for k in group])
-        y = np.stack([batches[k].labels for k in group])
-        _, grads[group] = loss_and_gradient(w, x, y)
+        idx = np.stack([rows[k] for k in group])
+        _, grads[group] = loss_and_gradient(w, data.features[idx], data.labels[idx])
     return grads
 
 
@@ -250,13 +251,6 @@ class TrainSetup:
                 "the untapered cyclic-prefix samples"
             )
 
-    @cached_property
-    def datasets(self) -> tuple[Dataset, ...]:
-        """Device k's local dataset: a view of its rows of ``train_set``."""
-        return tuple(
-            self.train_set.subset(slice(a, b)) for a, b in zip(self.bounds[:-1], self.bounds[1:])
-        )
-
 
 @dataclass(frozen=True)
 class RoundRecord:
@@ -281,11 +275,8 @@ def initial_state(setup: TrainSetup) -> TrainState:
 
 def _collect_votes(weights: np.ndarray, round_index: int, setup: TrainSetup) -> np.ndarray:
     rngs = keyed_rngs(setup.seed, "batch", round_index, count=setup.deployment.num_eds)
-    return sign_pm1(local_gradient(weights, setup.datasets, setup.train.batch_size, rngs))
-
-
-def _per_ed_links(setup: TrainSetup, coverage_m: float) -> np.ndarray:
-    return link_power(setup.power, coverage_m, setup.deployment.ed_distances)
+    grads = local_gradient(weights, setup.train_set, setup.bounds, setup.train.batch_size, rngs)
+    return sign_pm1(grads)
 
 
 def _channel_responses(setup: TrainSetup, round_index: int) -> np.ndarray:
@@ -400,7 +391,7 @@ def _csc_majority(
     wave = setup.wave
     rx = _chirp_receiver(wave, votes_per_block)
     plan, m = rx.plan, wave.num_bins
-    links = _per_ed_links(setup, setup.train.csc_coverage_m)
+    links = link_power(setup.power, setup.train.csc_coverage_m, setup.deployment.ed_distances)
     amp = math.sqrt(wave.idft_size / plan.votes_per_block)
     weights = (np.sqrt(links) * amp)[:, None] * _channel_responses(setup, round_index) * rx.fdss
     matched = (np.conj(rx.fdss) * weights)[:, rx.fold]
@@ -419,16 +410,18 @@ def _csc_majority(
 def _obda_majority(
     round_index: int, setup: TrainSetup, votes: np.ndarray, noise_power: float
 ) -> np.ndarray:
-    """Frequency-domain simulation of the QPSK/channel-inversion uplink."""
+    """Frequency-domain simulation of the QPSK/channel-inversion uplink: all
+    devices' blocks encoded in one call, scaled by link amplitude and channel
+    response, and summed.  The votes equal those of the sample-level chain
+    (a test-suite oracle) under the cyclic-prefix condition ``TrainSetup``
+    enforces."""
     wave = setup.wave
-    m = wave.num_bins
-    links = _per_ed_links(setup, setup.train.obda_coverage_m)
-    amp = math.sqrt(wave.idft_size / m)
-    blocks = obda_blocks_needed(PARAM_DIM, m)
-    received = np.zeros((blocks, m), dtype=complex)
-    for k, response in enumerate(_channel_responses(setup, round_index)):
-        tx = encode_obda(votes[k], response, setup.train.tci_threshold)
-        received += math.sqrt(links[k]) * amp * response * tx
+    links = link_power(setup.power, setup.train.obda_coverage_m, setup.deployment.ed_distances)
+    amp = math.sqrt(wave.idft_size / wave.num_bins)
+    responses = _channel_responses(setup, round_index)
+    tx = encode_obda(votes, responses, setup.train.tci_threshold)
+    tx *= ((np.sqrt(links) * amp)[:, None] * responses)[:, None, :]
+    received = tx.sum(axis=0)
     if noise_power > 0:
         received += _receiver_noise(setup, round_index, noise_power, received.shape)
     return decode_obda(received, PARAM_DIM)

@@ -175,38 +175,38 @@ def encode_obda(
     channel_response: np.ndarray,
     tci_threshold: float = 0.1,
 ) -> np.ndarray:
-    """QPSK + truncated channel inversion for one device.
+    """QPSK + truncated channel inversion for one device, or for a stack.
 
-    Consecutive sign pairs load I and Q of one subcarrier. Each subcarrier is
-    precoded by conj(h)/|h|^2 when |h| clears tci_threshold * rms(|h|) and
-    silenced otherwise; each symbol is then renormalized to the nominal
-    per-symbol power budget (sum |x|^2 = num_bins).
+    ``votes`` (..., q) and ``channel_response`` (..., M) give the transmit
+    blocks (..., blocks, M). Consecutive sign pairs load I and Q of one
+    subcarrier. Each subcarrier is precoded by conj(h)/|h|^2 when |h| clears
+    tci_threshold * rms(|h|) and silenced otherwise; each symbol is then
+    renormalized to the nominal per-symbol power budget (sum |x|^2 = M).
     """
     votes = np.asarray(votes, dtype=float)
     h = np.asarray(channel_response)
-    num_bins = h.size
-    n_blocks = obda_blocks_needed(votes.size, num_bins)
-    padded = np.zeros(2 * n_blocks * num_bins)
-    padded[: votes.size] = votes
-    qpsk = (padded[0::2] + 1j * padded[1::2]) / np.sqrt(2.0)
-    qpsk = qpsk.reshape(n_blocks, num_bins)
+    q, num_bins = votes.shape[-1], h.shape[-1]
+    n_blocks = obda_blocks_needed(q, num_bins)
+    padded = np.zeros(votes.shape[:-1] + (2 * n_blocks * num_bins,))
+    padded[..., :q] = votes
+    x = (padded[..., 0::2] + 1j * padded[..., 1::2]) / np.sqrt(2.0)
+    x = x.reshape(votes.shape[:-1] + (n_blocks, num_bins))
 
     mag = np.abs(h)
-    usable = mag >= tci_threshold * np.sqrt(np.mean(mag**2))
+    usable = mag >= tci_threshold * np.sqrt(np.mean(mag**2, axis=-1, keepdims=True))
     inv = np.zeros_like(h)
     inv[usable] = np.conj(h[usable]) / mag[usable] ** 2
-    x = qpsk * inv
-    power = np.sum(np.abs(x) ** 2, axis=1, keepdims=True)
-    scale = np.sqrt(np.where(power > 0, num_bins / np.maximum(power, 1e-300), 0.0))
-    return x * scale
+    # in place: a stack of devices makes these the largest arrays of a round
+    x *= inv[..., None, :]
+    power = np.sum(np.abs(x) ** 2, axis=-1, keepdims=True)
+    x *= np.sqrt(np.where(power > 0, num_bins / np.maximum(power, 1e-300), 0.0))
+    return x
 
 
 def decode_obda(received: np.ndarray, grad_dim: int) -> np.ndarray:
     """Component-sign detection on the aggregated subcarriers."""
-    r = np.asarray(received).ravel()
-    signs = np.empty(2 * r.size)
-    signs[0::2] = r.real
-    signs[1::2] = r.imag
+    # I and Q of each subcarrier in turn
+    signs = np.ascontiguousarray(received, dtype=complex).reshape(-1).view(float)
     if grad_dim > signs.size:
         raise FramingError("received blocks carry fewer signs than grad_dim")
     return sign_pm1(signs[:grad_dim])

@@ -130,9 +130,10 @@ def aclr_study(cfg: ExperimentConfig, seed: int, obo_db: float | None = None) ->
 def coverage_study(cfg: ExperimentConfig, seed: int) -> list[dict]:
     """Per scheme: smallest compliant back-off and the coverage radius it buys.
 
-    Schemes whose spectrum cannot meet the ACLR target at any back-off are
-    reported as infeasible rather than raising, so one bad scheme does not
-    hide the others' results.
+    Schemes whose spectrum cannot meet the ACLR target at any back-off up
+    to ``power.obo_ref`` (the back-off available at the reference point)
+    are reported as infeasible rather than raising, so one bad scheme does
+    not hide the others' results.
     """
     inband = occupied_band(cfg.wave)
     rows = []
@@ -144,6 +145,7 @@ def coverage_study(cfg: ExperimentConfig, seed: int) -> list[dict]:
                 stream,
                 inband,
                 cfg.aclr_target_db,
+                obo_range=(0.0, cfg.power.obo_ref),
                 tol_db=cfg.metrics.obo_step_db,
                 segment_len=cfg.metrics.segment_len,
             )

@@ -36,16 +36,14 @@ from .numerics import fresnel_array
 class WaveformConfig:
     """Numerology for chirp synthesis.
 
-    ``bin_low``/``bin_high`` give the occupied subcarrier range (DC-centered,
-    signed indices); they must span exactly ``num_bins`` subcarriers and cover
-    the chirp bandwidth ``sweep_cycles``.
+    The ``num_bins`` = M occupied subcarriers are the DC-centered band
+    ``bin_low`` = -(M // 2) ... ``bin_high`` = M - M // 2 - 1, which must
+    cover the chirp bandwidth ``sweep_cycles``.
     """
 
     num_bins: int = 54
     idft_size: int = 64
     sweep_cycles: float = 46.0
-    bin_low: int = -27
-    bin_high: int = 26
     cp_len: int = 16
     sample_rate: float = 15.36e6
     window_rolloff: int = 2
@@ -55,8 +53,6 @@ class WaveformConfig:
             raise ConfigError("num_bins and idft_size must be positive")
         if self.num_bins > self.idft_size:
             raise ConfigError("num_bins cannot exceed idft_size")
-        if self.bin_high - self.bin_low + 1 != self.num_bins:
-            raise ConfigError("bin range must span exactly num_bins subcarriers")
         if self.sweep_cycles <= 0:
             raise ConfigError("sweep_cycles must be positive")
         if self.bin_low > -self.sweep_cycles / 2 or self.bin_high < self.sweep_cycles / 2:
@@ -76,6 +72,14 @@ class WaveformConfig:
     def symbol_period(self) -> float:
         """Body duration (without cyclic prefix), seconds."""
         return self.idft_size / self.sample_rate
+
+    @property
+    def bin_low(self) -> int:
+        return -(self.num_bins // 2)
+
+    @property
+    def bin_high(self) -> int:
+        return self.num_bins - self.num_bins // 2 - 1
 
     @property
     def bin_indices(self) -> np.ndarray:

@@ -7,6 +7,7 @@ import pytest
 from chirpvote import cli, studies
 from chirpvote._rng import keyed_rng
 from chirpvote.config import ExperimentConfig, MetricsConfig, TrainConfig, save_config
+from chirpvote.deployment import PowerControlParams
 from chirpvote.waveform import WaveformConfig, build_fdss, spread
 
 N_PERCENTILES = len(studies.PERCENTILES)
@@ -109,6 +110,19 @@ class TestStudyCommands:
             scheme, status, obo_min, radius = line.split(",")
             assert status == "infeasible"
             assert obo_min == "" and radius == ""
+
+    def test_coverage_searches_up_to_obo_ref(self, tmp_path):
+        # OBDA needs about 10 dB of back-off, more than the 5 dB available
+        # at the reference point, so it alone is infeasible
+        power = PowerControlParams(obo_ref=5.0, obo_min=4.0)
+        cfg = write_cfg(tmp_path, name="low_ref.json", power=power)
+        out = tmp_path / "cov"
+        assert run("coverage", "--config", cfg, "--out", out) == 0
+        rows = [line.split(",") for line in (out / "coverage.csv").read_text().splitlines()[1:]]
+        assert [(scheme, status) for scheme, status, _, _ in rows] == [
+            ("csc_mv_1", "ok"), ("csc_mv_2", "ok"), ("csc_mv_4", "ok"), ("obda", "infeasible")
+        ]
+        assert all(0.0 <= float(obo_min) <= 5.0 for _, _, obo_min, _ in rows[:3])
 
     def test_snr_distance_stdout(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path)
@@ -306,7 +320,7 @@ class TestErrorPaths:
     def test_oversubscribed_scheme_exit_3(self, tmp_path, capsys):
         # csc_mv_4 is a valid token but 4 vote pairs cannot fit in 6 bins,
         # so the run is rejected as infeasible rather than invalid
-        narrow = WaveformConfig(num_bins=6, bin_low=-3, bin_high=2, sweep_cycles=4.0)
+        narrow = WaveformConfig(num_bins=6, sweep_cycles=4.0)
         cfg = write_cfg(tmp_path, name="narrow.json", wave=narrow, schemes=("csc_mv_4",))
         assert run("pmepr", "--config", cfg) == 3
         assert capsys.readouterr().err.startswith("infeasible:")
@@ -315,7 +329,7 @@ class TestErrorPaths:
     def test_inexact_vote_count_exit_3(self, tmp_path, command, capsys):
         # in 30 bins the widest guard that fits 4 vote pairs fits 5, and the
         # next wider one fits 3, so csc_mv_4 cannot run as named
-        wave = WaveformConfig(num_bins=30, bin_low=-15, bin_high=14, sweep_cycles=26.0)
+        wave = WaveformConfig(num_bins=30, sweep_cycles=26.0)
         cfg = write_cfg(tmp_path, name="thirty.json", wave=wave)
         out = tmp_path / command
         assert run(command, "--config", cfg, "--scheme", "csc_mv_4", "--out", out) == 3
@@ -353,6 +367,21 @@ class TestErrorPaths:
         cfg.write_text(json.dumps({"pa": pa}))
         assert run(command, "--config", cfg, "--scheme", "obda") == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("command", ["snr-distance", "coverage"])
+    @pytest.mark.parametrize(
+        "power, message",
+        [
+            ({"beta": 0.0}, "beta must lie in (0, alpha]"),
+            ({"obo_ref": -1.0, "obo_min": -2.0}, "obo_ref must be non-negative"),
+        ],
+    )
+    def test_bad_power_exits_2(self, tmp_path, command, power, message, capsys):
+        cfg = tmp_path / "power.json"
+        cfg.write_text(json.dumps({"power": power}))
+        assert run(command, "--config", cfg) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
 
     @pytest.mark.parametrize(
         "command", ["pmepr", "cm", "aclr", "coverage", "train", "waveform-dump"]
@@ -402,12 +431,15 @@ class TestErrorPaths:
             ({"train": {"votes_per_block": 7}}, "votes_per_block"),
             ({"train": {"dataset": "synthetic"}}, "dataset"),
             ({"out_dir": "results"}, "out_dir"),
+            ({"wave": {"bin_low": -27}}, "bin_low"),
+            ({"wave": {"bin_high": 26}}, "bin_high"),
         ],
     )
     def test_removed_key_exits_2(self, tmp_path, profile, key, capsys):
         # the scheme token sets the vote count, aclr/coverage set the
-        # back-off, synthetic digits are the only profile data and --out
-        # sets the output directory, so these keys would change no output
+        # back-off, synthetic digits are the only profile data, --out sets
+        # the output directory and wave.num_bins sets the centred band, so
+        # these keys would change no output
         cfg = tmp_path / "removed.json"
         cfg.write_text(json.dumps(profile))
         assert run("train", "--config", cfg, "--scheme", "ideal") == 2

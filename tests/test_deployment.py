@@ -22,12 +22,16 @@ class TestParams:
             PowerControlParams(alpha=4.0, beta=5.0)
         with pytest.raises(ConfigError):
             PowerControlParams(beta=-0.5)
+        with pytest.raises(ConfigError):
+            PowerControlParams(beta=0.0)
 
     def test_positive_scales(self):
         with pytest.raises(ConfigError):
             PowerControlParams(r_ref=0.0)
         with pytest.raises(ConfigError):
             PowerControlParams(p_ref=-1.0)
+        with pytest.raises(ConfigError):
+            PowerControlParams(obo_ref=-1.0, obo_min=-2.0)
 
 
 class TestCoverageRadius:

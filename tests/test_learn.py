@@ -20,7 +20,6 @@ from chirpvote.learn import (
     _collect_votes,
     _csc_majority,
     _obda_majority,
-    _per_ed_links,
     convergence_bound,
     evaluate,
     forward_logits,
@@ -37,8 +36,16 @@ from chirpvote.learn import (
     run_training,
 )
 from chirpvote import studies
-from chirpvote.oac import build_vote_plan, detect_mv, encode_csc, guard_for_votes, sign_pm1
-from chirpvote.waveform import build_fdss, despread, spread
+from chirpvote.oac import (
+    build_vote_plan,
+    decode_obda,
+    detect_mv,
+    encode_csc,
+    encode_obda,
+    guard_for_votes,
+    sign_pm1,
+)
+from chirpvote.waveform import build_fdss, demodulate_ofdm, despread, modulate_ofdm, spread
 
 
 def _max_admitted_offset(wave) -> int:
@@ -62,10 +69,15 @@ def _tiny_cfg(num_eds=5, samples=120, partition="homogeneous", **train):
     )
 
 
+def _device_sets(pool, bounds):
+    """Device k's rows ``bounds[k]:bounds[k + 1]`` of the pooled set, in
+    device order."""
+    return [pool.subset(slice(a, b)) for a, b in zip(bounds[:-1], bounds[1:])]
+
+
 def _parts(data, dep, mode):
     """Per-device datasets of a partition, in device order."""
-    pool, bounds = partition_dataset(data, dep, mode)
-    return [pool.subset(slice(a, b)) for a, b in zip(bounds[:-1], bounds[1:])]
+    return _device_sets(*partition_dataset(data, dep, mode))
 
 
 class TestModel:
@@ -124,8 +136,9 @@ class TestModel:
     def test_local_gradient_full_batch_deterministic(self):
         data = synthetic_digits(40, seed=1)
         w = init_params(2)
-        g1 = local_gradient(w, [data], 40, [keyed_rng(0, "a")])[0]
-        g2 = local_gradient(w, [data], 40, [keyed_rng(1, "b")])[0]
+        whole = np.array([0, len(data)])
+        g1 = local_gradient(w, data, whole, 40, [keyed_rng(0, "a")])[0]
+        g2 = local_gradient(w, data, whole, 40, [keyed_rng(1, "b")])[0]
         _, ref = loss_and_gradient(w, data.features, data.labels)
         # batch == dataset: the draw is without replacement, so both match
         np.testing.assert_allclose(np.sort(g1), np.sort(ref), atol=1e-12)
@@ -134,7 +147,7 @@ class TestModel:
     def test_local_gradient_batch_validation(self):
         data = synthetic_digits(10, seed=0)
         with pytest.raises(ValueError):
-            local_gradient(init_params(0), [data], 0, [keyed_rng(0, "x")])
+            local_gradient(init_params(0), data, np.array([0, len(data)]), 0, [keyed_rng(0, "x")])
 
 
 class TestMajorityVote:
@@ -322,7 +335,7 @@ def local_gradient_loop(state: TrainState, setup: TrainSetup) -> np.ndarray:
     """Per-device reference for the stacked gradient pass: the same keyed
     batch draws, one 2-D loss_and_gradient call per device."""
     grads = []
-    for k, data in enumerate(setup.datasets):
+    for k, data in enumerate(_device_sets(setup.train_set, setup.bounds)):
         rng = keyed_rng(setup.seed, "batch", state.round_index, k)
         idx = rng.choice(len(data), size=min(setup.train.batch_size, len(data)), replace=False)
         _, grad = loss_and_gradient(state.weights, data.features[idx], data.labels[idx])
@@ -334,7 +347,7 @@ def mean_loss_loop(w: np.ndarray, setup: TrainSetup) -> tuple[float, ...]:
     """Per-device reference for the pooled loss pass: one forward pass and
     one softmax cross-entropy per local dataset."""
     losses = []
-    for data in setup.datasets:
+    for data in _device_sets(setup.train_set, setup.bounds):
         logits = forward_logits(w, data.features)
         z = logits - logits.max(axis=1, keepdims=True)
         e = np.exp(z)
@@ -372,9 +385,11 @@ class TestBatchedAgainstLoops:
             ref = local_gradient_loop(state, setup)
             rngs = [
                 keyed_rng(setup.seed, "batch", state.round_index, k)
-                for k in range(len(setup.datasets))
+                for k in range(setup.deployment.num_eds)
             ]
-            grads = local_gradient(state.weights, setup.datasets, setup.train.batch_size, rngs)
+            grads = local_gradient(
+                state.weights, setup.train_set, setup.bounds, setup.train.batch_size, rngs
+            )
             assert np.array_equal(grads, ref)
             votes = _collect_votes(state.weights, state.round_index, setup)
             assert np.array_equal(votes, sign_pm1(ref))
@@ -382,7 +397,7 @@ class TestBatchedAgainstLoops:
     def test_ragged_cases_are_ragged(self):
         def batch_sizes(case):
             setup = self._states(case, rounds=0)[0]
-            return {min(len(d), setup.train.batch_size) for d in setup.datasets}
+            return set(np.minimum(np.diff(setup.bounds), setup.train.batch_size))
 
         assert len(batch_sizes(RAGGED_CASES[1])) > 1
         assert max(batch_sizes(RAGGED_CASES[1])) < 32
@@ -416,18 +431,9 @@ class TestBatchedAgainstLoops:
         setup = self._states(case, rounds=0)[0]
         for coverage in (setup.train.csc_coverage_m, setup.train.obda_coverage_m):
             ref = [link_power(setup.power, coverage, d) for d in setup.deployment.ed_distances]
-            links = _per_ed_links(setup, coverage)
+            links = link_power(setup.power, coverage, setup.deployment.ed_distances)
             assert links.shape == (len(ref),)
             assert np.array_equal(links, ref)
-
-    def test_local_datasets_are_views_of_the_pooled_set(self):
-        setup = studies.training_setup(_tiny_cfg(7, 150, "heterogeneous"), 0)
-        for base in (setup, replace(setup, train=replace(setup.train, batch_size=8))):
-            assert base.bounds[-1] == len(base.train_set) == 150
-            for k, data in enumerate(base.datasets):
-                a, b = base.bounds[k], base.bounds[k + 1]
-                assert np.shares_memory(data.features, base.train_set.features)
-                assert np.array_equal(data.labels, base.train_set.labels[a:b])
 
 
 def _csc_plan(setup: TrainSetup, votes_per_block: int):
@@ -458,7 +464,7 @@ def csc_majority_sampled(
     wave = setup.wave
     plan = _csc_plan(setup, votes_per_block)
     fdss = build_fdss(wave)
-    links = _per_ed_links(setup, setup.train.csc_coverage_m)
+    links = link_power(setup.power, setup.train.csc_coverage_m, setup.deployment.ed_distances)
     amp = math.sqrt(wave.idft_size / votes_per_block)
     arrivals = []  # per device: (list of per-block ComplexSignal, link power)
     for k in range(votes.shape[0]):
@@ -479,6 +485,38 @@ def csc_majority_sampled(
         ]
     )
     return detect_mv(plan, despreads).mv
+
+
+def obda_majority_sampled(
+    round_index: int, setup: TrainSetup, votes: np.ndarray
+) -> np.ndarray:
+    """Sample-level reference for the noiseless OBDA uplink: each device's
+    channel-inverted QPSK blocks are OFDM modulated, sent through its tap
+    line with its timing offset, superposed at its link power and
+    demodulated, with the keyed channel and offset draws of the bin-domain
+    path."""
+    wave = setup.wave
+    links = link_power(setup.power, setup.train.obda_coverage_m, setup.deployment.ed_distances)
+    amp = math.sqrt(wave.idft_size / wave.num_bins)
+    arrivals = []  # per device: (list of per-block ComplexSignal, received power)
+    for k in range(votes.shape[0]):
+        realization, offset = _channel_draws(setup, round_index, k)
+        response = realization.frequency_response(wave.bin_indices, wave.idft_size, offset)
+        tx = encode_obda(votes[k], response, setup.train.tci_threshold)
+        rx = [propagate(realization, offset, modulate_ofdm(wave, row)) for row in tx]
+        arrivals.append((rx, links[k] * amp**2))
+    received = np.array(
+        [
+            demodulate_ofdm(wave, superpose([(rx[b], p) for rx, p in arrivals], 0.0, None))
+            for b in range(len(arrivals[0][0]))
+        ]
+    )
+    # a sign that truncated inversion silenced on every device sums to an
+    # exact 0 in the bin domain, which sign_pm1 reads as +1; the sample-level
+    # chain leaves rounding residue of either sign there, so that is a tie
+    components = received.view(float)
+    components[np.abs(components) < 1e-9 * np.abs(components).max()] = 0.0
+    return decode_obda(received, PARAM_DIM)
 
 
 class TestRadioAggregation:
@@ -510,6 +548,22 @@ class TestRadioAggregation:
             _csc_majority(round_index, setup, votes, 0.0, votes_per_block),
             csc_majority_sampled(round_index, setup, votes, 0.0, votes_per_block),
         )
+
+    #: (seed, round) pairs the OBDA oracle runs at each device count and offset
+    OBDA_DRAWS = ((0, 0), (1, 3), (2, 5))
+
+    @pytest.mark.parametrize("num_eds", range(1, 7))
+    def test_obda_matches_sampled_path_noiseless(self, num_eds):
+        for seed, round_index in self.OBDA_DRAWS:
+            base = studies.training_setup(_tiny_cfg(num_eds=num_eds, samples=60), seed)
+            # every offset TrainSetup admits (0-8 at the defaults)
+            for max_sync_offset in range(_max_admitted_offset(base.wave) + 1):
+                setup = replace(base, train=replace(base.train, max_sync_offset=max_sync_offset))
+                votes = _collect_votes(initial_state(setup).weights, round_index, setup)
+                np.testing.assert_array_equal(
+                    _obda_majority(round_index, setup, votes, 0.0),
+                    obda_majority_sampled(round_index, setup, votes),
+                )
 
     def test_single_device_noiseless_csc_recovers_votes(self):
         setup = studies.training_setup(_tiny_cfg(num_eds=1, samples=60), 4)

@@ -254,3 +254,17 @@ class TestObda:
         out = decode_obda(tx, q)
         assert out.shape == (q,)
         np.testing.assert_array_equal(out, votes)
+
+    @pytest.mark.parametrize("q", [100, 2410])  # neither is a multiple of 2M
+    def test_stacked_encode_matches_one_device_calls(self, q):
+        rng = keyed_rng(4, "obda")
+        k = 6
+        votes = sign_pm1(rng.standard_normal((k, q)))
+        h = rng.standard_normal((k, M)) + 1j * rng.standard_normal((k, M))
+        h[[0, 3], [7, 30]] = 1e-6  # far below threshold * rms
+        h[5, :10] = 1e-7
+        tx = encode_obda(votes, h)
+        assert tx.shape == (k, obda_blocks_needed(q, M), M)
+        assert np.all(tx[[0, 3], :, [7, 30]] == 0) and np.all(tx[5, :, :10] == 0)
+        for row in range(k):
+            assert np.array_equal(tx[row], encode_obda(votes[row], h[row]))

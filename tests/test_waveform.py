@@ -37,15 +37,15 @@ class TestConfig:
     def test_defaults(self):
         assert CFG.num_bins == 54
         assert CFG.idft_size == 64
-        assert CFG.bin_high - CFG.bin_low + 1 == CFG.num_bins
+        assert (CFG.bin_low, CFG.bin_high) == (-27, 26)
         assert CFG.symbol_period == pytest.approx(64 / 15.36e6)
 
     def test_bin_indices_cover_contiguous_range(self):
         assert set(CFG.bin_indices) == set(range(CFG.bin_low, CFG.bin_high + 1))
-
-    def test_bad_span_rejected(self):
-        with pytest.raises(ConfigError):
-            WaveformConfig(num_bins=54, bin_low=-26, bin_high=26)
+        # an odd band is symmetric about DC; an even one has its extra
+        # subcarrier below DC, as the defaults show
+        odd = WaveformConfig(num_bins=5, idft_size=8, sweep_cycles=2.0, cp_len=2)
+        assert odd.bin_indices.tolist() == [-2, -1, 0, 1, 2]
 
     def test_sweep_must_fit_in_band(self):
         with pytest.raises(ConfigError):
