@@ -29,11 +29,10 @@ from .config import (
     ExperimentConfig,
     default_config,
     load_config,
-    scheme_votes,
 )
 from .errors import ConfigError, InfeasibleError
 from .learn import PARAM_DIM, BoundParams, convergence_bound
-from .waveform import build_fdss, modulate_ofdm, spread
+from .waveform import assemble_stream
 
 
 def _fmt(value) -> str:
@@ -188,17 +187,13 @@ def cmd_train(args) -> int:
 
 def cmd_waveform_dump(args) -> int:
     cfg = _load_cfg(args)
-    scheme = args.scheme[0] if args.scheme else cfg.schemes[0]
+    scheme = args.scheme or cfg.schemes[0]
     rng = keyed_rng(_seed(args, cfg), "waveform-dump", scheme)
-    bins = studies.scheme_bin_symbols(cfg, scheme, 1, rng)[0]
-    if scheme_votes(scheme) is None:
-        sig = modulate_ofdm(cfg.wave, bins)
-    else:
-        sig = spread(cfg.wave, build_fdss(cfg.wave), bins)
+    stream = assemble_stream(cfg.wave, studies.scheme_grids(cfg, scheme, 1, rng), 1)
+    # one critical-rate symbol period: cyclic prefix and body
+    samples = stream.samples[: cfg.wave.cp_len + cfg.wave.idft_size]
     lines = ["index,real,imag"]
-    lines += [
-        f"{i},{v.real:.12e},{v.imag:.12e}" for i, v in enumerate(sig.samples)
-    ]
+    lines += [f"{i},{v.real:.12e},{v.imag:.12e}" for i, v in enumerate(samples)]
     _emit(args.out, [("waveform_symbol.csv", "\n".join(lines) + "\n")])
     return 0
 
@@ -307,7 +302,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_train)
 
     sp = sub.add_parser("waveform-dump", help="dump one transmit symbol as CSV")
-    _add_common(sp, SCHEME_NAMES)
+    _add_common(sp)
+    sp.add_argument(
+        "--scheme",
+        choices=SCHEME_NAMES,
+        default=None,
+        help="the scheme to dump (default: the profile's first)",
+    )
     sp.set_defaults(func=cmd_waveform_dump)
 
     sp = sub.add_parser("bound", help="analytic convergence guarantee")

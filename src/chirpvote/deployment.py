@@ -40,8 +40,8 @@ class PowerControlParams:
             raise ConfigError("p_ref must be positive")
         if self.obo_ref < 0:
             raise ConfigError("obo_ref must be non-negative")
-        if self.obo_min > self.obo_ref:
-            raise ConfigError("obo_min cannot exceed obo_ref")
+        if not 0 <= self.obo_min <= self.obo_ref:
+            raise ConfigError("obo_min must lie in [0, obo_ref]")
         if self.noise_power <= 0:
             raise ConfigError("noise_power must be positive")
 

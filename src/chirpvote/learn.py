@@ -214,7 +214,12 @@ def partition_dataset(
     for eds, labels in groups:
         pool = np.flatnonzero(np.isin(full.labels, labels))
         assignment[pool] = eds[np.arange(pool.size) % eds.size]
-    bounds = np.concatenate(([0], np.cumsum(np.bincount(assignment, minlength=k))))
+    counts = np.bincount(assignment, minlength=k)
+    if not counts.all():
+        raise ConfigError(
+            f"partition leaves devices {np.flatnonzero(counts == 0).tolist()} without samples"
+        )
+    bounds = np.concatenate(([0], np.cumsum(counts)))
     return full.subset(np.argsort(assignment, kind="stable")), bounds
 
 

@@ -43,35 +43,33 @@ from .waveform import (
 )
 
 
-def scheme_bin_symbols(
+def scheme_grids(
     cfg: ExperimentConfig, scheme: str, n_symbols: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Random traffic in the bin domain for one scheme. (n_symbols, M)."""
+    """Random traffic on the scheme's transmit grids. (n_symbols, N).
+
+    OBDA's QPSK goes straight onto the subcarriers; chirp votes are DFT-spread
+    and shaped first.
+    """
     votes = scheme_votes(scheme)
     if votes is None:
-        return random_qpsk(cfg.wave.num_bins, n_symbols, rng)
-    return random_csc_traffic(cfg.wave.num_bins, votes, n_symbols, rng)
-
-
-def scheme_grids(cfg: ExperimentConfig, scheme: str, bins: np.ndarray) -> np.ndarray:
-    """Subcarrier grids for the scheme's transmit chain. (..., N)."""
-    if scheme_votes(scheme) is None:
-        return ofdm_grid(cfg.wave, bins)
+        return ofdm_grid(cfg.wave, random_qpsk(cfg.wave.num_bins, n_symbols, rng))
+    bins = random_csc_traffic(cfg.wave.num_bins, votes, n_symbols, rng)
     return precode(cfg.wave, build_fdss(cfg.wave), bins)
 
 
 def scheme_symbol_bodies(cfg: ExperimentConfig, scheme: str, seed: int) -> np.ndarray:
     """Oversampled per-symbol bodies for distribution metrics."""
     rng = keyed_rng(seed, "traffic", scheme)
-    bins = scheme_bin_symbols(cfg, scheme, cfg.metrics.num_symbols, rng)
-    return analog_body(cfg.wave, scheme_grids(cfg, scheme, bins), cfg.metrics.oversample)
+    grids = scheme_grids(cfg, scheme, cfg.metrics.num_symbols, rng)
+    return analog_body(cfg.wave, grids, cfg.metrics.oversample)
 
 
 def scheme_stream(cfg: ExperimentConfig, scheme: str, seed: int) -> ComplexSignal:
     """Windowed overlap-add symbol stream for spectral metrics."""
     rng = keyed_rng(seed, "stream", scheme)
-    bins = scheme_bin_symbols(cfg, scheme, cfg.metrics.stream_symbols, rng)
-    return assemble_stream(cfg.wave, scheme_grids(cfg, scheme, bins), cfg.metrics.oversample)
+    grids = scheme_grids(cfg, scheme, cfg.metrics.stream_symbols, rng)
+    return assemble_stream(cfg.wave, grids, cfg.metrics.oversample)
 
 
 def _distribution_report(

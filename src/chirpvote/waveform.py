@@ -1,25 +1,30 @@
 """DFT-spread OFDM chirp synthesis and recovery.
 
-Transmit chain (orthonormal transforms throughout):
+The chirp chain is the OFDM chain with DFT spreading in front (orthonormal
+transforms throughout):
 
-    bins s (M values) -> DFT_M -> per-bin shaping f -> centered subcarrier
-    mapping onto an N-point IDFT grid -> IDFT_N -> cyclic prefix + edge window
+    bins s (M values) -> DFT_M -> per-bin shaping f      (chirp only)
+      -> centered subcarrier mapping onto an N-point grid  (ofdm_grid)
+      -> IDFT_N body -> cyclic prefix/suffix + raised-cosine edges
 
 With the Fresnel-integral shaping vector from :func:`build_fdss`, a unit
 impulse at bin b becomes a linear chirp sweeping ``sweep_cycles`` cycles over
 the symbol, circularly shifted in time by b/M of the symbol; the M bins thus
 index M circularly-shifted chirps that superpose linearly.
 
-The receive chain drops the cyclic prefix and applies the matched (conjugate)
-shaping. The cascade receive(transmit(s)) equals the circular convolution of s
-with the inverse DFT of |f|^2 — i.e. it is diagonal in the precoder's
-frequency domain: DFT_M(s_hat) = |f|^2 * DFT_M(s) bin by bin. Energy
-detection downstream sums |s_hat|^2 over guard-spaced groups, for which this
-matched cascade is the faithful model.
+Reception mirrors it: :func:`demodulate_ofdm` drops the cyclic prefix, takes
+the N-point DFT and picks the occupied subcarriers, and :func:`despread`
+applies the matched (conjugate) shaping and the inverse DFT_M. The cascade
+despread(spread(s)) equals the circular convolution of s with the inverse
+DFT of |f|^2 — i.e. it is diagonal in the precoder's frequency domain:
+DFT_M(s_hat) = |f|^2 * DFT_M(s) bin by bin. Energy detection downstream sums
+|s_hat|^2 over guard-spaced groups, for which this matched cascade is the
+faithful model.
 
-Analog-domain paths (PA drive, spectral metrics) use :func:`analog_body` and
-:func:`assemble_stream`, which oversample by zero-padded IDFT and apply
-raised-cosine weighted overlap-add at the symbol boundaries.
+One framing step serves every rate: :func:`spread` and :func:`modulate_ofdm`
+keep one critical-rate symbol period of it, and :func:`assemble_stream`
+overlap-adds oversampled symbols (zero-padded IDFT, :func:`analog_body`) into
+the stream the PA and the spectral metrics see.
 """
 from __future__ import annotations
 
@@ -133,24 +138,21 @@ def build_fdss(cfg: WaveformConfig) -> np.ndarray:
     return f * np.sqrt(cfg.num_bins / np.sum(np.abs(f) ** 2))
 
 
-def precode(cfg: WaveformConfig, fdss: np.ndarray, bins: np.ndarray) -> np.ndarray:
-    """DFT-precode and shape bin symbols onto the IDFT subcarrier grid.
+def _dft_shape(cfg: WaveformConfig, fdss: np.ndarray, bins: np.ndarray) -> np.ndarray:
+    """DFT-spread and shape bin symbols: (..., M) -> (..., M) subcarrier symbols.
 
-    ``bins`` has shape (..., M); the result has shape (..., N) with the M
-    shaped outputs on the centered occupied subcarriers and zeros elsewhere.
+    The M-point DFT is reordered to the ascending occupied subcarriers
+    ``bin_indices`` (``fftshift``, since ``bin_low`` = -(M // 2)) and shaped.
     """
     bins = np.asarray(bins, dtype=complex)
     if bins.shape[-1] != cfg.num_bins:
         raise FramingError("bin vector length must equal num_bins")
-    spectrum = np.fft.fft(bins, norm="ortho", axis=-1)
-    j = cfg.bin_indices
-    grid = np.zeros(bins.shape[:-1] + (cfg.idft_size,), dtype=complex)
-    grid[..., j % cfg.idft_size] = fdss * spectrum[..., j % cfg.num_bins]
-    return grid
+    return fdss * np.fft.fftshift(np.fft.fft(bins, norm="ortho", axis=-1), axes=-1)
 
 
 def ofdm_grid(cfg: WaveformConfig, symbols: np.ndarray) -> np.ndarray:
-    """Map per-subcarrier symbols straight onto the IDFT grid (no precoder)."""
+    """Map per-subcarrier symbols onto the centered occupied subcarriers of
+    the IDFT grid: (..., M) -> (..., N), zeros elsewhere."""
     symbols = np.asarray(symbols, dtype=complex)
     if symbols.shape[-1] != cfg.num_bins:
         raise FramingError("symbol vector length must equal num_bins")
@@ -159,30 +161,69 @@ def ofdm_grid(cfg: WaveformConfig, symbols: np.ndarray) -> np.ndarray:
     return grid
 
 
-def _symbol_from_grid(cfg: WaveformConfig, grid: np.ndarray) -> ComplexSignal:
-    body = np.fft.ifft(grid, norm="ortho")
-    if cfg.cp_len:
-        sym = np.concatenate([body[-cfg.cp_len :], body])
-    else:
-        sym = body
-    w = cfg.window_rolloff
+def precode(cfg: WaveformConfig, fdss: np.ndarray, bins: np.ndarray) -> np.ndarray:
+    """DFT-precode and shape bin symbols onto the IDFT grid: (..., M) -> (..., N)."""
+    return ofdm_grid(cfg, _dft_shape(cfg, fdss, bins))
+
+
+def analog_body(cfg: WaveformConfig, grid: np.ndarray, oversample: int) -> np.ndarray:
+    """Symbol bodies (no CP, no window) at ``oversample`` times the sample rate.
+
+    Zero-padded orthonormal IDFT scaled by sqrt(oversample), so the mean
+    power per sample matches the critical-rate body.
+    """
+    if oversample < 1:
+        raise ValueError("oversample must be >= 1")
+    n = cfg.idft_size
+    padded = np.zeros(np.shape(grid)[:-1] + (oversample * n,), dtype=complex)
+    centered = (np.arange(n) + n // 2) % n - n // 2
+    padded[..., centered % (oversample * n)] = grid
+    return np.fft.ifft(padded, norm="ortho", axis=-1) * np.sqrt(oversample)
+
+
+def _rc_ramp(n: int) -> np.ndarray:
+    return 0.5 * (1.0 - np.cos(np.pi * (np.arange(n) + 0.5) / n))
+
+
+def _framed(cfg: WaveformConfig, grids: np.ndarray, oversample: int) -> np.ndarray:
+    """Cyclic prefix + body + cyclic suffix of each grid, with raised-cosine edges.
+
+    At ``oversample`` times the sample rate, the prefix is the body's last
+    cp_len samples and the suffix its first window_rolloff samples. The
+    rising ramp covers the head of the prefix and the falling ramp the
+    suffix, so the receiver window [cp_len, cp_len + N) is untouched.
+    """
+    bodies = analog_body(cfg, grids, oversample)
+    n = bodies.shape[-1]
+    cp = cfg.cp_len * oversample
+    w = cfg.window_rolloff * oversample
+    syms = np.concatenate([bodies[..., n - cp :], bodies, bodies[..., :w]], axis=-1)
     if w:
-        # Raised-cosine ramp confined to the head of the cyclic prefix; the
-        # receiver window [cp_len, cp_len + N) is untouched. The trailing
-        # edge is shaped at stream level (assemble_stream), where a cyclic
-        # suffix exists to absorb it.
-        sym = sym.copy()
-        sym[:w] *= _rc_ramp(w)
-    return ComplexSignal(samples=sym, sample_period=cfg.sample_period)
+        ramp = _rc_ramp(w)
+        syms[..., :w] *= ramp
+        syms[..., -w:] *= ramp[::-1]
+    return syms
+
+
+def modulate_ofdm(cfg: WaveformConfig, symbols: np.ndarray) -> ComplexSignal:
+    """One OFDM symbol (cyclic prefix included) from M subcarrier symbols.
+
+    The suffix, which carries the falling edge, belongs to the next symbol's
+    period and is left to :func:`assemble_stream`.
+    """
+    framed = _framed(cfg, ofdm_grid(cfg, symbols), 1)
+    return ComplexSignal(
+        samples=framed[: cfg.cp_len + cfg.idft_size], sample_period=cfg.sample_period
+    )
 
 
 def spread(cfg: WaveformConfig, fdss: np.ndarray, bins: np.ndarray) -> ComplexSignal:
     """Synthesize one chirp symbol (cyclic prefix included) from M bin symbols."""
-    return _symbol_from_grid(cfg, precode(cfg, fdss, bins))
+    return modulate_ofdm(cfg, _dft_shape(cfg, fdss, bins))
 
 
-def despread(cfg: WaveformConfig, fdss: np.ndarray, received: ComplexSignal) -> np.ndarray:
-    """Recover bin symbols with the matched (conjugate-shaping) receiver.
+def demodulate_ofdm(cfg: WaveformConfig, received: ComplexSignal) -> np.ndarray:
+    """Recover the M subcarrier symbols of one received OFDM symbol.
 
     Expects exactly one symbol of cp_len + N samples.
     """
@@ -192,83 +233,30 @@ def despread(cfg: WaveformConfig, fdss: np.ndarray, received: ComplexSignal) -> 
             f"expected {cfg.cp_len + cfg.idft_size} samples per symbol, got {r.size}"
         )
     spectrum = np.fft.fft(r[cfg.cp_len :], norm="ortho")
-    j = cfg.bin_indices
-    shaped = np.conj(fdss) * spectrum[j % cfg.idft_size]
-    folded = np.zeros(cfg.num_bins, dtype=complex)
-    folded[j % cfg.num_bins] = shaped
-    return np.fft.ifft(folded, norm="ortho")
-
-
-def modulate_ofdm(cfg: WaveformConfig, symbols: np.ndarray) -> ComplexSignal:
-    """Plain OFDM symbol (no precoder, no shaping); CP and window as in spread."""
-    return _symbol_from_grid(cfg, ofdm_grid(cfg, symbols))
-
-
-def demodulate_ofdm(cfg: WaveformConfig, received: ComplexSignal) -> np.ndarray:
-    """Recover per-subcarrier symbols from one plain OFDM symbol."""
-    r = np.asarray(received.samples)
-    if r.size != cfg.cp_len + cfg.idft_size:
-        raise FramingError(
-            f"expected {cfg.cp_len + cfg.idft_size} samples per symbol, got {r.size}"
-        )
-    spectrum = np.fft.fft(r[cfg.cp_len :], norm="ortho")
     return spectrum[cfg.bin_indices % cfg.idft_size]
 
 
-def _rc_ramp(n: int) -> np.ndarray:
-    return 0.5 * (1.0 - np.cos(np.pi * (np.arange(n) + 0.5) / n))
+def despread(cfg: WaveformConfig, fdss: np.ndarray, received: ComplexSignal) -> np.ndarray:
+    """Recover bin symbols with the matched receiver: conjugate shaping, fold
+    back to DFT order (``ifftshift``) and M-point IDFT of the OFDM subcarriers."""
+    shaped = np.conj(fdss) * demodulate_ofdm(cfg, received)
+    return np.fft.ifft(np.fft.ifftshift(shaped), norm="ortho")
 
 
-def _centered_pad(cfg: WaveformConfig, grid: np.ndarray, oversample: int) -> np.ndarray:
-    n = cfg.idft_size
-    padded = np.zeros(grid.shape[:-1] + (oversample * n,), dtype=complex)
-    centered = (np.arange(n) + n // 2) % n - n // 2
-    padded[..., centered % (oversample * n)] = grid
-    return padded
+def assemble_stream(cfg: WaveformConfig, grids: np.ndarray, oversample: int) -> ComplexSignal:
+    """Weighted-overlap-add symbol stream at ``oversample`` times the sample rate.
 
-
-def analog_body(cfg: WaveformConfig, grid: np.ndarray, oversample: int = 4) -> np.ndarray:
-    """Oversampled symbol body (no CP, no window) for PA/metrics paths.
-
-    Zero-padded orthonormal IDFT scaled by sqrt(oversample), so the mean
-    power per sample matches the critical-rate body.
+    Symbol i starts at i * stride, stride = (cp_len + N) * oversample, so the
+    receiver's symbol timing is unchanged; its suffix overlaps the head of
+    symbol i + 1, and the last suffix ends the stream.
     """
-    if oversample < 1:
-        raise ValueError("oversample must be >= 1")
-    if oversample == 1:
-        return np.fft.ifft(grid, norm="ortho", axis=-1)
-    padded = _centered_pad(cfg, np.asarray(grid, dtype=complex), oversample)
-    return np.fft.ifft(padded, norm="ortho", axis=-1) * np.sqrt(oversample)
-
-
-def assemble_stream(
-    cfg: WaveformConfig, grids: np.ndarray, oversample: int = 4
-) -> ComplexSignal:
-    """Weighted-overlap-add symbol stream at the oversampled (analog) rate.
-
-    Each symbol is CP + body + a cyclic suffix of window_rolloff samples;
-    raised-cosine ramps on both edges overlap into the neighbors. Stride is
-    (cp_len + N) * oversample, so the receiver's symbol timing is unchanged.
-    """
-    grids = np.asarray(grids, dtype=complex)
-    if grids.ndim == 1:
-        grids = grids[None, :]
-    bodies = analog_body(cfg, grids, oversample)
-    n_sym = bodies.shape[0]
+    syms = _framed(cfg, np.atleast_2d(grids), oversample)
+    n_sym = syms.shape[0]
     stride = (cfg.cp_len + cfg.idft_size) * oversample
-    cp = cfg.cp_len * oversample
     w = cfg.window_rolloff * oversample
-    parts = [bodies[:, -cp:], bodies] if cp else [bodies]
-    if w:
-        parts.append(bodies[:, :w])
-    syms = np.concatenate(parts, axis=1)
-    if w:
-        ramp = _rc_ramp(w)
-        syms[:, :w] *= ramp
-        syms[:, -w:] *= ramp[::-1]
-    out = np.zeros(n_sym * stride + w, dtype=complex)
-    out[: n_sym * stride] = syms[:, :stride].ravel()
-    if w:
-        tail_pos = (np.arange(n_sym)[:, None] + 1) * stride + np.arange(w)[None, :]
-        np.add.at(out, tail_pos.ravel(), syms[:, stride:].ravel())
-    return ComplexSignal(samples=out, sample_period=cfg.sample_period / oversample)
+    out = np.zeros((n_sym + 1, stride), dtype=complex)
+    out[:-1] = syms[:, :stride]
+    out[1:, :w] += syms[:, stride:]
+    return ComplexSignal(
+        samples=out.ravel()[: n_sym * stride + w], sample_period=cfg.sample_period / oversample
+    )

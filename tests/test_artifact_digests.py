@@ -1,7 +1,9 @@
-"""sha256 pins of the quick-profile ``train`` and ``aclr`` artifacts.
+"""sha256 pins of the quick-profile artifacts of every study command and of
+one dumped chirp and OFDM symbol.
 
-A change that moves any byte of them fails here, so a shift in the training
-or RF numbers is caught and has to be explained before the pins are updated.
+A change that moves any byte of them fails here, so a shift in the training,
+RF or synthesis numbers is caught and has to be explained before the pins
+are updated.
 """
 import hashlib
 from pathlib import Path
@@ -10,17 +12,37 @@ from chirpvote import cli
 
 QUICK = Path(__file__).resolve().parents[1] / "scripts" / "profiles" / "quick.json"
 
+#: output directory -> command line (each run with the quick profile)
+RUNS = {
+    "train": ["train"],
+    "aclr": ["aclr"],
+    "pmepr": ["pmepr"],
+    "cm": ["cm"],
+    "coverage": ["coverage"],
+    "snr-distance": ["snr-distance"],
+    "waveform-csc_mv_2": ["waveform-dump", "--scheme", "csc_mv_2"],
+    "waveform-obda": ["waveform-dump", "--scheme", "obda"],
+}
+
 DIGESTS = {
     "aclr/aclr_vs_obo.csv": "88eba79a6d85cf78b48b3d6032b0be2d53eb33e662800ede4a59c76e0da6d232",
+    "cm/cm_distribution.csv": "19ae3301d0515aa85a0487bf6f12e932c940713e09754701c930d9c5ed53bde1",
+    "cm/cm_summary.json": "c44cfee8ea5660ab5675f0ab736d3ae76707563dae3108f0a5b1583e91a5a396",
+    "coverage/coverage.csv": "cbe7b594ad3d844f57545891d042cb6bcdbbf258a12cdba77256ccd022b469e8",
+    "pmepr/pmepr_distribution.csv": "902bf74dc6aaf078836d753fea38495e4a3244f56d2d2f2f822a158c785eaa1e",
+    "pmepr/pmepr_summary.json": "7c88ed2187c97e658c09977016a706b062a5f8431dd00fe1a3a22fb712c3be9d",
+    "snr-distance/snr_vs_distance.csv": "0d9f56b6c9aaef6561bcb432a788fc9fe3e9eb1772bf61bacf302fe66ca2cdbf",
     "train/loss_by_distance.csv": "360273022fde844b970a42793990bd28301fe6e67bdce4aac26c29290e21e652",
     "train/train_history.csv": "2e45551d405db8dfcab2f401be5ea4f6f912dbefb9c962d45922499e1e225272",
     "train/train_summary.json": "76fa1945201318c4192bffcb5881732a5bb82130c9225b97449e70419a65c34e",
+    "waveform-csc_mv_2/waveform_symbol.csv": "dbda1820332d3015ecdd981fd796ca705b9bb0e93af5c5318b385fe411506290",
+    "waveform-obda/waveform_symbol.csv": "3c5054adcc850cc2bc262cc6419b9c87b8d5901c2d98275a5c70a8c2a6b22c01",
 }
 
 
 def test_quick_profile_artifacts_match_pinned_digests(tmp_path):
-    for command in ("train", "aclr"):
-        assert cli.main([command, "--config", str(QUICK), "--out", str(tmp_path / command)]) == 0
+    for name, argv in RUNS.items():
+        assert cli.main([*argv, "--config", str(QUICK), "--out", str(tmp_path / name)]) == 0
     digests = {
         path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
         for path in sorted(tmp_path.rglob("*"))

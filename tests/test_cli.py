@@ -8,7 +8,8 @@ from chirpvote import cli, studies
 from chirpvote._rng import keyed_rng
 from chirpvote.config import ExperimentConfig, MetricsConfig, TrainConfig, save_config
 from chirpvote.deployment import PowerControlParams
-from chirpvote.waveform import WaveformConfig, build_fdss, spread
+from chirpvote.oac import random_csc_traffic, random_qpsk
+from chirpvote.waveform import WaveformConfig, build_fdss, modulate_ofdm, spread
 
 N_PERCENTILES = len(studies.PERCENTILES)
 
@@ -203,10 +204,32 @@ class TestWaveformDump:
 
         cfg = ExperimentConfig()
         rng = keyed_rng(3, "waveform-dump", "csc_mv_2")
-        bins = studies.scheme_bin_symbols(cfg, "csc_mv_2", 1, rng)[0]
+        bins = random_csc_traffic(cfg.wave.num_bins, 2, 1, rng)[0]
         sig = spread(cfg.wave, build_fdss(cfg.wave), bins)
         assert dumped.shape == sig.samples.shape
         np.testing.assert_allclose(dumped, sig.samples, atol=1e-9)
+
+    def test_obda_dumps_plain_ofdm_symbol(self, tmp_path, capsys):
+        cfg_path = write_cfg(tmp_path)
+        assert run("waveform-dump", "--config", cfg_path, "--scheme", "obda") == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        dumped = np.array([float(r) + 1j * float(im) for _, r, im in rows])
+
+        wave = ExperimentConfig().wave
+        rng = keyed_rng(0, "waveform-dump", "obda")
+        sig = modulate_ofdm(wave, random_qpsk(wave.num_bins, 1, rng)[0])
+        assert dumped.shape == sig.samples.shape
+        np.testing.assert_allclose(dumped, sig.samples, atol=1e-9)
+
+    def test_scheme_takes_one_value(self, tmp_path, capsys):
+        # one symbol is dumped, so a repeated --scheme keeps the last value
+        cfg = write_cfg(tmp_path)
+        assert run("waveform-dump", "--config", cfg, "--scheme", "obda") == 0
+        obda = capsys.readouterr().out
+        assert run(
+            "waveform-dump", "--config", cfg, "--scheme", "csc_mv_2", "--scheme", "obda"
+        ) == 0
+        assert capsys.readouterr().out == obda
 
     def test_seed_changes_output(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path)
@@ -374,6 +397,8 @@ class TestErrorPaths:
         [
             ({"beta": 0.0}, "beta must lie in (0, alpha]"),
             ({"obo_ref": -1.0, "obo_min": -2.0}, "obo_ref must be non-negative"),
+            # a back-off below 0 dB drives the PA past saturation
+            ({"obo_min": -100.0}, "obo_min must lie in [0, obo_ref]"),
         ],
     )
     def test_bad_power_exits_2(self, tmp_path, command, power, message, capsys):
@@ -382,6 +407,19 @@ class TestErrorPaths:
         assert run(command, "--config", cfg) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
+
+    def test_device_without_samples_exits_2(self, tmp_path, capsys):
+        # 20 samples dealt by label half over 20 devices leave two outer
+        # devices empty, whose losses would be NaN and whose votes all -1
+        cfg = tmp_path / "empty.json"
+        cfg.write_text(json.dumps({"train": {
+            "partition": "heterogeneous", "train_samples": 20, "test_samples": 50,
+            "num_eds": 20, "rounds": 2, "seeds": [0],
+        }}))
+        out = tmp_path / "train"
+        assert run("train", "--config", cfg, "--scheme", "obda", "--out", out) == 2
+        assert "devices [16, 18] without samples" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "command", ["pmepr", "cm", "aclr", "coverage", "train", "waveform-dump"]

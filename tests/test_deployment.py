@@ -33,6 +33,11 @@ class TestParams:
         with pytest.raises(ConfigError):
             PowerControlParams(obo_ref=-1.0, obo_min=-2.0)
 
+    def test_backoff_below_zero_rejected(self):
+        with pytest.raises(ConfigError, match="obo_min"):
+            PowerControlParams(obo_min=-0.5)
+        assert PowerControlParams(obo_min=0.0).obo_min == 0.0
+
 
 class TestCoverageRadius:
     def test_frozen_reference_value(self):

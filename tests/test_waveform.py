@@ -222,6 +222,47 @@ class TestAnalogPaths:
         assert len(stream) == n * stride + CFG.window_rolloff * 4
         assert stream.sample_rate == pytest.approx(4 * CFG.sample_rate)
 
+    def test_stream_frames_and_overlaps_every_symbol(self):
+        # prefix = body tail, suffix = body head; the rising ramp covers the
+        # prefix head and the falling ramp the suffix, which lands on the
+        # next symbol's prefix head
+        cfg = WaveformConfig(cp_len=5, window_rolloff=3)
+        os = 2
+        rng = np.random.default_rng(6)
+        bins = rng.standard_normal((3, cfg.num_bins)) + 1j * rng.standard_normal(
+            (3, cfg.num_bins)
+        )
+        grids = precode(cfg, build_fdss(cfg), bins)
+        bodies = analog_body(cfg, grids, os)
+        stream = assemble_stream(cfg, grids, os).samples
+        n, cp, w = cfg.idft_size * os, cfg.cp_len * os, cfg.window_rolloff * os
+        stride = cp + n
+        ramp = 0.5 * (1.0 - np.cos(np.pi * (np.arange(w) + 0.5) / w))
+        for i, body in enumerate(bodies):
+            start = i * stride
+            np.testing.assert_array_equal(stream[start + cp : start + stride], body)
+            np.testing.assert_array_equal(stream[start + w : start + cp], body[n - cp + w :])
+            previous = ramp[::-1] * bodies[i - 1][:w] if i else 0.0
+            np.testing.assert_allclose(
+                stream[start : start + w], ramp * body[n - cp : n - cp + w] + previous,
+                atol=1e-15,
+            )
+        np.testing.assert_allclose(stream[3 * stride :], ramp[::-1] * bodies[-1][:w], atol=1e-15)
+
+    def test_symbol_is_first_period_of_its_stream(self):
+        # spread, modulate_ofdm and assemble_stream share one framing step
+        f = build_fdss(CFG)
+        rng = np.random.default_rng(7)
+        s = rng.standard_normal(CFG.num_bins) + 1j * rng.standard_normal(CFG.num_bins)
+        period = CFG.cp_len + CFG.idft_size
+        pairs = (
+            (spread(CFG, f, s), precode(CFG, f, s)),
+            (modulate_ofdm(CFG, s), ofdm_grid(CFG, s)),
+        )
+        for sym, grid in pairs:
+            stream = assemble_stream(CFG, grid, 1)
+            np.testing.assert_array_equal(stream.samples[:period], sym.samples)
+
     def test_stream_mean_power_close_to_symbol_power(self):
         f = build_fdss(CFG)
         rng = np.random.default_rng(5)
