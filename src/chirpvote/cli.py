@@ -158,10 +158,10 @@ def cmd_snr_distance(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _load_cfg(args)
+    train = replace(cfg.train, snr_db=args.snr_db) if args.snr_db else cfg.train
     schemes = (args.scheme,) if args.scheme else cfg.schemes
-    snr_points = tuple(args.snr_db) if args.snr_db else cfg.train.snr_db
-    seeds = (args.seed,) if args.seed is not None else cfg.train.seeds
-    history, summary, loss_rows = studies.train_sweep(cfg, schemes, snr_points, seeds)
+    seeds = (args.seed,) if args.seed is not None else train.seeds
+    history, summary, loss_rows = studies.train_sweep(cfg, schemes, train.snr_db, seeds)
     _emit(
         args.out,
         [

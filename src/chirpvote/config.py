@@ -96,8 +96,15 @@ class TrainConfig:
             raise ConfigError("snr_db and seeds must be non-empty")
         if min(self.seeds) < 0:
             raise ConfigError("seeds must be non-negative")
-        if not all(math.isfinite(s) for s in self.snr_db):
-            raise ConfigError("snr_db values must be finite")
+        # training's noise power is p_ref * 10^(-snr_db/10)
+        try:
+            finite = all(
+                math.isfinite(s) and math.isfinite(10.0 ** (-s / 10.0)) for s in self.snr_db
+            )
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ConfigError("snr_db values must be finite, with 10^(-snr_db/10) a finite float")
         if self.csc_coverage_m <= 0 or self.obda_coverage_m <= 0:
             raise ConfigError("coverage radii must be positive")
 

@@ -34,13 +34,14 @@ from .errors import ConfigError, InfeasibleError
 from .oac import (
     VotePlan,
     build_vote_plan,
+    csc_tones,
     detect_mv,
     decode_obda,
     encode_obda,
     guard_for_votes,
     sign_pm1,
 )
-from .waveform import WaveformConfig, build_fdss
+from .waveform import WaveformConfig, build_fdss, matched_despread
 
 INPUT_DIM = 64
 HIDDEN_DIM = 32
@@ -323,8 +324,6 @@ class _ChirpReceiver:
 
     plan: VotePlan
     fdss: np.ndarray
-    #: ``shaped[:, fold]`` puts occupied bin j at despread bin ``bins[j] % M``
-    fold: np.ndarray
     #: ``response[..., shifts[2u + s]]`` is ``response`` circularly shifted
     #: to the bin of slot u's sign-s tone (+ first)
     shifts: np.ndarray
@@ -334,38 +333,15 @@ class _ChirpReceiver:
 def _chirp_receiver(wave: WaveformConfig, votes_per_block: int) -> _ChirpReceiver:
     m = wave.num_bins
     plan = build_vote_plan(PARAM_DIM, m, guard_for_votes(m, votes_per_block))
-    # bin group 2u+s heads at bin (2u+s) * group_width
-    tones = np.arange(2 * plan.votes_per_block) * plan.group_width
     receiver = _ChirpReceiver(
         plan=plan,
         fdss=build_fdss(wave),
-        fold=np.argsort(wave.bin_indices % m),
-        shifts=(np.arange(m) - tones[:, None]) % m,
+        shifts=(np.arange(m) - plan.tone_bins[:, None]) % m,
     )
     # every round shares these arrays
-    for a in (receiver.fdss, receiver.fold, receiver.shifts):
+    for a in (receiver.fdss, receiver.shifts):
         a.flags.writeable = False
     return receiver
-
-
-def _vote_phases(
-    setup: TrainSetup, round_index: int, votes: np.ndarray, plan: VotePlan
-) -> np.ndarray:
-    """The round's vote phases as a (blocks x 2V*devices) matrix.  Column
-    (u, s, k) holds device k's unit phase in slot u of each block where its
-    vote has sign s (+ first), else 0; padding slots past grad_dim hold 0."""
-    num_eds, v = votes.shape[0], plan.votes_per_block
-    uniforms = np.empty((num_eds, plan.grad_dim))
-    for row, rng in zip(uniforms, keyed_rngs(setup.seed, "phase", round_index, count=num_eds)):
-        rng.random(out=row)
-    phases = 2j * np.pi * uniforms.T
-    np.exp(phases, out=phases)
-    stacked = np.zeros((plan.num_blocks, v, 2, num_eds), dtype=complex)
-    slots = stacked.reshape(plan.num_blocks * v, 2, num_eds)[: plan.grad_dim]
-    positive = votes.T > 0
-    np.copyto(slots[:, 0], phases, where=positive)
-    np.copyto(slots[:, 1], phases, where=~positive)
-    return stacked.reshape(plan.num_blocks, -1)
 
 
 def _csc_majority(
@@ -381,17 +357,16 @@ def _csc_majority(
     The receiver is linear up to energy detection, and a tone at bin b
     despreads to the bin-0 despread response circularly shifted by b.  So
     each device's bin-0 response -- its link amplitude times its channel and
-    timing-offset response, shaped by ``fdss`` and matched by ``conj(fdss)``,
-    folded and inverse transformed -- is computed once per round, and the
-    despread signal is one product of the (blocks x 2V*devices) vote-phase
-    matrix with those responses shifted to each (slot, sign) tone bin.
-    Receiver noise is white across bins because the transforms are
-    orthonormal; it takes the matched shaping and the one remaining
-    (blocks x M) inverse transform.  The votes equal those of the
-    sample-level chain (spread / propagate / superpose / despread, kept in
-    the test suite as an oracle) while the largest tap delay plus the timing
-    offset fits in the untapered part of the cyclic prefix, which
-    ``TrainSetup`` enforces.
+    timing-offset response, shaped by ``fdss`` and passed through
+    ``matched_despread`` -- is computed once per round, and the despread
+    signal is one product of the devices' ``csc_tones`` as a
+    (blocks x 2V*devices) matrix with those responses shifted to each
+    (slot, sign) tone bin.  Receiver noise is white across bins because the
+    transforms are orthonormal; it goes through ``matched_despread`` too.
+    The votes equal those of the sample-level chain (spread / propagate /
+    superpose / despread, kept in the test suite as an oracle) while the
+    largest tap delay plus the timing offset fits in the untapered part of
+    the cyclic prefix, which ``TrainSetup`` enforces.
     """
     wave = setup.wave
     rx = _chirp_receiver(wave, votes_per_block)
@@ -399,16 +374,14 @@ def _csc_majority(
     links = link_power(setup.power, setup.train.csc_coverage_m, setup.deployment.ed_distances)
     amp = math.sqrt(wave.idft_size / plan.votes_per_block)
     weights = (np.sqrt(links) * amp)[:, None] * _channel_responses(setup, round_index) * rx.fdss
-    matched = (np.conj(rx.fdss) * weights)[:, rx.fold]
-    response = np.fft.ifft(matched, norm="ortho", axis=1) / math.sqrt(m)
-    # rows (slot, sign, device), as the columns of the vote-phase matrix
+    response = matched_despread(rx.fdss, weights) / math.sqrt(m)
+    # rows (slot, sign, device), as the columns of the tone matrix
     shifted = response[:, rx.shifts].transpose(1, 0, 2).reshape(-1, m)
-    despreads = _vote_phases(setup, round_index, votes, plan) @ shifted
+    rngs = keyed_rngs(setup.seed, "phase", round_index, count=votes.shape[0])
+    despreads = csc_tones(plan, votes, rngs).reshape(plan.num_blocks, -1) @ shifted
     if noise_power > 0:
         noise = _receiver_noise(setup, round_index, noise_power, despreads.shape)
-        noise *= np.conj(rx.fdss)
-        noise = noise[:, rx.fold]
-        despreads += np.fft.ifft(noise, norm="ortho", axis=1, out=noise)
+        despreads += matched_despread(rx.fdss, noise)
     return detect_mv(plan, despreads).mv
 
 

@@ -5,15 +5,17 @@ A gradient sign is carried by activating exactly one of two guard-separated
 bins (one chirp of a complementary pair); devices transmit simultaneously and
 the server compares the aggregate energy of the two bin groups — no channel
 knowledge needed, and any CP-admissible delay only smears energy within a
-group. OBDA instead maps sign pairs to QPSK subcarriers with truncated
-channel inversion at each device, and the server takes component signs of the
-aggregated subcarriers.
+group. ``VotePlan.tone_bins`` places the tones that :func:`csc_tones` draws for
+any number of devices. OBDA instead maps sign pairs to QPSK subcarriers with
+truncated channel inversion at each device, and the server takes component
+signs of the aggregated subcarriers.
 
 Sign convention: sign(0) = +1 everywhere.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -51,9 +53,9 @@ class VotePlan:
     """Deterministic gradient-index -> (block, bin-pair) resource mapping.
 
     Gradient i (0-based) lands in block i // votes_per_block at within-block
-    slot u = i % votes_per_block; its +1 chirp occupies bin 2u*(1+guard) and
-    its -1 chirp bin (2u+1)*(1+guard), each heading a group of 1+guard bins
-    reserved for delay smear.
+    slot u = i % votes_per_block. Its sign-s chirp (s = 0 for +1, 1 for -1)
+    occupies ``tone_bins[2u + s]`` = (2u + s)(1 + guard), the head of a group
+    of 1 + guard bins reserved for delay smear.
     """
 
     grad_dim: int
@@ -67,20 +69,9 @@ class VotePlan:
         return 1 + self.guard_bins
 
     @property
-    def block_index(self) -> np.ndarray:
-        return np.arange(self.grad_dim) // self.votes_per_block
-
-    @property
-    def slot_index(self) -> np.ndarray:
-        return np.arange(self.grad_dim) % self.votes_per_block
-
-    @property
-    def pos_bin(self) -> np.ndarray:
-        return 2 * self.slot_index * self.group_width
-
-    @property
-    def neg_bin(self) -> np.ndarray:
-        return (2 * self.slot_index + 1) * self.group_width
+    def tone_bins(self) -> np.ndarray:
+        """Head bin of each group 2u + s, (2 * votes_per_block,), +1 first."""
+        return np.arange(2 * self.votes_per_block) * self.group_width
 
 
 def build_vote_plan(grad_dim: int, num_bins: int, guard_bins: int) -> VotePlan:
@@ -103,16 +94,37 @@ def build_vote_plan(grad_dim: int, num_bins: int, guard_bins: int) -> VotePlan:
     )
 
 
+def csc_tones(plan: VotePlan, votes: np.ndarray, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+    """Tones of a stack of devices: votes (devices, grad_dim) -> (num_blocks, V, 2, devices).
+
+    V is votes_per_block. Device k draws one fresh unit-circle phase per vote
+    from ``rngs[k]``; entry (b, u, s, k) holds its phase for gradient b * V + u
+    if that vote has sign s (+1 first), else 0. Padding past grad_dim holds 0.
+    """
+    votes = np.asarray(votes)
+    if votes.ndim != 2 or votes.shape[1] != plan.grad_dim:
+        raise FramingError("votes must be (devices, grad_dim)")
+    num_eds = votes.shape[0]
+    uniforms = np.empty((num_eds, plan.grad_dim))
+    for row, rng in zip(uniforms, rngs, strict=True):
+        rng.random(out=row)
+    phases = 2j * np.pi * uniforms.T
+    np.exp(phases, out=phases)
+    tones = np.zeros((plan.num_blocks, plan.votes_per_block, 2, num_eds), dtype=complex)
+    slots = tones.reshape(-1, 2, num_eds)[: plan.grad_dim]
+    positive = votes.T > 0
+    np.copyto(slots[:, 0], phases, where=positive)
+    np.copyto(slots[:, 1], phases, where=~positive)
+    return tones
+
+
 def encode_csc(plan: VotePlan, votes: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Bin symbols for one device: a fresh unit-circle symbol on the bin
-    selected by each vote's sign. Returns (num_blocks, num_bins)."""
+    """One device's :func:`csc_tones` on ``plan.tone_bins``: (num_blocks, num_bins) bins."""
     votes = np.asarray(votes)
     if votes.shape != (plan.grad_dim,):
         raise FramingError("vote vector length must equal grad_dim")
-    phases = np.exp(2j * np.pi * rng.random(plan.grad_dim))
-    bins = np.where(votes > 0, plan.pos_bin, plan.neg_bin)
     blocks = np.zeros((plan.num_blocks, plan.num_bins), dtype=complex)
-    blocks[plan.block_index, bins] = phases
+    blocks[:, plan.tone_bins] = csc_tones(plan, votes[None], [rng]).reshape(plan.num_blocks, -1)
     return blocks
 
 
@@ -141,9 +153,7 @@ def group_energies(plan: VotePlan, blocks: np.ndarray) -> np.ndarray:
 def detect_mv(plan: VotePlan, blocks: np.ndarray) -> DetectorReport:
     """Non-coherent majority vote: sign of the energy difference between each
     gradient's two bin groups."""
-    energy = group_energies(plan, blocks)
-    pos = energy[plan.block_index, 2 * plan.slot_index]
-    neg = energy[plan.block_index, 2 * plan.slot_index + 1]
+    pos, neg = group_energies(plan, blocks).reshape(-1, 2)[: plan.grad_dim].T
     margins = pos - neg
     return DetectorReport(mv=sign_pm1(margins), margins=margins)
 

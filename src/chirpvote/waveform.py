@@ -13,13 +13,14 @@ the symbol, circularly shifted in time by b/M of the symbol; the M bins thus
 index M circularly-shifted chirps that superpose linearly.
 
 Reception mirrors it: :func:`demodulate_ofdm` drops the cyclic prefix, takes
-the N-point DFT and picks the occupied subcarriers, and :func:`despread`
-applies the matched (conjugate) shaping and the inverse DFT_M. The cascade
-despread(spread(s)) equals the circular convolution of s with the inverse
-DFT of |f|^2 — i.e. it is diagonal in the precoder's frequency domain:
-DFT_M(s_hat) = |f|^2 * DFT_M(s) bin by bin. Energy detection downstream sums
-|s_hat|^2 over guard-spaced groups, for which this matched cascade is the
-faithful model.
+the N-point DFT and picks the occupied subcarriers, :func:`matched_despread`
+applies the matched (conjugate) shaping and the inverse DFT_M to any stack of
+subcarrier rows, and :func:`despread` is the two for one received symbol.
+The cascade despread(spread(s)) equals the circular convolution of s with the
+inverse DFT of |f|^2 — i.e. it is diagonal in the precoder's frequency
+domain: DFT_M(s_hat) = |f|^2 * DFT_M(s) bin by bin. Energy detection
+downstream sums |s_hat|^2 over guard-spaced groups, for which this matched
+cascade is the faithful model.
 
 One framing step serves every rate: :func:`spread` and :func:`modulate_ofdm`
 keep one critical-rate symbol period of it, and :func:`assemble_stream`
@@ -236,11 +237,18 @@ def demodulate_ofdm(cfg: WaveformConfig, received: ComplexSignal) -> np.ndarray:
     return spectrum[cfg.bin_indices % cfg.idft_size]
 
 
+def matched_despread(fdss: np.ndarray, subcarriers: np.ndarray) -> np.ndarray:
+    """Matched receiver, (..., M) occupied subcarriers -> (..., M) bin symbols, in
+    one working copy: fold back to DFT order (``ifftshift`` along the last
+    axis), conjugate shaping and M-point orthonormal IDFT."""
+    shaped = np.fft.ifftshift(np.asarray(subcarriers, dtype=complex), axes=-1)
+    np.multiply(np.fft.ifftshift(np.conj(fdss)), shaped, out=shaped)
+    return np.fft.ifft(shaped, norm="ortho", axis=-1, out=shaped)
+
+
 def despread(cfg: WaveformConfig, fdss: np.ndarray, received: ComplexSignal) -> np.ndarray:
-    """Recover bin symbols with the matched receiver: conjugate shaping, fold
-    back to DFT order (``ifftshift``) and M-point IDFT of the OFDM subcarriers."""
-    shaped = np.conj(fdss) * demodulate_ofdm(cfg, received)
-    return np.fft.ifft(np.fft.ifftshift(shaped), norm="ortho")
+    """Recover bin symbols of one received chirp symbol with the matched receiver."""
+    return matched_despread(fdss, demodulate_ofdm(cfg, received))
 
 
 def assemble_stream(cfg: WaveformConfig, grids: np.ndarray, oversample: int) -> ComplexSignal:

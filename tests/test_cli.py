@@ -320,6 +320,23 @@ class TestErrorPaths:
         assert exc.value.code == 2
         assert "not a finite number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scheme", ["csc_mv_2", "obda", "ideal"])
+    def test_snr_flag_with_unrepresentable_noise_exits_2(self, tmp_path, scheme, capsys):
+        # 10^(4000/10) is beyond the largest float
+        cfg = write_cfg(tmp_path)
+        out = tmp_path / "train"
+        assert run("train", "--config", cfg, "--scheme", scheme, "--snr-db=-4000", "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "snr_db" in err
+        assert not out.exists()
+
+    def test_profile_snr_with_unrepresentable_noise_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "loud.json"
+        cfg.write_text(json.dumps({"train": {"snr_db": [-1e308]}}))
+        assert run("train", "--config", cfg, "--scheme", "ideal") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "snr_db" in err
+
     @pytest.mark.parametrize("flag", ["--detection-snr", "--step-scale", "--noise-l1"])
     def test_non_finite_bound_input_exits_2(self, tmp_path, flag):
         # a NaN bound would be written as the non-JSON token NaN

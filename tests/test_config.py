@@ -90,6 +90,9 @@ class TestValidation:
             TrainConfig(seeds=())
         with pytest.raises(ConfigError):
             TrainConfig(snr_db=(10.0, float("nan")))
+        with pytest.raises(ConfigError, match="a finite float"):
+            TrainConfig(snr_db=(10.0, -3100.0))
+        assert TrainConfig(snr_db=(-3000.0, 1e308)).snr_db == (-3000.0, 1e308)
         with pytest.raises(ConfigError, match="max_sync_offset"):
             TrainConfig(max_sync_offset=-1)
         with pytest.raises(ConfigError, match="step_size"):

@@ -9,6 +9,7 @@ from chirpvote.errors import FramingError, InfeasibleError
 from chirpvote.oac import (
     VotePlan,
     build_vote_plan,
+    csc_tones,
     decode_obda,
     detect_mv,
     encode_csc,
@@ -71,27 +72,40 @@ class TestArithmetic:
 class TestResourceMap:
     def test_bins_disjoint_within_block(self):
         plan = build_vote_plan(8, M, 12)
-        used = [
-            b
-            for i in range(plan.votes_per_block)
-            for b in (plan.pos_bin[i], plan.neg_bin[i])
-        ]
+        used = plan.tone_bins.tolist()
+        assert len(used) == 2 * plan.votes_per_block
         assert len(set(used)) == len(used)
         assert all(0 <= b < M for b in used)
 
     def test_groups_do_not_overlap(self):
         plan = build_vote_plan(4, M, 5)
-        width = plan.group_width
-        starts = sorted(
-            plan.pos_bin[i] for i in range(plan.votes_per_block)
-        ) + sorted(plan.neg_bin[i] for i in range(plan.votes_per_block))
-        starts = sorted(starts)
-        assert all(b - a >= width for a, b in zip(starts, starts[1:]))
+        starts = sorted(plan.tone_bins.tolist())
+        assert all(b - a >= plan.group_width for a, b in zip(starts, starts[1:]))
 
     def test_block_and_slot_indexing(self):
         plan = build_vote_plan(10, M, 12)  # 2 votes per block
-        np.testing.assert_array_equal(plan.block_index, [0, 0, 1, 1, 2, 2, 3, 3, 4, 4])
-        np.testing.assert_array_equal(plan.slot_index, [0, 1] * 5)
+        votes = sign_pm1(keyed_rng(0, "oac-index").standard_normal((1, 10)))
+        tones = csc_tones(plan, votes, [keyed_rng(1, "oac-index")])
+        # one tone per gradient i: block i // 2, slot i % 2, sign (+ first), device 0
+        blocks, slots, signs, devices = np.nonzero(tones)
+        np.testing.assert_array_equal(blocks, [0, 0, 1, 1, 2, 2, 3, 3, 4, 4])
+        np.testing.assert_array_equal(slots, [0, 1] * 5)
+        np.testing.assert_array_equal(signs, (votes[0] < 0).astype(int))
+        np.testing.assert_array_equal(devices, 0)
+
+    @pytest.mark.parametrize("votes_per_block", [1, 2, 4])
+    def test_stacked_tones_match_one_device_encodes(self, votes_per_block):
+        # 3V + 1 gradients: the last block is padded whenever V > 1
+        plan = build_vote_plan(3 * votes_per_block + 1, M, guard_for_votes(M, votes_per_block))
+        k = 5
+        votes = sign_pm1(keyed_rng(2, "oac-stack").standard_normal((k, plan.grad_dim)))
+        tones = csc_tones(plan, votes, [keyed_rng(3, "oac-stack", d) for d in range(k)])
+        assert tones.shape == (plan.num_blocks, votes_per_block, 2, k)
+        scattered = np.zeros((k, plan.num_blocks, M), dtype=complex)
+        scattered[:, :, plan.tone_bins] = np.moveaxis(tones, -1, 0).reshape(k, plan.num_blocks, -1)
+        for d in range(k):
+            one = encode_csc(plan, votes[d], keyed_rng(3, "oac-stack", d))
+            assert np.array_equal(scattered[d], one)
 
 
 class TestEncodeDetect:
@@ -135,6 +149,8 @@ class TestEncodeDetect:
         plan = build_vote_plan(4, M, 12)
         with pytest.raises(ValueError):
             encode_csc(plan, np.ones(5, dtype=int), keyed_rng(0, "x"))
+        with pytest.raises(FramingError):
+            csc_tones(plan, np.ones((2, 5), dtype=int), [keyed_rng(0, "x")] * 2)
 
 
 class TestMultiDeviceMargins:

@@ -13,6 +13,7 @@ from chirpvote.waveform import (
     build_fdss,
     demodulate_ofdm,
     despread,
+    matched_despread,
     modulate_ofdm,
     ofdm_grid,
     precode,
@@ -178,6 +179,17 @@ class TestRoundTrip:
                 despread(
                     CFG, f, ComplexSignal(np.ones(bad, dtype=complex), 1 / CFG.sample_rate)
                 )
+
+    @pytest.mark.parametrize("num_bins", [53, 54])  # ifftshift != fftshift at odd M
+    def test_matched_despread_rows_match_despread(self, num_bins):
+        cfg = WaveformConfig(num_bins=num_bins)
+        f = build_fdss(cfg)
+        rng = np.random.default_rng(3)
+        n = cfg.cp_len + cfg.idft_size
+        rows = rng.standard_normal((5, n)) + 1j * rng.standard_normal((5, n))
+        symbols = [ComplexSignal(row, cfg.sample_period) for row in rows]
+        stacked = matched_despread(f, np.array([demodulate_ofdm(cfg, s) for s in symbols]))
+        assert np.array_equal(stacked, [despread(cfg, f, s) for s in symbols])
 
     def test_plain_ofdm_roundtrip(self):
         rng = np.random.default_rng(2)
