@@ -424,6 +424,11 @@ def scheme_uplink(scheme: str):
     return partial(_csc_majority, votes_per_block=votes_per_block)
 
 
+def _noise_power(setup: TrainSetup, snr_db: float) -> float:
+    """Receiver noise power for a target SNR: p_ref * 10^(-snr_db/10)."""
+    return setup.power.p_ref * 10.0 ** (-snr_db / 10.0)
+
+
 def run_round(
     state: TrainState, setup: TrainSetup, scheme: str, snr_db: float
 ) -> TrainState:
@@ -432,8 +437,7 @@ def run_round(
     loss/accuracy describe the model after the update."""
     uplink = scheme_uplink(scheme)
     votes = _collect_votes(state.weights, state.round_index, setup)
-    noise_power = setup.power.p_ref * 10.0 ** (-snr_db / 10.0)
-    mv = uplink(state.round_index, setup, votes, noise_power)
+    mv = uplink(state.round_index, setup, votes, _noise_power(setup, snr_db))
     weights = state.weights - setup.train.step_size * mv
     per_ed = tuple(mean_loss(weights, setup.train_set, setup.bounds).tolist())
     record = RoundRecord(
@@ -451,7 +455,16 @@ def run_round(
 
 def run_training(setup: TrainSetup, scheme: str, snr_db: float) -> TrainState:
     """``setup.train.rounds`` rounds of ``scheme`` at ``snr_db`` from the
-    seed's initial model."""
+    seed's initial model.
+
+    Raises ConfigError before the first round when the noise power
+    overflows: each factor can be finite while their product is not.
+    """
+    if not math.isfinite(_noise_power(setup, snr_db)):
+        raise ConfigError(
+            f"noise power p_ref * 10^(-snr_db/10) is not a finite float at "
+            f"p_ref={setup.power.p_ref:g}, snr_db={snr_db:g}"
+        )
     state = initial_state(setup)
     for _ in range(setup.train.rounds):
         state = run_round(state, setup, scheme, snr_db)

@@ -46,19 +46,20 @@ def drive_pa(pa: RappPa, sig: ComplexSignal, obo_db: float) -> ComplexSignal:
     """PA output for ``sig`` driven at ``obo_db`` back-off.
 
     The signal is scaled by g so that its mean power sits ``obo_db`` below
-    saturation, then passed through the Rapp curve.  The curve is evaluated
-    on g^2 |x|^2 from ``sig.power``, which is computed once however many
-    back-offs the signal is driven at, and g x is divided by the real
-    divisor through the real and imaginary parts, as complex division by a
-    real number does.
+    saturation, then passed through the Rapp curve.  The curve's
+    (g^2 |x|^2 / sat^2)^p is (g^2 / sat^2)^p times (|x|^2)^p, and
+    (|x|^2)^p comes from ``sig.power_pow(p)``, which caches it on the signal
+    next to ``sig.power``: it is computed once per signal and smoothness
+    however many back-offs the signal is driven at. g x is divided by the
+    real divisor through the real and imaginary parts, as complex division
+    by a real number does.
     """
     mean_power = sig.mean_power
     if mean_power <= 0:
         raise ValueError("cannot scale a zero-power signal")
     gain2 = pa.sat_amplitude**2 * 10.0 ** (-obo_db / 10.0) / mean_power
     gain = math.sqrt(gain2)
-    divisor = sig.power * (gain2 / pa.sat_amplitude**2)
-    np.power(divisor, pa.smoothness, out=divisor)
+    divisor = sig.power_pow(pa.smoothness) * (gain2 / pa.sat_amplitude**2) ** pa.smoothness
     divisor += 1.0
     np.power(divisor, 1.0 / (2.0 * pa.smoothness), out=divisor)
     x = sig.samples

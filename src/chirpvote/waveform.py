@@ -122,6 +122,17 @@ class ComplexSignal:
     def mean_power(self) -> float:
         return float(np.mean(self.power))
 
+    @cached_property
+    def _power_powers(self) -> dict[float, np.ndarray]:
+        return {}
+
+    def power_pow(self, exponent: float) -> np.ndarray:
+        """(|samples|^2)^exponent, computed once per signal and exponent."""
+        cached = self._power_powers.get(exponent)
+        if cached is None:
+            cached = self._power_powers[exponent] = np.power(self.power, exponent)
+        return cached
+
 
 def build_fdss(cfg: WaveformConfig) -> np.ndarray:
     """Fresnel-integral shaping coefficients, normalized to sum |f|^2 = M.
@@ -179,7 +190,9 @@ def analog_body(cfg: WaveformConfig, grid: np.ndarray, oversample: int) -> np.nd
     padded = np.zeros(np.shape(grid)[:-1] + (oversample * n,), dtype=complex)
     centered = (np.arange(n) + n // 2) % n - n // 2
     padded[..., centered % (oversample * n)] = grid
-    return np.fft.ifft(padded, norm="ortho", axis=-1) * np.sqrt(oversample)
+    np.fft.ifft(padded, norm="ortho", axis=-1, out=padded)
+    padded *= np.sqrt(oversample)
+    return padded
 
 
 def _rc_ramp(n: int) -> np.ndarray:

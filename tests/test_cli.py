@@ -337,6 +337,34 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "snr_db" in err
 
+    def test_profile_p_ref_with_unrepresentable_noise_exits_2(self, tmp_path, capsys):
+        # p_ref and 10^(100/10) are finite; their product is not
+        cfg = tmp_path / "hot.json"
+        cfg.write_text(
+            json.dumps(
+                {
+                    "power": {"p_ref": 1e300},
+                    "train": {"snr_db": [-100], "num_eds": 4, "rounds": 2, "seeds": [0]},
+                }
+            )
+        )
+        out = tmp_path / "train"
+        assert run("train", "--config", cfg, "--scheme", "csc_mv_2", "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "p_ref" in err
+        assert not out.exists()
+
+    def test_snr_flag_with_p_ref_overflow_exits_2(self, tmp_path, capsys):
+        # --snr-db replaces only the train section, so the product is checked
+        # where both values meet
+        cfg = write_cfg(tmp_path, power=PowerControlParams(p_ref=1e300))
+        out = tmp_path / "train"
+        argv = ("train", "--config", cfg, "--scheme", "obda", "--snr-db=-100", "--out", out)
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "p_ref" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag", ["--detection-snr", "--step-scale", "--noise-l1"])
     def test_non_finite_bound_input_exits_2(self, tmp_path, flag):
         # a NaN bound would be written as the non-JSON token NaN

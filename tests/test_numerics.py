@@ -62,7 +62,29 @@ class TestFresnel:
             fresnel_array(np.array([0.0, np.inf]))
 
 
+def _one_shot_density(x, fs, seg):
+    """Reference: window and transform every segment in one batch, then take
+    the mean over segments."""
+    step = seg - seg // 2
+    segments = np.lib.stride_tricks.sliding_window_view(x, seg)[::step]
+    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(seg) / seg)
+    spectra = np.fft.fft(segments * window, axis=-1)
+    power = spectra.real**2 + spectra.imag**2
+    return np.fft.fftshift(power.mean(axis=0) / (fs * np.sum(window**2)))
+
+
 class TestPowerSpectrum:
+    @pytest.mark.parametrize("seg", [2, 7, 64, 1024])
+    @pytest.mark.parametrize("count", [1, 31, 32, 33, 64, 65])
+    def test_blocks_equal_one_shot_periodogram(self, count, seg):
+        # the running sum adds segment rows in the one-shot order, bit for bit
+        n = (count - 1) * (seg - seg // 2) + seg
+        rng = np.random.default_rng(count * 10_000 + seg)
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        freqs, dens = power_spectrum(x, 15.36e6, seg)
+        assert freqs.size == seg
+        np.testing.assert_array_equal(dens, _one_shot_density(x, 15.36e6, seg))
+
     def test_total_power_matches_parseval(self):
         rng = np.random.default_rng(7)
         fs = 15.36e6
@@ -162,7 +184,7 @@ class TestPowerSpectrumOracle:
         src = str(Path(chirpvote.__file__).resolve().parents[1])
         code = "import sys, chirpvote.cli; sys.exit('scipy.signal' in sys.modules)"
         result = subprocess.run(
-            [sys.executable, "-c", code],
+            [sys.executable, "-B", "-c", code],
             env={"PYTHONPATH": src, "PATH": ""},
             capture_output=True,
             timeout=120,

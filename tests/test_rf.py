@@ -117,6 +117,20 @@ class TestRappPa:
             assert out.sample_period == stream.sample_period
             np.testing.assert_allclose(out.samples, ref, rtol=1e-14, atol=0)
 
+    def test_reused_signal_matches_fresh_copy(self):
+        # (|x|^2)^p is cached per signal: alternating two smoothness values on
+        # one stream must give what a fresh signal gives for each
+        stream = _csc_stream(4, 16, seed=9)
+        pas = (RappPa(smoothness=0.9), RappPa(smoothness=3.0))
+        for obo in (0.0, 4.5, 12.0):
+            for pa in pas:
+                fresh = ComplexSignal(
+                    samples=stream.samples.copy(), sample_period=stream.sample_period
+                )
+                np.testing.assert_array_equal(
+                    drive_pa(pa, stream, obo).samples, drive_pa(pa, fresh, obo).samples
+                )
+
     def test_drive_rejects_zero_power(self):
         dead = ComplexSignal(samples=np.zeros(8, dtype=complex), sample_period=1.0)
         with pytest.raises(ValueError):

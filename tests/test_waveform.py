@@ -216,6 +216,21 @@ class TestAnalogPaths:
         p4 = np.mean(np.abs(body4) ** 2, axis=-1)
         np.testing.assert_allclose(p1, p4, rtol=1e-12)
 
+    @pytest.mark.parametrize("oversample", [1, 4])
+    def test_in_place_body_matches_out_of_place(self, oversample):
+        rng = np.random.default_rng(8)
+        s = rng.standard_normal((6, CFG.num_bins)) + 1j * rng.standard_normal(
+            (6, CFG.num_bins)
+        )
+        grids = precode(CFG, build_fdss(CFG), s)
+        before = grids.copy()
+        n = CFG.idft_size
+        padded = np.zeros((6, oversample * n), dtype=complex)
+        padded[:, ((np.arange(n) + n // 2) % n - n // 2) % (oversample * n)] = grids
+        ref = np.fft.ifft(padded, norm="ortho", axis=-1) * np.sqrt(oversample)
+        np.testing.assert_array_equal(analog_body(CFG, grids, oversample), ref)
+        np.testing.assert_array_equal(grids, before)
+
     def test_oversample_validity(self):
         with pytest.raises(ValueError):
             analog_body(CFG, np.ones(CFG.idft_size, dtype=complex), oversample=0)
