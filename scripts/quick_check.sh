@@ -14,6 +14,6 @@ run coverage --config "$profile" --out "$out/coverage"
 run snr-distance --config "$profile" --out "$out/snr_distance"
 run train --config "$profile" --out "$out/train"
 run waveform-dump --config "$profile" --scheme csc_mv_2 --out "$out/waveform"
-run bound --out "$out/bound"
+run bound --config "$profile" --out "$out/bound"
 
 echo "done: artifacts under $out/"

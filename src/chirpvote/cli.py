@@ -151,7 +151,7 @@ def cmd_snr_distance(args) -> int:
     rows = studies.snr_distance_study(cfg)
     _emit(
         args.out,
-        [("snr_vs_distance.csv", _csv(["distance_m", "snr_db"], rows))],
+        [("snr_vs_distance.csv", _csv(["target_snr_db", "distance_m", "snr_db"], rows))],
     )
     return 0
 
@@ -280,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp, SCHEME_NAMES)
     sp.set_defaults(func=cmd_coverage)
 
-    sp = sub.add_parser("snr-distance", help="uplink SNR versus distance")
+    sp = sub.add_parser("snr-distance", help="uplink SNR versus distance per training SNR")
     _add_common(sp, seed=False)
     sp.set_defaults(func=cmd_snr_distance)
 

@@ -96,7 +96,7 @@ class TrainConfig:
             raise ConfigError("snr_db and seeds must be non-empty")
         if min(self.seeds) < 0:
             raise ConfigError("seeds must be non-negative")
-        # training's noise power is p_ref * 10^(-snr_db/10)
+        # training's noise power is 10^(-snr_db/10)
         try:
             finite = all(
                 math.isfinite(s) and math.isfinite(10.0 ** (-s / 10.0)) for s in self.snr_db

@@ -7,7 +7,9 @@ compensates path loss (exponent ``alpha``) up to the coverage radius
     r_p = r_ref * 10^((obo_ref - obo_min) / (10 * beta)),
 
 beyond which the transmit-power clamp binds and the received SNR decays at
-10 * alpha dB per decade of distance.
+10 * alpha dB per decade of distance. Link power is stated relative to the
+power-control target: 1 inside r_p, so a device there is received at the
+target SNR.
 """
 from __future__ import annotations
 
@@ -26,24 +28,18 @@ class PowerControlParams:
     alpha: float = 4.0
     beta: float = 4.0
     r_ref: float = 10.0
-    p_ref: float = 1.0
     obo_ref: float = 30.0
     obo_min: float = 10.5
-    noise_power: float = 0.01
 
     def __post_init__(self) -> None:
         if not 0 < self.beta <= self.alpha:
             raise ConfigError("compensation exponent beta must lie in (0, alpha]")
         if self.r_ref <= 0:
             raise ConfigError("r_ref must be positive")
-        if self.p_ref <= 0:
-            raise ConfigError("p_ref must be positive")
         if self.obo_ref < 0:
             raise ConfigError("obo_ref must be non-negative")
         if not 0 <= self.obo_min <= self.obo_ref:
             raise ConfigError("obo_min must lie in [0, obo_ref]")
-        if self.noise_power <= 0:
-            raise ConfigError("noise_power must be positive")
 
 
 @dataclass(frozen=True)
@@ -53,7 +49,6 @@ class Deployment:
     ed_distances: np.ndarray
     r_min: float
     r_max: float
-    seed: int
 
     def __post_init__(self) -> None:
         d = np.asarray(self.ed_distances, dtype=float)
@@ -74,7 +69,7 @@ class Deployment:
         """Draw device distances uniformly in radius on [r_min, r_max]."""
         rng = keyed_rng(seed, "deployment")
         d = r_min + (r_max - r_min) * rng.random(num_eds)
-        return cls(ed_distances=d, r_min=r_min, r_max=r_max, seed=seed)
+        return cls(ed_distances=d, r_min=r_min, r_max=r_max)
 
 
 def coverage_radius(pc: PowerControlParams) -> float:
@@ -83,21 +78,9 @@ def coverage_radius(pc: PowerControlParams) -> float:
 
 
 def link_power(pc: PowerControlParams, r_p: float, d: np.ndarray | float):
-    """Delivered power with the transmit clamp binding beyond coverage:
-
-    p_ref inside r_p, then p_ref * (d/r_p)^(-alpha).
-    """
+    """Delivered power relative to the target, with the transmit clamp
+    binding beyond coverage: min(1, r_p/d)^alpha."""
     d = np.asarray(d, dtype=float)
     ratio = np.minimum(1.0, r_p / np.maximum(d, np.finfo(float).tiny))
-    power = pc.p_ref * ratio**pc.alpha
+    power = ratio**pc.alpha
     return power if power.ndim else float(power)
-
-
-def snr_vs_distance(
-    pc: PowerControlParams, r_p: float, distances: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Uplink SNR over a distance grid: flat at the target up to r_p, then
-    decaying at 10*alpha dB per decade."""
-    d = np.asarray(distances, dtype=float)
-    snr_db = 10.0 * np.log10(link_power(pc, r_p, d) / pc.noise_power)
-    return d, snr_db

@@ -1,12 +1,12 @@
 """Power-amplifier model and transmit-signal quality metrics.
 
-The PA is the memoryless Rapp AM/AM curve
+The PA is the memoryless Rapp AM/AM curve at unit saturation amplitude
 
-    y = x / (1 + (|x|/sat)^(2p))^(1/(2p)),
+    y = x / (1 + |x|^(2p))^(1/(2p)),
 
 phase-preserving and norm-contractive. Output back-off (OBO) is defined on
-the PA input: a signal driven at ``obo_db`` has mean power
-sat^2 * 10^(-obo_db/10) before amplification.
+the PA input: a signal driven at ``obo_db`` has mean power 10^(-obo_db/10)
+before amplification, ``obo_db`` below saturation.
 
 Metrics: PMEPR (peak-to-mean envelope power ratio), the 3GPP-style cubic
 metric (cubed normalized envelope, rms, referenced to 1.52 dB with slope
@@ -30,14 +30,12 @@ CM_SLOPE = 1.52
 
 @dataclass(frozen=True)
 class RappPa:
-    """Rapp AM/AM nonlinearity; the operating back-off is set per call."""
+    """Rapp AM/AM nonlinearity at unit saturation; the operating back-off is
+    set per call."""
 
-    sat_amplitude: float = 1.0
     smoothness: float = 0.9
 
     def __post_init__(self) -> None:
-        if self.sat_amplitude <= 0:
-            raise ConfigError("sat_amplitude must be positive")
         if self.smoothness <= 0:
             raise ConfigError("smoothness must be positive")
 
@@ -47,7 +45,7 @@ def drive_pa(pa: RappPa, sig: ComplexSignal, obo_db: float) -> ComplexSignal:
 
     The signal is scaled by g so that its mean power sits ``obo_db`` below
     saturation, then passed through the Rapp curve.  The curve's
-    (g^2 |x|^2 / sat^2)^p is (g^2 / sat^2)^p times (|x|^2)^p, and
+    (g^2 |x|^2)^p is (g^2)^p times (|x|^2)^p, and
     (|x|^2)^p comes from ``sig.power_pow(p)``, which caches it on the signal
     next to ``sig.power``: it is computed once per signal and smoothness
     however many back-offs the signal is driven at. g x is divided by the
@@ -57,9 +55,9 @@ def drive_pa(pa: RappPa, sig: ComplexSignal, obo_db: float) -> ComplexSignal:
     mean_power = sig.mean_power
     if mean_power <= 0:
         raise ValueError("cannot scale a zero-power signal")
-    gain2 = pa.sat_amplitude**2 * 10.0 ** (-obo_db / 10.0) / mean_power
+    gain2 = 10.0 ** (-obo_db / 10.0) / mean_power
     gain = math.sqrt(gain2)
-    divisor = sig.power_pow(pa.smoothness) * (gain2 / pa.sat_amplitude**2) ** pa.smoothness
+    divisor = sig.power_pow(pa.smoothness) * gain2**pa.smoothness
     divisor += 1.0
     np.power(divisor, 1.0 / (2.0 * pa.smoothness), out=divisor)
     x = sig.samples

@@ -13,7 +13,7 @@ import numpy as np
 from ._rng import keyed_rng
 from .config import ExperimentConfig, scheme_votes
 from .datasets import synthetic_digits
-from .deployment import Deployment, coverage_radius, snr_vs_distance
+from .deployment import Deployment, coverage_radius, link_power
 from .errors import InfeasibleError
 from .learn import (
     TrainSetup,
@@ -30,9 +30,6 @@ from .rf import (
     occupied_band,
     pmepr_batch,
 )
-
-#: CCDF grid for the per-symbol metric curves (dense body plus the far tail)
-PERCENTILES = np.append(np.arange(0.5, 100.0, 0.5), 99.9)
 from .waveform import (
     ComplexSignal,
     analog_body,
@@ -41,6 +38,11 @@ from .waveform import (
     ofdm_grid,
     precode,
 )
+
+#: CCDF grid for the per-symbol metric curves (dense body plus the far tail)
+PERCENTILES = np.append(np.arange(0.5, 100.0, 0.5), 99.9)
+#: distance points of the SNR map, r_min to r_max
+SNR_DISTANCE_POINTS = 81
 
 
 def scheme_grids(
@@ -159,13 +161,15 @@ def coverage_study(cfg: ExperimentConfig, seed: int) -> list[dict]:
     return rows
 
 
-def snr_distance_study(cfg: ExperimentConfig, n_points: int = 81) -> list[dict]:
-    """Uplink SNR against distance for the configured power profile."""
-    radius = coverage_radius(cfg.power)
-    grid = np.linspace(cfg.r_min, cfg.r_max, n_points)
-    distances, snrs = snr_vs_distance(cfg.power, radius, grid)
+def snr_distance_study(cfg: ExperimentConfig) -> list[dict]:
+    """Uplink SNR against distance, one curve per training SNR target: the
+    target inside the coverage radius, then 10*alpha dB per decade lower."""
+    grid = np.linspace(cfg.r_min, cfg.r_max, SNR_DISTANCE_POINTS)
+    gain_db = 10.0 * np.log10(link_power(cfg.power, coverage_radius(cfg.power), grid))
     return [
-        {"distance_m": float(d), "snr_db": float(s)} for d, s in zip(distances, snrs)
+        {"target_snr_db": target, "distance_m": float(d), "snr_db": float(target + g)}
+        for target in cfg.train.snr_db
+        for d, g in zip(grid, gain_db)
     ]
 
 

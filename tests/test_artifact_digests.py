@@ -31,7 +31,7 @@ DIGESTS = {
     "coverage/coverage.csv": "cbe7b594ad3d844f57545891d042cb6bcdbbf258a12cdba77256ccd022b469e8",
     "pmepr/pmepr_distribution.csv": "902bf74dc6aaf078836d753fea38495e4a3244f56d2d2f2f822a158c785eaa1e",
     "pmepr/pmepr_summary.json": "7c88ed2187c97e658c09977016a706b062a5f8431dd00fe1a3a22fb712c3be9d",
-    "snr-distance/snr_vs_distance.csv": "0d9f56b6c9aaef6561bcb432a788fc9fe3e9eb1772bf61bacf302fe66ca2cdbf",
+    "snr-distance/snr_vs_distance.csv": "72b095efa0bd744b4d035cea2f48efd8bb6ac66ede9bcb4018478b1ec60642d3",
     "train/loss_by_distance.csv": "360273022fde844b970a42793990bd28301fe6e67bdce4aac26c29290e21e652",
     "train/train_history.csv": "2e45551d405db8dfcab2f401be5ea4f6f912dbefb9c962d45922499e1e225272",
     "train/train_summary.json": "76fa1945201318c4192bffcb5881732a5bb82130c9225b97449e70419a65c34e",

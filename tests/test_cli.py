@@ -129,8 +129,10 @@ class TestStudyCommands:
         cfg = write_cfg(tmp_path)
         assert run("snr-distance", "--config", cfg) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert lines[0] == "distance_m,snr_db"
+        assert lines[0] == "target_snr_db,distance_m,snr_db"
         assert len(lines) == 82
+        # inside the coverage radius each curve sits at its training target
+        assert lines[1] == "10.000000,10.000000,10.000000"
 
 
 class TestTrainCommand:
@@ -337,34 +339,6 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "snr_db" in err
 
-    def test_profile_p_ref_with_unrepresentable_noise_exits_2(self, tmp_path, capsys):
-        # p_ref and 10^(100/10) are finite; their product is not
-        cfg = tmp_path / "hot.json"
-        cfg.write_text(
-            json.dumps(
-                {
-                    "power": {"p_ref": 1e300},
-                    "train": {"snr_db": [-100], "num_eds": 4, "rounds": 2, "seeds": [0]},
-                }
-            )
-        )
-        out = tmp_path / "train"
-        assert run("train", "--config", cfg, "--scheme", "csc_mv_2", "--out", out) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "p_ref" in err
-        assert not out.exists()
-
-    def test_snr_flag_with_p_ref_overflow_exits_2(self, tmp_path, capsys):
-        # --snr-db replaces only the train section, so the product is checked
-        # where both values meet
-        cfg = write_cfg(tmp_path, power=PowerControlParams(p_ref=1e300))
-        out = tmp_path / "train"
-        argv = ("train", "--config", cfg, "--scheme", "obda", "--snr-db=-100", "--out", out)
-        assert run(*argv) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "p_ref" in err
-        assert not out.exists()
-
     @pytest.mark.parametrize("flag", ["--detection-snr", "--step-scale", "--noise-l1"])
     def test_non_finite_bound_input_exits_2(self, tmp_path, flag):
         # a NaN bound would be written as the non-JSON token NaN
@@ -429,12 +403,25 @@ class TestErrorPaths:
             assert not out.exists()
 
     @pytest.mark.parametrize("command", ["aclr", "pmepr"])
-    @pytest.mark.parametrize("pa", [{"sat_amplitude": 0.0}, {"smoothness": -1.0}])
+    @pytest.mark.parametrize("pa", [{"smoothness": 0.0}, {"smoothness": -1.0}])
     def test_bad_pa_exits_2(self, tmp_path, command, pa, capsys):
         cfg = tmp_path / "pa.json"
         cfg.write_text(json.dumps({"pa": pa}))
         assert run(command, "--config", cfg, "--scheme", "obda") == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "section, key", [("pa", "sat_amplitude"), ("power", "p_ref"), ("power", "noise_power")]
+    )
+    def test_removed_power_scale_key_exits_2(self, tmp_path, section, key, capsys):
+        # powers are relative to PA saturation and to the power-control
+        # target, and the noise comes from train.snr_db, so no profile key
+        # sets an absolute scale
+        cfg = tmp_path / "scale.json"
+        cfg.write_text(json.dumps({section: {key: 1.0}}))
+        assert run("snr-distance", "--config", cfg) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err
 
     @pytest.mark.parametrize("command", ["snr-distance", "coverage"])
     @pytest.mark.parametrize(

@@ -1,19 +1,20 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.stats import kstest
 
+from chirpvote.config import ExperimentConfig, TrainConfig
 from chirpvote.deployment import (
     Deployment,
     PowerControlParams,
     coverage_radius,
     link_power,
-    snr_vs_distance,
 )
 from chirpvote.errors import ConfigError
+from chirpvote.studies import SNR_DISTANCE_POINTS, snr_distance_study
 
-PC = PowerControlParams(
-    alpha=4.0, beta=4.0, r_ref=10.0, p_ref=1.0, obo_ref=30.0, obo_min=10.5, noise_power=0.01
-)
+PC = PowerControlParams(alpha=4.0, beta=4.0, r_ref=10.0, obo_ref=30.0, obo_min=10.5)
 
 
 class TestParams:
@@ -28,8 +29,6 @@ class TestParams:
     def test_positive_scales(self):
         with pytest.raises(ConfigError):
             PowerControlParams(r_ref=0.0)
-        with pytest.raises(ConfigError):
-            PowerControlParams(p_ref=-1.0)
         with pytest.raises(ConfigError):
             PowerControlParams(obo_ref=-1.0, obo_min=-2.0)
 
@@ -46,8 +45,6 @@ class TestCoverageRadius:
 
     def test_monotone_in_backoff_budget(self):
         base = coverage_radius(PC)
-        from dataclasses import replace
-
         assert coverage_radius(replace(PC, obo_min=3.3)) > base
         assert coverage_radius(replace(PC, obo_ref=35.0)) > base
         assert coverage_radius(replace(PC, obo_min=30.0)) == pytest.approx(PC.r_ref)
@@ -70,16 +67,29 @@ class TestLinkPower:
         assert np.all(np.diff(p) <= 1e-15)
 
 
-class TestSnrVsDistance:
-    def test_flat_then_40db_per_decade(self):
-        r_p = 30.0
-        d = np.array([10.0, 20.0, 30.0, 60.0, 300.0])
-        dd, snr = snr_vs_distance(PC, r_p, d)
-        np.testing.assert_allclose(dd, d)
-        assert snr[0] == pytest.approx(20.0, abs=1e-9)
-        assert snr[2] == pytest.approx(20.0, abs=1e-9)
-        assert snr[3] == pytest.approx(20.0 - 40.0 * np.log10(2.0), abs=1e-9)
-        assert snr[4] == pytest.approx(20.0 - 40.0, abs=1e-9)
+class TestSnrDistanceStudy:
+    @pytest.mark.parametrize("alpha", [4.0, 3.0])
+    def test_one_curve_per_target_flat_then_alpha_decades(self, alpha):
+        # a wide cell so the far end lies a decade past the coverage radius
+        power = replace(PC, alpha=alpha, beta=alpha)
+        r_p = coverage_radius(power)
+        cfg = ExperimentConfig(
+            power=power, r_min=10.0, r_max=20.0 * r_p, train=TrainConfig(snr_db=(20.0, 5.0))
+        )
+        rows = snr_distance_study(cfg)
+        assert len(rows) == 2 * SNR_DISTANCE_POINTS
+        for target in (20.0, 5.0):
+            curve = [r for r in rows if r["target_snr_db"] == target]
+            d = np.array([r["distance_m"] for r in curve])
+            snr = np.array([r["snr_db"] for r in curve])
+            np.testing.assert_allclose(d, np.linspace(10.0, 20.0 * r_p, SNR_DISTANCE_POINTS))
+            np.testing.assert_allclose(snr[d <= r_p], target, atol=1e-12)
+            beyond = d > r_p
+            expected = target - 10.0 * alpha * np.log10(d[beyond] / r_p)
+            np.testing.assert_allclose(snr[beyond], expected, atol=1e-9)
+            # a decade past the radius is 10 * alpha dB down
+            decade = 10.0 * r_p
+            assert np.interp(decade, d, snr) == pytest.approx(target - 10.0 * alpha, abs=0.1)
 
 
 class TestDeployment:
@@ -99,8 +109,8 @@ class TestDeployment:
 
     def test_validation(self):
         with pytest.raises(ConfigError):
-            Deployment(ed_distances=np.array([]), r_min=10.0, r_max=50.0, seed=0)
+            Deployment(ed_distances=np.array([]), r_min=10.0, r_max=50.0)
         with pytest.raises(ConfigError):
-            Deployment(ed_distances=np.array([5.0]), r_min=10.0, r_max=50.0, seed=0)
+            Deployment(ed_distances=np.array([5.0]), r_min=10.0, r_max=50.0)
         with pytest.raises(ConfigError):
             Deployment.sample(5, 50.0, 10.0, seed=0)

@@ -174,7 +174,7 @@ class TestMajorityVote:
 class TestPartition:
     def _deployment(self, distances):
         return Deployment(
-            ed_distances=np.asarray(distances, dtype=float), r_min=10.0, r_max=50.0, seed=0
+            ed_distances=np.asarray(distances, dtype=float), r_min=10.0, r_max=50.0
         )
 
     def test_homogeneous_true_partition(self):
@@ -275,7 +275,7 @@ class TestTrainingMechanics:
         # a non-default step size: run_round must take it from the profile
         setup = studies.training_setup(_tiny_cfg(step_size=0.05), 2)
         state = initial_state(setup)
-        noise_power = setup.power.p_ref * 10.0 ** (-15.0 / 10.0)
+        noise_power = 10.0 ** (-15.0 / 10.0)
         votes = _collect_votes(state.weights, 0, setup)
         mv = uplink(0, setup, votes, noise_power)
         new = run_round(state, setup, scheme, 15.0)
@@ -296,12 +296,21 @@ class TestTrainingMechanics:
         assert [r.round_index for r in state.history] == [0, 1, 2]
         assert all(len(r.per_ed_loss) == 5 for r in state.history)
 
+    @pytest.mark.parametrize("snr_db", [float("nan"), -float("inf"), -4000.0])
+    def test_training_rejects_snr_without_finite_noise(self, snr_db):
+        # an SNR passed outside the profile gets the profile's check
+        setup = studies.training_setup(_tiny_cfg(rounds=1), 1)
+        with pytest.raises(ConfigError, match="snr_db"):
+            run_training(setup, "ideal", snr_db)
+
     def test_loss_by_distance_shapes(self):
-        setup = studies.training_setup(_tiny_cfg(), 1)
-        state = initial_state(setup)
+        # the losses are the last round's record, so one round must have run
+        setup = studies.training_setup(_tiny_cfg(rounds=1), 1)
+        state = run_training(setup, "ideal", 20.0)
         d, losses = loss_by_distance(state, setup)
         assert d.shape == losses.shape == (5,)
         assert np.all(losses > 0)
+        np.testing.assert_array_equal(d, setup.deployment.ed_distances)
 
     def test_setup_validation(self):
         setup = studies.training_setup(_tiny_cfg(), 0)

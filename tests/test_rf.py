@@ -35,12 +35,12 @@ CFG = WaveformConfig()
 
 
 def scale_to_obo(pa: RappPa, sig: ComplexSignal, obo_db: float) -> ComplexSignal:
-    """Reference: scale the signal so its mean power sits obo_db below PA
-    saturation."""
+    """Reference: scale the signal so its mean power sits obo_db below the
+    PA's unit saturation."""
     mean_power = float(np.mean(np.abs(sig.samples) ** 2))
     if mean_power <= 0:
         raise ValueError("cannot scale a zero-power signal")
-    target = pa.sat_amplitude**2 * 10.0 ** (-obo_db / 10.0)
+    target = 10.0 ** (-obo_db / 10.0)
     return ComplexSignal(
         samples=sig.samples * math.sqrt(target / mean_power),
         sample_period=sig.sample_period,
@@ -48,11 +48,11 @@ def scale_to_obo(pa: RappPa, sig: ComplexSignal, obo_db: float) -> ComplexSignal
 
 
 def apply_pa(pa: RappPa, sig: ComplexSignal) -> ComplexSignal:
-    """Reference: the Rapp curve sample by sample, on |x| itself."""
+    """Reference: the unit-saturation Rapp curve sample by sample, on |x|
+    itself."""
     x = sig.samples
     expo = 2.0 * pa.smoothness
-    mag = np.abs(x) / pa.sat_amplitude
-    y = x / (1.0 + mag**expo) ** (1.0 / expo)
+    y = x / (1.0 + np.abs(x) ** expo) ** (1.0 / expo)
     return ComplexSignal(samples=y, sample_period=sig.sample_period)
 
 
@@ -70,13 +70,13 @@ def _csc_stream(votes, n_symbols, seed, oversample=4):
 class TestRappPa:
     def test_validation(self):
         with pytest.raises(ValueError):
-            RappPa(sat_amplitude=0.0)
+            RappPa(smoothness=0.0)
         with pytest.raises(ValueError):
             RappPa(smoothness=-1.0)
 
     def test_unit_drive_reference_point(self):
         # at the saturation amplitude with smoothness 3, gain is 2^(-1/6)
-        pa = RappPa(sat_amplitude=1.0, smoothness=3.0)
+        pa = RappPa(smoothness=3.0)
         sig = ComplexSignal(samples=np.array([1.0 + 0j]), sample_period=1.0)
         out = apply_pa(pa, sig)
         assert abs(out.samples[0]) == pytest.approx(2.0 ** (-1.0 / 6.0), abs=1e-12)
@@ -84,11 +84,11 @@ class TestRappPa:
     @settings(max_examples=50, deadline=None)
     @given(st.floats(min_value=1e-6, max_value=50.0))
     def test_amplifier_is_contractive_and_bounded(self, amplitude):
-        pa = RappPa(sat_amplitude=1.0, smoothness=0.9)
+        pa = RappPa(smoothness=0.9)
         sig = ComplexSignal(samples=np.array([amplitude + 0j]), sample_period=1.0)
         out = abs(apply_pa(pa, sig).samples[0])
         assert out <= amplitude + 1e-12
-        assert out <= pa.sat_amplitude + 1e-12
+        assert out <= 1.0 + 1e-12
 
     def test_phase_preserved(self):
         pa = RappPa()
@@ -98,18 +98,18 @@ class TestRappPa:
         assert np.angle(out) == pytest.approx(1.234, abs=1e-12)
 
     def test_scale_to_obo_sets_mean_power(self):
-        pa = RappPa(sat_amplitude=2.0)
+        pa = RappPa()
         rng = np.random.default_rng(0)
         sig = ComplexSignal(
             samples=rng.standard_normal(512) + 1j * rng.standard_normal(512),
             sample_period=1.0,
         )
         out = scale_to_obo(pa, sig, 7.0)
-        assert out.mean_power == pytest.approx(4.0 * 10 ** (-0.7), rel=1e-12)
+        assert out.mean_power == pytest.approx(10 ** (-0.7), rel=1e-12)
 
     @pytest.mark.parametrize("smoothness", [0.9, 3.0])
     def test_drive_matches_scale_then_amplify(self, smoothness):
-        pa = RappPa(sat_amplitude=1.5, smoothness=smoothness)
+        pa = RappPa(smoothness=smoothness)
         stream = _csc_stream(2, 32, seed=7)
         for obo in (0.0, 3.3, 10.0, 30.0):
             ref = apply_pa(pa, scale_to_obo(pa, stream, obo)).samples
