@@ -7,10 +7,12 @@ order, vectorization strategy, and thread count: the same key always yields
 the same stream.
 
 ``keyed_rngs`` derives the generators of a run of keys that differ only in
-their last component (one per device) at once. It reproduces NumPy's
-``SeedSequence`` hash word for word: the shared prefix is mixed once, the
-last word is mixed for all keys in one set of vectorized uint32 operations,
-and the PCG64 state words are generated the same way.
+their last component (one per device) at once. ``SeedSequence`` mixes its
+entropy words one after another, so the pool of the shared prefix's own
+``SeedSequence`` is where every key's hash stands before its last word. That
+word is mixed for all keys in one set of vectorized uint32 operations, and
+the PCG64 state words are generated the same way, reproducing NumPy's hash
+word for word.
 """
 from __future__ import annotations
 
@@ -55,23 +57,6 @@ def _hash_consts(const: int, mult: int, n: int) -> tuple[list[int], list[int]]:
     return xors, mults
 
 
-def _mix(x: int, y: int) -> int:
-    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
-    return result ^ (result >> _XSHIFT)
-
-
-def _seed_words(seed: int) -> list[int]:
-    """The seed as little-endian 32-bit words, as SeedSequence splits it."""
-    seed = int(seed)
-    if seed < 0:
-        raise ValueError("seed must be non-negative")
-    words = [seed & _MASK32]
-    while seed > _MASK32:
-        seed >>= 32
-        words.append(seed & _MASK32)
-    return words
-
-
 #: generate_state(4, np.uint64) hashes eight words, cycling over the pool
 _STATE_XOR, _STATE_MULT = (
     np.array(c, dtype=np.uint32)[:, None] for c in _hash_consts(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
@@ -94,33 +79,18 @@ class _DerivedSeed(ISeedSequence):
 def keyed_rngs(seed: int, *path: int | str, count: int) -> list[np.random.Generator]:
     """``[keyed_rng(seed, *path, k) for k in range(count)]``, bit for bit,
     from one hash of the shared (seed, *path) prefix."""
-    run = _seed_words(seed)
-    # SeedSequence pads the entropy to the pool size before a spawn key
-    entropy = run + [0] * (_POOL_SIZE - len(run)) + [key_component(p) for p in path]
-    # hash calls: 4 fill the pool, 12 cross-mix it, 4 per further word
-    calls = _POOL_SIZE**2 + _POOL_SIZE * (len(entropy) + 1 - _POOL_SIZE)
-    xors, mults = _hash_consts(_INIT_A, _MULT_A, calls)
-    consts = iter(zip(xors, mults))
-
-    def hashmix(value: int) -> int:
-        xor, mult = next(consts)
-        value = ((value ^ xor) * mult) & _MASK32
-        return value ^ (value >> _XSHIFT)
-
-    mixer = [hashmix(w) for w in entropy[:_POOL_SIZE]]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                mixer[dst] = _mix(mixer[dst], hashmix(mixer[src]))
-    for word in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            mixer[dst] = _mix(mixer[dst], hashmix(word))
+    prefix = np.random.SeedSequence(int(seed), spawn_key=tuple(key_component(p) for p in path))
+    # a spawn key pads the seed words to the pool size; the hash spends 4
+    # constants per entropy word (4 fill the pool, 12 cross-mix it, 4 per
+    # further word), the last word included
+    entropy = max(_POOL_SIZE, (int(seed).bit_length() + 31) // 32) + len(path) + 1
+    xors, mults = _hash_consts(_INIT_A, _MULT_A, _POOL_SIZE * entropy)
     # the last word, one per key, mixed into the four pool words at once;
     # uint32 arrays wrap modulo 2**32 as the hash does
     xor, mult = (np.array(c[-_POOL_SIZE:], dtype=np.uint32)[:, None] for c in (xors, mults))
     value = (np.arange(count, dtype=np.uint32) ^ xor) * mult
     value ^= value >> _XSHIFT
-    pool = _MIX_MULT_L * np.array(mixer, dtype=np.uint32)[:, None] - _MIX_MULT_R * value
+    pool = _MIX_MULT_L * prefix.pool[:, None] - _MIX_MULT_R * value
     pool ^= pool >> _XSHIFT
     state = (pool[np.arange(2 * _POOL_SIZE) % _POOL_SIZE] ^ _STATE_XOR) * _STATE_MULT
     state ^= state >> _XSHIFT

@@ -8,6 +8,11 @@ otherwise they go to stdout (multiple artifacts are separated by ``# file:``
 header lines).  All outputs are deterministic for a given config and seed:
 fixed float formats, sorted JSON keys, no timestamps.
 
+A flag that names a profile value (``--seed``: ``seed`` and ``train.seeds``;
+a repeated ``--scheme``; ``--snr-db``; ``bound --rounds``/``--workers``)
+overrides it in ``_load_cfg`` alone.  The studies read only the profile, and
+each CSV's columns are the keys of the rows its study builds.
+
 Exit codes: 0 success, 2 configuration/usage error (including a NaN or
 infinite number flag and a negative seed), 3 infeasible request.
 """
@@ -65,7 +70,9 @@ def _seed_int(text: str) -> int:
     return value
 
 
-def _csv(header: list[str], rows: list[dict]) -> str:
+def _csv(rows: list[dict]) -> str:
+    """A CSV table with the first row's keys as the header."""
+    header = list(rows[0])
     lines = [",".join(header)]
     lines += [",".join(_fmt(row[h]) for h in header) for row in rows]
     return "\n".join(lines) + "\n"
@@ -89,97 +96,67 @@ def _emit(out_dir: Path | None, artifacts: list[tuple[str, str]]) -> None:
 
 
 def _load_cfg(args) -> ExperimentConfig:
+    """The profile with every overriding flag applied; ``replace`` reruns the
+    profile's checks, so a flag value passes the check of the value it
+    replaces."""
     cfg = load_config(args.config) if args.config else default_config()
-    schemes = getattr(args, "scheme", None)
-    if isinstance(schemes, list) and schemes:
-        cfg = replace(cfg, schemes=tuple(schemes))
-    return cfg
+    top, train = {}, {}
+    if getattr(args, "seed", None) is not None:
+        top["seed"] = args.seed
+        train["seeds"] = (args.seed,)
+    if getattr(args, "schemes", None):
+        top["schemes"] = tuple(args.schemes)
+    if getattr(args, "snr_db", None):
+        train["snr_db"] = tuple(args.snr_db)
+    if getattr(args, "rounds", None) is not None:
+        train["rounds"] = args.rounds
+    if getattr(args, "workers", None) is not None:
+        train["num_eds"] = args.workers
+    return replace(cfg, train=replace(cfg.train, **train), **top)
 
 
-def _seed(args, cfg: ExperimentConfig) -> int:
-    return cfg.seed if args.seed is None else args.seed
-
-
-def cmd_pmepr(args) -> int:
+def cmd_distribution(args) -> int:
+    """pmepr and cm: one per-symbol metric's percentile rows and summary."""
     cfg = _load_cfg(args)
-    rows, summary = studies.pmepr_report(cfg, _seed(args, cfg))
+    rows, summary = getattr(studies, f"{args.command}_report")(cfg)
     _emit(
         args.out,
         [
-            ("pmepr_distribution.csv", _csv(["scheme", "percentile", "value_db"], rows)),
-            ("pmepr_summary.json", _json(summary)),
-        ],
-    )
-    return 0
-
-
-def cmd_cm(args) -> int:
-    cfg = _load_cfg(args)
-    rows, summary = studies.cm_report(cfg, _seed(args, cfg))
-    _emit(
-        args.out,
-        [
-            ("cm_distribution.csv", _csv(["scheme", "percentile", "value_db"], rows)),
-            ("cm_summary.json", _json(summary)),
+            (f"{args.command}_distribution.csv", _csv(rows)),
+            (f"{args.command}_summary.json", _json(summary)),
         ],
     )
     return 0
 
 
 def cmd_aclr(args) -> int:
-    cfg = _load_cfg(args)
-    rows = studies.aclr_study(cfg, _seed(args, cfg), args.obo_db)
-    _emit(
-        args.out,
-        [("aclr_vs_obo.csv", _csv(["scheme", "obo_db", "aclr_db"], rows))],
-    )
+    rows = studies.aclr_study(_load_cfg(args), args.obo_db)
+    _emit(args.out, [("aclr_vs_obo.csv", _csv(rows))])
     return 0
 
 
 def cmd_coverage(args) -> int:
-    cfg = _load_cfg(args)
-    rows = studies.coverage_study(cfg, _seed(args, cfg))
-    _emit(
-        args.out,
-        [("coverage.csv", _csv(["scheme", "status", "obo_min_db", "coverage_m"], rows))],
-    )
+    rows = studies.coverage_study(_load_cfg(args))
+    _emit(args.out, [("coverage.csv", _csv(rows))])
     return 0
 
 
 def cmd_snr_distance(args) -> int:
-    cfg = _load_cfg(args)
-    rows = studies.snr_distance_study(cfg)
-    _emit(
-        args.out,
-        [("snr_vs_distance.csv", _csv(["target_snr_db", "distance_m", "snr_db"], rows))],
-    )
+    rows = studies.snr_distance_study(_load_cfg(args))
+    _emit(args.out, [("snr_vs_distance.csv", _csv(rows))])
     return 0
 
 
 def cmd_train(args) -> int:
     cfg = _load_cfg(args)
-    train = replace(cfg.train, snr_db=args.snr_db) if args.snr_db else cfg.train
     schemes = (args.scheme,) if args.scheme else cfg.schemes
-    seeds = (args.seed,) if args.seed is not None else train.seeds
-    history, summary, loss_rows = studies.train_sweep(cfg, schemes, train.snr_db, seeds)
+    history, summary, loss_rows = studies.train_sweep(cfg, schemes)
     _emit(
         args.out,
         [
-            (
-                "train_history.csv",
-                _csv(
-                    ["scheme", "snr_db", "seed", "round", "train_loss", "test_accuracy"],
-                    history,
-                ),
-            ),
+            ("train_history.csv", _csv(history)),
             ("train_summary.json", _json(summary)),
-            (
-                "loss_by_distance.csv",
-                _csv(
-                    ["scheme", "snr_db", "seed", "ed_index", "distance_m", "loss"],
-                    loss_rows,
-                ),
-            ),
+            ("loss_by_distance.csv", _csv(loss_rows)),
         ],
     )
     return 0
@@ -188,7 +165,7 @@ def cmd_train(args) -> int:
 def cmd_waveform_dump(args) -> int:
     cfg = _load_cfg(args)
     scheme = args.scheme or cfg.schemes[0]
-    rng = keyed_rng(_seed(args, cfg), "waveform-dump", scheme)
+    rng = keyed_rng(cfg.seed, "waveform-dump", scheme)
     stream = assemble_stream(cfg.wave, studies.scheme_grids(cfg, scheme, 1, rng), 1)
     # one critical-rate symbol period: cyclic prefix and body
     samples = stream.samples[: cfg.wave.cp_len + cfg.wave.idft_size]
@@ -199,17 +176,15 @@ def cmd_waveform_dump(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    cfg = load_config(args.config) if args.config else default_config()
-    rounds = cfg.train.rounds if args.rounds is None else args.rounds
-    workers = cfg.train.num_eds if args.workers is None else args.workers
+    cfg = _load_cfg(args)
     params = BoundParams(
         smoothness=np.array([args.smoothness_l1]),
         grad_noise_scale=np.array([args.noise_l1]),
         initial_gap=args.initial_gap,
         step_scale=args.step_scale,
-        num_workers=workers,
+        num_workers=cfg.train.num_eds,
         detection_snr=args.detection_snr,
-        num_rounds=rounds,
+        num_rounds=cfg.train.rounds,
     )
     try:
         value = convergence_bound(params)
@@ -220,8 +195,8 @@ def cmd_bound(args) -> int:
         "detection_snr": args.detection_snr,
         "initial_gap": args.initial_gap,
         "noise_l1": args.noise_l1,
-        "num_rounds": rounds,
-        "num_workers": workers,
+        "num_rounds": cfg.train.rounds,
+        "num_workers": cfg.train.num_eds,
         "smoothness_l1": args.smoothness_l1,
         "step_scale": args.step_scale,
     }
@@ -236,7 +211,7 @@ def _add_common(sp: argparse.ArgumentParser, scheme_choices=None, seed=True) -> 
     sp.add_argument("--config", type=Path, default=None, help="JSON experiment profile")
     if seed:
         sp.add_argument(
-            "--seed", type=_seed_int, default=None, help="override the profile seed"
+            "--seed", type=_seed_int, default=None, help="set the profile's seed and train.seeds"
         )
     sp.add_argument(
         "--out", type=Path, default=None, help="output directory (default: stdout)"
@@ -244,6 +219,7 @@ def _add_common(sp: argparse.ArgumentParser, scheme_choices=None, seed=True) -> 
     if scheme_choices is not None:
         sp.add_argument(
             "--scheme",
+            dest="schemes",
             action="append",
             choices=scheme_choices,
             default=None,
@@ -260,11 +236,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("pmepr", help="per-symbol PMEPR distribution per scheme")
     _add_common(sp, SCHEME_NAMES)
-    sp.set_defaults(func=cmd_pmepr)
+    sp.set_defaults(func=cmd_distribution)
 
     sp = sub.add_parser("cm", help="per-symbol cubic-metric distribution per scheme")
     _add_common(sp, SCHEME_NAMES)
-    sp.set_defaults(func=cmd_cm)
+    sp.set_defaults(func=cmd_distribution)
 
     sp = sub.add_parser("aclr", help="adjacent-channel leakage against PA back-off")
     _add_common(sp, SCHEME_NAMES)
@@ -312,10 +288,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_waveform_dump)
 
     sp = sub.add_parser("bound", help="analytic convergence guarantee")
-    sp.add_argument("--config", type=Path, default=None)
-    sp.add_argument("--out", type=Path, default=None)
-    sp.add_argument("--rounds", type=int, default=None, help="default: train.rounds")
-    sp.add_argument("--workers", type=int, default=None, help="default: train.num_eds")
+    _add_common(sp, seed=False)
+    sp.add_argument("--rounds", type=int, default=None, help="set train.rounds")
+    sp.add_argument("--workers", type=int, default=None, help="set train.num_eds")
     sp.add_argument("--detection-snr", type=_finite_float, default=1.0)
     sp.add_argument("--step-scale", type=_finite_float, default=1.0)
     sp.add_argument("--initial-gap", type=_finite_float, default=10.0)

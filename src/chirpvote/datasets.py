@@ -1,17 +1,11 @@
-"""Digit datasets for the scaled federated-learning task.
+"""Digit data for the scaled federated-learning task.
 
-Two sources, one 8x8 feature format:
-
-* a synthetic generator (glyph templates + circular shifts + Gaussian pixel
-  noise) so the whole suite runs offline and deterministically;
-* a reader for the standard IDX binary format (big-endian magic + dims),
-  with block-downsampling of 28x28 images to the same 8x8 grid.
+A synthetic generator of 8x8 digits (glyph templates + circular shifts +
+Gaussian pixel noise), so the whole suite runs offline and deterministically.
 """
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -81,37 +75,3 @@ def synthetic_digits(
     feats *= amps[:, None, None]
     feats += noise
     return Dataset(features=feats.reshape(n_samples, 64), labels=labels)
-
-
-def load_idx(path: str | Path) -> np.ndarray:
-    """Read one IDX file (unsigned-byte payload, 1 or 3 dimensions)."""
-    raw = Path(path).read_bytes()
-    if len(raw) < 4:
-        raise ConfigError(f"{path}: truncated IDX header")
-    zero1, zero2, dtype, ndim = struct.unpack(">BBBB", raw[:4])
-    if zero1 != 0 or zero2 != 0 or dtype != 0x08:
-        raise ConfigError(f"{path}: not an unsigned-byte IDX file")
-    dims = struct.unpack(f">{ndim}I", raw[4 : 4 + 4 * ndim])
-    data = np.frombuffer(raw, dtype=np.uint8, offset=4 + 4 * ndim)
-    if data.size != int(np.prod(dims)):
-        raise ConfigError(f"{path}: payload size does not match header dims")
-    return data.reshape(dims)
-
-
-def downsample_to_8x8(images: np.ndarray) -> np.ndarray:
-    """Nearest-grid downsampling of (n, r, c) images to flattened 8x8."""
-    n, rows, cols = images.shape
-    ri = np.rint(np.linspace(0, rows - 1, 8)).astype(int)
-    ci = np.rint(np.linspace(0, cols - 1, 8)).astype(int)
-    return images[:, ri][:, :, ci].reshape(n, 64).astype(float)
-
-
-def idx_digits(images_path: str | Path, labels_path: str | Path) -> Dataset:
-    """Dataset from an IDX image/label file pair, downsampled to 8x8 in [0, 1]."""
-    images = load_idx(images_path)
-    labels = load_idx(labels_path)
-    if images.ndim != 3:
-        raise ConfigError(f"{images_path}: expected 3-dimensional image data")
-    if labels.ndim != 1 or labels.shape[0] != images.shape[0]:
-        raise ConfigError("image and label counts disagree")
-    return Dataset(features=downsample_to_8x8(images) / 255.0, labels=labels.astype(int))

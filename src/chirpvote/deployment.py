@@ -13,6 +13,7 @@ target SNR.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,15 @@ class PowerControlParams:
             raise ConfigError("obo_ref must be non-negative")
         if not 0 <= self.obo_min <= self.obo_ref:
             raise ConfigError("obo_min must lie in [0, obo_ref]")
+        try:
+            finite = math.isfinite(coverage_radius(self))
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ConfigError(
+                "beta is too small: the coverage radius"
+                " r_ref * 10^((obo_ref - obo_min) / (10 * beta)) is not a finite float"
+            )
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
 """Scheme-level experiment pipelines shared by the CLI and the test suite.
 
-Each study takes an ExperimentConfig and a seed and returns plain Python
-rows, so the CLI only has to format them and the tests only have to assert
-on them.
+Each study reads only its ExperimentConfig (seed, schemes and training grid
+included) and returns plain Python rows whose keys are the columns of its
+artifact, so the CLI only has to format them and the tests only have to
+assert on them.
 """
 from __future__ import annotations
 
@@ -13,8 +14,8 @@ import numpy as np
 from ._rng import keyed_rng
 from .config import ExperimentConfig, scheme_votes
 from .datasets import synthetic_digits
-from .deployment import Deployment, coverage_radius, link_power
-from .errors import InfeasibleError
+from .deployment import Deployment, coverage_radius
+from .errors import ConfigError, InfeasibleError
 from .learn import (
     TrainSetup,
     TrainState,
@@ -74,14 +75,12 @@ def scheme_stream(cfg: ExperimentConfig, scheme: str, seed: int) -> ComplexSigna
     return assemble_stream(cfg.wave, grids, cfg.metrics.oversample)
 
 
-def _distribution_report(
-    cfg: ExperimentConfig, seed: int, metric
-) -> tuple[list[dict], dict]:
+def _distribution_report(cfg: ExperimentConfig, metric) -> tuple[list[dict], dict]:
     """Percentile-grid rows plus a per-scheme summary for one symbol metric."""
     rows: list[dict] = []
     summary: dict[str, dict[str, float]] = {}
     for scheme in cfg.schemes:
-        samples = metric(scheme_symbol_bodies(cfg, scheme, seed))
+        samples = metric(scheme_symbol_bodies(cfg, scheme, cfg.seed))
         values = np.percentile(samples, PERCENTILES)
         rows += [
             {"scheme": scheme, "percentile": float(q), "value_db": float(v)}
@@ -95,15 +94,15 @@ def _distribution_report(
     return rows, summary
 
 
-def pmepr_report(cfg: ExperimentConfig, seed: int) -> tuple[list[dict], dict]:
-    return _distribution_report(cfg, seed, pmepr_batch)
+def pmepr_report(cfg: ExperimentConfig) -> tuple[list[dict], dict]:
+    return _distribution_report(cfg, pmepr_batch)
 
 
-def cm_report(cfg: ExperimentConfig, seed: int) -> tuple[list[dict], dict]:
-    return _distribution_report(cfg, seed, cubic_metric_batch)
+def cm_report(cfg: ExperimentConfig) -> tuple[list[dict], dict]:
+    return _distribution_report(cfg, cubic_metric_batch)
 
 
-def aclr_study(cfg: ExperimentConfig, seed: int, obo_db: float | None = None) -> list[dict]:
+def aclr_study(cfg: ExperimentConfig, obo_db: float | None = None) -> list[dict]:
     """Leakage against back-off: the full 0-30 dB sweep, or one spot value."""
     inband = occupied_band(cfg.wave)
     if obo_db is None:
@@ -113,7 +112,7 @@ def aclr_study(cfg: ExperimentConfig, seed: int, obo_db: float | None = None) ->
         obos = np.array([float(obo_db)])
     rows = []
     for scheme in cfg.schemes:
-        stream = scheme_stream(cfg, scheme, seed)
+        stream = scheme_stream(cfg, scheme, cfg.seed)
         rows += [
             {
                 "scheme": scheme,
@@ -127,7 +126,7 @@ def aclr_study(cfg: ExperimentConfig, seed: int, obo_db: float | None = None) ->
     return rows
 
 
-def coverage_study(cfg: ExperimentConfig, seed: int) -> list[dict]:
+def coverage_study(cfg: ExperimentConfig) -> list[dict]:
     """Per scheme: smallest compliant back-off and the coverage radius it buys.
 
     Schemes whose spectrum cannot meet the ACLR target at any back-off up
@@ -138,7 +137,7 @@ def coverage_study(cfg: ExperimentConfig, seed: int) -> list[dict]:
     inband = occupied_band(cfg.wave)
     rows = []
     for scheme in cfg.schemes:
-        stream = scheme_stream(cfg, scheme, seed)
+        stream = scheme_stream(cfg, scheme, cfg.seed)
         try:
             obo_min = obo_for_aclr(
                 cfg.pa,
@@ -165,11 +164,16 @@ def snr_distance_study(cfg: ExperimentConfig) -> list[dict]:
     """Uplink SNR against distance, one curve per training SNR target: the
     target inside the coverage radius, then 10*alpha dB per decade lower."""
     grid = np.linspace(cfg.r_min, cfg.r_max, SNR_DISTANCE_POINTS)
-    gain_db = 10.0 * np.log10(link_power(cfg.power, coverage_radius(cfg.power), grid))
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratio = np.minimum(1.0, coverage_radius(cfg.power) / grid)
+        # the gain in dB, in the log domain so a steep path loss cannot underflow
+        snr_db = np.add.outer(cfg.train.snr_db, 10.0 * cfg.power.alpha * np.log10(ratio))
+    if not np.isfinite(snr_db).all():
+        raise ConfigError("alpha is too large: the SNR map's path loss is not a finite float")
     return [
-        {"target_snr_db": target, "distance_m": float(d), "snr_db": float(target + g)}
-        for target in cfg.train.snr_db
-        for d, g in zip(grid, gain_db)
+        {"target_snr_db": target, "distance_m": float(d), "snr_db": float(snr)}
+        for target, row in zip(cfg.train.snr_db, snr_db)
+        for d, snr in zip(grid, row)
     ]
 
 
@@ -199,12 +203,9 @@ def run_scheme_training(
 
 
 def train_sweep(
-    cfg: ExperimentConfig,
-    schemes: tuple[str, ...],
-    snr_points: tuple[float, ...],
-    seeds: tuple[int, ...],
+    cfg: ExperimentConfig, schemes: tuple[str, ...]
 ) -> tuple[list[dict], list[dict], list[dict]]:
-    """Full scheme x SNR x seed grid.
+    """Full scheme x ``train.snr_db`` x ``train.seeds`` grid.
 
     Returns per-round history rows, one summary row per run, and the
     final-round loss-by-distance snapshot, all in fixed loop order so the
@@ -214,8 +215,8 @@ def train_sweep(
     summary: list[dict] = []
     loss_rows: list[dict] = []
     for scheme in schemes:
-        for snr_db in snr_points:
-            for seed in seeds:
+        for snr_db in cfg.train.snr_db:
+            for seed in cfg.train.seeds:
                 setup = training_setup(cfg, seed)
                 state = run_training(setup, scheme, float(snr_db))
                 key = {"scheme": scheme, "snr_db": float(snr_db), "seed": seed}

@@ -1,5 +1,5 @@
-"""sha256 pins of the quick-profile artifacts of every study command and of
-one dumped chirp and OFDM symbol.
+"""sha256 pins of the quick-profile artifacts of every study command, of
+one dumped chirp and OFDM symbol and of the convergence bound.
 
 A change that moves any byte of them fails here, so a shift in the training,
 RF or synthesis numbers is caught and has to be explained before the pins
@@ -22,10 +22,12 @@ RUNS = {
     "snr-distance": ["snr-distance"],
     "waveform-csc_mv_2": ["waveform-dump", "--scheme", "csc_mv_2"],
     "waveform-obda": ["waveform-dump", "--scheme", "obda"],
+    "bound": ["bound"],
 }
 
 DIGESTS = {
     "aclr/aclr_vs_obo.csv": "88eba79a6d85cf78b48b3d6032b0be2d53eb33e662800ede4a59c76e0da6d232",
+    "bound/bound.json": "90bc3443d78b1775861f92c8e0c244ad09480016795664af0b569daab601d668",
     "cm/cm_distribution.csv": "19ae3301d0515aa85a0487bf6f12e932c940713e09754701c930d9c5ed53bde1",
     "cm/cm_summary.json": "c44cfee8ea5660ab5675f0ab736d3ae76707563dae3108f0a5b1583e91a5a396",
     "coverage/coverage.csv": "cbe7b594ad3d844f57545891d042cb6bcdbbf258a12cdba77256ccd022b469e8",

@@ -1,5 +1,7 @@
 """CLI contract: exit codes, artifact formats, and run-to-run determinism."""
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,11 +9,12 @@ import pytest
 from chirpvote import cli, studies
 from chirpvote._rng import keyed_rng
 from chirpvote.config import ExperimentConfig, MetricsConfig, TrainConfig, save_config
-from chirpvote.deployment import PowerControlParams
+from chirpvote.deployment import PowerControlParams, coverage_radius
 from chirpvote.oac import random_csc_traffic, random_qpsk
 from chirpvote.waveform import WaveformConfig, build_fdss, modulate_ofdm, spread
 
 N_PERCENTILES = len(studies.PERCENTILES)
+QUICK = Path(__file__).resolve().parents[1] / "scripts" / "profiles" / "quick.json"
 
 
 def write_cfg(tmp_path, name="cfg.json", **overrides):
@@ -134,6 +137,20 @@ class TestStudyCommands:
         # inside the coverage radius each curve sits at its training target
         assert lines[1] == "10.000000,10.000000,10.000000"
 
+    def test_snr_distance_steep_path_loss_stays_finite(self, tmp_path, capsys):
+        # min(1, r_p/d)^10000 underflows to 0 beyond the 10 m radius, and its
+        # log to -inf; the gain taken in dB does not
+        power = {"alpha": 10000.0, "beta": 10000.0}
+        cfg = tmp_path / "steep.json"
+        cfg.write_text(json.dumps({"power": power}))
+        assert run("snr-distance", "--config", cfg) == 0
+        lines = capsys.readouterr().out.splitlines()[1:]
+        rows = [[float(v) for v in line.split(",")] for line in lines]
+        assert all(math.isfinite(v) for row in rows for v in row)
+        target, r_max, snr = rows[-1]
+        r_p = coverage_radius(PowerControlParams(**power))
+        assert snr == pytest.approx(target + 10.0 * 10000.0 * math.log10(r_p / r_max), abs=1e-6)
+
 
 class TestTrainCommand:
     def test_single_scheme_artifacts(self, tmp_path):
@@ -185,7 +202,7 @@ class TestTrainCommand:
         data = json.loads(cfg.read_text())
         data["train"]["dataset"] = "idx"
         cfg.write_text(json.dumps(data))
-        # no profile key selects the data: IDX files are loaded in Python
+        # no profile key selects the data: synthetic digits are the only data
         assert run("train", "--config", cfg, "--scheme", "ideal") == 2
         assert "unknown keys ['dataset']" in capsys.readouterr().err
 
@@ -275,6 +292,47 @@ class TestBoundCommand:
         cfg = write_cfg(tmp_path)
         assert run("bound", "--config", cfg) == 0
         assert "advisory" not in json.loads(capsys.readouterr().out)
+
+
+class TestFlagOverrides:
+    @pytest.mark.parametrize(
+        "flagged, plain, profile",
+        [
+            (["pmepr", "--seed", "3"], ["pmepr"], {"seed": 3}),
+            (["waveform-dump", "--seed", "3"], ["waveform-dump"], {"seed": 3}),
+            (
+                ["train", "--scheme", "ideal", "--seed", "3", "--snr-db", "5"],
+                ["train", "--scheme", "ideal"],
+                {"train": {"seeds": [3], "snr_db": [5.0]}},
+            ),
+            (
+                ["aclr", "--scheme", "obda", "--obo-db", "6"],
+                ["aclr", "--obo-db", "6"],
+                {"schemes": ["obda"]},
+            ),
+            (
+                ["bound", "--rounds", "7", "--workers", "3"],
+                ["bound"],
+                {"train": {"rounds": 7, "num_eds": 3}},
+            ),
+        ],
+    )
+    def test_flag_matches_the_profile_value_it_replaces(self, tmp_path, flagged, plain, profile):
+        data = json.loads(QUICK.read_text())
+        for key, value in profile.items():
+            if isinstance(value, dict):
+                data.setdefault(key, {}).update(value)
+            else:
+                data[key] = value
+        cfg = tmp_path / "profile.json"
+        cfg.write_text(json.dumps(data))
+        a, b = tmp_path / "flag", tmp_path / "profile"
+        assert run(*flagged, "--config", QUICK, "--out", a) == 0
+        assert run(*plain, "--config", cfg, "--out", b) == 0
+        names = sorted(p.name for p in a.iterdir())
+        assert names == sorted(p.name for p in b.iterdir())
+        for name in names:
+            assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
 class TestDeterminism:
@@ -431,6 +489,8 @@ class TestErrorPaths:
             ({"obo_ref": -1.0, "obo_min": -2.0}, "obo_ref must be non-negative"),
             # a back-off below 0 dB drives the PA past saturation
             ({"obo_min": -100.0}, "obo_min must lie in [0, obo_ref]"),
+            # r_ref * 10^((obo_ref - obo_min) / (10 * beta)) is beyond the largest float
+            ({"alpha": 500.0, "beta": 0.001}, "beta is too small"),
         ],
     )
     def test_bad_power_exits_2(self, tmp_path, command, power, message, capsys):
@@ -439,6 +499,27 @@ class TestErrorPaths:
         assert run(command, "--config", cfg) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
+
+    def test_solved_backoff_radius_overflow_exits_2(self, tmp_path, capsys):
+        # the profile's radius is r_ref, but the coverage radius of a solved
+        # back-off some dB below obo_ref is beyond the largest float
+        data = json.loads(write_cfg(tmp_path).read_text())
+        data["power"] = {"alpha": 500.0, "beta": 0.001, "obo_min": 30.0}
+        cfg = tmp_path / "flat.json"
+        cfg.write_text(json.dumps(data))
+        out = tmp_path / "coverage"
+        assert run("coverage", "--config", cfg, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "beta is too small" in err
+        assert not out.exists()
+
+    def test_unrepresentable_path_loss_exits_2(self, tmp_path, capsys):
+        # 10 * alpha overflows, so the SNR map's path loss is not a float
+        cfg = tmp_path / "steepest.json"
+        cfg.write_text(json.dumps({"power": {"alpha": 1e308, "beta": 1e308}}))
+        assert run("snr-distance", "--config", cfg) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "alpha" in err
 
     def test_device_without_samples_exits_2(self, tmp_path, capsys):
         # 20 samples dealt by label half over 20 devices leave two outer

@@ -183,8 +183,8 @@ class TestFiles:
             load_config(tmp_path / "nope.json")
 
     def test_idx_dataset_rejected_at_load(self, tmp_path):
-        # the profile has no data source: IDX files are read in Python with
-        # chirpvote.datasets.idx_digits, so a dataset key is unknown
+        # the profile has no data source: synthetic digits are the only
+        # training data, so a dataset key is unknown
         data = config_to_dict(default_config())
         data["train"]["dataset"] = "idx"
         path = tmp_path / "idx.json"

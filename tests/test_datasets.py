@@ -1,5 +1,3 @@
-import struct
-
 import numpy as np
 import pytest
 
@@ -7,9 +5,6 @@ from chirpvote._rng import keyed_rng
 from chirpvote.datasets import (
     Dataset,
     _glyph_array,
-    downsample_to_8x8,
-    idx_digits,
-    load_idx,
     synthetic_digits,
 )
 from chirpvote.errors import ConfigError
@@ -106,52 +101,3 @@ class TestDatasetContainer:
         with pytest.raises(ConfigError):
             Dataset(features=np.zeros((3, 64)), labels=np.zeros(4, dtype=int))
 
-
-class TestIdx:
-    def _write_idx(self, path, array):
-        array = np.asarray(array, dtype=np.uint8)
-        header = struct.pack(">BBBB", 0, 0, 0x08, array.ndim)
-        header += b"".join(struct.pack(">I", d) for d in array.shape)
-        path.write_bytes(header + array.tobytes())
-
-    def test_roundtrip_images_and_labels(self, tmp_path):
-        rng = np.random.default_rng(0)
-        imgs = rng.integers(0, 256, size=(7, 28, 28), dtype=np.uint8)
-        labels = rng.integers(0, 10, size=7, dtype=np.uint8)
-        ipath = tmp_path / "imgs.idx"
-        lpath = tmp_path / "labels.idx"
-        self._write_idx(ipath, imgs)
-        self._write_idx(lpath, labels)
-        np.testing.assert_array_equal(load_idx(ipath), imgs)
-        np.testing.assert_array_equal(load_idx(lpath), labels)
-        d = idx_digits(ipath, lpath)
-        assert d.features.shape == (7, 64)
-        assert d.features.min() >= 0.0 and d.features.max() <= 1.0
-        np.testing.assert_array_equal(d.labels, labels)
-
-    def test_bad_magic_rejected(self, tmp_path):
-        p = tmp_path / "bad.idx"
-        p.write_bytes(b"\x00\x01\x08\x01" + b"\x00" * 8)
-        with pytest.raises(ConfigError):
-            load_idx(p)
-
-    def test_truncated_payload_rejected(self, tmp_path):
-        p = tmp_path / "short.idx"
-        p.write_bytes(struct.pack(">BBBB", 0, 0, 0x08, 1) + struct.pack(">I", 10) + b"\x01")
-        with pytest.raises(ConfigError):
-            load_idx(p)
-
-    def test_count_mismatch_rejected(self, tmp_path):
-        ipath = tmp_path / "imgs.idx"
-        lpath = tmp_path / "labels.idx"
-        self._write_idx(ipath, np.zeros((3, 28, 28), dtype=np.uint8))
-        self._write_idx(lpath, np.zeros(4, dtype=np.uint8))
-        with pytest.raises(ConfigError):
-            idx_digits(ipath, lpath)
-
-    def test_downsample_identity_on_8x8(self):
-        rng = np.random.default_rng(1)
-        imgs = rng.integers(0, 256, size=(5, 8, 8), dtype=np.uint8)
-        np.testing.assert_array_equal(
-            downsample_to_8x8(imgs), imgs.reshape(5, 64).astype(float)
-        )

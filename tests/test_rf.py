@@ -234,8 +234,8 @@ class TestSegmentLenWiring:
             metrics=MetricsConfig(stream_symbols=50, obo_step_db=5.0, segment_len=256),
             schemes=("csc_mv_2",),
         )
-        studies.aclr_study(cfg, 0)
-        studies.coverage_study(cfg, 0)
+        studies.aclr_study(cfg)
+        studies.coverage_study(cfg)
         assert len(seen) > 7 and set(seen) == {256}
 
     def test_segment_len_changes_aclr(self):
