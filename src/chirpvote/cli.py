@@ -14,7 +14,8 @@ overrides it in ``_load_cfg`` alone.  The studies read only the profile, and
 each CSV's columns are the keys of the rows its study builds.
 
 Exit codes: 0 success, 2 configuration/usage error (including a NaN or
-infinite number flag and a negative seed), 3 infeasible request.
+infinite number flag, a negative seed and an ``aclr --obo-db`` outside the
+sweep's 0-30 dB span), 3 infeasible request.
 """
 from __future__ import annotations
 
@@ -37,6 +38,7 @@ from .config import (
 )
 from .errors import ConfigError, InfeasibleError
 from .learn import PARAM_DIM, BoundParams, convergence_bound
+from .rf import OBO_SPAN_DB
 from .waveform import assemble_stream
 
 
@@ -56,6 +58,17 @@ def _finite_float(text: str) -> float:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
+def _backoff_db(text: str) -> float:
+    """argparse type for ``aclr --obo-db``: a back-off inside the sweep's span.
+    Below it the PA is driven past saturation; far above it the drive gain
+    underflows to an all-zero output."""
+    value = _finite_float(text)
+    lo, hi = OBO_SPAN_DB
+    if not lo <= value <= hi:
+        raise argparse.ArgumentTypeError(f"back-off must lie in [{lo:g}, {hi:g}] dB: {text!r}")
     return value
 
 
@@ -246,9 +259,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp, SCHEME_NAMES)
     sp.add_argument(
         "--obo-db",
-        type=_finite_float,
+        type=_backoff_db,
         default=None,
-        help="evaluate one back-off instead of the 0-30 dB sweep",
+        help="evaluate one back-off instead of the {:g}-{:g} dB sweep".format(*OBO_SPAN_DB),
     )
     sp.set_defaults(func=cmd_aclr)
 

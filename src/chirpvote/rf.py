@@ -26,6 +26,9 @@ from .waveform import ComplexSignal, WaveformConfig
 
 RCM_REFERENCE_DB = 1.52
 CM_SLOPE = 1.52
+#: back-off span in dB: the ACLR sweep, the default solve range and the
+#: admissible spot back-off
+OBO_SPAN_DB = (0.0, 30.0)
 
 
 @dataclass(frozen=True)
@@ -136,7 +139,7 @@ def obo_for_aclr(
     stream: ComplexSignal,
     inband: tuple[float, float],
     target_db: float,
-    obo_range: tuple[float, float] = (0.0, 30.0),
+    obo_range: tuple[float, float] = OBO_SPAN_DB,
     tol_db: float = 0.1,
     segment_len: int = 1024,
 ) -> float:

@@ -4,10 +4,19 @@ Each study reads only its ExperimentConfig (seed, schemes and training grid
 included) and returns plain Python rows whose keys are the columns of its
 artifact, so the CLI only has to format them and the tests only have to
 assert on them.
+
+The ACLR evaluations of ``aclr_study`` (each scheme's back-offs) and
+``coverage_study`` (one bisection per scheme) run on one thread per CPU the
+process may use. Each evaluation only reads its stream, and the rows are
+collected in the serial order, so the results do not depend on the worker
+count. The other studies run serially.
 """
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
@@ -25,6 +34,7 @@ from .learn import (
 )
 from .oac import random_csc_traffic, random_qpsk
 from .rf import (
+    OBO_SPAN_DB,
     aclr_at_obo,
     cubic_metric_batch,
     obo_for_aclr,
@@ -75,6 +85,24 @@ def scheme_stream(cfg: ExperimentConfig, scheme: str, seed: int) -> ComplexSigna
     return assemble_stream(cfg.wave, grids, cfg.metrics.oversample)
 
 
+def _cpus() -> int:
+    """CPUs this process may run on: its affinity mask, where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _map(fn, items: list) -> list:
+    """``[fn(item) for item in items]``, on one thread per CPU the process may
+    use. NumPy's FFTs and ufuncs release the GIL, so threads share the work
+    without a copy of the inputs. ``fn`` must only read shared state."""
+    workers = min(len(items), _cpus())
+    if workers <= 1:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(fn, items))
+
+
 def _distribution_report(cfg: ExperimentConfig, metric) -> tuple[list[dict], dict]:
     """Percentile-grid rows plus a per-scheme summary for one symbol metric."""
     rows: list[dict] = []
@@ -103,25 +131,25 @@ def cm_report(cfg: ExperimentConfig) -> tuple[list[dict], dict]:
 
 
 def aclr_study(cfg: ExperimentConfig, obo_db: float | None = None) -> list[dict]:
-    """Leakage against back-off: the full 0-30 dB sweep, or one spot value."""
+    """Leakage against back-off: the full ``OBO_SPAN_DB`` sweep, or one spot
+    value."""
     inband = occupied_band(cfg.wave)
     if obo_db is None:
+        lo, hi = OBO_SPAN_DB
         step = cfg.metrics.obo_step_db
-        obos = np.arange(0.0, 30.0 + step / 2.0, step)
+        obos = np.arange(lo, hi + step / 2.0, step).tolist()
     else:
-        obos = np.array([float(obo_db)])
+        obos = [float(obo_db)]
     rows = []
     for scheme in cfg.schemes:
         stream = scheme_stream(cfg, scheme, cfg.seed)
+        # fill the stream's caches here, so the workers only read them
+        stream.power_pow(cfg.pa.smoothness)
+        stream.mean_power
+        at_obo = partial(aclr_at_obo, cfg.pa, stream, inband, segment_len=cfg.metrics.segment_len)
         rows += [
-            {
-                "scheme": scheme,
-                "obo_db": float(obo),
-                "aclr_db": aclr_at_obo(
-                    cfg.pa, stream, inband, float(obo), cfg.metrics.segment_len
-                ),
-            }
-            for obo in obos
+            {"scheme": scheme, "obo_db": obo, "aclr_db": value}
+            for obo, value in zip(obos, _map(at_obo, obos))
         ]
     return rows
 
@@ -135,13 +163,12 @@ def coverage_study(cfg: ExperimentConfig) -> list[dict]:
     not hide the others' results.
     """
     inband = occupied_band(cfg.wave)
-    rows = []
-    for scheme in cfg.schemes:
-        stream = scheme_stream(cfg, scheme, cfg.seed)
+
+    def solve(scheme: str) -> dict:
         try:
             obo_min = obo_for_aclr(
                 cfg.pa,
-                stream,
+                scheme_stream(cfg, scheme, cfg.seed),
                 inband,
                 cfg.aclr_target_db,
                 obo_range=(0.0, cfg.power.obo_ref),
@@ -149,15 +176,13 @@ def coverage_study(cfg: ExperimentConfig) -> list[dict]:
                 segment_len=cfg.metrics.segment_len,
             )
         except InfeasibleError:
-            rows.append(
-                {"scheme": scheme, "status": "infeasible", "obo_min_db": None, "coverage_m": None}
-            )
-            continue
+            return {
+                "scheme": scheme, "status": "infeasible", "obo_min_db": None, "coverage_m": None
+            }
         radius = coverage_radius(replace(cfg.power, obo_min=obo_min))
-        rows.append(
-            {"scheme": scheme, "status": "ok", "obo_min_db": obo_min, "coverage_m": radius}
-        )
-    return rows
+        return {"scheme": scheme, "status": "ok", "obo_min_db": obo_min, "coverage_m": radius}
+
+    return _map(solve, list(cfg.schemes))
 
 
 def snr_distance_study(cfg: ExperimentConfig) -> list[dict]:

@@ -513,6 +513,39 @@ class TestErrorPaths:
         assert err.startswith("error:") and "beta is too small" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "value, code",
+        [("-400", 2), ("-1e-9", 2), ("30.5", 2), ("1e308", 2), ("0", 0), ("30", 0)],
+    )
+    def test_spot_backoff_outside_the_sweep_exits_2(self, tmp_path, value, code, capsys):
+        # below 0 dB the PA is driven past saturation; at 1e308 dB the drive
+        # gain underflows and the PA output has no in-band power
+        out = tmp_path / "aclr"
+        argv = ("aclr", "--config", QUICK, "--scheme", "obda", f"--obo-db={value}", "--out", out)
+        if code:
+            with pytest.raises(SystemExit) as exc:
+                run(*argv)
+            assert exc.value.code == 2
+            assert "--obo-db" in capsys.readouterr().err
+            assert not out.exists()
+        else:
+            assert run(*argv) == 0
+            rows = (out / "aclr_vs_obo.csv").read_text().splitlines()
+            assert rows[1].startswith(f"obda,{float(value):.6f},")
+
+    def test_worker_error_keeps_its_exit_code(self, tmp_path, monkeypatch, capsys):
+        # the radius overflow of a solved back-off is raised inside a
+        # coverage worker thread and must still exit 2
+        monkeypatch.setattr(studies, "_cpus", lambda: 3)
+        data = json.loads(write_cfg(tmp_path).read_text())
+        data["power"] = {"alpha": 500.0, "beta": 0.001, "obo_min": 30.0}
+        cfg = tmp_path / "flat.json"
+        cfg.write_text(json.dumps(data))
+        out = tmp_path / "coverage"
+        assert run("coverage", "--config", cfg, "--out", out) == 2
+        assert "beta is too small" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unrepresentable_path_loss_exits_2(self, tmp_path, capsys):
         # 10 * alpha overflows, so the SNR map's path loss is not a float
         cfg = tmp_path / "steepest.json"

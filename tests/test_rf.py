@@ -1,5 +1,8 @@
 import inspect
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from hypothesis import strategies as st
 from chirpvote import rf, studies
 from chirpvote._rng import keyed_rng
 from chirpvote.config import ExperimentConfig, MetricsConfig
+from chirpvote.deployment import PowerControlParams
 from chirpvote.errors import InfeasibleError
 from chirpvote.numerics import power_spectrum
 from chirpvote.oac import random_csc_traffic, random_qpsk
@@ -248,3 +252,79 @@ class TestSegmentLenWiring:
         for fn in (aclr_at_obo, obo_for_aclr):
             assert inspect.signature(fn).parameters["segment_len"].default == default
 
+
+class TestWorkerCount:
+    """The ACLR sweep and the coverage solves give the same rows whatever the
+    number of worker threads. The count is forced through ``studies._cpus``,
+    so the test does not depend on the host's CPUs."""
+
+    SMALL = ExperimentConfig(metrics=MetricsConfig(stream_symbols=50, obo_step_db=5.0))
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """The worker count of every thread pool the studies open."""
+        opened = []
+
+        class Recording(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                opened.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(studies, "ThreadPoolExecutor", Recording)
+        return opened
+
+    def _rows(self, monkeypatch, workers, study, *args):
+        monkeypatch.setattr(studies, "_cpus", lambda: workers)
+        # switch threads as often as the interpreter allows, so that workers
+        # touching shared state would interleave
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            return study(*args)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize(
+        "schemes, obo_db",
+        [
+            (("csc_mv_2",), None),
+            (("csc_mv_1", "obda", "csc_mv_4"), None),
+            (("obda", "csc_mv_2"), 7.5),
+        ],
+    )
+    def test_aclr_rows_do_not_depend_on_workers(self, monkeypatch, pools, schemes, obo_db):
+        cfg = replace(self.SMALL, schemes=schemes)
+        serial = self._rows(monkeypatch, 1, studies.aclr_study, cfg, obo_db)
+        assert pools == []
+        threaded = self._rows(monkeypatch, 3, studies.aclr_study, cfg, obo_db)
+        # one pool per scheme's sweep; a single back-off needs none
+        assert pools == ([3] * len(schemes) if obo_db is None else [])
+        assert threaded == serial
+        obos = [obo_db] if obo_db is not None else np.arange(0.0, 30.1, 5.0).tolist()
+        assert [(r["scheme"], r["obo_db"]) for r in serial] == [
+            (scheme, obo) for scheme in schemes for obo in obos
+        ]
+
+    def test_coverage_rows_do_not_depend_on_workers(self, monkeypatch, pools):
+        cfg = replace(self.SMALL, metrics=MetricsConfig(stream_symbols=50, obo_step_db=2.5))
+        serial = self._rows(monkeypatch, 1, studies.coverage_study, cfg)
+        threaded = self._rows(monkeypatch, 3, studies.coverage_study, cfg)
+        assert pools == [3]
+        assert threaded == serial
+        assert [r["scheme"] for r in serial] == list(cfg.schemes)
+        assert all(r["status"] == "ok" for r in serial)
+
+    def test_infeasible_row_keeps_its_place(self, monkeypatch):
+        # OBDA needs about 10 dB of back-off, more than the 5 dB available at
+        # the reference point; the chirps need less
+        cfg = replace(
+            self.SMALL,
+            schemes=("csc_mv_1", "obda", "csc_mv_2"),
+            power=PowerControlParams(obo_ref=5.0, obo_min=4.0),
+        )
+        serial = self._rows(monkeypatch, 1, studies.coverage_study, cfg)
+        threaded = self._rows(monkeypatch, 3, studies.coverage_study, cfg)
+        assert threaded == serial
+        assert [(r["scheme"], r["status"]) for r in threaded] == [
+            ("csc_mv_1", "ok"), ("obda", "infeasible"), ("csc_mv_2", "ok")
+        ]
