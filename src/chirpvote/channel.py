@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Sequence
 
 import numpy as np
@@ -51,6 +52,20 @@ class ChannelRealization:
 def epa_tap_delays(cfg: WaveformConfig) -> np.ndarray:
     """EPA tap delays snapped to the nearest sample at the configured rate."""
     return np.rint(np.asarray(EPA_DELAYS_NS) * 1e-9 * cfg.sample_rate).astype(int)
+
+
+@cache
+def epa_phase_table(cfg: WaveformConfig, max_offset: int) -> np.ndarray:
+    """Tap phase ramps on the occupied bins for every timing offset 0 ...
+    ``max_offset``, (offsets x M x taps), cached and read-only:
+    ``table[offset] @ gains`` equals :meth:`ChannelRealization.frequency_response`
+    of an EPA draw at that offset bit for bit (same expression, element by
+    element)."""
+    j = cfg.bin_indices[:, None]
+    d = epa_tap_delays(cfg) + np.arange(max_offset + 1)[:, None, None]
+    table = np.exp(-2j * np.pi * j * d / cfg.idft_size)
+    table.flags.writeable = False
+    return table
 
 
 def draw_epa(cfg: WaveformConfig, rng: np.random.Generator) -> ChannelRealization:

@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from ._rng import keyed_rng, keyed_rngs
-from .channel import draw_epa, draw_sync_offset, epa_tap_delays
+from .channel import draw_epa, draw_sync_offset, epa_phase_table, epa_tap_delays
 from .config import TrainConfig, scheme_votes
 from .datasets import Dataset
 from .deployment import Deployment, PowerControlParams, link_power
@@ -167,7 +167,7 @@ def local_gradient(
     ]
     sizes = np.minimum(counts, batch_size)
     grads = np.empty((len(rows), PARAM_DIM))
-    for size in np.unique(sizes):
+    for size in set(sizes.tolist()):  # groups write disjoint rows, in any order
         group = np.flatnonzero(sizes == size)
         idx = np.stack([rows[k] for k in group])
         _, grads[group] = loss_and_gradient(w, data.features[idx], data.labels[idx])
@@ -287,18 +287,16 @@ def _collect_votes(weights: np.ndarray, round_index: int, setup: TrainSetup) -> 
 
 def _channel_responses(setup: TrainSetup, round_index: int) -> np.ndarray:
     """Each device's EPA channel and timing-offset response on the occupied
-    bins this round, (devices x M)."""
-    wave = setup.wave
+    bins this round, (devices x M): its keyed draws applied to the phase
+    table of every admissible offset."""
     count = setup.deployment.num_eds
     channels = keyed_rngs(setup.seed, "channel", round_index, count=count)
     syncs = keyed_rngs(setup.seed, "sync", round_index, count=count)
+    table = epa_phase_table(setup.wave, setup.train.max_sync_offset)
     return np.array(
         [
-            draw_epa(wave, channel).frequency_response(
-                wave.bin_indices,
-                wave.idft_size,
-                draw_sync_offset(setup.train.max_sync_offset, sync),
-            )
+            table[draw_sync_offset(setup.train.max_sync_offset, sync)]
+            @ draw_epa(setup.wave, channel).gains
             for channel, sync in zip(channels, syncs)
         ]
     )
@@ -333,15 +331,9 @@ class _ChirpReceiver:
 def _chirp_receiver(wave: WaveformConfig, votes_per_block: int) -> _ChirpReceiver:
     m = wave.num_bins
     plan = build_vote_plan(PARAM_DIM, m, guard_for_votes(m, votes_per_block))
-    receiver = _ChirpReceiver(
-        plan=plan,
-        fdss=build_fdss(wave),
-        shifts=(np.arange(m) - plan.tone_bins[:, None]) % m,
-    )
-    # every round shares these arrays
-    for a in (receiver.fdss, receiver.shifts):
-        a.flags.writeable = False
-    return receiver
+    shifts = (np.arange(m) - plan.tone_bins[:, None]) % m
+    shifts.flags.writeable = False  # every round shares it, like the cached fdss
+    return _ChirpReceiver(plan=plan, fdss=build_fdss(wave), shifts=shifts)
 
 
 def _csc_majority(

@@ -1,20 +1,11 @@
-"""Special functions and spectral estimation primitives.
-
-Fresnel integrals use the normalized convention
-
-    C(x) = int_0^x cos(pi t^2 / 2) dt,   S(x) = int_0^x sin(pi t^2 / 2) dt,
-
-and come from ``scipy.special.fresnel`` (accurate to double precision on all
-finite inputs).
-
-Spectral estimation is a fixed averaged-periodogram (Welch) recipe so that
+"""Spectral estimation: a fixed averaged-periodogram (Welch) recipe, so that
 leakage-sensitive quantities measured downstream are reproducible
 bit-for-bit across runs: a periodic Hann taper, segments overlapping by
 ``segment_len // 2`` samples with no padding or detrending, two-sided
 density scaling and the mean over segments. It equals
 ``scipy.signal.welch(..., window="hann", detrend=False,
 return_onesided=False, scaling="density")`` to rounding, with the frequency
-axis sorted ascending; ``scipy.signal`` itself is not imported.
+axis sorted ascending; SciPy itself is not imported.
 
 The segments are windowed and transformed 32 at a time in one reused complex
 buffer, and their |X|^2 rows are folded into a running sum carried in row 0
@@ -29,18 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.special import fresnel as _scipy_fresnel
 
 _WELCH_BLOCK = 32  # segments windowed and transformed per pass
-
-
-def fresnel_array(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Fresnel integrals (C(x), S(x)) of a real array; odd in x."""
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("fresnel requires finite input")
-    s, c = _scipy_fresnel(x)  # SciPy returns the pair as (S, C)
-    return c, s
 
 
 def power_spectrum(

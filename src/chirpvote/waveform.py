@@ -7,10 +7,11 @@ transforms throughout):
       -> centered subcarrier mapping onto an N-point grid  (ofdm_grid)
       -> IDFT_N body -> cyclic prefix/suffix + raised-cosine edges
 
-With the Fresnel-integral shaping vector from :func:`build_fdss`, a unit
-impulse at bin b becomes a linear chirp sweeping ``sweep_cycles`` cycles over
-the symbol, circularly shifted in time by b/M of the symbol; the M bins thus
-index M circularly-shifted chirps that superpose linearly.
+With the Fresnel-integral shaping vector from :func:`build_fdss` (the
+Fourier coefficients of a unit chirp, evaluated by Gauss-Legendre quadrature),
+a unit impulse at bin b becomes a linear chirp sweeping ``sweep_cycles``
+cycles over the symbol, circularly shifted in time by b/M of the symbol; the
+M bins thus index M circularly-shifted chirps that superpose linearly.
 
 Reception mirrors it: :func:`demodulate_ofdm` drops the cyclic prefix, takes
 the N-point DFT and picks the occupied subcarriers, :func:`matched_despread`
@@ -29,13 +30,14 @@ the stream the PA and the spectral metrics see.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from .errors import ConfigError, FramingError
-from .numerics import fresnel_array
 
 
 @dataclass(frozen=True)
@@ -134,20 +136,32 @@ class ComplexSignal:
         return cached
 
 
+@cache
 def build_fdss(cfg: WaveformConfig) -> np.ndarray:
     """Fresnel-integral shaping coefficients, normalized to sum |f|^2 = M.
 
-    The closed form is the Fourier series of a unit chirp sweeping
-    ``sweep_cycles`` cycles across one symbol; |f| is approximately flat over
-    the swept band |j| <= sweep_cycles/2 and rolls off beyond it.
+    f_j is proportional to the Fourier coefficient of a unit chirp sweeping
+    ``sweep_cycles`` = d cycles across one symbol,
+
+        int_0^1 exp(i pi d (t - 1/2)^2) exp(-2 pi i j t) dt,
+
+    whose closed form (complete the square) is a sum of Fresnel integrals;
+    |f| is approximately flat over the swept band |j| <= d/2 and rolls off
+    beyond it. With t = (1 + x)/2 the integrand is the entire function
+    exp(i pi (d x^2/4 - j x)) on [-1, 1] times the exact (-1)^j, and a
+    Gauss-Legendre rule with comfortably more nodes than its phase turns
+    (2 ceil(d/2 + max|j|) + 32) evaluates it to rounding level.
+
+    The result is cached per numerology and read-only.
     """
     d = float(cfg.sweep_cycles)
-    j = cfg.bin_indices.astype(float)
-    ca, sa = fresnel_array((d + 2.0 * j) / np.sqrt(2.0 * d))
-    cb, sb = fresnel_array((d - 2.0 * j) / np.sqrt(2.0 * d))
-    phase = np.exp(-1j * np.pi * (j * j / d + j))
-    f = phase * ((ca + cb) + 1j * (sa + sb))
-    return f * np.sqrt(cfg.num_bins / np.sum(np.abs(f) ** 2))
+    j = cfg.bin_indices
+    x, w = leggauss(2 * math.ceil(d / 2 + np.abs(j).max()) + 32)
+    f = np.exp(1j * np.pi * (0.25 * d * x * x - j[:, None] * x)) @ w
+    f[j % 2 == 1] *= -1.0
+    f *= np.sqrt(cfg.num_bins / np.sum(np.abs(f) ** 2))
+    f.flags.writeable = False
+    return f
 
 
 def _dft_shape(cfg: WaveformConfig, fdss: np.ndarray, bins: np.ndarray) -> np.ndarray:

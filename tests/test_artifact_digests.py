@@ -29,15 +29,15 @@ DIGESTS = {
     "aclr/aclr_vs_obo.csv": "88eba79a6d85cf78b48b3d6032b0be2d53eb33e662800ede4a59c76e0da6d232",
     "bound/bound.json": "90bc3443d78b1775861f92c8e0c244ad09480016795664af0b569daab601d668",
     "cm/cm_distribution.csv": "19ae3301d0515aa85a0487bf6f12e932c940713e09754701c930d9c5ed53bde1",
-    "cm/cm_summary.json": "c44cfee8ea5660ab5675f0ab736d3ae76707563dae3108f0a5b1583e91a5a396",
+    "cm/cm_summary.json": "84ad8fd397fafce34d2ed536c25f31e74d1ad1426b859c82f37f4fbab6cce517",
     "coverage/coverage.csv": "cbe7b594ad3d844f57545891d042cb6bcdbbf258a12cdba77256ccd022b469e8",
     "pmepr/pmepr_distribution.csv": "902bf74dc6aaf078836d753fea38495e4a3244f56d2d2f2f822a158c785eaa1e",
-    "pmepr/pmepr_summary.json": "7c88ed2187c97e658c09977016a706b062a5f8431dd00fe1a3a22fb712c3be9d",
+    "pmepr/pmepr_summary.json": "5a916903a9f7ed0fb8845be0407cf2e18ba355c44bdebc30d495982b696fc308",
     "snr-distance/snr_vs_distance.csv": "72b095efa0bd744b4d035cea2f48efd8bb6ac66ede9bcb4018478b1ec60642d3",
     "train/loss_by_distance.csv": "360273022fde844b970a42793990bd28301fe6e67bdce4aac26c29290e21e652",
     "train/train_history.csv": "2e45551d405db8dfcab2f401be5ea4f6f912dbefb9c962d45922499e1e225272",
     "train/train_summary.json": "76fa1945201318c4192bffcb5881732a5bb82130c9225b97449e70419a65c34e",
-    "waveform-csc_mv_2/waveform_symbol.csv": "dbda1820332d3015ecdd981fd796ca705b9bb0e93af5c5318b385fe411506290",
+    "waveform-csc_mv_2/waveform_symbol.csv": "0d3aff782eb567077bf284e92bd3f66eeab3e502754a3538c723705a5dcc3dd0",
     "waveform-obda/waveform_symbol.csv": "3c5054adcc850cc2bc262cc6419b9c87b8d5901c2d98275a5c70a8c2a6b22c01",
 }
 

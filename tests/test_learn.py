@@ -7,7 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chirpvote._rng import keyed_rng
-from chirpvote.channel import draw_epa, draw_sync_offset, epa_tap_delays, propagate, superpose
+from chirpvote.channel import (
+    draw_epa,
+    draw_sync_offset,
+    epa_phase_table,
+    epa_tap_delays,
+    propagate,
+    superpose,
+)
 from chirpvote.config import default_config
 from chirpvote.datasets import Dataset, synthetic_digits
 from chirpvote.deployment import Deployment, link_power
@@ -17,6 +24,7 @@ from chirpvote.learn import (
     BoundParams,
     TrainSetup,
     TrainState,
+    _channel_responses,
     _collect_votes,
     _csc_majority,
     _obda_majority,
@@ -434,6 +442,30 @@ class TestBatchedAgainstLoops:
             loss, grad = loss_and_gradient(w, x[k], y[k])
             assert losses[k] == loss
             assert np.array_equal(grads[k], grad)
+
+    @pytest.mark.parametrize("max_offset", [None, 0, "max"])
+    def test_channel_responses_match_frequency_response(self, max_offset):
+        """The per-offset phase table against each draw's own
+        ``frequency_response``: 200 draws, every admissible offset, bit for bit."""
+        train = {} if max_offset is None else {"max_sync_offset": 0}
+        setup = studies.training_setup(_tiny_cfg(20, 200, **train), 0)
+        if max_offset == "max":
+            limit = _max_admitted_offset(setup.wave)
+            setup = replace(setup, train=replace(setup.train, max_sync_offset=limit))
+        wave, seen = setup.wave, set()
+        for round_index in range(10):
+            ref = []
+            for k in range(setup.deployment.num_eds):
+                realization, offset = _channel_draws(setup, round_index, k)
+                seen.add(offset)
+                ref.append(
+                    realization.frequency_response(wave.bin_indices, wave.idft_size, offset)
+                )
+            assert np.array_equal(_channel_responses(setup, round_index), ref)
+        assert seen == set(range(setup.train.max_sync_offset + 1))
+        table = epa_phase_table(wave, setup.train.max_sync_offset)
+        assert not table.flags.writeable
+        assert epa_phase_table(wave, setup.train.max_sync_offset) is table
 
     @pytest.mark.parametrize("case", RAGGED_CASES)
     def test_link_powers_match_device_loop(self, case):

@@ -1,9 +1,13 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.special import fresnel
 
+from chirpvote.config import load_config
 from chirpvote.errors import ConfigError, FramingError
 from chirpvote.waveform import (
     ComplexSignal,
@@ -21,6 +25,7 @@ from chirpvote.waveform import (
 )
 
 CFG = WaveformConfig()
+QUICK = Path(__file__).resolve().parents[1] / "scripts" / "profiles" / "quick.json"
 
 
 def _fold_weights(cfg, fdss):
@@ -78,7 +83,42 @@ class TestSignal:
         assert sig.sample_rate == pytest.approx(1.0)
 
 
+def _fresnel_fdss(cfg):
+    """Closed form of the shaping: completing the square in the chirp's
+    Fourier integral gives exp(-i pi (j^2/d + j)) [C(a) + C(b) + i (S(a) + S(b))]
+    with a, b = (d +- 2j) / sqrt(2d), up to a positive constant."""
+    d = float(cfg.sweep_cycles)
+    j = cfg.bin_indices.astype(float)
+    sa, ca = fresnel((d + 2.0 * j) / np.sqrt(2.0 * d))  # SciPy returns (S, C)
+    sb, cb = fresnel((d - 2.0 * j) / np.sqrt(2.0 * d))
+    f = np.exp(-1j * np.pi * (j * j / d + j)) * ((ca + cb) + 1j * (sa + sb))
+    return f * np.sqrt(cfg.num_bins / np.sum(np.abs(f) ** 2))
+
+
 class TestShaping:
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            CFG,
+            load_config(QUICK).wave,
+            WaveformConfig(num_bins=12, idft_size=16, sweep_cycles=10.0, cp_len=4),
+            WaveformConfig(num_bins=240, idft_size=256, sweep_cycles=230.0, cp_len=16),
+        ],
+        ids=["default", "quick", "small", "large"],
+    )
+    def test_quadrature_matches_fresnel_closed_form(self, cfg):
+        f = build_fdss(cfg)
+        ref = _fresnel_fdss(cfg)
+        assert f.shape == (cfg.num_bins,)
+        assert np.max(np.abs(f - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_cached_read_only(self):
+        f = build_fdss(CFG)
+        assert not f.flags.writeable
+        assert build_fdss(WaveformConfig()) is f
+        with pytest.raises(ValueError):
+            f[0] = 0.0
+
     def test_total_shaping_power_equals_bin_count(self):
         f = build_fdss(CFG)
         assert np.sum(np.abs(f) ** 2) == pytest.approx(CFG.num_bins, abs=1e-9)
