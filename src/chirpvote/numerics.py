@@ -1,4 +1,18 @@
-"""Spectral estimation: a fixed averaged-periodogram (Welch) recipe, so that
+"""Fresnel integrals and spectral estimation, in NumPy alone.
+
+Fresnel integrals use the normalized convention
+
+    C(x) = int_0^x cos(pi t^2 / 2) dt,   S(x) = int_0^x sin(pi t^2 / 2) dt.
+
+They give the closed form of the chirp shaping that ``waveform.build_fdss``
+evaluates by quadrature of its defining integral. Below |x| = 6,
+C + iS = (x/2) int_{-1}^{1} exp(i pi x^2 (1 + v)^2 / 8) dv, an entire
+integrand of at most 9 phase turns, is summed on 64 Gauss-Legendre nodes;
+from |x| = 6 on, the asymptotic expansion in the auxiliary functions f and g
+(Abramowitz & Stegun 7.3.9-10, 7.3.27-28) is summed to 10 terms. Both agree
+with ``scipy.special.fresnel`` to about 1e-14 absolute.
+
+Spectral estimation is a fixed averaged-periodogram (Welch) recipe, so that
 leakage-sensitive quantities measured downstream are reproducible
 bit-for-bit across runs: a periodic Hann taper, segments overlapping by
 ``segment_len // 2`` samples with no padding or detrending, two-sided
@@ -20,8 +34,39 @@ from __future__ import annotations
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+from numpy.polynomial.legendre import leggauss
 
 _WELCH_BLOCK = 32  # segments windowed and transformed per pass
+_FRESNEL_NODES = 64  # Gauss-Legendre nodes for |x| < _FRESNEL_ASYMPTOTIC
+_FRESNEL_ASYMPTOTIC = 6.0  # from here on, the asymptotic expansion
+_FRESNEL_TERMS = 10  # terms of each auxiliary series; the next is < 1e-18 at |x| = 6
+
+
+def fresnel_array(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Fresnel integrals (C(x), S(x)) of a real array; odd in x."""
+    x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("fresnel requires finite input")
+    ax = np.abs(x)
+    cs = np.empty(x.shape, dtype=complex)  # C + iS at |x|
+    near = ax < _FRESNEL_ASYMPTOTIC
+    a = ax[near]
+    v, w = leggauss(_FRESNEL_NODES)
+    cs[near] = 0.5 * a * (np.exp(0.125j * np.pi * (a * a)[:, None] * (1.0 + v) ** 2) @ w)
+    # Past 1e100 the series terms are below 1e-100; capping keeps a^2 finite.
+    a = np.minimum(ax[~near], 1e100)
+    z = 1.0 / (np.pi * a * a)
+    f, g = np.zeros_like(a), np.zeros_like(a)
+    tf, tg = 1.0 / (np.pi * a), z / (np.pi * a)
+    for k in range(_FRESNEL_TERMS):
+        f += tf
+        g += tg
+        tf = -tf * ((4 * k + 1) * (4 * k + 3)) * z * z
+        tg = -tg * ((4 * k + 3) * (4 * k + 5)) * z * z
+    phase = 0.5 * np.pi * np.fmod(a * a, 4.0)  # fmod is exact: pi a^2 / 2 mod 2 pi
+    sin, cos = np.sin(phase), np.cos(phase)
+    cs[~near] = (0.5 + f * sin - g * cos) + 1j * (0.5 - f * cos - g * sin)
+    return np.copysign(cs.real, x), np.copysign(cs.imag, x)
 
 
 def power_spectrum(

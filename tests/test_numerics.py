@@ -4,9 +4,70 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import quad
+from scipy.special import fresnel
 
 import chirpvote
-from chirpvote.numerics import power_spectrum
+from chirpvote.numerics import fresnel_array, power_spectrum
+
+
+class TestFresnel:
+    def test_value_at_one_frozen(self):
+        c, s = fresnel_array(1.0)
+        assert c == pytest.approx(0.7798934003768226, abs=1e-12)
+        assert s == pytest.approx(0.4382591473903548, abs=1e-12)
+
+    def test_value_at_zero(self):
+        c, s = fresnel_array(0.0)
+        assert c == 0.0
+        assert s == 0.0
+
+    @pytest.mark.parametrize(
+        "x", [0.05, 0.3, 0.7, 1.0, 1.3, 1.6, 1.9, 2.5, 3.7, 5.0, 8.0, 12.0]
+    )
+    def test_quadrature_oracle(self, x):
+        c_ref = quad(lambda t: np.cos(np.pi * t * t / 2), 0, x, limit=400)[0]
+        s_ref = quad(lambda t: np.sin(np.pi * t * t / 2), 0, x, limit=400)[0]
+        c, s = fresnel_array(x)
+        assert c == pytest.approx(c_ref, abs=1e-10)
+        assert s == pytest.approx(s_ref, abs=1e-10)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(min_value=-20.0, max_value=20.0, allow_nan=False))
+    def test_odd_symmetry(self, x):
+        plus_c, plus_s = fresnel_array(x)
+        minus_c, minus_s = fresnel_array(-x)
+        assert minus_c == pytest.approx(-plus_c, abs=1e-12)
+        assert minus_s == pytest.approx(-plus_s, abs=1e-12)
+
+    @pytest.mark.parametrize("x", [2.0, 3.0, 5.0, 8.0, 20.0])
+    def test_large_argument_asymptotics(self, x):
+        c, s = fresnel_array(x)
+        assert abs(c - (0.5 + np.sin(np.pi * x * x / 2) / (np.pi * x))) < 1.0 / x**3
+        assert abs(s - (0.5 - np.cos(np.pi * x * x / 2) / (np.pi * x))) < 1.0 / x**3
+
+    def test_array_matches_scalar(self):
+        x = np.linspace(-4.0, 4.0, 41)
+        arr = fresnel_array(x)
+        for i, xi in enumerate(x):
+            c, s = fresnel_array(float(xi))
+            assert arr[0][i] == pytest.approx(c, abs=1e-14)
+            assert arr[1][i] == pytest.approx(s, abs=1e-14)
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(ValueError):
+            fresnel_array(float("nan"))
+        with pytest.raises(ValueError):
+            fresnel_array(np.array([0.0, np.inf]))
+
+    def test_matches_scipy_fresnel(self):
+        x = np.concatenate([np.linspace(-20.0, 20.0, 4001), np.geomspace(20.0, 1e6, 200)])
+        s_ref, c_ref = fresnel(x)  # SciPy returns the pair as (S, C)
+        c, s = fresnel_array(x)
+        np.testing.assert_allclose(c, c_ref, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(s, s_ref, rtol=0, atol=1e-13)
 
 
 def _one_shot_density(x, fs, seg):
