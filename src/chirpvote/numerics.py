@@ -1,25 +1,23 @@
-"""Fresnel integrals and spectral estimation, in NumPy alone.
+"""Special functions and spectral estimation primitives.
 
 Fresnel integrals use the normalized convention
 
-    C(x) = int_0^x cos(pi t^2 / 2) dt,   S(x) = int_0^x sin(pi t^2 / 2) dt.
+    C(x) = int_0^x cos(pi t^2 / 2) dt,   S(x) = int_0^x sin(pi t^2 / 2) dt,
 
-They give the closed form of the chirp shaping that ``waveform.build_fdss``
-evaluates by quadrature of its defining integral. Below |x| = 6,
-C + iS = (x/2) int_{-1}^{1} exp(i pi x^2 (1 + v)^2 / 8) dv, an entire
-integrand of at most 9 phase turns, is summed on 64 Gauss-Legendre nodes;
-from |x| = 6 on, the asymptotic expansion in the auxiliary functions f and g
-(Abramowitz & Stegun 7.3.9-10, 7.3.27-28) is summed to 10 terms. Both agree
-with ``scipy.special.fresnel`` to about 1e-14 absolute.
+and come from ``scipy.special.fresnel`` (accurate to double precision on all
+finite inputs). They give the closed form of the chirp shaping that
+``waveform.build_fdss`` evaluates by quadrature, and the tests hold that
+quadrature to it. Nothing in the package calls them at run time, so SciPy
+is imported on the first call, not with this module.
 
-Spectral estimation is a fixed averaged-periodogram (Welch) recipe, so that
+Spectral estimation is a fixed averaged-periodogram (Welch) recipe so that
 leakage-sensitive quantities measured downstream are reproducible
 bit-for-bit across runs: a periodic Hann taper, segments overlapping by
 ``segment_len // 2`` samples with no padding or detrending, two-sided
 density scaling and the mean over segments. It equals
 ``scipy.signal.welch(..., window="hann", detrend=False,
 return_onesided=False, scaling="density")`` to rounding, with the frequency
-axis sorted ascending; SciPy itself is not imported.
+axis sorted ascending; ``scipy.signal`` itself is not imported.
 
 The segments are windowed and transformed 32 at a time in one reused complex
 buffer, and their |X|^2 rows are folded into a running sum carried in row 0
@@ -34,12 +32,8 @@ from __future__ import annotations
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from numpy.polynomial.legendre import leggauss
 
 _WELCH_BLOCK = 32  # segments windowed and transformed per pass
-_FRESNEL_NODES = 64  # Gauss-Legendre nodes for |x| < _FRESNEL_ASYMPTOTIC
-_FRESNEL_ASYMPTOTIC = 6.0  # from here on, the asymptotic expansion
-_FRESNEL_TERMS = 10  # terms of each auxiliary series; the next is < 1e-18 at |x| = 6
 
 
 def fresnel_array(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -47,26 +41,10 @@ def fresnel_array(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("fresnel requires finite input")
-    ax = np.abs(x)
-    cs = np.empty(x.shape, dtype=complex)  # C + iS at |x|
-    near = ax < _FRESNEL_ASYMPTOTIC
-    a = ax[near]
-    v, w = leggauss(_FRESNEL_NODES)
-    cs[near] = 0.5 * a * (np.exp(0.125j * np.pi * (a * a)[:, None] * (1.0 + v) ** 2) @ w)
-    # Past 1e100 the series terms are below 1e-100; capping keeps a^2 finite.
-    a = np.minimum(ax[~near], 1e100)
-    z = 1.0 / (np.pi * a * a)
-    f, g = np.zeros_like(a), np.zeros_like(a)
-    tf, tg = 1.0 / (np.pi * a), z / (np.pi * a)
-    for k in range(_FRESNEL_TERMS):
-        f += tf
-        g += tg
-        tf = -tf * ((4 * k + 1) * (4 * k + 3)) * z * z
-        tg = -tg * ((4 * k + 3) * (4 * k + 5)) * z * z
-    phase = 0.5 * np.pi * np.fmod(a * a, 4.0)  # fmod is exact: pi a^2 / 2 mod 2 pi
-    sin, cos = np.sin(phase), np.cos(phase)
-    cs[~near] = (0.5 + f * sin - g * cos) + 1j * (0.5 - f * cos - g * sin)
-    return np.copysign(cs.real, x), np.copysign(cs.imag, x)
+    from scipy.special import fresnel  # test-only dependency, see the module docstring
+
+    s, c = fresnel(x)  # SciPy returns the pair as (S, C)
+    return c, s
 
 
 def power_spectrum(

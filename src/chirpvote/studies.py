@@ -182,6 +182,7 @@ def coverage_study(cfg: ExperimentConfig) -> list[dict]:
         radius = coverage_radius(replace(cfg.power, obo_min=obo_min))
         return {"scheme": scheme, "status": "ok", "obo_min_db": obo_min, "coverage_m": radius}
 
+    build_fdss(cfg.wave)  # fill the shaping cache here, so the workers only read it
     return _map(solve, list(cfg.schemes))
 
 

