@@ -52,30 +52,72 @@ from .waveform import (
 
 #: CCDF grid for the per-symbol metric curves (dense body plus the far tail)
 PERCENTILES = np.append(np.arange(0.5, 100.0, 0.5), 99.9)
+#: the summary's points, all on the PERCENTILES grid
+_SUMMARY_POINTS = {"median_db": 50.0, "p99_db": 99.0, "p99_9_db": 99.9}
 #: distance points of the SNR map, r_min to r_max
 SNR_DISTANCE_POINTS = 81
+_SYMBOL_BLOCK = 256  # symbols mapped, oversampled and measured per pass
+
+
+def _scheme_traffic(
+    cfg: ExperimentConfig, scheme: str, n_symbols: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Random traffic before the transmit grid: QPSK subcarrier symbols for
+    OBDA, CSC vote bins for the chirp schemes. (n_symbols, M)."""
+    votes = scheme_votes(scheme)
+    if votes is None:
+        return random_qpsk(cfg.wave.num_bins, n_symbols, rng)
+    return random_csc_traffic(cfg.wave.num_bins, votes, n_symbols, rng)
+
+
+def _traffic_grids(cfg: ExperimentConfig, scheme: str, traffic: np.ndarray) -> np.ndarray:
+    """The scheme's transmit grids of drawn traffic: (..., M) -> (..., N).
+
+    OBDA's QPSK goes straight onto the subcarriers; chirp votes are DFT-spread
+    and shaped first.
+    """
+    if scheme_votes(scheme) is None:
+        return ofdm_grid(cfg.wave, traffic)
+    return precode(cfg.wave, build_fdss(cfg.wave), traffic)
 
 
 def scheme_grids(
     cfg: ExperimentConfig, scheme: str, n_symbols: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Random traffic on the scheme's transmit grids. (n_symbols, N).
+    """Random traffic on the scheme's transmit grids. (n_symbols, N)."""
+    return _traffic_grids(cfg, scheme, _scheme_traffic(cfg, scheme, n_symbols, rng))
 
-    OBDA's QPSK goes straight onto the subcarriers; chirp votes are DFT-spread
-    and shaped first.
+
+def _per_symbol_blocks(cfg: ExperimentConfig, scheme: str, seed: int, fn) -> list:
+    """``fn`` of the scheme's ``metrics.num_symbols`` oversampled symbol
+    bodies, ``_SYMBOL_BLOCK`` rows at a time, so no more than one block of
+    bodies is held at once.
+
+    The traffic is drawn once, by the same calls in the same order as
+    ``scheme_grids``. Every later step works row by row: the DFT spread
+    along the last axis, the shaping, the grid scatter, the zero-padded IDFT
+    and any ``fn`` that reduces along axis -1. So no row's value depends on
+    how the rows are blocked, and the blocks concatenate to the one-shot
+    ``fn(analog_body(cfg.wave, scheme_grids(...), oversample))``.
     """
-    votes = scheme_votes(scheme)
-    if votes is None:
-        return ofdm_grid(cfg.wave, random_qpsk(cfg.wave.num_bins, n_symbols, rng))
-    bins = random_csc_traffic(cfg.wave.num_bins, votes, n_symbols, rng)
-    return precode(cfg.wave, build_fdss(cfg.wave), bins)
+    traffic = _scheme_traffic(
+        cfg, scheme, cfg.metrics.num_symbols, keyed_rng(seed, "traffic", scheme)
+    )
+    return [
+        fn(
+            analog_body(
+                cfg.wave,
+                _traffic_grids(cfg, scheme, traffic[start : start + _SYMBOL_BLOCK]),
+                cfg.metrics.oversample,
+            )
+        )
+        for start in range(0, len(traffic), _SYMBOL_BLOCK)
+    ]
 
 
 def scheme_symbol_bodies(cfg: ExperimentConfig, scheme: str, seed: int) -> np.ndarray:
     """Oversampled per-symbol bodies for distribution metrics."""
-    rng = keyed_rng(seed, "traffic", scheme)
-    grids = scheme_grids(cfg, scheme, cfg.metrics.num_symbols, rng)
-    return analog_body(cfg.wave, grids, cfg.metrics.oversample)
+    return np.concatenate(_per_symbol_blocks(cfg, scheme, seed, np.asarray))
 
 
 def scheme_stream(cfg: ExperimentConfig, scheme: str, seed: int) -> ComplexSignal:
@@ -104,20 +146,19 @@ def _map(fn, items: list) -> list:
 
 
 def _distribution_report(cfg: ExperimentConfig, metric) -> tuple[list[dict], dict]:
-    """Percentile-grid rows plus a per-scheme summary for one symbol metric."""
+    """Percentile-grid rows plus a per-scheme summary for one per-row symbol
+    metric, measured block by block (``_per_symbol_blocks``)."""
     rows: list[dict] = []
     summary: dict[str, dict[str, float]] = {}
     for scheme in cfg.schemes:
-        samples = metric(scheme_symbol_bodies(cfg, scheme, cfg.seed))
+        samples = np.concatenate(_per_symbol_blocks(cfg, scheme, cfg.seed, metric))
         values = np.percentile(samples, PERCENTILES)
         rows += [
             {"scheme": scheme, "percentile": float(q), "value_db": float(v)}
             for q, v in zip(PERCENTILES, values)
         ]
         summary[scheme] = {
-            "median_db": float(np.percentile(samples, 50.0)),
-            "p99_db": float(np.percentile(samples, 99.0)),
-            "p99_9_db": float(np.percentile(samples, 99.9)),
+            key: float(values[PERCENTILES == q][0]) for key, q in _SUMMARY_POINTS.items()
         }
     return rows, summary
 

@@ -179,6 +179,64 @@ class TestEnvelopeMetrics:
             cubic_metric_batch(dead)
 
 
+class TestSymbolBlocks:
+    """The PMEPR/CM reports synthesize and measure ``studies._SYMBOL_BLOCK``
+    symbols at a time; every step after the traffic draw works row by row,
+    so the blocked values equal the one-shot synthesis byte for byte."""
+
+    NUM_SYMBOLS = 40  # 5 full blocks of 7 and a partial one
+
+    def _cfg(self, num_symbols):
+        return ExperimentConfig(metrics=MetricsConfig(num_symbols=num_symbols))
+
+    def _one_shot_bodies(self, cfg, scheme):
+        rng = keyed_rng(cfg.seed, "traffic", scheme)
+        grids = studies.scheme_grids(cfg, scheme, cfg.metrics.num_symbols, rng)
+        return analog_body(cfg.wave, grids, cfg.metrics.oversample)
+
+    @pytest.mark.parametrize("scheme", ExperimentConfig().schemes)
+    @pytest.mark.parametrize("block", [1, 7, NUM_SYMBOLS + 1])
+    def test_blocked_values_equal_one_shot(self, monkeypatch, scheme, block):
+        monkeypatch.setattr(studies, "_SYMBOL_BLOCK", block)
+        cfg = self._cfg(self.NUM_SYMBOLS)
+        bodies = self._one_shot_bodies(cfg, scheme)
+        for metric in (pmepr_batch, cubic_metric_batch):
+            blocked = np.concatenate(studies._per_symbol_blocks(cfg, scheme, cfg.seed, metric))
+            assert blocked.tobytes() == metric(bodies).tobytes()
+        blocked_bodies = studies.scheme_symbol_bodies(cfg, scheme, cfg.seed)
+        assert blocked_bodies.tobytes() == bodies.tobytes()
+
+    @pytest.mark.parametrize("report", [studies.pmepr_report, studies.cm_report])
+    def test_reports_hold_one_block(self, monkeypatch, report):
+        rows_seen = []
+
+        def spy(cfg, grid, oversample):
+            rows_seen.append(grid.shape[0])
+            return analog_body(cfg, grid, oversample)
+
+        monkeypatch.setattr(studies, "analog_body", spy)
+        num_symbols = 3 * studies._SYMBOL_BLOCK + 5
+        cfg = self._cfg(num_symbols)
+        report(cfg)
+        assert max(rows_seen) <= studies._SYMBOL_BLOCK
+        assert sum(rows_seen) == len(cfg.schemes) * num_symbols
+
+    @pytest.mark.parametrize(
+        "report, metric",
+        [(studies.pmepr_report, pmepr_batch), (studies.cm_report, cubic_metric_batch)],
+    )
+    def test_summary_equals_scalar_percentiles(self, report, metric):
+        cfg = self._cfg(self.NUM_SYMBOLS)
+        _, summary = report(cfg)
+        for scheme in cfg.schemes:
+            samples = metric(self._one_shot_bodies(cfg, scheme))
+            assert summary[scheme] == {
+                "median_db": float(np.percentile(samples, 50.0)),
+                "p99_db": float(np.percentile(samples, 99.0)),
+                "p99_9_db": float(np.percentile(samples, 99.9)),
+            }
+
+
 class TestAclr:
     def test_band_validation(self):
         sig = _tone()
