@@ -1,4 +1,4 @@
-"""Multipath fading, synchronization error, and multi-device superposition.
+"""Multipath fading and synchronization error.
 
 The fading model is the standard Extended Pedestrian A tapped delay line
 (RMS delay spread about 43 ns), redrawn independently per device per
@@ -9,14 +9,11 @@ delay spread — by the cyclic prefix when the guard condition holds.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cache
-from typing import Sequence
 
 import numpy as np
 
-from .errors import FramingError
 from .waveform import ComplexSignal, WaveformConfig
 
 EPA_DELAYS_NS: tuple[float, ...] = (0.0, 30.0, 70.0, 90.0, 110.0, 190.0, 410.0)
@@ -100,25 +97,3 @@ def propagate(
         if shift < x.size:
             y[shift:] += g * x[: x.size - shift]
     return ComplexSignal(samples=y, sample_period=tx.sample_period)
-
-
-def superpose(
-    contributions: Sequence[tuple[ComplexSignal, float]],
-    noise_power: float,
-    rng: np.random.Generator,
-) -> ComplexSignal:
-    """Sum sqrt(P_k)-weighted signals and add complex white Gaussian noise of
-    the given per-sample variance."""
-    if not contributions:
-        raise ValueError("need at least one signal")
-    length = len(contributions[0][0])
-    period = contributions[0][0].sample_period
-    total = np.zeros(length, dtype=complex)
-    for sig, power in contributions:
-        if len(sig) != length:
-            raise FramingError("superposed signals must share a common length")
-        total += math.sqrt(power) * sig.samples
-    if noise_power > 0:
-        scale = math.sqrt(noise_power / 2.0)
-        total = total + scale * (rng.standard_normal(length) + 1j * rng.standard_normal(length))
-    return ComplexSignal(samples=total, sample_period=period)

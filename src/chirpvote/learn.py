@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache, partial
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -32,7 +31,6 @@ from .datasets import Dataset
 from .deployment import Deployment, PowerControlParams, link_power
 from .errors import ConfigError, InfeasibleError
 from .oac import (
-    VotePlan,
     build_vote_plan,
     csc_tones,
     detect_mv,
@@ -315,122 +313,89 @@ def _receiver_noise(
     return noise
 
 
-@dataclass(frozen=True)
-class _ChirpReceiver:
-    """The round-independent parts of the chirp uplink for one waveform and
-    vote count."""
-
-    plan: VotePlan
-    fdss: np.ndarray
-    #: ``response[..., shifts[2u + s]]`` is ``response`` circularly shifted
-    #: to the bin of slot u's sign-s tone (+ first)
-    shifts: np.ndarray
+#: a run's aggregation: (round_index, sign votes (devices, PARAM_DIM)) -> majority vote
+Uplink = Callable[[int, np.ndarray], np.ndarray]
 
 
-@lru_cache(maxsize=None)
-def _chirp_receiver(wave: WaveformConfig, votes_per_block: int) -> _ChirpReceiver:
+def scheme_uplink(setup: TrainSetup, scheme: str, noise_power: float) -> Uplink:
+    """The aggregation a scheme token names, built once per run as a function
+    ``(round_index, votes) -> majority vote``: the error-free vote for
+    ``ideal``, else the uplink and vote count that ``config.scheme_votes``
+    gives, at receiver noise power ``noise_power``.  Everything that does not
+    change between rounds (vote plan, shaping, tone shifts, link amplitudes
+    at the scheme's clamp radius) is computed here, so an unknown token
+    raises ConfigError, and a vote count no guard carries exactly raises
+    InfeasibleError, before any round runs."""
+    if scheme == "ideal":
+        return lambda round_index, votes: ideal_mv(votes)
+    votes_per_block = scheme_votes(scheme)
+    wave, distances = setup.wave, setup.deployment.ed_distances
+    if votes_per_block is None:
+        links = link_power(setup.power, setup.train.obda_coverage_m, distances)
+        amps = (np.sqrt(links) * math.sqrt(wave.idft_size / wave.num_bins))[:, None]
+
+        def obda(round_index: int, votes: np.ndarray) -> np.ndarray:
+            """Frequency-domain simulation of the QPSK/channel-inversion
+            uplink: all devices' blocks encoded in one call, scaled by link
+            amplitude and channel response, and summed.  The votes equal those
+            of the sample-level chain (a test-suite oracle) under the
+            cyclic-prefix condition ``TrainSetup`` enforces."""
+            responses = _channel_responses(setup, round_index)
+            tx = encode_obda(votes, responses, setup.train.tci_threshold)
+            tx *= (amps * responses)[:, None, :]
+            received = tx.sum(axis=0)
+            if noise_power > 0:
+                received += _receiver_noise(setup, round_index, noise_power, received.shape)
+            return decode_obda(received, PARAM_DIM)
+
+        return obda
     m = wave.num_bins
     plan = build_vote_plan(PARAM_DIM, m, guard_for_votes(m, votes_per_block))
+    fdss = build_fdss(wave)
+    # ``response[..., shifts[2u + s]]`` is ``response`` circularly shifted to
+    # the bin of slot u's sign-s tone (+ first)
     shifts = (np.arange(m) - plan.tone_bins[:, None]) % m
-    shifts.flags.writeable = False  # every round shares it, like the cached fdss
-    return _ChirpReceiver(plan=plan, fdss=build_fdss(wave), shifts=shifts)
+    links = link_power(setup.power, setup.train.csc_coverage_m, distances)
+    amps = (np.sqrt(links) * math.sqrt(wave.idft_size / plan.votes_per_block))[:, None]
+
+    def csc_mv(round_index: int, votes: np.ndarray) -> np.ndarray:
+        """Despread-domain simulation of the chirp majority-vote uplink.
+
+        The receiver is linear up to energy detection, and a tone at bin b
+        despreads to the bin-0 despread response circularly shifted by b.  So
+        each device's bin-0 response -- its link amplitude times its channel
+        and timing-offset response, shaped by ``fdss`` and passed through
+        ``matched_despread`` -- is computed once per round, and the despread
+        signal is one product of the devices' ``csc_tones`` as a
+        (blocks x 2V*devices) matrix with those responses shifted to each
+        (slot, sign) tone bin.  Receiver noise is white across bins because
+        the transforms are orthonormal; it goes through ``matched_despread``
+        too.  The votes equal those of the sample-level chain (spread /
+        propagate / superpose / despread, kept in the test suite as an
+        oracle) while the largest tap delay plus the timing offset fits in
+        the untapered part of the cyclic prefix, which ``TrainSetup``
+        enforces.
+        """
+        weights = amps * _channel_responses(setup, round_index) * fdss
+        response = matched_despread(fdss, weights) / math.sqrt(m)
+        # rows (slot, sign, device), as the columns of the tone matrix
+        shifted = response[:, shifts].transpose(1, 0, 2).reshape(-1, m)
+        rngs = keyed_rngs(setup.seed, "phase", round_index, count=votes.shape[0])
+        despreads = csc_tones(plan, votes, rngs).reshape(plan.num_blocks, -1) @ shifted
+        if noise_power > 0:
+            noise = _receiver_noise(setup, round_index, noise_power, despreads.shape)
+            despreads += matched_despread(fdss, noise)
+        return detect_mv(plan, despreads).mv
+
+    return csc_mv
 
 
-def _csc_majority(
-    round_index: int,
-    setup: TrainSetup,
-    votes: np.ndarray,
-    noise_power: float,
-    votes_per_block: int,
-) -> np.ndarray:
-    """Despread-domain simulation of the chirp majority-vote uplink with
-    ``votes_per_block`` votes per symbol block.
-
-    The receiver is linear up to energy detection, and a tone at bin b
-    despreads to the bin-0 despread response circularly shifted by b.  So
-    each device's bin-0 response -- its link amplitude times its channel and
-    timing-offset response, shaped by ``fdss`` and passed through
-    ``matched_despread`` -- is computed once per round, and the despread
-    signal is one product of the devices' ``csc_tones`` as a
-    (blocks x 2V*devices) matrix with those responses shifted to each
-    (slot, sign) tone bin.  Receiver noise is white across bins because the
-    transforms are orthonormal; it goes through ``matched_despread`` too.
-    The votes equal those of the sample-level chain (spread / propagate /
-    superpose / despread, kept in the test suite as an oracle) while the
-    largest tap delay plus the timing offset fits in the untapered part of
-    the cyclic prefix, which ``TrainSetup`` enforces.
-    """
-    wave = setup.wave
-    rx = _chirp_receiver(wave, votes_per_block)
-    plan, m = rx.plan, wave.num_bins
-    links = link_power(setup.power, setup.train.csc_coverage_m, setup.deployment.ed_distances)
-    amp = math.sqrt(wave.idft_size / plan.votes_per_block)
-    weights = (np.sqrt(links) * amp)[:, None] * _channel_responses(setup, round_index) * rx.fdss
-    response = matched_despread(rx.fdss, weights) / math.sqrt(m)
-    # rows (slot, sign, device), as the columns of the tone matrix
-    shifted = response[:, rx.shifts].transpose(1, 0, 2).reshape(-1, m)
-    rngs = keyed_rngs(setup.seed, "phase", round_index, count=votes.shape[0])
-    despreads = csc_tones(plan, votes, rngs).reshape(plan.num_blocks, -1) @ shifted
-    if noise_power > 0:
-        noise = _receiver_noise(setup, round_index, noise_power, despreads.shape)
-        despreads += matched_despread(rx.fdss, noise)
-    return detect_mv(plan, despreads).mv
-
-
-def _obda_majority(
-    round_index: int, setup: TrainSetup, votes: np.ndarray, noise_power: float
-) -> np.ndarray:
-    """Frequency-domain simulation of the QPSK/channel-inversion uplink: all
-    devices' blocks encoded in one call, scaled by link amplitude and channel
-    response, and summed.  The votes equal those of the sample-level chain
-    (a test-suite oracle) under the cyclic-prefix condition ``TrainSetup``
-    enforces."""
-    wave = setup.wave
-    links = link_power(setup.power, setup.train.obda_coverage_m, setup.deployment.ed_distances)
-    amp = math.sqrt(wave.idft_size / wave.num_bins)
-    responses = _channel_responses(setup, round_index)
-    tx = encode_obda(votes, responses, setup.train.tci_threshold)
-    tx *= ((np.sqrt(links) * amp)[:, None] * responses)[:, None, :]
-    received = tx.sum(axis=0)
-    if noise_power > 0:
-        received += _receiver_noise(setup, round_index, noise_power, received.shape)
-    return decode_obda(received, PARAM_DIM)
-
-
-def _ideal_majority(
-    round_index: int, setup: TrainSetup, votes: np.ndarray, noise_power: float
-) -> np.ndarray:
-    return ideal_mv(votes)
-
-
-def scheme_uplink(scheme: str):
-    """The aggregation a scheme token names, as a function
-    ``(round_index, setup, votes, noise_power) -> majority vote``: the error-free
-    vote for ``ideal``, else the uplink and vote count that
-    ``config.scheme_votes`` gives.  An unknown token raises ConfigError."""
-    if scheme == "ideal":
-        return _ideal_majority
-    votes_per_block = scheme_votes(scheme)
-    if votes_per_block is None:
-        return _obda_majority
-    return partial(_csc_majority, votes_per_block=votes_per_block)
-
-
-def _noise_power(snr_db: float) -> float:
-    """Receiver noise power for a target SNR, relative to the link power
-    that power control delivers inside coverage: 10^(-snr_db/10)."""
-    return 10.0 ** (-snr_db / 10.0)
-
-
-def run_round(
-    state: TrainState, setup: TrainSetup, scheme: str, snr_db: float
-) -> TrainState:
+def run_round(state: TrainState, setup: TrainSetup, uplink: Uplink) -> TrainState:
     """One training round: local gradients, sign votes, aggregation over the
-    scheme's uplink, then the shared model update.  The recorded
-    loss/accuracy describe the model after the update."""
-    uplink = scheme_uplink(scheme)
+    run's ``uplink`` (see ``scheme_uplink``), then the shared model update.
+    The recorded loss/accuracy describe the model after the update."""
     votes = _collect_votes(state.weights, state.round_index, setup)
-    mv = uplink(state.round_index, setup, votes, _noise_power(snr_db))
+    mv = uplink(state.round_index, votes)
     weights = state.weights - setup.train.step_size * mv
     per_ed = tuple(mean_loss(weights, setup.train_set, setup.bounds).tolist())
     record = RoundRecord(
@@ -448,16 +413,19 @@ def run_round(
 
 def run_training(setup: TrainSetup, scheme: str, snr_db: float) -> TrainState:
     """``setup.train.rounds`` rounds of ``scheme`` at ``snr_db`` from the
-    seed's initial model.
+    seed's initial model, over one uplink built before the first round.
 
     ``snr_db`` need not come from ``setup.train``, so it passes the profile's
     SNR check first: a ConfigError before the first round, not a NaN noise
-    power that compares false against zero and runs noiseless.
+    power that compares false against zero and runs noiseless.  The noise
+    power is relative to the link power that power control delivers inside
+    coverage: 10^(-snr_db/10).
     """
     replace(setup.train, snr_db=(snr_db,))
+    uplink = scheme_uplink(setup, scheme, 10.0 ** (-snr_db / 10.0))
     state = initial_state(setup)
     for _ in range(setup.train.rounds):
-        state = run_round(state, setup, scheme, snr_db)
+        state = run_round(state, setup, uplink)
     return state
 
 

@@ -10,9 +10,7 @@ from chirpvote.channel import (
     draw_sync_offset,
     epa_rms_delay_spread_ns,
     propagate,
-    superpose,
 )
-from chirpvote.errors import FramingError
 from chirpvote.waveform import ComplexSignal, WaveformConfig
 
 CFG = WaveformConfig()
@@ -98,31 +96,6 @@ class TestPropagate:
         real = draw_epa(CFG, np.random.default_rng(0))
         with pytest.raises(ValueError):
             propagate(real, -1, _sig(np.ones(8)))
-
-
-class TestSuperpose:
-    def test_weighted_sum_noiseless(self):
-        x = np.ones(16, dtype=complex)
-        y = 1j * np.ones(16, dtype=complex)
-        out = superpose([(_sig(x), 4.0), (_sig(y), 9.0)], 0.0, np.random.default_rng(0))
-        np.testing.assert_allclose(out.samples, 2.0 * x + 3.0 * y)
-
-    def test_noise_variance(self):
-        x = np.zeros(200_000, dtype=complex)
-        out = superpose([(_sig(x), 1.0)], 0.25, np.random.default_rng(1))
-        assert out.mean_power == pytest.approx(0.25, rel=0.03)
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(FramingError):
-            superpose(
-                [(_sig(np.ones(8)), 1.0), (_sig(np.ones(9)), 1.0)],
-                0.0,
-                np.random.default_rng(0),
-            )
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            superpose([], 0.0, np.random.default_rng(0))
 
 
 class TestSyncOffset:

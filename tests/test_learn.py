@@ -1,5 +1,7 @@
 import math
+from collections import Counter
 from dataclasses import replace
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -13,12 +15,12 @@ from chirpvote.channel import (
     epa_phase_table,
     epa_tap_delays,
     propagate,
-    superpose,
 )
 from chirpvote.config import default_config
 from chirpvote.datasets import Dataset, synthetic_digits
 from chirpvote.deployment import Deployment, link_power
-from chirpvote.errors import ConfigError, InfeasibleError
+from chirpvote.errors import ConfigError, FramingError, InfeasibleError
+from chirpvote import learn
 from chirpvote.learn import (
     PARAM_DIM,
     BoundParams,
@@ -26,8 +28,6 @@ from chirpvote.learn import (
     TrainState,
     _channel_responses,
     _collect_votes,
-    _csc_majority,
-    _obda_majority,
     convergence_bound,
     evaluate,
     forward_logits,
@@ -42,6 +42,7 @@ from chirpvote.learn import (
     predict,
     run_round,
     run_training,
+    scheme_uplink,
 )
 from chirpvote import studies
 from chirpvote.oac import (
@@ -53,7 +54,15 @@ from chirpvote.oac import (
     guard_for_votes,
     sign_pm1,
 )
-from chirpvote.waveform import build_fdss, demodulate_ofdm, despread, modulate_ofdm, spread
+from chirpvote.waveform import (
+    ComplexSignal,
+    WaveformConfig,
+    build_fdss,
+    demodulate_ofdm,
+    despread,
+    modulate_ofdm,
+    spread,
+)
 
 
 def _max_admitted_offset(wave) -> int:
@@ -256,38 +265,72 @@ class TestTrainingMechanics:
         b = initial_state(setup)
         np.testing.assert_array_equal(a.weights, b.weights)
 
-    def test_run_round_unknown_phy(self):
-        setup = studies.training_setup(_tiny_cfg(), 0)
-        state = initial_state(setup)
-        with pytest.raises(ConfigError):
-            run_round(state, setup, "carrier-pigeon", 20.0)
+    @pytest.mark.parametrize(
+        "wave, scheme, error",
+        [
+            ({}, "carrier-pigeon", ConfigError),
+            # in 30 bins no guard carries exactly 4 vote pairs
+            ({"num_bins": 30, "sweep_cycles": 26.0}, "csc_mv_4", InfeasibleError),
+        ],
+        ids=["unknown-token", "inexact-vote-count"],
+    )
+    def test_uplink_rejected_before_first_round(self, monkeypatch, wave, scheme, error):
+        cfg = _tiny_cfg()
+        setup = studies.training_setup(replace(cfg, wave=replace(cfg.wave, **wave)), 0)
+        with pytest.raises(error):
+            scheme_uplink(setup, scheme, 0.01)
+
+        def no_round(*args):
+            raise AssertionError("a round ran before the uplink was built")
+
+        monkeypatch.setattr(learn, "run_round", no_round)
+        with pytest.raises(error):
+            run_training(setup, scheme, 20.0)
+
+    def test_uplink_built_once_per_run(self, monkeypatch):
+        calls = Counter()
+
+        def counting(name):
+            original = getattr(learn, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(learn, name, wrapper)
+
+        counting("link_power")
+        counting("build_vote_plan")
+        setup = studies.training_setup(_tiny_cfg(rounds=3), 0)
+        run_training(setup, "csc_mv_2", 20.0)
+        assert calls == {"link_power": 1, "build_vote_plan": 1}
+        calls.clear()
+        run_training(setup, "obda", 20.0)
+        assert calls == {"link_power": 1}
 
     def test_run_round_deterministic(self):
         setup = studies.training_setup(_tiny_cfg(), 0)
         state = initial_state(setup)
-        a = run_round(state, setup, "csc_mv_2", 15.0)
-        b = run_round(state, setup, "csc_mv_2", 15.0)
+        a = run_round(state, setup, scheme_uplink(setup, "csc_mv_2", 10.0 ** -1.5))
+        b = run_round(state, setup, scheme_uplink(setup, "csc_mv_2", 10.0 ** -1.5))
         np.testing.assert_array_equal(a.weights, b.weights)
         assert a.history == b.history
 
-    @pytest.mark.parametrize(
-        "scheme, uplink",
-        [
-            ("ideal", lambda r, t, v, p: ideal_mv(v)),
-            ("csc_mv_1", lambda r, t, v, p: _csc_majority(r, t, v, p, 1)),
-            ("csc_mv_4", lambda r, t, v, p: _csc_majority(r, t, v, p, 4)),
-            ("obda", _obda_majority),
-        ],
-    )
-    def test_scheme_token_selects_uplink(self, scheme, uplink):
+    @pytest.mark.parametrize("scheme", ["ideal", "csc_mv_1", "csc_mv_4", "obda"])
+    def test_scheme_token_selects_uplink(self, scheme):
         # a non-default step size: run_round must take it from the profile
         setup = studies.training_setup(_tiny_cfg(step_size=0.05), 2)
         state = initial_state(setup)
-        noise_power = 10.0 ** (-15.0 / 10.0)
+        uplink = scheme_uplink(setup, scheme, 10.0 ** (-15.0 / 10.0))
         votes = _collect_votes(state.weights, 0, setup)
-        mv = uplink(0, setup, votes, noise_power)
-        new = run_round(state, setup, scheme, 15.0)
+        mv = uplink(0, votes)
+        if scheme == "ideal":
+            assert np.array_equal(mv, ideal_mv(votes))
+        new = run_round(state, setup, uplink)
         assert np.array_equal(new.weights, state.weights - 0.05 * mv)
+        # run_training's own uplink gives the same first round
+        first = run_training(replace(setup, train=replace(setup.train, rounds=1)), scheme, 15.0)
+        assert np.array_equal(first.weights, new.weights)
 
     def test_batches_shared_between_phy_modes(self):
         setup = studies.training_setup(_tiny_cfg(), 3)
@@ -391,7 +434,7 @@ class TestBatchedAgainstLoops:
         state = initial_state(setup)
         states = [state]
         for _ in range(rounds):
-            state = run_round(state, setup, "ideal", 20.0)
+            state = run_round(state, setup, scheme_uplink(setup, "ideal", 0.01))
             states.append(state)
         return setup, states
 
@@ -491,6 +534,59 @@ def _channel_draws(setup: TrainSetup, round_index: int, k: int):
     return realization, offset
 
 
+def superpose(
+    contributions: Sequence[tuple[ComplexSignal, float]],
+    noise_power: float,
+    rng: np.random.Generator,
+) -> ComplexSignal:
+    """Sum sqrt(P_k)-weighted signals and add complex white Gaussian noise of
+    the given per-sample variance."""
+    if not contributions:
+        raise ValueError("need at least one signal")
+    length = len(contributions[0][0])
+    period = contributions[0][0].sample_period
+    total = np.zeros(length, dtype=complex)
+    for sig, power in contributions:
+        if len(sig) != length:
+            raise FramingError("superposed signals must share a common length")
+        total += math.sqrt(power) * sig.samples
+    if noise_power > 0:
+        scale = math.sqrt(noise_power / 2.0)
+        total = total + scale * (rng.standard_normal(length) + 1j * rng.standard_normal(length))
+    return ComplexSignal(samples=total, sample_period=period)
+
+
+def _sig(x):
+    return ComplexSignal(
+        samples=np.asarray(x, dtype=complex), sample_period=1 / WaveformConfig().sample_rate
+    )
+
+
+class TestSuperpose:
+    def test_weighted_sum_noiseless(self):
+        x = np.ones(16, dtype=complex)
+        y = 1j * np.ones(16, dtype=complex)
+        out = superpose([(_sig(x), 4.0), (_sig(y), 9.0)], 0.0, np.random.default_rng(0))
+        np.testing.assert_allclose(out.samples, 2.0 * x + 3.0 * y)
+
+    def test_noise_variance(self):
+        x = np.zeros(200_000, dtype=complex)
+        out = superpose([(_sig(x), 1.0)], 0.25, np.random.default_rng(1))
+        assert out.mean_power == pytest.approx(0.25, rel=0.03)
+
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(FramingError):
+            superpose(
+                [(_sig(np.ones(8)), 1.0), (_sig(np.ones(9)), 1.0)],
+                0.0,
+                np.random.default_rng(0),
+            )
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError):
+            superpose([], 0.0, np.random.default_rng(0))
+
+
 def csc_majority_sampled(
     round_index: int,
     setup: TrainSetup,
@@ -564,7 +660,7 @@ class TestRadioAggregation:
     def test_spectral_path_matches_sampled_path_noiseless(self):
         setup = studies.training_setup(_tiny_cfg(num_eds=4, samples=100), 2)
         votes = _collect_votes(initial_state(setup).weights, 0, setup)
-        fast = _csc_majority(0, setup, votes, 0.0, 2)
+        fast = scheme_uplink(setup, "csc_mv_2", 0.0)(0, votes)
         slow = csc_majority_sampled(0, setup, votes, 0.0, 2)
         np.testing.assert_array_equal(fast, slow)
 
@@ -586,7 +682,7 @@ class TestRadioAggregation:
         setup = studies.training_setup(cfg, seed)
         votes = _collect_votes(initial_state(setup).weights, round_index, setup)
         np.testing.assert_array_equal(
-            _csc_majority(round_index, setup, votes, 0.0, votes_per_block),
+            scheme_uplink(setup, f"csc_mv_{votes_per_block}", 0.0)(round_index, votes),
             csc_majority_sampled(round_index, setup, votes, 0.0, votes_per_block),
         )
 
@@ -602,7 +698,7 @@ class TestRadioAggregation:
                 setup = replace(base, train=replace(base.train, max_sync_offset=max_sync_offset))
                 votes = _collect_votes(initial_state(setup).weights, round_index, setup)
                 np.testing.assert_array_equal(
-                    _obda_majority(round_index, setup, votes, 0.0),
+                    scheme_uplink(setup, "obda", 0.0)(round_index, votes),
                     obda_majority_sampled(round_index, setup, votes),
                 )
 
@@ -610,20 +706,20 @@ class TestRadioAggregation:
         setup = studies.training_setup(_tiny_cfg(num_eds=1, samples=60), 4)
         # heavy fading cannot flip a single device's energy detection
         votes = _collect_votes(initial_state(setup).weights, 0, setup)
-        out = _csc_majority(0, setup, votes, 0.0, 2)
+        out = scheme_uplink(setup, "csc_mv_2", 0.0)(0, votes)
         np.testing.assert_array_equal(out, votes[0])
 
     def test_csc_majority_tracks_ideal_at_high_snr(self):
         setup = studies.training_setup(_tiny_cfg(num_eds=5, samples=150), 5)
         votes = _collect_votes(initial_state(setup).weights, 0, setup)
-        radio = _csc_majority(0, setup, votes, 1e-6, 2)
+        radio = scheme_uplink(setup, "csc_mv_2", 1e-6)(0, votes)
         ideal = ideal_mv(votes)
         assert np.mean(radio == ideal) > 0.7
 
     def test_obda_majority_tracks_ideal_at_high_snr(self):
         setup = studies.training_setup(_tiny_cfg(num_eds=5, samples=150), 5)
         votes = _collect_votes(initial_state(setup).weights, 0, setup)
-        radio = _obda_majority(0, setup, votes, 1e-6)
+        radio = scheme_uplink(setup, "obda", 1e-6)(0, votes)
         ideal = ideal_mv(votes)
         assert np.mean(radio == ideal) > 0.7
 
