@@ -70,12 +70,8 @@ class TrainConfig:
     train_samples: int = 2000
     test_samples: int = 2000
     max_sync_offset: int = 4
-    tci_threshold: float = 0.1
     partition: str = "homogeneous"
     seeds: tuple[Seed, ...] = (0, 1, 2, 3, 4)
-    # power-control clamp radii (coverage) used by the simulated uplinks
-    csc_coverage_m: float = 46.5
-    obda_coverage_m: float = 30.73
 
     def __post_init__(self) -> None:
         if isinstance(self.snr_db, str) or isinstance(self.seeds, str):
@@ -105,8 +101,6 @@ class TrainConfig:
             finite = False
         if not finite:
             raise ConfigError("snr_db values must be finite, with 10^(-snr_db/10) a finite float")
-        if self.csc_coverage_m <= 0 or self.obda_coverage_m <= 0:
-            raise ConfigError("coverage radii must be positive")
 
 
 @dataclass(frozen=True)

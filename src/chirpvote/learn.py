@@ -26,7 +26,7 @@ import numpy as np
 
 from ._rng import keyed_rng, keyed_rngs
 from .channel import draw_epa, draw_sync_offset, epa_phase_table, epa_tap_delays
-from .config import TrainConfig, scheme_votes
+from .config import SCHEME_NAMES, TrainConfig, scheme_votes
 from .datasets import Dataset
 from .deployment import Deployment, PowerControlParams, link_power
 from .errors import ConfigError, InfeasibleError
@@ -226,8 +226,10 @@ def partition_dataset(
 class TrainSetup:
     """Everything a training run needs besides the mutable model state.
 
-    ``train`` is the profile's own section: batch size, step size, rounds,
-    timing offset, inversion threshold and clamp radii are read from it.
+    ``train`` is the profile's own section: batch size, step size, rounds
+    and timing offset are read from it. The uplinks' clamp radii are
+    ``CLAMP_RADIUS_M`` and OBDA's inversion threshold is ``encode_obda``'s
+    default.
     """
 
     wave: WaveformConfig
@@ -238,7 +240,7 @@ class TrainSetup:
     train_set: Dataset
     bounds: np.ndarray
     test_set: Dataset
-    seed: int = 0
+    seed: int
 
     def __post_init__(self) -> None:
         if len(self.bounds) != self.deployment.num_eds + 1:
@@ -316,6 +318,13 @@ def _receiver_noise(
 #: a run's aggregation: (round_index, sign votes (devices, PARAM_DIM)) -> majority vote
 Uplink = Callable[[int, np.ndarray], np.ndarray]
 
+#: each scheme's power-control clamp radius in m: ``coverage_radius`` at the
+#: paper's compliant back-offs, 3.3 dB for the chirps and 10.5 dB for OBDA,
+#: rounded by hand
+CLAMP_RADIUS_M = {
+    name: 30.73 if scheme_votes(name) is None else 46.5 for name in SCHEME_NAMES
+}
+
 
 def scheme_uplink(setup: TrainSetup, scheme: str, noise_power: float) -> Uplink:
     """The aggregation a scheme token names, built once per run as a function
@@ -329,9 +338,9 @@ def scheme_uplink(setup: TrainSetup, scheme: str, noise_power: float) -> Uplink:
     if scheme == "ideal":
         return lambda round_index, votes: ideal_mv(votes)
     votes_per_block = scheme_votes(scheme)
-    wave, distances = setup.wave, setup.deployment.ed_distances
+    wave = setup.wave
+    links = link_power(setup.power, CLAMP_RADIUS_M[scheme], setup.deployment.ed_distances)
     if votes_per_block is None:
-        links = link_power(setup.power, setup.train.obda_coverage_m, distances)
         amps = (np.sqrt(links) * math.sqrt(wave.idft_size / wave.num_bins))[:, None]
 
         def obda(round_index: int, votes: np.ndarray) -> np.ndarray:
@@ -341,7 +350,7 @@ def scheme_uplink(setup: TrainSetup, scheme: str, noise_power: float) -> Uplink:
             of the sample-level chain (a test-suite oracle) under the
             cyclic-prefix condition ``TrainSetup`` enforces."""
             responses = _channel_responses(setup, round_index)
-            tx = encode_obda(votes, responses, setup.train.tci_threshold)
+            tx = encode_obda(votes, responses)
             tx *= (amps * responses)[:, None, :]
             received = tx.sum(axis=0)
             if noise_power > 0:
@@ -355,7 +364,6 @@ def scheme_uplink(setup: TrainSetup, scheme: str, noise_power: float) -> Uplink:
     # ``response[..., shifts[2u + s]]`` is ``response`` circularly shifted to
     # the bin of slot u's sign-s tone (+ first)
     shifts = (np.arange(m) - plan.tone_bins[:, None]) % m
-    links = link_power(setup.power, setup.train.csc_coverage_m, distances)
     amps = (np.sqrt(links) * math.sqrt(wave.idft_size / plan.votes_per_block))[:, None]
 
     def csc_mv(round_index: int, votes: np.ndarray) -> np.ndarray:

@@ -54,15 +54,31 @@ def drive_pa(pa: RappPa, sig: ComplexSignal, obo_db: float) -> ComplexSignal:
     however many back-offs the signal is driven at. g x is divided by the
     real divisor through the real and imaginary parts, as complex division
     by a real number does.
+
+    For a large p either factor of the divisor's largest term,
+    (g^2)^p (max |x|^2)^p, can overflow and leave an infinite or NaN
+    divisor. So that term is checked first, from the signal's cached peak
+    power, and an overflow raises a ConfigError naming ``pa.smoothness``.
     """
     mean_power = sig.mean_power
     if mean_power <= 0:
         raise ValueError("cannot scale a zero-power signal")
+    p = pa.smoothness
     gain2 = 10.0 ** (-obo_db / 10.0) / mean_power
+    try:
+        scale = gain2**p
+        peak_term = sig.peak_power**p * scale
+    except OverflowError:
+        peak_term = math.inf
+    if math.isinf(peak_term):
+        raise ConfigError(
+            f"pa.smoothness {p:g} is too large: the Rapp divisor's (g^2)^p (|x|^2)^p "
+            f"overflows at {obo_db:g} dB back-off"
+        )
     gain = math.sqrt(gain2)
-    divisor = sig.power_pow(pa.smoothness) * gain2**pa.smoothness
+    divisor = sig.power_pow(p) * scale
     divisor += 1.0
-    np.power(divisor, 1.0 / (2.0 * pa.smoothness), out=divisor)
+    np.power(divisor, 1.0 / (2.0 * p), out=divisor)
     x = sig.samples
     y = np.empty_like(x)
     np.multiply(x.real, gain, out=y.real)
@@ -109,10 +125,19 @@ def aclr(sig: ComplexSignal, inband: tuple[float, float], segment_len: int) -> f
     if f_hi <= f_lo:
         raise ValueError("in-band interval must have positive width")
     if f_hi - f_lo >= sig.sample_rate:
-        raise ValueError("in-band interval wider than the sampled bandwidth")
+        raise ConfigError(
+            "the occupied band is as wide as the sampled bandwidth, so no leakage "
+            "is visible: lower wave.num_bins or raise metrics.oversample"
+        )
     seg = min(segment_len, len(sig))
     freqs, dens = power_spectrum(sig.samples, sig.sample_rate, seg)
     inside = (freqs >= f_lo) & (freqs <= f_hi)
+    if inside.all():
+        raise ConfigError(
+            f"every bin of the {seg}-point PSD lies inside the occupied band, so no "
+            "leakage is visible: raise metrics.segment_len (and metrics.stream_symbols "
+            "if the stream is shorter)"
+        )
     p_in = dens[inside].sum()
     p_out = dens[~inside].sum()
     if p_in <= 0:

@@ -187,6 +187,7 @@ def aclr_study(cfg: ExperimentConfig, obo_db: float | None = None) -> list[dict]
         # fill the stream's caches here, so the workers only read them
         stream.power_pow(cfg.pa.smoothness)
         stream.mean_power
+        stream.peak_power
         at_obo = partial(aclr_at_obo, cfg.pa, stream, inband, segment_len=cfg.metrics.segment_len)
         rows += [
             {"scheme": scheme, "obo_db": obo, "aclr_db": value}
@@ -276,15 +277,17 @@ def train_sweep(
 
     Returns per-round history rows, one summary row per run, and the
     final-round loss-by-distance snapshot, all in fixed loop order so the
-    emitted files are canonical.
+    emitted files are canonical. Each distinct seed's set-up is built once
+    and shared by all its runs: a run reads its set-up and never changes it.
     """
+    setups = {seed: training_setup(cfg, seed) for seed in dict.fromkeys(cfg.train.seeds)}
     history: list[dict] = []
     summary: list[dict] = []
     loss_rows: list[dict] = []
     for scheme in schemes:
         for snr_db in cfg.train.snr_db:
             for seed in cfg.train.seeds:
-                setup = training_setup(cfg, seed)
+                setup = setups[seed]
                 state = run_training(setup, scheme, float(snr_db))
                 key = {"scheme": scheme, "snr_db": float(snr_db), "seed": seed}
                 history += [

@@ -125,14 +125,24 @@ class ComplexSignal:
         return float(np.mean(self.power))
 
     @cached_property
+    def peak_power(self) -> float:
+        """Largest instantaneous power, computed once per signal."""
+        return float(self.power.max())
+
+    @cached_property
     def _power_powers(self) -> dict[float, np.ndarray]:
         return {}
 
     def power_pow(self, exponent: float) -> np.ndarray:
-        """(|samples|^2)^exponent, computed once per signal and exponent."""
+        """(|samples|^2)^exponent, computed once per signal and exponent.
+
+        A power that overflows is inf, without a warning: ``rf.drive_pa``
+        rejects such an exponent from ``peak_power`` before reading these.
+        """
         cached = self._power_powers.get(exponent)
         if cached is None:
-            cached = self._power_powers[exponent] = np.power(self.power, exponent)
+            with np.errstate(over="ignore"):
+                cached = self._power_powers[exponent] = np.power(self.power, exponent)
         return cached
 
 

@@ -481,6 +481,53 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err.startswith("error:") and key in err
 
+    @pytest.mark.parametrize("command", ["aclr", "coverage"])
+    @pytest.mark.parametrize(
+        "profile, keys",
+        [
+            # one-point segments: the PSD's only bin is DC, inside the band
+            ({"metrics": {"segment_len": 1}}, ["metrics.segment_len"]),
+            # 64 of 64 bins at the critical rate: the band fills the spectrum
+            (
+                {"wave": {"num_bins": 64}, "metrics": {"oversample": 1}},
+                ["wave.num_bins", "metrics.oversample"],
+            ),
+        ],
+        ids=["segment_len-1", "full-band"],
+    )
+    def test_psd_without_bins_outside_the_band_exits_2(
+        self, tmp_path, command, profile, keys, capsys
+    ):
+        cfg = tmp_path / "blind.json"
+        metrics = {**profile["metrics"], "stream_symbols": 50}
+        cfg.write_text(json.dumps({**profile, "metrics": metrics}))
+        assert run(command, "--config", cfg) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert all(key in captured.err for key in keys)
+
+    @pytest.mark.parametrize(
+        "smoothness, argv",
+        [
+            # (g^2)^p overflows for the low-power chirp streams at 0 dB
+            (200.0, ["aclr"]),
+            (200.0, ["coverage"]),
+            # (|x|^2)^p overflows at OBDA's peaks, at every back-off
+            (400.0, ["aclr", "--scheme", "obda"]),
+            (400.0, ["coverage", "--scheme", "obda"]),
+        ],
+    )
+    def test_overflowing_smoothness_exits_2(self, tmp_path, smoothness, argv, capsys):
+        cfg = tmp_path / "sharp.json"
+        cfg.write_text(
+            json.dumps({"pa": {"smoothness": smoothness}, "metrics": {"stream_symbols": 50}})
+        )
+        assert run(*argv, "--config", cfg) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "pa.smoothness" in captured.err
+
     @pytest.mark.parametrize("command", ["snr-distance", "coverage"])
     @pytest.mark.parametrize(
         "power, message",
@@ -617,13 +664,17 @@ class TestErrorPaths:
             ({"out_dir": "results"}, "out_dir"),
             ({"wave": {"bin_low": -27}}, "bin_low"),
             ({"wave": {"bin_high": 26}}, "bin_high"),
+            ({"train": {"csc_coverage_m": 46.5}}, "csc_coverage_m"),
+            ({"train": {"obda_coverage_m": 30.73}}, "obda_coverage_m"),
+            ({"train": {"tci_threshold": 0.1}}, "tci_threshold"),
         ],
     )
     def test_removed_key_exits_2(self, tmp_path, profile, key, capsys):
         # the scheme token sets the vote count, aclr/coverage set the
         # back-off, synthetic digits are the only profile data, --out sets
-        # the output directory and wave.num_bins sets the centred band, so
-        # these keys would change no output
+        # the output directory, wave.num_bins sets the centred band, and the
+        # clamp radii and OBDA's inversion threshold each have one source in
+        # the code, so these keys would change no output
         cfg = tmp_path / "removed.json"
         cfg.write_text(json.dumps(profile))
         assert run("train", "--config", cfg, "--scheme", "ideal") == 2

@@ -144,6 +144,21 @@ class TestDictConversion:
         with pytest.raises(ConfigError, match="bandwidth_hz"):
             config_from_dict(data)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("csc_coverage_m", 46.5), ("obda_coverage_m", 30.73), ("tci_threshold", 0.1)],
+    )
+    def test_removed_train_key(self, key, value):
+        # the clamp radii are learn.CLAMP_RADIUS_M and the inversion
+        # threshold is oac.encode_obda's default, so no profile sets them
+        with pytest.raises(ConfigError, match=rf"train: unknown keys \['{key}'\]"):
+            config_from_dict({"train": {key: value}})
+
+    def test_settable_value_count(self):
+        data = config_to_dict(default_config())
+        sections = [v for v in data.values() if isinstance(v, dict)]
+        assert len(data) - len(sections) + sum(map(len, sections)) == 32
+
     def test_section_must_be_object(self):
         data = config_to_dict(default_config())
         data["pa"] = 3.0

@@ -22,6 +22,7 @@ from chirpvote.deployment import Deployment, link_power
 from chirpvote.errors import ConfigError, FramingError, InfeasibleError
 from chirpvote import learn
 from chirpvote.learn import (
+    CLAMP_RADIUS_M,
     PARAM_DIM,
     BoundParams,
     TrainSetup,
@@ -308,6 +309,29 @@ class TestTrainingMechanics:
         run_training(setup, "obda", 20.0)
         assert calls == {"link_power": 1}
 
+    def test_sweep_builds_one_setup_per_distinct_seed(self, monkeypatch):
+        # a repeated seed keeps its runs and its place in the row order, and
+        # every run equals one trained on a set-up of its own
+        cfg = _tiny_cfg(rounds=2, snr_db=(5.0, 20.0), seeds=(0, 3, 0))
+        schemes = ("csc_mv_2", "obda")
+        build = studies.training_setup
+        calls = Counter()
+
+        def counted(cfg, seed):
+            calls[seed] += 1
+            return build(cfg, seed)
+
+        monkeypatch.setattr(studies, "training_setup", counted)
+        history, summary, loss_rows = studies.train_sweep(cfg, schemes)
+        assert calls == {0: 1, 3: 1}
+        runs = [(s, snr, seed) for s in schemes for snr in (5.0, 20.0) for seed in (0, 3, 0)]
+        assert [(r["scheme"], r["snr_db"], r["seed"]) for r in summary] == runs
+        assert len(history) == 2 * len(runs) and len(loss_rows) == 5 * len(runs)
+        for row, (scheme, snr_db, seed) in zip(summary, runs):
+            last = run_training(build(cfg, seed), scheme, snr_db).history[-1]
+            assert row["final_accuracy"] == last.test_accuracy
+            assert row["final_train_loss"] == last.train_loss
+
     def test_run_round_deterministic(self):
         setup = studies.training_setup(_tiny_cfg(), 0)
         state = initial_state(setup)
@@ -513,7 +537,7 @@ class TestBatchedAgainstLoops:
     @pytest.mark.parametrize("case", RAGGED_CASES)
     def test_link_powers_match_device_loop(self, case):
         setup = self._states(case, rounds=0)[0]
-        for coverage in (setup.train.csc_coverage_m, setup.train.obda_coverage_m):
+        for coverage in (CLAMP_RADIUS_M["csc_mv_2"], CLAMP_RADIUS_M["obda"]):
             ref = [link_power(setup.power, coverage, d) for d in setup.deployment.ed_distances]
             links = link_power(setup.power, coverage, setup.deployment.ed_distances)
             assert links.shape == (len(ref),)
@@ -601,7 +625,9 @@ def csc_majority_sampled(
     wave = setup.wave
     plan = _csc_plan(setup, votes_per_block)
     fdss = build_fdss(wave)
-    links = link_power(setup.power, setup.train.csc_coverage_m, setup.deployment.ed_distances)
+    links = link_power(
+        setup.power, CLAMP_RADIUS_M[f"csc_mv_{votes_per_block}"], setup.deployment.ed_distances
+    )
     amp = math.sqrt(wave.idft_size / votes_per_block)
     arrivals = []  # per device: (list of per-block ComplexSignal, link power)
     for k in range(votes.shape[0]):
@@ -633,13 +659,13 @@ def obda_majority_sampled(
     demodulated, with the keyed channel and offset draws of the bin-domain
     path."""
     wave = setup.wave
-    links = link_power(setup.power, setup.train.obda_coverage_m, setup.deployment.ed_distances)
+    links = link_power(setup.power, CLAMP_RADIUS_M["obda"], setup.deployment.ed_distances)
     amp = math.sqrt(wave.idft_size / wave.num_bins)
     arrivals = []  # per device: (list of per-block ComplexSignal, received power)
     for k in range(votes.shape[0]):
         realization, offset = _channel_draws(setup, round_index, k)
         response = realization.frequency_response(wave.bin_indices, wave.idft_size, offset)
-        tx = encode_obda(votes[k], response, setup.train.tci_threshold)
+        tx = encode_obda(votes[k], response)
         rx = [propagate(realization, offset, modulate_ofdm(wave, row)) for row in tx]
         arrivals.append((rx, links[k] * amp**2))
     received = np.array(

@@ -13,7 +13,7 @@ from chirpvote import rf, studies
 from chirpvote._rng import keyed_rng
 from chirpvote.config import ExperimentConfig, MetricsConfig
 from chirpvote.deployment import PowerControlParams
-from chirpvote.errors import InfeasibleError
+from chirpvote.errors import ConfigError, InfeasibleError
 from chirpvote.numerics import power_spectrum
 from chirpvote.oac import random_csc_traffic, random_qpsk
 from chirpvote.rf import (
@@ -135,6 +135,27 @@ class TestRappPa:
                     drive_pa(pa, stream, obo).samples, drive_pa(pa, fresh, obo).samples
                 )
 
+    @pytest.mark.parametrize("smoothness", [150.0, 200.0, 400.0, 1e4])
+    def test_drive_output_finite_or_smoothness_rejected(self, smoothness):
+        # a large p overflows (g^2)^p or (|x|^2)^p; the drive either gives
+        # finite samples or names the profile key, never inf or NaN
+        pa = RappPa(smoothness=smoothness)
+        cfg = ExperimentConfig(metrics=MetricsConfig(stream_symbols=16))
+        rejected = set()
+        for name in ("csc_mv_1", "obda"):
+            stream = studies.scheme_stream(cfg, name, 3)
+            for obo in (0.0, 10.0, 30.0):
+                try:
+                    out = drive_pa(pa, stream, obo)
+                except ConfigError as exc:
+                    assert "pa.smoothness" in str(exc)
+                    rejected.add((name, obo))
+                else:
+                    assert np.isfinite(out.samples).all()
+            # the peak power is read once per stream, not per back-off
+            assert "peak_power" in vars(stream)
+        assert bool(rejected) == (smoothness > 150.0)
+
     def test_drive_rejects_zero_power(self):
         dead = ComplexSignal(samples=np.zeros(8, dtype=complex), sample_period=1.0)
         with pytest.raises(ValueError):
@@ -251,6 +272,16 @@ class TestAclr:
         assert lo == pytest.approx((CFG.bin_low - 0.5) * df)
         assert hi == pytest.approx((CFG.bin_high + 0.5) * df)
         assert hi - lo == pytest.approx(CFG.num_bins * df)
+
+    def test_psd_without_bins_outside_the_band_rejected(self):
+        # the band fills the sampled spectrum, or the PSD's one bin is DC:
+        # either way no leakage is visible, and the message names the keys
+        sig = _tone()
+        with pytest.raises(ConfigError, match="metrics.oversample"):
+            aclr(sig, (-sig.sample_rate / 2, sig.sample_rate / 2), 1024)
+        with pytest.raises(ConfigError, match="metrics.segment_len"):
+            aclr(sig, (-2e6, 2e6), 1)
+        assert math.isfinite(aclr(sig, (-2e6, 2e6), 2))
 
     def test_inband_tone_leaks_little(self):
         sig = _tone(n=16384, f0=1.0e6)
