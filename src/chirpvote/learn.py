@@ -172,14 +172,6 @@ def local_gradient(
     return grads
 
 
-def ideal_mv(votes: np.ndarray) -> np.ndarray:
-    """Error-free majority vote over per-device sign votes (num_eds, dim)."""
-    votes = np.atleast_2d(np.asarray(votes))
-    if votes.shape[0] < 1:
-        raise ValueError("need at least one voter")
-    return sign_pm1(votes.sum(axis=0))
-
-
 def partition_dataset(
     full: Dataset, deployment: Deployment, mode: str = "homogeneous"
 ) -> tuple[Dataset, np.ndarray]:
@@ -315,7 +307,8 @@ def _receiver_noise(
     return noise
 
 
-#: a run's aggregation: (round_index, sign votes (devices, PARAM_DIM)) -> majority vote
+#: a run's aggregation: (round_index, sign votes (devices, PARAM_DIM)) ->
+#: decision statistic (PARAM_DIM,), real, whose sign is the majority vote
 Uplink = Callable[[int, np.ndarray], np.ndarray]
 
 #: each scheme's power-control clamp radius in m: ``coverage_radius`` at the
@@ -328,15 +321,18 @@ CLAMP_RADIUS_M = {
 
 def scheme_uplink(setup: TrainSetup, scheme: str, noise_power: float) -> Uplink:
     """The aggregation a scheme token names, built once per run as a function
-    ``(round_index, votes) -> majority vote``: the error-free vote for
-    ``ideal``, else the uplink and vote count that ``config.scheme_votes``
-    gives, at receiver noise power ``noise_power``.  Everything that does not
+    ``(round_index, votes) -> statistic``: one real number per coordinate
+    whose sign is the majority vote, taken by ``run_round``.  The statistic
+    is the vote sum for ``ideal``, else that of the uplink and vote count
+    that ``config.scheme_votes`` gives, at receiver noise power
+    ``noise_power``: the group-energy margin of the chirp energy detector,
+    or the received I/Q component for OBDA.  Everything that does not
     change between rounds (vote plan, shaping, tone shifts, link amplitudes
     at the scheme's clamp radius) is computed here, so an unknown token
     raises ConfigError, and a vote count no guard carries exactly raises
     InfeasibleError, before any round runs."""
     if scheme == "ideal":
-        return lambda round_index, votes: ideal_mv(votes)
+        return lambda round_index, votes: votes.sum(axis=0)
     votes_per_block = scheme_votes(scheme)
     wave = setup.wave
     links = link_power(setup.power, CLAMP_RADIUS_M[scheme], setup.deployment.ed_distances)
@@ -346,8 +342,9 @@ def scheme_uplink(setup: TrainSetup, scheme: str, noise_power: float) -> Uplink:
         def obda(round_index: int, votes: np.ndarray) -> np.ndarray:
             """Frequency-domain simulation of the QPSK/channel-inversion
             uplink: all devices' blocks encoded in one call, scaled by link
-            amplitude and channel response, and summed.  The votes equal those
-            of the sample-level chain (a test-suite oracle) under the
+            amplitude and channel response, and summed.  Returns the received
+            I/Q components, one per coordinate.  They equal those of the
+            sample-level chain (a test-suite oracle) to rounding under the
             cyclic-prefix condition ``TrainSetup`` enforces."""
             responses = _channel_responses(setup, round_index)
             tx = encode_obda(votes, responses)
@@ -378,11 +375,12 @@ def scheme_uplink(setup: TrainSetup, scheme: str, noise_power: float) -> Uplink:
         (blocks x 2V*devices) matrix with those responses shifted to each
         (slot, sign) tone bin.  Receiver noise is white across bins because
         the transforms are orthonormal; it goes through ``matched_despread``
-        too.  The votes equal those of the sample-level chain (spread /
-        propagate / superpose / despread, kept in the test suite as an
-        oracle) while the largest tap delay plus the timing offset fits in
-        the untapered part of the cyclic prefix, which ``TrainSetup``
-        enforces.
+        too.  Returns ``detect_mv``'s margins, the energy of each
+        coordinate's +1 group minus that of its -1 group.  They equal those
+        of the sample-level chain (spread / propagate / superpose / despread,
+        kept in the test suite as an oracle) to rounding while the largest
+        tap delay plus the timing offset fits in the untapered part of the
+        cyclic prefix, which ``TrainSetup`` enforces.
         """
         weights = amps * _channel_responses(setup, round_index) * fdss
         response = matched_despread(fdss, weights) / math.sqrt(m)
@@ -393,7 +391,7 @@ def scheme_uplink(setup: TrainSetup, scheme: str, noise_power: float) -> Uplink:
         if noise_power > 0:
             noise = _receiver_noise(setup, round_index, noise_power, despreads.shape)
             despreads += matched_despread(fdss, noise)
-        return detect_mv(plan, despreads).mv
+        return detect_mv(plan, despreads).margins
 
     return csc_mv
 
@@ -401,9 +399,11 @@ def scheme_uplink(setup: TrainSetup, scheme: str, noise_power: float) -> Uplink:
 def run_round(state: TrainState, setup: TrainSetup, uplink: Uplink) -> TrainState:
     """One training round: local gradients, sign votes, aggregation over the
     run's ``uplink`` (see ``scheme_uplink``), then the shared model update.
-    The recorded loss/accuracy describe the model after the update."""
+    The majority vote is the sign of the uplink's statistic, taken here and
+    nowhere else, with sign(0) = +1.  The recorded loss/accuracy describe
+    the model after the update."""
     votes = _collect_votes(state.weights, state.round_index, setup)
-    mv = uplink(state.round_index, votes)
+    mv = sign_pm1(uplink(state.round_index, votes))
     weights = state.weights - setup.train.step_size * mv
     per_ed = tuple(mean_loss(weights, setup.train_set, setup.bounds).tolist())
     record = RoundRecord(

@@ -7,8 +7,8 @@ the server compares the aggregate energy of the two bin groups — no channel
 knowledge needed, and any CP-admissible delay only smears energy within a
 group. ``VotePlan.tone_bins`` places the tones that :func:`csc_tones` draws for
 any number of devices. OBDA instead maps sign pairs to QPSK subcarriers with
-truncated channel inversion at each device, and the server takes component
-signs of the aggregated subcarriers.
+truncated channel inversion at each device, and the server reads the I/Q
+components of the aggregated subcarriers, whose signs are the votes.
 
 Sign convention: sign(0) = +1 everywhere.
 """
@@ -130,10 +130,14 @@ def encode_csc(plan: VotePlan, votes: np.ndarray, rng: np.random.Generator) -> n
 
 @dataclass(frozen=True)
 class DetectorReport:
-    """Majority-vote decisions with their energy margins."""
+    """Energy margins of the majority-vote decisions."""
 
-    mv: np.ndarray
     margins: np.ndarray
+
+    @property
+    def mv(self) -> np.ndarray:
+        """The decisions: the sign of each margin."""
+        return sign_pm1(self.margins)
 
 
 def group_energies(plan: VotePlan, blocks: np.ndarray) -> np.ndarray:
@@ -151,11 +155,10 @@ def group_energies(plan: VotePlan, blocks: np.ndarray) -> np.ndarray:
 
 
 def detect_mv(plan: VotePlan, blocks: np.ndarray) -> DetectorReport:
-    """Non-coherent majority vote: sign of the energy difference between each
-    gradient's two bin groups."""
+    """Non-coherent majority vote: the energy difference between each
+    gradient's two bin groups, +1 group first; its sign is the vote."""
     pos, neg = group_energies(plan, blocks).reshape(-1, 2)[: plan.grad_dim].T
-    margins = pos - neg
-    return DetectorReport(mv=sign_pm1(margins), margins=margins)
+    return DetectorReport(margins=pos - neg)
 
 
 def random_csc_traffic(
@@ -214,9 +217,10 @@ def encode_obda(
 
 
 def decode_obda(received: np.ndarray, grad_dim: int) -> np.ndarray:
-    """Component-sign detection on the aggregated subcarriers."""
-    # I and Q of each subcarrier in turn
-    signs = np.ascontiguousarray(received, dtype=complex).reshape(-1).view(float)
-    if grad_dim > signs.size:
+    """The first ``grad_dim`` I/Q components of the aggregated subcarriers,
+    I and Q of each subcarrier in turn, as floats: a view of ``received``
+    when it is a contiguous complex array.  Their signs are the votes."""
+    components = np.ascontiguousarray(received, dtype=complex).reshape(-1).view(float)
+    if grad_dim > components.size:
         raise FramingError("received blocks carry fewer signs than grad_dim")
-    return sign_pm1(signs[:grad_dim])
+    return components[:grad_dim]

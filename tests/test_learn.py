@@ -32,7 +32,6 @@ from chirpvote.learn import (
     convergence_bound,
     evaluate,
     forward_logits,
-    ideal_mv,
     init_params,
     initial_state,
     local_gradient,
@@ -168,6 +167,14 @@ class TestModel:
             local_gradient(init_params(0), data, np.array([0, len(data)]), 0, [keyed_rng(0, "x")])
 
 
+def ideal_mv(votes: np.ndarray) -> np.ndarray:
+    """Error-free majority vote over per-device sign votes (num_eds, dim)."""
+    votes = np.atleast_2d(np.asarray(votes))
+    if votes.shape[0] < 1:
+        raise ValueError("need at least one voter")
+    return sign_pm1(votes.sum(axis=0))
+
+
 class TestMajorityVote:
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_matches_bruteforce_on_exhaustive_patterns(self, k):
@@ -296,18 +303,24 @@ class TestTrainingMechanics:
 
             def wrapper(*args):
                 calls[name] += 1
+                if name == "detect_mv":
+                    detected_rows.append(args[1].shape[0])
                 return original(*args)
 
             monkeypatch.setattr(learn, name, wrapper)
 
-        counting("link_power")
-        counting("build_vote_plan")
+        # the benchmark's oac.detect_mv and oac.encode_obda probes wrap these
+        # names in learn: one call per round, all blocks in the one call
+        detected_rows = []
+        for name in ("link_power", "build_vote_plan", "detect_mv", "encode_obda"):
+            counting(name)
         setup = studies.training_setup(_tiny_cfg(rounds=3), 0)
         run_training(setup, "csc_mv_2", 20.0)
-        assert calls == {"link_power": 1, "build_vote_plan": 1}
+        assert calls == {"link_power": 1, "build_vote_plan": 1, "detect_mv": 3}
+        assert detected_rows == [_csc_plan(setup, 2).num_blocks] * 3
         calls.clear()
         run_training(setup, "obda", 20.0)
-        assert calls == {"link_power": 1}
+        assert calls == {"link_power": 1, "encode_obda": 3}
 
     def test_sweep_builds_one_setup_per_distinct_seed(self, monkeypatch):
         # a repeated seed keeps its runs and its place in the row order, and
@@ -347,7 +360,7 @@ class TestTrainingMechanics:
         state = initial_state(setup)
         uplink = scheme_uplink(setup, scheme, 10.0 ** (-15.0 / 10.0))
         votes = _collect_votes(state.weights, 0, setup)
-        mv = uplink(0, votes)
+        mv = sign_pm1(uplink(0, votes))
         if scheme == "ideal":
             assert np.array_equal(mv, ideal_mv(votes))
         new = run_round(state, setup, uplink)
@@ -355,6 +368,35 @@ class TestTrainingMechanics:
         # run_training's own uplink gives the same first round
         first = run_training(replace(setup, train=replace(setup.train, rounds=1)), scheme, 15.0)
         assert np.array_equal(first.weights, new.weights)
+
+    def test_run_round_steps_by_sign_of_statistic(self):
+        setup = studies.training_setup(_tiny_cfg(step_size=0.05), 0)
+        state = initial_state(setup)
+        stat = keyed_rng(0, "stub-statistic").standard_normal(PARAM_DIM)
+        stat[::3] = 0.0
+        assert (stat < 0).any() and (stat == 0).any() and (stat > 0).any()
+        new = run_round(state, setup, lambda round_index, votes: stat)
+        assert np.array_equal(new.weights, state.weights - 0.05 * sign_pm1(stat))
+
+    @pytest.mark.parametrize("scheme", ["ideal", "csc_mv_1", "csc_mv_2", "csc_mv_4", "obda"])
+    def test_step_is_sign_of_uplink_statistic(self, scheme):
+        setup = studies.training_setup(_tiny_cfg(step_size=0.05), 1)
+        uplink = scheme_uplink(setup, scheme, 10.0 ** -1.5)
+        stats = []
+
+        def recording(round_index, votes):
+            stats.append(uplink(round_index, votes))
+            return stats[-1]
+
+        state = initial_state(setup)
+        for round_index in range(3):
+            new = run_round(state, setup, recording)
+            stat = stats[round_index]
+            # the vote sum for ideal; energy margins or I/Q components on air
+            assert stat.shape == (PARAM_DIM,)
+            assert stat.dtype.kind == ("i" if scheme == "ideal" else "f")
+            assert np.array_equal(new.weights, state.weights - 0.05 * sign_pm1(stat))
+            state = new
 
     def test_batches_shared_between_phy_modes(self):
         setup = studies.training_setup(_tiny_cfg(), 3)
@@ -618,10 +660,11 @@ def csc_majority_sampled(
     noise_power: float,
     votes_per_block: int,
 ) -> np.ndarray:
-    """Sample-level reference for the chirp uplink: full spread / multipath /
-    superposition / despread chain.  Slower than the spectral path but uses
-    the identical keyed draws for phases, channels and offsets, so the two
-    agree exactly when noise is disabled."""
+    """Sample-level reference for the chirp uplink's statistic, the
+    ``detect_mv`` margins: full spread / multipath / superposition / despread
+    chain.  Slower than the spectral path but uses the identical keyed draws
+    for phases, channels and offsets, so with noise disabled the two agree to
+    rounding and their signs agree exactly."""
     wave = setup.wave
     plan = _csc_plan(setup, votes_per_block)
     fdss = build_fdss(wave)
@@ -647,17 +690,17 @@ def csc_majority_sampled(
             for s in range(plan.num_blocks)
         ]
     )
-    return detect_mv(plan, despreads).mv
+    return detect_mv(plan, despreads).margins
 
 
 def obda_majority_sampled(
     round_index: int, setup: TrainSetup, votes: np.ndarray
 ) -> np.ndarray:
-    """Sample-level reference for the noiseless OBDA uplink: each device's
-    channel-inverted QPSK blocks are OFDM modulated, sent through its tap
-    line with its timing offset, superposed at its link power and
-    demodulated, with the keyed channel and offset draws of the bin-domain
-    path."""
+    """Sample-level reference for the noiseless OBDA uplink's statistic, the
+    received I/Q components: each device's channel-inverted QPSK blocks are
+    OFDM modulated, sent through its tap line with its timing offset,
+    superposed at its link power and demodulated, with the keyed channel and
+    offset draws of the bin-domain path."""
     wave = setup.wave
     links = link_power(setup.power, CLAMP_RADIUS_M["obda"], setup.deployment.ed_distances)
     amp = math.sqrt(wave.idft_size / wave.num_bins)
@@ -682,13 +725,19 @@ def obda_majority_sampled(
     return decode_obda(received, PARAM_DIM)
 
 
+def _assert_matches_oracle(fast: np.ndarray, oracle: np.ndarray) -> None:
+    """The uplink's statistic equals the sample-level oracle's to rounding."""
+    assert fast.shape == oracle.shape == (PARAM_DIM,)
+    assert np.max(np.abs(fast - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
+
 class TestRadioAggregation:
     def test_spectral_path_matches_sampled_path_noiseless(self):
         setup = studies.training_setup(_tiny_cfg(num_eds=4, samples=100), 2)
         votes = _collect_votes(initial_state(setup).weights, 0, setup)
         fast = scheme_uplink(setup, "csc_mv_2", 0.0)(0, votes)
         slow = csc_majority_sampled(0, setup, votes, 0.0, 2)
-        np.testing.assert_array_equal(fast, slow)
+        np.testing.assert_array_equal(sign_pm1(fast), sign_pm1(slow))
 
     # the oracle costs up to 1.7 s per example (one vote per block, six
     # devices), so the example count is kept small
@@ -708,8 +757,8 @@ class TestRadioAggregation:
         setup = studies.training_setup(cfg, seed)
         votes = _collect_votes(initial_state(setup).weights, round_index, setup)
         np.testing.assert_array_equal(
-            scheme_uplink(setup, f"csc_mv_{votes_per_block}", 0.0)(round_index, votes),
-            csc_majority_sampled(round_index, setup, votes, 0.0, votes_per_block),
+            sign_pm1(scheme_uplink(setup, f"csc_mv_{votes_per_block}", 0.0)(round_index, votes)),
+            sign_pm1(csc_majority_sampled(round_index, setup, votes, 0.0, votes_per_block)),
         )
 
     #: (seed, round) pairs the OBDA oracle runs at each device count and offset
@@ -724,28 +773,49 @@ class TestRadioAggregation:
                 setup = replace(base, train=replace(base.train, max_sync_offset=max_sync_offset))
                 votes = _collect_votes(initial_state(setup).weights, round_index, setup)
                 np.testing.assert_array_equal(
-                    scheme_uplink(setup, "obda", 0.0)(round_index, votes),
-                    obda_majority_sampled(round_index, setup, votes),
+                    sign_pm1(scheme_uplink(setup, "obda", 0.0)(round_index, votes)),
+                    sign_pm1(obda_majority_sampled(round_index, setup, votes)),
                 )
+
+    @pytest.mark.parametrize("votes_per_block", [1, 2, 4])
+    def test_chirp_statistic_matches_sampled_path(self, votes_per_block):
+        offset = _max_admitted_offset(default_config().wave)
+        cfg = _tiny_cfg(num_eds=4, samples=80, max_sync_offset=offset)
+        setup = studies.training_setup(cfg, 1)
+        votes = _collect_votes(initial_state(setup).weights, 2, setup)
+        _assert_matches_oracle(
+            scheme_uplink(setup, f"csc_mv_{votes_per_block}", 0.0)(2, votes),
+            csc_majority_sampled(2, setup, votes, 0.0, votes_per_block),
+        )
+
+    @pytest.mark.parametrize("num_eds", range(1, 7))
+    def test_obda_statistic_matches_sampled_path(self, num_eds):
+        offset = _max_admitted_offset(default_config().wave)
+        cfg = _tiny_cfg(num_eds=num_eds, samples=60, max_sync_offset=offset)
+        setup = studies.training_setup(cfg, 3)
+        votes = _collect_votes(initial_state(setup).weights, 1, setup)
+        _assert_matches_oracle(
+            scheme_uplink(setup, "obda", 0.0)(1, votes), obda_majority_sampled(1, setup, votes)
+        )
 
     def test_single_device_noiseless_csc_recovers_votes(self):
         setup = studies.training_setup(_tiny_cfg(num_eds=1, samples=60), 4)
         # heavy fading cannot flip a single device's energy detection
         votes = _collect_votes(initial_state(setup).weights, 0, setup)
         out = scheme_uplink(setup, "csc_mv_2", 0.0)(0, votes)
-        np.testing.assert_array_equal(out, votes[0])
+        np.testing.assert_array_equal(sign_pm1(out), votes[0])
 
     def test_csc_majority_tracks_ideal_at_high_snr(self):
         setup = studies.training_setup(_tiny_cfg(num_eds=5, samples=150), 5)
         votes = _collect_votes(initial_state(setup).weights, 0, setup)
-        radio = scheme_uplink(setup, "csc_mv_2", 1e-6)(0, votes)
+        radio = sign_pm1(scheme_uplink(setup, "csc_mv_2", 1e-6)(0, votes))
         ideal = ideal_mv(votes)
         assert np.mean(radio == ideal) > 0.7
 
     def test_obda_majority_tracks_ideal_at_high_snr(self):
         setup = studies.training_setup(_tiny_cfg(num_eds=5, samples=150), 5)
         votes = _collect_votes(initial_state(setup).weights, 0, setup)
-        radio = scheme_uplink(setup, "obda", 1e-6)(0, votes)
+        radio = sign_pm1(scheme_uplink(setup, "obda", 1e-6)(0, votes))
         ideal = ideal_mv(votes)
         assert np.mean(radio == ideal) > 0.7
 
