@@ -35,16 +35,6 @@ class ChannelRealization:
     delays: np.ndarray
     gains: np.ndarray
 
-    def frequency_response(
-        self, bin_indices: np.ndarray, idft_size: int, offset_samples: int = 0
-    ) -> np.ndarray:
-        """Response at the given (signed) subcarrier indices, including an
-        extra timing offset in samples."""
-        j = np.asarray(bin_indices)[:, None]
-        d = (self.delays + offset_samples)[None, :]
-        phases = np.exp(-2j * np.pi * j * d / idft_size)
-        return phases @ self.gains
-
 
 def epa_tap_delays(cfg: WaveformConfig) -> np.ndarray:
     """EPA tap delays snapped to the nearest sample at the configured rate."""
@@ -55,9 +45,8 @@ def epa_tap_delays(cfg: WaveformConfig) -> np.ndarray:
 def epa_phase_table(cfg: WaveformConfig, max_offset: int) -> np.ndarray:
     """Tap phase ramps on the occupied bins for every timing offset 0 ...
     ``max_offset``, (offsets x M x taps), cached and read-only:
-    ``table[offset] @ gains`` equals :meth:`ChannelRealization.frequency_response`
-    of an EPA draw at that offset bit for bit (same expression, element by
-    element)."""
+    ``table[offset] @ gains`` is an EPA draw's frequency response on the
+    occupied bins, its tap delays shifted by that timing offset."""
     j = cfg.bin_indices[:, None]
     d = epa_tap_delays(cfg) + np.arange(max_offset + 1)[:, None, None]
     table = np.exp(-2j * np.pi * j * d / cfg.idft_size)

@@ -39,21 +39,15 @@ def scheme_votes(name: str) -> int | None:
 
 @dataclass(frozen=True)
 class MetricsConfig:
-    """Sample sizes and resolutions for the waveform/RF metric runs."""
+    """Sample sizes and the ACLR sweep step for the waveform/RF metric runs."""
 
     num_symbols: int = 10000
     stream_symbols: int = 2000
-    oversample: int = 4
-    segment_len: int = 1024
     obo_step_db: float = 0.5
 
     def __post_init__(self) -> None:
         if self.num_symbols < 1 or self.stream_symbols < 1:
             raise ConfigError("symbol counts must be positive")
-        if self.oversample < 1:
-            raise ConfigError("oversample must be a positive integer")
-        if self.segment_len < 1:
-            raise ConfigError("segment_len must be positive")
         if self.obo_step_db <= 0:
             raise ConfigError("obo_step_db must be positive")
 

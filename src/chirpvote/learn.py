@@ -220,8 +220,8 @@ class TrainSetup:
 
     ``train`` is the profile's own section: batch size, step size, rounds
     and timing offset are read from it. The uplinks' clamp radii are
-    ``CLAMP_RADIUS_M`` and OBDA's inversion threshold is ``encode_obda``'s
-    default.
+    ``CLAMP_RADIUS_M`` and OBDA's inversion threshold is
+    ``oac.TCI_THRESHOLD``.
     """
 
     wave: WaveformConfig

@@ -1,20 +1,9 @@
-"""Special functions and spectral estimation primitives.
+"""Averaged-periodogram (Welch) power spectral density.
 
-Fresnel integrals use the normalized convention
-
-    C(x) = int_0^x cos(pi t^2 / 2) dt,   S(x) = int_0^x sin(pi t^2 / 2) dt,
-
-and come from ``scipy.special.fresnel`` (accurate to double precision on all
-finite inputs). They give the closed form of the chirp shaping that
-``waveform.build_fdss`` evaluates by quadrature, and the tests hold that
-quadrature to it. Nothing in the package calls them at run time, so SciPy
-is imported on the first call, not with this module.
-
-Spectral estimation is a fixed averaged-periodogram (Welch) recipe so that
-leakage-sensitive quantities measured downstream are reproducible
-bit-for-bit across runs: a periodic Hann taper, segments overlapping by
-``segment_len // 2`` samples with no padding or detrending, two-sided
-density scaling and the mean over segments. It equals
+The recipe is fixed so that leakage-sensitive quantities measured
+downstream are reproducible bit-for-bit across runs: a periodic Hann taper,
+segments overlapping by ``segment_len // 2`` samples with no padding or
+detrending, two-sided density scaling and the mean over segments. It equals
 ``scipy.signal.welch(..., window="hann", detrend=False,
 return_onesided=False, scaling="density")`` to rounding, with the frequency
 axis sorted ascending; ``scipy.signal`` itself is not imported.
@@ -34,17 +23,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 _WELCH_BLOCK = 32  # segments windowed and transformed per pass
-
-
-def fresnel_array(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Fresnel integrals (C(x), S(x)) of a real array; odd in x."""
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("fresnel requires finite input")
-    from scipy.special import fresnel  # test-only dependency, see the module docstring
-
-    s, c = fresnel(x)  # SciPy returns the pair as (S, C)
-    return c, s
 
 
 def power_spectrum(

@@ -21,6 +21,10 @@ import numpy as np
 
 from .errors import FramingError, InfeasibleError
 
+#: OBDA's truncated channel inversion silences a subcarrier whose |h| is
+#: below this fraction of the rms |h| over the band
+TCI_THRESHOLD = 0.1
+
 
 def sign_pm1(x: np.ndarray) -> np.ndarray:
     """Elementwise sign with sign(0) = +1, values in {+1, -1}."""
@@ -183,17 +187,13 @@ def obda_blocks_needed(grad_dim: int, num_bins: int) -> int:
     return -(-grad_dim // (2 * num_bins))
 
 
-def encode_obda(
-    votes: np.ndarray,
-    channel_response: np.ndarray,
-    tci_threshold: float = 0.1,
-) -> np.ndarray:
+def encode_obda(votes: np.ndarray, channel_response: np.ndarray) -> np.ndarray:
     """QPSK + truncated channel inversion for one device, or for a stack.
 
     ``votes`` (..., q) and ``channel_response`` (..., M) give the transmit
     blocks (..., blocks, M). Consecutive sign pairs load I and Q of one
     subcarrier. Each subcarrier is precoded by conj(h)/|h|^2 when |h| clears
-    tci_threshold * rms(|h|) and silenced otherwise; each symbol is then
+    TCI_THRESHOLD * rms(|h|) and silenced otherwise; each symbol is then
     renormalized to the nominal per-symbol power budget (sum |x|^2 = M).
     """
     votes = np.asarray(votes, dtype=float)
@@ -206,7 +206,7 @@ def encode_obda(
     x = x.reshape(votes.shape[:-1] + (n_blocks, num_bins))
 
     mag = np.abs(h)
-    usable = mag >= tci_threshold * np.sqrt(np.mean(mag**2, axis=-1, keepdims=True))
+    usable = mag >= TCI_THRESHOLD * np.sqrt(np.mean(mag**2, axis=-1, keepdims=True))
     inv = np.zeros_like(h)
     inv[usable] = np.conj(h[usable]) / mag[usable] ** 2
     # in place: a stack of devices makes these the largest arrays of a round

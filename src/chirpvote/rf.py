@@ -29,6 +29,10 @@ CM_SLOPE = 1.52
 #: back-off span in dB: the ACLR sweep, the default solve range and the
 #: admissible spot back-off
 OBO_SPAN_DB = (0.0, 30.0)
+#: the ACLR measurement: the stream's oversampling factor and the Welch
+#: segment length in samples at that rate
+OVERSAMPLE = 4
+SEGMENT_LEN = 1024
 
 
 @dataclass(frozen=True)
@@ -115,29 +119,16 @@ def occupied_band(cfg: WaveformConfig) -> tuple[float, float]:
     return ((cfg.bin_low - 0.5) * df, (cfg.bin_high + 0.5) * df)
 
 
-def aclr(sig: ComplexSignal, inband: tuple[float, float], segment_len: int) -> float:
-    """Out-of-band to in-band power ratio, dB (negative = cleaner).
-
-    The PSD uses ``segment_len``-sample segments, or one segment spanning
-    the whole signal when it is shorter.
-    """
+def aclr(sig: ComplexSignal, inband: tuple[float, float]) -> float:
+    """Out-of-band to in-band power ratio, dB (negative = cleaner), from the
+    ``SEGMENT_LEN``-point averaged periodogram."""
     f_lo, f_hi = inband
     if f_hi <= f_lo:
         raise ValueError("in-band interval must have positive width")
-    if f_hi - f_lo >= sig.sample_rate:
-        raise ConfigError(
-            "the occupied band is as wide as the sampled bandwidth, so no leakage "
-            "is visible: lower wave.num_bins or raise metrics.oversample"
-        )
-    seg = min(segment_len, len(sig))
-    freqs, dens = power_spectrum(sig.samples, sig.sample_rate, seg)
+    freqs, dens = power_spectrum(sig.samples, sig.sample_rate, SEGMENT_LEN)
     inside = (freqs >= f_lo) & (freqs <= f_hi)
     if inside.all():
-        raise ConfigError(
-            f"every bin of the {seg}-point PSD lies inside the occupied band, so no "
-            "leakage is visible: raise metrics.segment_len (and metrics.stream_symbols "
-            "if the stream is shorter)"
-        )
+        raise ValueError("every PSD bin lies inside the band, so no leakage is visible")
     p_in = dens[inside].sum()
     p_out = dens[~inside].sum()
     if p_in <= 0:
@@ -146,17 +137,10 @@ def aclr(sig: ComplexSignal, inband: tuple[float, float], segment_len: int) -> f
 
 
 def aclr_at_obo(
-    pa: RappPa,
-    stream: ComplexSignal,
-    inband: tuple[float, float],
-    obo_db: float,
-    segment_len: int = 1024,
+    pa: RappPa, stream: ComplexSignal, inband: tuple[float, float], obo_db: float
 ) -> float:
-    """ACLR of the stream driven through the PA at the given back-off.
-
-    The ``segment_len`` default is ``MetricsConfig.segment_len``'s.
-    """
-    return aclr(drive_pa(pa, stream, obo_db), inband, segment_len)
+    """ACLR of the stream driven through the PA at the given back-off."""
+    return aclr(drive_pa(pa, stream, obo_db), inband)
 
 
 def obo_for_aclr(
@@ -166,25 +150,24 @@ def obo_for_aclr(
     target_db: float,
     obo_range: tuple[float, float] = OBO_SPAN_DB,
     tol_db: float = 0.1,
-    segment_len: int = 1024,
 ) -> float:
     """Smallest back-off meeting the ACLR target, by bisection.
 
     ACLR is monotone non-increasing in OBO down to the scheme's distortion
     floor; if even the top of ``obo_range`` misses the target the solve is
-    infeasible. ``segment_len`` is passed to :func:`aclr_at_obo`.
+    infeasible.
     """
     lo, hi = obo_range
-    if aclr_at_obo(pa, stream, inband, hi, segment_len) > target_db:
+    if aclr_at_obo(pa, stream, inband, hi) > target_db:
         raise InfeasibleError(
             f"ACLR target {target_db:.2f} dB below the distortion floor at "
             f"{hi:.1f} dB back-off"
         )
-    if aclr_at_obo(pa, stream, inband, lo, segment_len) <= target_db:
+    if aclr_at_obo(pa, stream, inband, lo) <= target_db:
         return lo
     while hi - lo > tol_db:
         mid = 0.5 * (lo + hi)
-        if aclr_at_obo(pa, stream, inband, mid, segment_len) <= target_db:
+        if aclr_at_obo(pa, stream, inband, mid) <= target_db:
             hi = mid
         else:
             lo = mid

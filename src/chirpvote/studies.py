@@ -35,6 +35,8 @@ from .learn import (
 from .oac import random_csc_traffic, random_qpsk
 from .rf import (
     OBO_SPAN_DB,
+    OVERSAMPLE,
+    SEGMENT_LEN,
     aclr_at_obo,
     cubic_metric_batch,
     obo_for_aclr,
@@ -98,7 +100,7 @@ def _per_symbol_blocks(cfg: ExperimentConfig, scheme: str, seed: int, fn) -> lis
     along the last axis, the shaping, the grid scatter, the zero-padded IDFT
     and any ``fn`` that reduces along axis -1. So no row's value depends on
     how the rows are blocked, and the blocks concatenate to the one-shot
-    ``fn(analog_body(cfg.wave, scheme_grids(...), oversample))``.
+    ``fn(analog_body(cfg.wave, scheme_grids(...), OVERSAMPLE))``.
     """
     traffic = _scheme_traffic(
         cfg, scheme, cfg.metrics.num_symbols, keyed_rng(seed, "traffic", scheme)
@@ -108,7 +110,7 @@ def _per_symbol_blocks(cfg: ExperimentConfig, scheme: str, seed: int, fn) -> lis
             analog_body(
                 cfg.wave,
                 _traffic_grids(cfg, scheme, traffic[start : start + _SYMBOL_BLOCK]),
-                cfg.metrics.oversample,
+                OVERSAMPLE,
             )
         )
         for start in range(0, len(traffic), _SYMBOL_BLOCK)
@@ -121,10 +123,17 @@ def scheme_symbol_bodies(cfg: ExperimentConfig, scheme: str, seed: int) -> np.nd
 
 
 def scheme_stream(cfg: ExperimentConfig, scheme: str, seed: int) -> ComplexSignal:
-    """Windowed overlap-add symbol stream for spectral metrics."""
+    """Windowed overlap-add symbol stream for spectral metrics, at least one
+    ``SEGMENT_LEN``-sample PSD segment long."""
     rng = keyed_rng(seed, "stream", scheme)
     grids = scheme_grids(cfg, scheme, cfg.metrics.stream_symbols, rng)
-    return assemble_stream(cfg.wave, grids, cfg.metrics.oversample)
+    stream = assemble_stream(cfg.wave, grids, OVERSAMPLE)
+    if len(stream) < SEGMENT_LEN:
+        raise ConfigError(
+            f"metrics.stream_symbols {cfg.metrics.stream_symbols} gives a {len(stream)}-sample "
+            f"stream, shorter than one {SEGMENT_LEN}-sample PSD segment: raise it"
+        )
+    return stream
 
 
 def _cpus() -> int:
@@ -188,7 +197,7 @@ def aclr_study(cfg: ExperimentConfig, obo_db: float | None = None) -> list[dict]
         stream.power_pow(cfg.pa.smoothness)
         stream.mean_power
         stream.peak_power
-        at_obo = partial(aclr_at_obo, cfg.pa, stream, inband, segment_len=cfg.metrics.segment_len)
+        at_obo = partial(aclr_at_obo, cfg.pa, stream, inband)
         rows += [
             {"scheme": scheme, "obo_db": obo, "aclr_db": value}
             for obo, value in zip(obos, _map(at_obo, obos))
@@ -215,7 +224,6 @@ def coverage_study(cfg: ExperimentConfig) -> list[dict]:
                 cfg.aclr_target_db,
                 obo_range=(0.0, cfg.power.obo_ref),
                 tol_db=cfg.metrics.obo_step_db,
-                segment_len=cfg.metrics.segment_len,
             )
         except InfeasibleError:
             return {

@@ -482,30 +482,22 @@ class TestErrorPaths:
         assert err.startswith("error:") and key in err
 
     @pytest.mark.parametrize("command", ["aclr", "coverage"])
-    @pytest.mark.parametrize(
-        "profile, keys",
-        [
-            # one-point segments: the PSD's only bin is DC, inside the band
-            ({"metrics": {"segment_len": 1}}, ["metrics.segment_len"]),
-            # 64 of 64 bins at the critical rate: the band fills the spectrum
-            (
-                {"wave": {"num_bins": 64}, "metrics": {"oversample": 1}},
-                ["wave.num_bins", "metrics.oversample"],
-            ),
-        ],
-        ids=["segment_len-1", "full-band"],
-    )
-    def test_psd_without_bins_outside_the_band_exits_2(
-        self, tmp_path, command, profile, keys, capsys
+    @pytest.mark.parametrize("stream_symbols", [1, 3, 4])
+    def test_stream_shorter_than_a_segment_exits_2(
+        self, tmp_path, command, stream_symbols, capsys
     ):
-        cfg = tmp_path / "blind.json"
-        metrics = {**profile["metrics"], "stream_symbols": 50}
-        cfg.write_text(json.dumps({**profile, "metrics": metrics}))
-        assert run(command, "--config", cfg) == 2
+        # at the default numerology 3 symbols are 968 samples at 4x, short of
+        # one 1024-point PSD segment, and 4 are 1,288
+        cfg = tmp_path / "short.json"
+        cfg.write_text(json.dumps({"metrics": {"stream_symbols": stream_symbols}}))
+        code = run(command, "--config", cfg, "--out", tmp_path / "out")
         captured = capsys.readouterr()
+        if stream_symbols >= 4:
+            assert code == 0
+            return
+        assert code == 2
         assert captured.out == ""
-        assert captured.err.startswith("error:")
-        assert all(key in captured.err for key in keys)
+        assert captured.err.startswith("error:") and "metrics.stream_symbols" in captured.err
 
     @pytest.mark.parametrize(
         "smoothness, argv",
@@ -667,14 +659,17 @@ class TestErrorPaths:
             ({"train": {"csc_coverage_m": 46.5}}, "csc_coverage_m"),
             ({"train": {"obda_coverage_m": 30.73}}, "obda_coverage_m"),
             ({"train": {"tci_threshold": 0.1}}, "tci_threshold"),
+            ({"metrics": {"oversample": 4}}, "oversample"),
+            ({"metrics": {"segment_len": 1024}}, "segment_len"),
         ],
     )
     def test_removed_key_exits_2(self, tmp_path, profile, key, capsys):
         # the scheme token sets the vote count, aclr/coverage set the
         # back-off, synthetic digits are the only profile data, --out sets
         # the output directory, wave.num_bins sets the centred band, and the
-        # clamp radii and OBDA's inversion threshold each have one source in
-        # the code, so these keys would change no output
+        # clamp radii, OBDA's inversion threshold and the ACLR measurement's
+        # oversampling and PSD segment each have one source in the code, so
+        # these keys would change no output
         cfg = tmp_path / "removed.json"
         cfg.write_text(json.dumps(profile))
         assert run("train", "--config", cfg, "--scheme", "ideal") == 2

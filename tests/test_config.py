@@ -127,7 +127,7 @@ class TestDictConversion:
             r_max=25.0,
             aclr_target_db=-30.0,
             seed=7,
-            metrics=MetricsConfig(num_symbols=500, segment_len=256),
+            metrics=MetricsConfig(num_symbols=500, stream_symbols=300),
             train=TrainConfig(rounds=10, snr_db=(0.0, 10.0), seeds=(1, 2)),
         )
         assert config_from_dict(config_to_dict(cfg)) == cfg
@@ -150,14 +150,14 @@ class TestDictConversion:
     )
     def test_removed_train_key(self, key, value):
         # the clamp radii are learn.CLAMP_RADIUS_M and the inversion
-        # threshold is oac.encode_obda's default, so no profile sets them
+        # threshold is oac.TCI_THRESHOLD, so no profile sets them
         with pytest.raises(ConfigError, match=rf"train: unknown keys \['{key}'\]"):
             config_from_dict({"train": {key: value}})
 
     def test_settable_value_count(self):
         data = config_to_dict(default_config())
         sections = [v for v in data.values() if isinstance(v, dict)]
-        assert len(data) - len(sections) + sum(map(len, sections)) == 32
+        assert len(data) - len(sections) + sum(map(len, sections)) == 30
 
     def test_section_must_be_object(self):
         data = config_to_dict(default_config())

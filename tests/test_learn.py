@@ -63,6 +63,7 @@ from chirpvote.waveform import (
     modulate_ofdm,
     spread,
 )
+from test_channel import frequency_response
 
 
 def _max_admitted_offset(wave) -> int:
@@ -554,8 +555,9 @@ class TestBatchedAgainstLoops:
 
     @pytest.mark.parametrize("max_offset", [None, 0, "max"])
     def test_channel_responses_match_frequency_response(self, max_offset):
-        """The per-offset phase table against each draw's own
-        ``frequency_response``: 200 draws, every admissible offset, bit for bit."""
+        """The per-offset phase table against the tap-line oracle
+        ``frequency_response`` of each draw: 200 draws, every admissible
+        offset, bit for bit."""
         train = {} if max_offset is None else {"max_sync_offset": 0}
         setup = studies.training_setup(_tiny_cfg(20, 200, **train), 0)
         if max_offset == "max":
@@ -568,7 +570,7 @@ class TestBatchedAgainstLoops:
                 realization, offset = _channel_draws(setup, round_index, k)
                 seen.add(offset)
                 ref.append(
-                    realization.frequency_response(wave.bin_indices, wave.idft_size, offset)
+                    frequency_response(realization, wave.bin_indices, wave.idft_size, offset)
                 )
             assert np.array_equal(_channel_responses(setup, round_index), ref)
         assert seen == set(range(setup.train.max_sync_offset + 1))
@@ -707,7 +709,7 @@ def obda_majority_sampled(
     arrivals = []  # per device: (list of per-block ComplexSignal, received power)
     for k in range(votes.shape[0]):
         realization, offset = _channel_draws(setup, round_index, k)
-        response = realization.frequency_response(wave.bin_indices, wave.idft_size, offset)
+        response = frequency_response(realization, wave.bin_indices, wave.idft_size, offset)
         tx = encode_obda(votes[k], response)
         rx = [propagate(realization, offset, modulate_ofdm(wave, row)) for row in tx]
         arrivals.append((rx, links[k] * amp**2))

@@ -247,8 +247,8 @@ class TestObda:
     def test_truncation_skips_deep_fades(self):
         votes = np.ones(108, dtype=int)
         h = np.ones(M, dtype=complex)
-        h[7] = 1e-6  # far below threshold * rms
-        tx = encode_obda(votes, h, tci_threshold=0.1)
+        h[7] = 1e-6  # far below TCI_THRESHOLD * rms(|h|)
+        tx = encode_obda(votes, h)
         np.testing.assert_allclose(tx[:, 7], 0.0)
         assert np.all(np.abs(tx[:, 8]) > 0)
 
