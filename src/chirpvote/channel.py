@@ -14,7 +14,7 @@ from functools import cache
 
 import numpy as np
 
-from .waveform import ComplexSignal, WaveformConfig
+from .waveform import WaveformConfig
 
 EPA_DELAYS_NS: tuple[float, ...] = (0.0, 30.0, 70.0, 90.0, 110.0, 190.0, 410.0)
 EPA_POWERS_DB: tuple[float, ...] = (0.0, -1.0, -2.0, -3.0, -8.0, -17.2, -20.8)
@@ -72,17 +72,14 @@ def draw_sync_offset(max_offset: int, rng: np.random.Generator) -> int:
     return int(rng.integers(0, max_offset + 1))
 
 
-def propagate(
-    realization: ChannelRealization, sync_offset: int, tx: ComplexSignal
-) -> ComplexSignal:
+def propagate(realization: ChannelRealization, sync_offset: int, tx: np.ndarray) -> np.ndarray:
     """Convolve with the tap line, delayed by the timing error; the output is
     truncated to the transmit length (the receiver's window)."""
     if sync_offset < 0:
         raise ValueError("sync_offset must be non-negative")
-    x = tx.samples
-    y = np.zeros_like(x)
+    y = np.zeros_like(tx)
     for d, g in zip(realization.delays, realization.gains):
         shift = int(d) + sync_offset
-        if shift < x.size:
-            y[shift:] += g * x[: x.size - shift]
-    return ComplexSignal(samples=y, sample_period=tx.sample_period)
+        if shift < tx.size:
+            y[shift:] += g * tx[: tx.size - shift]
+    return y

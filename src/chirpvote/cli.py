@@ -181,7 +181,7 @@ def cmd_waveform_dump(args) -> int:
     rng = keyed_rng(cfg.seed, "waveform-dump", scheme)
     stream = assemble_stream(cfg.wave, studies.scheme_grids(cfg, scheme, 1, rng), 1)
     # one critical-rate symbol period: cyclic prefix and body
-    samples = stream.samples[: cfg.wave.cp_len + cfg.wave.idft_size]
+    samples = stream[: cfg.wave.cp_len + cfg.wave.idft_size]
     lines = ["index,real,imag"]
     lines += [f"{i},{v.real:.12e},{v.imag:.12e}" for i, v in enumerate(samples)]
     _emit(args.out, [("waveform_symbol.csv", "\n".join(lines) + "\n")])

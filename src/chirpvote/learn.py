@@ -121,15 +121,10 @@ def loss_and_gradient(
     return (float(loss) if loss.ndim == 0 else loss), grad
 
 
-def mean_loss(
-    w: np.ndarray, data: Dataset, bounds: np.ndarray | None = None
-) -> np.ndarray:
+def mean_loss(w: np.ndarray, data: Dataset, bounds: np.ndarray) -> np.ndarray:
     """Mean cross-entropy of each contiguous segment
-    ``data[bounds[i]:bounds[i + 1]]`` (by default one segment, the whole
-    set), from one forward pass over ``data``."""
+    ``data[bounds[i]:bounds[i + 1]]``, from one forward pass over ``data``."""
     nll = _sample_nll(_softmax(forward_logits(w, data.features)), data.labels)
-    if bounds is None:
-        bounds = (0, len(data))
     return np.array([np.mean(nll[a:b]) for a, b in zip(bounds[:-1], bounds[1:])])
 
 
@@ -350,8 +345,7 @@ def scheme_uplink(setup: TrainSetup, scheme: str, noise_power: float) -> Uplink:
             tx = encode_obda(votes, responses)
             tx *= (amps * responses)[:, None, :]
             received = tx.sum(axis=0)
-            if noise_power > 0:
-                received += _receiver_noise(setup, round_index, noise_power, received.shape)
+            received += _receiver_noise(setup, round_index, noise_power, received.shape)
             return decode_obda(received, PARAM_DIM)
 
         return obda
@@ -388,9 +382,8 @@ def scheme_uplink(setup: TrainSetup, scheme: str, noise_power: float) -> Uplink:
         shifted = response[:, shifts].transpose(1, 0, 2).reshape(-1, m)
         rngs = keyed_rngs(setup.seed, "phase", round_index, count=votes.shape[0])
         despreads = csc_tones(plan, votes, rngs).reshape(plan.num_blocks, -1) @ shifted
-        if noise_power > 0:
-            noise = _receiver_noise(setup, round_index, noise_power, despreads.shape)
-            despreads += matched_despread(fdss, noise)
+        noise = _receiver_noise(setup, round_index, noise_power, despreads.shape)
+        despreads += matched_despread(fdss, noise)
         return detect_mv(plan, despreads).margins
 
     return csc_mv
@@ -425,7 +418,7 @@ def run_training(setup: TrainSetup, scheme: str, snr_db: float) -> TrainState:
 
     ``snr_db`` need not come from ``setup.train``, so it passes the profile's
     SNR check first: a ConfigError before the first round, not a NaN noise
-    power that compares false against zero and runs noiseless.  The noise
+    power that turns every statistic NaN and so every vote -1.  The noise
     power is relative to the link power that power control delivers inside
     coverage: 10^(-snr_db/10).
     """

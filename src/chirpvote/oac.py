@@ -171,7 +171,7 @@ def random_csc_traffic(
     """Training-like traffic ensemble: i.i.d. equiprobable signs, fresh
     unit-circle symbols, widest guard for the vote count. (n_symbols, num_bins)."""
     plan = build_vote_plan(votes * n_symbols, num_bins, guard_for_votes(num_bins, votes))
-    signs = sign_pm1(rng.integers(0, 2, votes * n_symbols) * 2 - 1)
+    signs = rng.integers(0, 2, votes * n_symbols) * 2 - 1
     return encode_csc(plan, signs, rng)
 
 

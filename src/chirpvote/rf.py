@@ -12,17 +12,41 @@ Metrics: PMEPR (peak-to-mean envelope power ratio), the 3GPP-style cubic
 metric (cubed normalized envelope, rms, referenced to 1.52 dB with slope
 1.52), and ACLR (out-of-band to in-band power ratio from the averaged
 periodogram). All are scale-invariant where the definitions demand it.
+
+The ACLR is the one measurement that reads a sample rate, so the stream it
+is taken on is the one signal that carries it: a :class:`ComplexSignal`,
+which also caches the instantaneous powers the PA reads at every back-off.
+The waveform and channel chains pass plain sample arrays.
+
+The averaged periodogram (:func:`power_spectrum`) follows a fixed recipe so
+that leakage-sensitive quantities measured from it are reproducible
+bit-for-bit across runs: a periodic Hann taper, segments overlapping by
+``segment_len // 2`` samples with no padding or detrending, two-sided
+density scaling and the mean over segments. It equals
+``scipy.signal.welch(..., window="hann", detrend=False,
+return_onesided=False, scaling="density")`` to rounding, with the frequency
+axis sorted ascending; ``scipy.signal`` itself is not imported.
+
+The segments are windowed and transformed 32 at a time in one reused complex
+buffer, and their |X|^2 rows are folded into a running sum carried in row 0
+of a reused real buffer. NumPy reduces a C-ordered (rows, segment_len) array
+over axis 0 row after row, so folding block after block adds the rows in the
+same order as one sum over all segments: the density is bit-identical to
+transforming every segment at once. That holds for ``segment_len >= 2``
+only: a length-1 column is contiguous and NumPy sums it pairwise instead,
+which differs in the last bits, so a shorter segment is rejected.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, InfeasibleError
-from .numerics import power_spectrum
-from .waveform import ComplexSignal, WaveformConfig
+from .waveform import WaveformConfig
 
 RCM_REFERENCE_DB = 1.52
 CM_SLOPE = 1.52
@@ -33,6 +57,58 @@ OBO_SPAN_DB = (0.0, 30.0)
 #: segment length in samples at that rate
 OVERSAMPLE = 4
 SEGMENT_LEN = 1024
+_WELCH_BLOCK = 32  # segments windowed and transformed per pass
+
+
+@dataclass(frozen=True)
+class ComplexSignal:
+    """A finite complex baseband sequence with its sample period."""
+
+    samples: np.ndarray
+    sample_period: float
+
+    def __post_init__(self) -> None:
+        if np.asarray(self.samples).size == 0:
+            raise ValueError("signal must be non-empty")
+        if self.sample_period <= 0:
+            raise ValueError("sample_period must be positive")
+
+    def __len__(self) -> int:
+        return self.samples.size
+
+    @property
+    def sample_rate(self) -> float:
+        return 1.0 / self.sample_period
+
+    @cached_property
+    def power(self) -> np.ndarray:
+        """Instantaneous power |samples|^2, computed once per signal."""
+        return np.abs(self.samples) ** 2
+
+    @cached_property
+    def mean_power(self) -> float:
+        return float(np.mean(self.power))
+
+    @cached_property
+    def peak_power(self) -> float:
+        """Largest instantaneous power, computed once per signal."""
+        return float(self.power.max())
+
+    @cached_property
+    def _power_powers(self) -> dict[float, np.ndarray]:
+        return {}
+
+    def power_pow(self, exponent: float) -> np.ndarray:
+        """(|samples|^2)^exponent, computed once per signal and exponent.
+
+        A power that overflows is inf, without a warning: :func:`drive_pa`
+        rejects such an exponent from ``peak_power`` before reading these.
+        """
+        cached = self._power_powers.get(exponent)
+        if cached is None:
+            with np.errstate(over="ignore"):
+                cached = self._power_powers[exponent] = np.power(self.power, exponent)
+        return cached
 
 
 @dataclass(frozen=True)
@@ -111,6 +187,44 @@ def cubic_metric_batch(symbols: np.ndarray) -> np.ndarray:
     norm_env2 = power / mean[..., None]
     rcm = 20.0 * np.log10(np.sqrt(np.mean(norm_env2**3, axis=-1)))
     return (rcm - RCM_REFERENCE_DB) / CM_SLOPE
+
+
+def power_spectrum(
+    samples: np.ndarray, sample_rate: float, segment_len: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Averaged-periodogram PSD of a complex baseband sequence.
+
+    Hann taper, 50% overlap, two-sided, density scaling: the integral of the
+    returned density over frequency equals the mean power of the input to
+    within estimator bias (about 1%).
+
+    Returns (frequencies ascending in Hz, density in power/Hz).
+    """
+    samples = np.asarray(samples)
+    segment_len = int(segment_len)
+    if segment_len < 2:
+        raise ValueError("segment_len must be at least 2")
+    if segment_len > samples.size:
+        raise ValueError("segment_len exceeds signal length")
+    step = segment_len - segment_len // 2
+    segments = sliding_window_view(samples, segment_len)[::step]
+    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(segment_len) / segment_len)
+    count = segments.shape[0]
+    block = np.empty((min(_WELCH_BLOCK, count), segment_len), dtype=complex)
+    power = np.zeros((block.shape[0] + 1, segment_len))  # row 0: running sum
+    for start in range(0, count, _WELCH_BLOCK):
+        k = min(_WELCH_BLOCK, count - start)
+        spectra = block[:k]
+        np.multiply(segments[start : start + k], window, out=spectra)
+        np.fft.fft(spectra, axis=-1, out=spectra)
+        rows = power[1 : k + 1]
+        np.square(spectra.real, out=rows)
+        np.square(spectra.imag, out=spectra.real)  # the real parts are spent
+        rows += spectra.real
+        np.add.reduce(power[: k + 1], axis=0, out=power[0])
+    dens = power[0] / count / (sample_rate * np.sum(window**2))
+    freqs = np.fft.fftfreq(segment_len, 1.0 / sample_rate)
+    return np.fft.fftshift(freqs), np.fft.fftshift(dens)
 
 
 def occupied_band(cfg: WaveformConfig) -> tuple[float, float]:

@@ -37,6 +37,7 @@ from .rf import (
     OBO_SPAN_DB,
     OVERSAMPLE,
     SEGMENT_LEN,
+    ComplexSignal,
     aclr_at_obo,
     cubic_metric_batch,
     obo_for_aclr,
@@ -44,7 +45,6 @@ from .rf import (
     pmepr_batch,
 )
 from .waveform import (
-    ComplexSignal,
     analog_body,
     assemble_stream,
     build_fdss,
@@ -123,17 +123,18 @@ def scheme_symbol_bodies(cfg: ExperimentConfig, scheme: str, seed: int) -> np.nd
 
 
 def scheme_stream(cfg: ExperimentConfig, scheme: str, seed: int) -> ComplexSignal:
-    """Windowed overlap-add symbol stream for spectral metrics, at least one
+    """Windowed overlap-add symbol stream for spectral metrics, at
+    ``OVERSAMPLE`` times the sample rate and at least one
     ``SEGMENT_LEN``-sample PSD segment long."""
     rng = keyed_rng(seed, "stream", scheme)
     grids = scheme_grids(cfg, scheme, cfg.metrics.stream_symbols, rng)
-    stream = assemble_stream(cfg.wave, grids, OVERSAMPLE)
-    if len(stream) < SEGMENT_LEN:
+    samples = assemble_stream(cfg.wave, grids, OVERSAMPLE)
+    if samples.size < SEGMENT_LEN:
         raise ConfigError(
-            f"metrics.stream_symbols {cfg.metrics.stream_symbols} gives a {len(stream)}-sample "
+            f"metrics.stream_symbols {cfg.metrics.stream_symbols} gives a {samples.size}-sample "
             f"stream, shorter than one {SEGMENT_LEN}-sample PSD segment: raise it"
         )
-    return stream
+    return ComplexSignal(samples, cfg.wave.sample_period / OVERSAMPLE)
 
 
 def _cpus() -> int:

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -77,11 +77,6 @@ class WaveformConfig:
         return 1.0 / self.sample_rate
 
     @property
-    def symbol_period(self) -> float:
-        """Body duration (without cyclic prefix), seconds."""
-        return self.idft_size / self.sample_rate
-
-    @property
     def bin_low(self) -> int:
         return -(self.num_bins // 2)
 
@@ -93,57 +88,6 @@ class WaveformConfig:
     def bin_indices(self) -> np.ndarray:
         """Signed occupied subcarrier indices, ascending."""
         return np.arange(self.bin_low, self.bin_high + 1)
-
-
-@dataclass(frozen=True)
-class ComplexSignal:
-    """A finite complex baseband sequence with its sample period."""
-
-    samples: np.ndarray
-    sample_period: float
-
-    def __post_init__(self) -> None:
-        if np.asarray(self.samples).size == 0:
-            raise ValueError("signal must be non-empty")
-        if self.sample_period <= 0:
-            raise ValueError("sample_period must be positive")
-
-    def __len__(self) -> int:
-        return self.samples.size
-
-    @property
-    def sample_rate(self) -> float:
-        return 1.0 / self.sample_period
-
-    @cached_property
-    def power(self) -> np.ndarray:
-        """Instantaneous power |samples|^2, computed once per signal."""
-        return np.abs(self.samples) ** 2
-
-    @cached_property
-    def mean_power(self) -> float:
-        return float(np.mean(self.power))
-
-    @cached_property
-    def peak_power(self) -> float:
-        """Largest instantaneous power, computed once per signal."""
-        return float(self.power.max())
-
-    @cached_property
-    def _power_powers(self) -> dict[float, np.ndarray]:
-        return {}
-
-    def power_pow(self, exponent: float) -> np.ndarray:
-        """(|samples|^2)^exponent, computed once per signal and exponent.
-
-        A power that overflows is inf, without a warning: ``rf.drive_pa``
-        rejects such an exponent from ``peak_power`` before reading these.
-        """
-        cached = self._power_powers.get(exponent)
-        if cached is None:
-            with np.errstate(over="ignore"):
-                cached = self._power_powers[exponent] = np.power(self.power, exponent)
-        return cached
 
 
 @cache
@@ -243,29 +187,26 @@ def _framed(cfg: WaveformConfig, grids: np.ndarray, oversample: int) -> np.ndarr
     return syms
 
 
-def modulate_ofdm(cfg: WaveformConfig, symbols: np.ndarray) -> ComplexSignal:
+def modulate_ofdm(cfg: WaveformConfig, symbols: np.ndarray) -> np.ndarray:
     """One OFDM symbol (cyclic prefix included) from M subcarrier symbols.
 
     The suffix, which carries the falling edge, belongs to the next symbol's
     period and is left to :func:`assemble_stream`.
     """
-    framed = _framed(cfg, ofdm_grid(cfg, symbols), 1)
-    return ComplexSignal(
-        samples=framed[: cfg.cp_len + cfg.idft_size], sample_period=cfg.sample_period
-    )
+    return _framed(cfg, ofdm_grid(cfg, symbols), 1)[: cfg.cp_len + cfg.idft_size]
 
 
-def spread(cfg: WaveformConfig, fdss: np.ndarray, bins: np.ndarray) -> ComplexSignal:
+def spread(cfg: WaveformConfig, fdss: np.ndarray, bins: np.ndarray) -> np.ndarray:
     """Synthesize one chirp symbol (cyclic prefix included) from M bin symbols."""
     return modulate_ofdm(cfg, _dft_shape(cfg, fdss, bins))
 
 
-def demodulate_ofdm(cfg: WaveformConfig, received: ComplexSignal) -> np.ndarray:
+def demodulate_ofdm(cfg: WaveformConfig, received: np.ndarray) -> np.ndarray:
     """Recover the M subcarrier symbols of one received OFDM symbol.
 
     Expects exactly one symbol of cp_len + N samples.
     """
-    r = np.asarray(received.samples)
+    r = np.asarray(received)
     if r.size != cfg.cp_len + cfg.idft_size:
         raise FramingError(
             f"expected {cfg.cp_len + cfg.idft_size} samples per symbol, got {r.size}"
@@ -283,12 +224,12 @@ def matched_despread(fdss: np.ndarray, subcarriers: np.ndarray) -> np.ndarray:
     return np.fft.ifft(shaped, norm="ortho", axis=-1, out=shaped)
 
 
-def despread(cfg: WaveformConfig, fdss: np.ndarray, received: ComplexSignal) -> np.ndarray:
+def despread(cfg: WaveformConfig, fdss: np.ndarray, received: np.ndarray) -> np.ndarray:
     """Recover bin symbols of one received chirp symbol with the matched receiver."""
     return matched_despread(fdss, demodulate_ofdm(cfg, received))
 
 
-def assemble_stream(cfg: WaveformConfig, grids: np.ndarray, oversample: int) -> ComplexSignal:
+def assemble_stream(cfg: WaveformConfig, grids: np.ndarray, oversample: int) -> np.ndarray:
     """Weighted-overlap-add symbol stream at ``oversample`` times the sample rate.
 
     Symbol i starts at i * stride, stride = (cp_len + N) * oversample, so the
@@ -302,6 +243,4 @@ def assemble_stream(cfg: WaveformConfig, grids: np.ndarray, oversample: int) -> 
     out = np.zeros((n_sym + 1, stride), dtype=complex)
     out[:-1] = syms[:, :stride]
     out[1:, :w] += syms[:, stride:]
-    return ComplexSignal(
-        samples=out.ravel()[: n_sym * stride + w], sample_period=cfg.sample_period / oversample
-    )
+    return out.ravel()[: n_sym * stride + w]

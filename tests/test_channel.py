@@ -11,13 +11,13 @@ from chirpvote.channel import (
     epa_rms_delay_spread_ns,
     propagate,
 )
-from chirpvote.waveform import ComplexSignal, WaveformConfig
+from chirpvote.waveform import WaveformConfig
 
 CFG = WaveformConfig()
 
 
 def _sig(x):
-    return ComplexSignal(samples=np.asarray(x, dtype=complex), sample_period=1 / CFG.sample_rate)
+    return np.asarray(x, dtype=complex)
 
 
 def frequency_response(
@@ -85,7 +85,7 @@ class TestPropagate:
     def test_pure_delay_shifts_and_truncates(self):
         real = ChannelRealization(delays=np.array([3]), gains=np.array([1.0 + 0j]))
         x = np.arange(1, 11, dtype=complex)
-        y = propagate(real, 0, _sig(x)).samples
+        y = propagate(real, 0, _sig(x))
         assert y.size == x.size
         np.testing.assert_allclose(y[:3], 0.0)
         np.testing.assert_allclose(y[3:], x[:-3])
@@ -93,7 +93,7 @@ class TestPropagate:
     def test_sync_offset_compounds(self):
         real = ChannelRealization(delays=np.array([1]), gains=np.array([1.0 + 0j]))
         x = np.arange(1, 9, dtype=complex)
-        y = propagate(real, 2, _sig(x)).samples
+        y = propagate(real, 2, _sig(x))
         np.testing.assert_allclose(y[3:], x[:-3])
 
     def test_linearity(self):
@@ -101,10 +101,8 @@ class TestPropagate:
         real = draw_epa(CFG, rng)
         a = rng.standard_normal(40) + 1j * rng.standard_normal(40)
         b = rng.standard_normal(40) + 1j * rng.standard_normal(40)
-        lhs = propagate(real, 1, _sig(2.0 * a - 3.0 * b)).samples
-        rhs = 2.0 * propagate(real, 1, _sig(a)).samples - 3.0 * propagate(
-            real, 1, _sig(b)
-        ).samples
+        lhs = propagate(real, 1, _sig(2.0 * a - 3.0 * b))
+        rhs = 2.0 * propagate(real, 1, _sig(a)) - 3.0 * propagate(real, 1, _sig(b))
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
     def test_negative_offset_rejected(self):

@@ -225,8 +225,8 @@ class TestWaveformDump:
         rng = keyed_rng(3, "waveform-dump", "csc_mv_2")
         bins = random_csc_traffic(cfg.wave.num_bins, 2, 1, rng)[0]
         sig = spread(cfg.wave, build_fdss(cfg.wave), bins)
-        assert dumped.shape == sig.samples.shape
-        np.testing.assert_allclose(dumped, sig.samples, atol=1e-9)
+        assert dumped.shape == sig.shape
+        np.testing.assert_allclose(dumped, sig, atol=1e-9)
 
     def test_obda_dumps_plain_ofdm_symbol(self, tmp_path, capsys):
         cfg_path = write_cfg(tmp_path)
@@ -237,8 +237,8 @@ class TestWaveformDump:
         wave = ExperimentConfig().wave
         rng = keyed_rng(0, "waveform-dump", "obda")
         sig = modulate_ofdm(wave, random_qpsk(wave.num_bins, 1, rng)[0])
-        assert dumped.shape == sig.samples.shape
-        np.testing.assert_allclose(dumped, sig.samples, atol=1e-9)
+        assert dumped.shape == sig.shape
+        np.testing.assert_allclose(dumped, sig, atol=1e-9)
 
     def test_scheme_takes_one_value(self, tmp_path, capsys):
         # one symbol is dumped, so a repeated --scheme keeps the last value
@@ -373,7 +373,7 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_snr_exits_2(self, tmp_path, value, capsys):
-        # NaN noise power would compare false against zero and run noiseless
+        # a NaN noise power would turn every statistic NaN and every vote -1
         cfg = write_cfg(tmp_path)
         with pytest.raises(SystemExit) as exc:
             run("train", "--config", cfg, "--scheme", "ideal", f"--snr-db={value}")

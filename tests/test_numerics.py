@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import chirpvote
-from chirpvote.numerics import power_spectrum
+from chirpvote.rf import power_spectrum
 
 
 def _one_shot_density(x, fs, seg):
@@ -74,10 +74,9 @@ class TestPowerSpectrum:
 
     def test_bad_segment_length_rejected(self):
         x = np.ones(128, dtype=complex)
-        with pytest.raises(ValueError):
-            power_spectrum(x, 1.0, 0)
-        with pytest.raises(ValueError):
-            power_spectrum(x, 1.0, 256)
+        for seg in (0, 1, 256):
+            with pytest.raises(ValueError):
+                power_spectrum(x, 1.0, seg)
 
 
 class TestPowerSpectrumOracle:
@@ -104,8 +103,8 @@ class TestPowerSpectrumOracle:
     @pytest.mark.parametrize("complex_input", [True, False], ids=["complex", "real"])
     @pytest.mark.parametrize(
         "n, seg",
-        [(1024, 1024), (1500, 1024), (4097, 64), (1001, 7), (1000, 1)],
-        ids=["n=seg", "remainder", "even-seg", "odd-seg", "one-point"],
+        [(1024, 1024), (1500, 1024), (4097, 64), (1001, 7)],
+        ids=["n=seg", "remainder", "even-seg", "odd-seg"],
     )
     def test_matches_welch(self, n, seg, complex_input):
         rng = np.random.default_rng(n + seg)

@@ -22,7 +22,7 @@ from chirpvote.oac import (
     sign_pm1,
     votes_per_block,
 )
-from chirpvote.waveform import ComplexSignal, WaveformConfig, build_fdss, despread, spread
+from chirpvote.waveform import WaveformConfig, build_fdss, despread, spread
 
 CFG = WaveformConfig()
 M = CFG.num_bins

@@ -13,9 +13,9 @@ from chirpvote._rng import keyed_rng
 from chirpvote.config import ExperimentConfig, MetricsConfig
 from chirpvote.deployment import PowerControlParams
 from chirpvote.errors import ConfigError, InfeasibleError
-from chirpvote.numerics import power_spectrum
 from chirpvote.oac import random_csc_traffic, random_qpsk
 from chirpvote.rf import (
+    ComplexSignal,
     RappPa,
     aclr,
     aclr_at_obo,
@@ -24,9 +24,9 @@ from chirpvote.rf import (
     obo_for_aclr,
     occupied_band,
     pmepr_batch,
+    power_spectrum,
 )
 from chirpvote.waveform import (
-    ComplexSignal,
     WaveformConfig,
     analog_body,
     assemble_stream,
@@ -67,7 +67,8 @@ def _tone(n=4096, fs=15.36e6, f0=1.0e6, amp=1.0):
 def _csc_stream(votes, n_symbols, seed, oversample=4):
     rng = keyed_rng(seed, "rf-test", votes)
     bins = random_csc_traffic(CFG.num_bins, votes, n_symbols, rng)
-    return assemble_stream(CFG, precode(CFG, build_fdss(CFG), bins), oversample)
+    samples = assemble_stream(CFG, precode(CFG, build_fdss(CFG), bins), oversample)
+    return ComplexSignal(samples, CFG.sample_period / oversample)
 
 
 class TestRappPa:
@@ -330,6 +331,13 @@ class TestSegmentLenWiring:
         studies.coverage_study(cfg)
         assert len(seen) > 7
         assert set(seen) == {(rf.SEGMENT_LEN, rf.OVERSAMPLE * cfg.wave.sample_rate)}
+
+    def test_stream_carries_the_oversampled_rate(self):
+        cfg = ExperimentConfig(metrics=MetricsConfig(stream_symbols=16))
+        stream = studies.scheme_stream(cfg, "csc_mv_2", 0)
+        # the one module that reads a sample rate defines the type carrying it
+        assert type(stream) is rf.ComplexSignal and rf.ComplexSignal.__module__ == rf.__name__
+        assert stream.sample_rate == pytest.approx(cfg.wave.sample_rate * rf.OVERSAMPLE)
 
 
 class TestWorkerCount:
