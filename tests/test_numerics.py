@@ -74,7 +74,7 @@ class TestPowerSpectrum:
 
     def test_bad_segment_length_rejected(self):
         x = np.ones(128, dtype=complex)
-        for seg in (0, 1, 256):
+        for seg in (0, 256):
             with pytest.raises(ValueError):
                 power_spectrum(x, 1.0, seg)
 
@@ -115,6 +115,17 @@ class TestPowerSpectrumOracle:
         ref_freqs, ref_dens = self._welch(x, 15.36e6, seg)
         np.testing.assert_array_equal(freqs, ref_freqs)
         np.testing.assert_allclose(dens, ref_dens, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("complex_input", [True, False], ids=["complex", "real"])
+    def test_one_point_segment_rejected(self, complex_input):
+        """A one-point Hann window is all zeros, so ``segment_len`` 1 raises
+        instead of matching SciPy's special case."""
+        rng = np.random.default_rng(1001)
+        x = rng.standard_normal(1000)
+        if complex_input:
+            x = x + 1j * rng.standard_normal(1000)
+        with pytest.raises(ValueError):
+            power_spectrum(x, 15.36e6, 1)
 
     def test_strided_input_matches_welch(self):
         rng = np.random.default_rng(11)
