@@ -14,9 +14,10 @@ metric (cubed normalized envelope, rms, referenced to 1.52 dB with slope
 periodogram). All are scale-invariant where the definitions demand it.
 
 The ACLR is the one measurement that reads a sample rate, so the stream it
-is taken on is the one signal that carries it: a :class:`ComplexSignal`,
-which also caches the instantaneous powers the PA reads at every back-off.
-The waveform and channel chains pass plain sample arrays.
+is taken on is the one signal that carries it: a :class:`ComplexSignal`.
+The waveform and channel chains pass plain sample arrays. A
+:class:`PaDriver` holds the instantaneous powers the PA reads for one
+stream, so a sweep or a solve computes them once for all its back-offs.
 
 The averaged periodogram (:func:`power_spectrum`) follows a fixed recipe so
 that leakage-sensitive quantities measured from it are reproducible
@@ -39,8 +40,8 @@ which differs in the last bits, so a shorter segment is rejected.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -73,42 +74,9 @@ class ComplexSignal:
         if self.sample_period <= 0:
             raise ValueError("sample_period must be positive")
 
-    def __len__(self) -> int:
-        return self.samples.size
-
     @property
     def sample_rate(self) -> float:
         return 1.0 / self.sample_period
-
-    @cached_property
-    def power(self) -> np.ndarray:
-        """Instantaneous power |samples|^2, computed once per signal."""
-        return np.abs(self.samples) ** 2
-
-    @cached_property
-    def mean_power(self) -> float:
-        return float(np.mean(self.power))
-
-    @cached_property
-    def peak_power(self) -> float:
-        """Largest instantaneous power, computed once per signal."""
-        return float(self.power.max())
-
-    @cached_property
-    def _power_powers(self) -> dict[float, np.ndarray]:
-        return {}
-
-    def power_pow(self, exponent: float) -> np.ndarray:
-        """(|samples|^2)^exponent, computed once per signal and exponent.
-
-        A power that overflows is inf, without a warning: :func:`drive_pa`
-        rejects such an exponent from ``peak_power`` before reading these.
-        """
-        cached = self._power_powers.get(exponent)
-        if cached is None:
-            with np.errstate(over="ignore"):
-                cached = self._power_powers[exponent] = np.power(self.power, exponent)
-        return cached
 
 
 @dataclass(frozen=True)
@@ -123,49 +91,68 @@ class RappPa:
             raise ConfigError("smoothness must be positive")
 
 
-def drive_pa(pa: RappPa, sig: ComplexSignal, obo_db: float) -> ComplexSignal:
-    """PA output for ``sig`` driven at ``obo_db`` back-off.
+class PaDriver:
+    """The PA driving one stream at any back-off: ``driver(obo_db)`` is the
+    PA output for the stream driven at ``obo_db``.
 
-    The signal is scaled by g so that its mean power sits ``obo_db`` below
-    saturation, then passed through the Rapp curve.  The curve's
-    (g^2 |x|^2)^p is (g^2)^p times (|x|^2)^p, and
-    (|x|^2)^p comes from ``sig.power_pow(p)``, which caches it on the signal
-    next to ``sig.power``: it is computed once per signal and smoothness
-    however many back-offs the signal is driven at. g x is divided by the
-    real divisor through the real and imaginary parts, as complex division
-    by a real number does.
+    The stream is scaled by g so that its mean power sits ``obo_db`` below
+    saturation, then passed through the Rapp curve. The curve's
+    (g^2 |x|^2)^p is (g^2)^p times (|x|^2)^p. The constructor computes
+    |x|^2, its mean and peak, and (|x|^2)^p once, so each back-off costs one
+    ``np.power``. g x is divided by the real divisor through the real and
+    imaginary parts, as complex division by a real number does. A call only
+    reads the driver's arrays, so threads may share one driver.
 
     For a large p either factor of the divisor's largest term,
     (g^2)^p (max |x|^2)^p, can overflow and leave an infinite or NaN
-    divisor. So that term is checked first, from the signal's cached peak
-    power, and an overflow raises a ConfigError naming ``pa.smoothness``.
+    divisor. For a small p the output's peak power,
+    g^2 max|x|^2 (1 + (g^2 max|x|^2)^p)^(-1/p), falls as 2^(-1/p) and can
+    underflow to a silent output. Each call checks both from the peak power
+    first, and either raises a ConfigError naming ``pa.smoothness``.
     """
-    mean_power = sig.mean_power
-    if mean_power <= 0:
-        raise ValueError("cannot scale a zero-power signal")
-    p = pa.smoothness
-    gain2 = 10.0 ** (-obo_db / 10.0) / mean_power
-    try:
-        scale = gain2**p
-        peak_term = sig.peak_power**p * scale
-    except OverflowError:
-        peak_term = math.inf
-    if math.isinf(peak_term):
-        raise ConfigError(
-            f"pa.smoothness {p:g} is too large: the Rapp divisor's (g^2)^p (|x|^2)^p "
-            f"overflows at {obo_db:g} dB back-off"
-        )
-    gain = math.sqrt(gain2)
-    divisor = sig.power_pow(p) * scale
-    divisor += 1.0
-    np.power(divisor, 1.0 / (2.0 * p), out=divisor)
-    x = sig.samples
-    y = np.empty_like(x)
-    np.multiply(x.real, gain, out=y.real)
-    np.multiply(x.imag, gain, out=y.imag)
-    y.real /= divisor
-    y.imag /= divisor
-    return ComplexSignal(samples=y, sample_period=sig.sample_period)
+
+    def __init__(self, pa: RappPa, stream: ComplexSignal) -> None:
+        power = np.abs(stream.samples) ** 2
+        self._mean_power = float(np.mean(power))
+        if self._mean_power <= 0:
+            raise ValueError("cannot scale a zero-power signal")
+        self._peak_power = float(power.max())
+        with np.errstate(over="ignore"):  # an overflow is rejected per call
+            self._power_pow = np.power(power, pa.smoothness)
+        self.pa = pa
+        self.stream = stream
+
+    def __call__(self, obo_db: float) -> ComplexSignal:
+        p = self.pa.smoothness
+        gain2 = 10.0 ** (-obo_db / 10.0) / self._mean_power
+        try:
+            scale = gain2**p
+            peak_term = self._peak_power**p * scale
+        except OverflowError:
+            peak_term = math.inf
+        if math.isinf(peak_term):
+            raise ConfigError(
+                f"pa.smoothness {p:g} is too large: the Rapp divisor's (g^2)^p (|x|^2)^p "
+                f"overflows at {obo_db:g} dB back-off"
+            )
+        # the output's peak power in the log domain, where g^2 max|x|^2 cannot underflow
+        log_peak = math.log(self._peak_power / self._mean_power) - obo_db / 10.0 * math.log(10.0)
+        if log_peak - math.log1p(peak_term) / p < math.log(sys.float_info.min):
+            raise ConfigError(
+                f"pa.smoothness {p:g} is too small: the Rapp output's peak power "
+                f"underflows at {obo_db:g} dB back-off"
+            )
+        gain = math.sqrt(gain2)
+        divisor = self._power_pow * scale
+        divisor += 1.0
+        np.power(divisor, 1.0 / (2.0 * p), out=divisor)
+        x = self.stream.samples
+        y = np.empty_like(x)
+        np.multiply(x.real, gain, out=y.real)
+        np.multiply(x.imag, gain, out=y.imag)
+        y.real /= divisor
+        y.imag /= divisor
+        return ComplexSignal(samples=y, sample_period=self.stream.sample_period)
 
 
 def pmepr_batch(symbols: np.ndarray) -> np.ndarray:
@@ -254,7 +241,7 @@ def aclr_at_obo(
     pa: RappPa, stream: ComplexSignal, inband: tuple[float, float], obo_db: float
 ) -> float:
     """ACLR of the stream driven through the PA at the given back-off."""
-    return aclr(drive_pa(pa, stream, obo_db), inband)
+    return aclr(PaDriver(pa, stream)(obo_db), inband)
 
 
 def obo_for_aclr(
@@ -271,17 +258,18 @@ def obo_for_aclr(
     floor; if even the top of ``obo_range`` misses the target the solve is
     infeasible.
     """
+    drive = PaDriver(pa, stream)
     lo, hi = obo_range
-    if aclr_at_obo(pa, stream, inband, hi) > target_db:
+    if aclr(drive(hi), inband) > target_db:
         raise InfeasibleError(
             f"ACLR target {target_db:.2f} dB below the distortion floor at "
             f"{hi:.1f} dB back-off"
         )
-    if aclr_at_obo(pa, stream, inband, lo) <= target_db:
+    if aclr(drive(lo), inband) <= target_db:
         return lo
     while hi - lo > tol_db:
         mid = 0.5 * (lo + hi)
-        if aclr_at_obo(pa, stream, inband, mid) <= target_db:
+        if aclr(drive(mid), inband) <= target_db:
             hi = mid
         else:
             lo = mid

@@ -7,16 +7,15 @@ assert on them.
 
 The ACLR evaluations of ``aclr_study`` (each scheme's back-offs) and
 ``coverage_study`` (one bisection per scheme) run on one thread per CPU the
-process may use. Each evaluation only reads its stream, and the rows are
-collected in the serial order, so the results do not depend on the worker
-count. The other studies run serially.
+process may use. Each evaluation only reads its stream's ``rf.PaDriver``,
+and the rows are collected in the serial order, so the results do not depend
+on the worker count. The other studies run serially.
 """
 from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
-from functools import partial
 
 import numpy as np
 
@@ -38,7 +37,8 @@ from .rf import (
     OVERSAMPLE,
     SEGMENT_LEN,
     ComplexSignal,
-    aclr_at_obo,
+    PaDriver,
+    aclr,
     cubic_metric_batch,
     obo_for_aclr,
     occupied_band,
@@ -193,15 +193,11 @@ def aclr_study(cfg: ExperimentConfig, obo_db: float | None = None) -> list[dict]
         obos = [float(obo_db)]
     rows = []
     for scheme in cfg.schemes:
-        stream = scheme_stream(cfg, scheme, cfg.seed)
-        # fill the stream's caches here, so the workers only read them
-        stream.power_pow(cfg.pa.smoothness)
-        stream.mean_power
-        stream.peak_power
-        at_obo = partial(aclr_at_obo, cfg.pa, stream, inband)
+        drive = PaDriver(cfg.pa, scheme_stream(cfg, scheme, cfg.seed))
+        values = _map(lambda obo: aclr(drive(obo), inband), obos)
         rows += [
             {"scheme": scheme, "obo_db": obo, "aclr_db": value}
-            for obo, value in zip(obos, _map(at_obo, obos))
+            for obo, value in zip(obos, values)
         ]
     return rows
 
@@ -209,12 +205,15 @@ def aclr_study(cfg: ExperimentConfig, obo_db: float | None = None) -> list[dict]
 def coverage_study(cfg: ExperimentConfig) -> list[dict]:
     """Per scheme: smallest compliant back-off and the coverage radius it buys.
 
-    Schemes whose spectrum cannot meet the ACLR target at any back-off up
-    to ``power.obo_ref`` (the back-off available at the reference point)
-    are reported as infeasible rather than raising, so one bad scheme does
-    not hide the others' results.
+    Each back-off is sought within ``OBO_SPAN_DB`` and no higher than
+    ``power.obo_ref`` (the back-off available at the reference point).
+    Schemes whose spectrum cannot meet the ACLR target at any back-off in
+    that range are reported as infeasible rather than raising, so one bad
+    scheme does not hide the others' results.
     """
     inband = occupied_band(cfg.wave)
+    lo, hi = OBO_SPAN_DB
+    obo_range = (lo, min(cfg.power.obo_ref, hi))
 
     def solve(scheme: str) -> dict:
         try:
@@ -223,7 +222,7 @@ def coverage_study(cfg: ExperimentConfig) -> list[dict]:
                 scheme_stream(cfg, scheme, cfg.seed),
                 inband,
                 cfg.aclr_target_db,
-                obo_range=(0.0, cfg.power.obo_ref),
+                obo_range=obo_range,
                 tol_db=cfg.metrics.obo_step_db,
             )
         except InfeasibleError:

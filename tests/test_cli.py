@@ -128,6 +128,24 @@ class TestStudyCommands:
         ]
         assert all(0.0 <= float(obo_min) <= 5.0 for _, _, obo_min, _ in rows[:3])
 
+    @pytest.mark.parametrize("obo_ref", [400.0, 4000.0])
+    def test_coverage_searches_no_higher_than_the_sweep(self, tmp_path, obo_ref):
+        # a reference back-off above the 0-30 dB span leaves the solve on that
+        # span: the same back-offs as at the default 30 dB, where 4000 dB
+        # would underflow the drive gain at the top of the bisection
+        base, high = tmp_path / "base", tmp_path / "high"
+        assert run("coverage", "--config", write_cfg(tmp_path), "--out", base) == 0
+        power = PowerControlParams(obo_ref=obo_ref)
+        cfg = write_cfg(tmp_path, name="high_ref.json", power=power)
+        assert run("coverage", "--config", cfg, "--out", high) == 0
+
+        def backoffs(out):
+            lines = (out / "coverage.csv").read_text().splitlines()[1:]
+            return [tuple(line.split(",")[:3]) for line in lines]
+
+        assert backoffs(high) == backoffs(base)
+        assert all(status == "ok" for _, status, _ in backoffs(base))
+
     def test_snr_distance_stdout(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path)
         assert run("snr-distance", "--config", cfg) == 0
@@ -508,6 +526,9 @@ class TestErrorPaths:
             # (|x|^2)^p overflows at OBDA's peaks, at every back-off
             (400.0, ["aclr", "--scheme", "obda"]),
             (400.0, ["coverage", "--scheme", "obda"]),
+            # the Rapp output's peak power, about 2^(-1/p), underflows
+            (5e-4, ["aclr"]),
+            (5e-4, ["coverage"]),
         ],
     )
     def test_overflowing_smoothness_exits_2(self, tmp_path, smoothness, argv, capsys):

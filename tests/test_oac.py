@@ -160,16 +160,17 @@ class TestMultiDeviceMargins:
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_expected_margin_matches_vote_count(self, k):
-        plan = build_vote_plan(1, M, 26)
         n_draws = 3000
+        # draw t's device j is vote t * k + j of one long encode, so the
+        # phases come off the generator in the order of a loop over draws
+        # and devices; one block per vote, summed over the k devices
+        draws = build_vote_plan(k * n_draws, M, 26)
+        plan = build_vote_plan(n_draws, M, 26)
         rng = keyed_rng(7, "margin-oracle", k)
         for pattern in itertools.product((-1, 1), repeat=k):
-            margins = np.empty(n_draws)
-            for t in range(n_draws):
-                total = np.zeros((1, M), dtype=complex)
-                for vote in pattern:
-                    total += encode_csc(plan, np.array([vote]), rng)
-                margins[t] = detect_mv(plan, total).margins[0]
+            blocks = encode_csc(draws, np.tile(pattern, n_draws), rng)
+            total = blocks.reshape(n_draws, k, M).sum(axis=1)
+            margins = detect_mv(plan, total).margins
             mean = margins.mean()
             se = margins.std(ddof=1) / np.sqrt(n_draws)
             expected = sum(pattern)

@@ -16,11 +16,11 @@ from chirpvote.errors import ConfigError, InfeasibleError
 from chirpvote.oac import random_csc_traffic, random_qpsk
 from chirpvote.rf import (
     ComplexSignal,
+    PaDriver,
     RappPa,
     aclr,
     aclr_at_obo,
     cubic_metric_batch,
-    drive_pa,
     obo_for_aclr,
     occupied_band,
     pmepr_batch,
@@ -109,57 +109,60 @@ class TestRappPa:
             sample_period=1.0,
         )
         out = scale_to_obo(pa, sig, 7.0)
-        assert out.mean_power == pytest.approx(10 ** (-0.7), rel=1e-12)
+        assert np.mean(np.abs(out.samples) ** 2) == pytest.approx(10 ** (-0.7), rel=1e-12)
 
     @pytest.mark.parametrize("smoothness", [0.9, 3.0])
     def test_drive_matches_scale_then_amplify(self, smoothness):
         pa = RappPa(smoothness=smoothness)
         stream = _csc_stream(2, 32, seed=7)
+        drive = PaDriver(pa, stream)
         for obo in (0.0, 3.3, 10.0, 30.0):
             ref = apply_pa(pa, scale_to_obo(pa, stream, obo)).samples
-            out = drive_pa(pa, stream, obo)
+            out = drive(obo)
             assert out.sample_period == stream.sample_period
             np.testing.assert_allclose(out.samples, ref, rtol=1e-14, atol=0)
 
     def test_reused_signal_matches_fresh_copy(self):
-        # (|x|^2)^p is cached per signal: alternating two smoothness values on
-        # one stream must give what a fresh signal gives for each
+        # two drivers with different smoothness on one stream, called in
+        # turn, must give what a driver on a fresh copy gives for each
         stream = _csc_stream(4, 16, seed=9)
         pas = (RappPa(smoothness=0.9), RappPa(smoothness=3.0))
+        drivers = [PaDriver(pa, stream) for pa in pas]
         for obo in (0.0, 4.5, 12.0):
-            for pa in pas:
+            for pa, drive in zip(pas, drivers):
                 fresh = ComplexSignal(
                     samples=stream.samples.copy(), sample_period=stream.sample_period
                 )
                 np.testing.assert_array_equal(
-                    drive_pa(pa, stream, obo).samples, drive_pa(pa, fresh, obo).samples
+                    drive(obo).samples, PaDriver(pa, fresh)(obo).samples
                 )
 
-    @pytest.mark.parametrize("smoothness", [150.0, 200.0, 400.0, 1e4])
+    @pytest.mark.parametrize("smoothness", [5e-4, 1e-3, 150.0, 200.0, 400.0, 1e4])
     def test_drive_output_finite_or_smoothness_rejected(self, smoothness):
-        # a large p overflows (g^2)^p or (|x|^2)^p; the drive either gives
-        # finite samples or names the profile key, never inf or NaN
+        # a large p overflows (g^2)^p or (|x|^2)^p, and a small p makes the
+        # output's peak power, about 2^(-1/p), underflow; the drive either
+        # gives finite samples whose peak power is a normal float or names
+        # the profile key, never inf, NaN or a silent output
         pa = RappPa(smoothness=smoothness)
         cfg = ExperimentConfig(metrics=MetricsConfig(stream_symbols=16))
         rejected = set()
         for name in ("csc_mv_1", "obda"):
-            stream = studies.scheme_stream(cfg, name, 3)
+            drive = PaDriver(pa, studies.scheme_stream(cfg, name, 3))
             for obo in (0.0, 10.0, 30.0):
                 try:
-                    out = drive_pa(pa, stream, obo)
+                    out = drive(obo)
                 except ConfigError as exc:
                     assert "pa.smoothness" in str(exc)
                     rejected.add((name, obo))
                 else:
                     assert np.isfinite(out.samples).all()
-            # the peak power is read once per stream, not per back-off
-            assert "peak_power" in vars(stream)
-        assert bool(rejected) == (smoothness > 150.0)
+                    assert np.max(np.abs(out.samples) ** 2) >= sys.float_info.min
+        assert bool(rejected) == (smoothness > 150.0 or smoothness < 1e-3)
 
     def test_drive_rejects_zero_power(self):
         dead = ComplexSignal(samples=np.zeros(8, dtype=complex), sample_period=1.0)
         with pytest.raises(ValueError):
-            drive_pa(RappPa(), dead, 3.0)
+            PaDriver(RappPa(), dead)
 
 
 class TestEnvelopeMetrics:

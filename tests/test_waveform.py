@@ -77,10 +77,9 @@ class TestSignal:
         with pytest.raises(ValueError):
             ComplexSignal(samples=np.ones(4), sample_period=0.0)
 
-    def test_mean_power(self):
-        sig = ComplexSignal(samples=2.0 * np.ones(8, dtype=complex), sample_period=1.0)
-        assert sig.mean_power == pytest.approx(4.0)
-        assert sig.sample_rate == pytest.approx(1.0)
+    def test_sample_rate(self):
+        sig = ComplexSignal(samples=2.0 * np.ones(8, dtype=complex), sample_period=0.25)
+        assert sig.sample_rate == pytest.approx(4.0)
 
 
 def _fresnel_fdss(cfg):
