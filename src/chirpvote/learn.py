@@ -19,6 +19,7 @@ keyed RNG streams so schemes can be compared on identical realisations.
 from __future__ import annotations
 
 import math
+from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
@@ -32,14 +33,15 @@ from .deployment import Deployment, PowerControlParams, link_power
 from .errors import ConfigError, InfeasibleError
 from .oac import (
     build_vote_plan,
-    csc_tones,
+    csc_phases,
     detect_mv,
     decode_obda,
     encode_obda,
     guard_for_votes,
+    place_tones,
     sign_pm1,
 )
-from .waveform import WaveformConfig, build_fdss, matched_despread
+from .waveform import WaveformConfig, build_fdss, despread_folded, matched_despread
 
 INPUT_DIM = 64
 HIDDEN_DIM = 32
@@ -290,15 +292,26 @@ def _channel_responses(setup: TrainSetup, round_index: int) -> np.ndarray:
 
 
 def _receiver_noise(
-    setup: TrainSetup, round_index: int, noise_power: float, shape: tuple[int, int]
+    setup: TrainSetup,
+    round_index: int,
+    noise_power: float,
+    shape: tuple[int, int],
+    roll: int = 0,
 ) -> np.ndarray:
     """The round's complex white receiver noise of per-bin variance
-    ``noise_power``: all real parts are drawn first, then all imaginary parts."""
+    ``noise_power``: all real parts are drawn first, then all imaginary parts.
+    The bins come rolled by ``roll`` along the last axis, as ``np.roll``
+    would leave them, from the one scaled write of each part."""
     rng = keyed_rng(setup.seed, "noise", round_index)
+    scale = math.sqrt(noise_power / 2.0)
+    roll %= shape[-1]
+    cut = shape[-1] - roll
     noise = np.empty(shape, dtype=complex)
-    noise.real = rng.standard_normal(shape)
-    noise.imag = rng.standard_normal(shape)
-    noise *= math.sqrt(noise_power / 2.0)
+    drawn = np.empty(shape)
+    for part in (noise.real, noise.imag):
+        rng.standard_normal(out=drawn)
+        np.multiply(drawn[:, cut:], scale, out=part[:, :roll])
+        np.multiply(drawn[:, :cut], scale, out=part[:, roll:])
     return noise
 
 
@@ -314,7 +327,9 @@ CLAMP_RADIUS_M = {
 }
 
 
-def scheme_uplink(setup: TrainSetup, scheme: str, noise_power: float) -> Uplink:
+def scheme_uplink(
+    setup: TrainSetup, scheme: str, noise_power: float, worker: Executor | None = None
+) -> Uplink:
     """The aggregation a scheme token names, built once per run as a function
     ``(round_index, votes) -> statistic``: one real number per coordinate
     whose sign is the majority vote, taken by ``run_round``.  The statistic
@@ -325,7 +340,13 @@ def scheme_uplink(setup: TrainSetup, scheme: str, noise_power: float) -> Uplink:
     change between rounds (vote plan, shaping, tone shifts, link amplitudes
     at the scheme's clamp radius) is computed here, so an unknown token
     raises ConfigError, and a vote count no guard carries exactly raises
-    InfeasibleError, before any round runs."""
+    InfeasibleError, before any round runs.
+
+    Given a ``worker``, the chirp uplink hands the next round's
+    vote-independent draws to it as the last step of each call before
+    round ``setup.train.rounds - 1``, and the next call collects them if it
+    is that round; any other call draws its own inline.  Every draw is
+    keyed, so the statistics do not depend on the worker."""
     if scheme == "ideal":
         return lambda round_index, votes: votes.sum(axis=0)
     votes_per_block = scheme_votes(scheme)
@@ -356,6 +377,18 @@ def scheme_uplink(setup: TrainSetup, scheme: str, noise_power: float) -> Uplink:
     # the bin of slot u's sign-s tone (+ first)
     shifts = (np.arange(m) - plan.tone_bins[:, None]) % m
     amps = (np.sqrt(links) * math.sqrt(wave.idft_size / plan.votes_per_block))[:, None]
+    num_eds = setup.deployment.num_eds
+
+    def draw(round_index: int) -> tuple[np.ndarray, np.ndarray]:
+        """The round's draws that do not depend on the votes: every device's
+        ``csc_phases`` and the scaled receiver noise, its bins folded back to
+        DFT order (``ifftshift``) for ``despread_folded``."""
+        rngs = keyed_rngs(setup.seed, "phase", round_index, count=num_eds)
+        noise = _receiver_noise(setup, round_index, noise_power, (plan.num_blocks, m), -(m // 2))
+        return csc_phases(PARAM_DIM, rngs), noise
+
+    # at most one hand-off: (round_index, future of its draws)
+    ahead: list[tuple[int, Future]] = []
 
     def csc_mv(round_index: int, votes: np.ndarray) -> np.ndarray:
         """Despread-domain simulation of the chirp majority-vote uplink.
@@ -365,10 +398,11 @@ def scheme_uplink(setup: TrainSetup, scheme: str, noise_power: float) -> Uplink:
         each device's bin-0 response -- its link amplitude times its channel
         and timing-offset response, shaped by ``fdss`` and passed through
         ``matched_despread`` -- is computed once per round, and the despread
-        signal is one product of the devices' ``csc_tones`` as a
+        signal is one product of the devices' tones (``place_tones`` of the
+        round's drawn phases, as ``csc_tones`` would draw them) as a
         (blocks x 2V*devices) matrix with those responses shifted to each
         (slot, sign) tone bin.  Receiver noise is white across bins because
-        the transforms are orthonormal; it goes through ``matched_despread``
+        the transforms are orthonormal; it goes through the matched despread
         too.  Returns ``detect_mv``'s margins, the energy of each
         coordinate's +1 group minus that of its -1 group.  They equal those
         of the sample-level chain (spread / propagate / superpose / despread,
@@ -380,11 +414,18 @@ def scheme_uplink(setup: TrainSetup, scheme: str, noise_power: float) -> Uplink:
         response = matched_despread(fdss, weights) / math.sqrt(m)
         # rows (slot, sign, device), as the columns of the tone matrix
         shifted = response[:, shifts].transpose(1, 0, 2).reshape(-1, m)
-        rngs = keyed_rngs(setup.seed, "phase", round_index, count=votes.shape[0])
-        despreads = csc_tones(plan, votes, rngs).reshape(plan.num_blocks, -1) @ shifted
-        noise = _receiver_noise(setup, round_index, noise_power, despreads.shape)
-        despreads += matched_despread(fdss, noise)
-        return detect_mv(plan, despreads).margins
+        if ahead and ahead[0][0] == round_index:
+            phases, noise = ahead.pop()[1].result()
+        else:
+            if ahead:  # drawn for a round this call is not: discard it
+                ahead.pop()[1].cancel()
+            phases, noise = draw(round_index)
+        despreads = place_tones(plan, votes, phases).reshape(plan.num_blocks, -1) @ shifted
+        despreads += despread_folded(fdss, noise)
+        margins = detect_mv(plan, despreads).margins
+        if worker is not None and round_index + 1 < setup.train.rounds:
+            ahead.append((round_index + 1, worker.submit(draw, round_index + 1)))
+        return margins
 
     return csc_mv
 
@@ -421,12 +462,20 @@ def run_training(setup: TrainSetup, scheme: str, snr_db: float) -> TrainState:
     power that turns every statistic NaN and so every vote -1.  The noise
     power is relative to the link power that power control delivers inside
     coverage: 10^(-snr_db/10).
+
+    The chirp uplink gets a worker for its draws (see ``scheme_uplink``).
+    Its one thread starts at the first hand-off, so OBDA and ideal runs
+    start none, and it is joined before the run returns or raises.  It is
+    used on one CPU too, where it is still faster than drawing inline: the
+    draws' buffers come from the worker thread's own malloc arena, which
+    keeps them between rounds instead of returning them to the OS.
     """
     replace(setup.train, snr_db=(snr_db,))
-    uplink = scheme_uplink(setup, scheme, 10.0 ** (-snr_db / 10.0))
-    state = initial_state(setup)
-    for _ in range(setup.train.rounds):
-        state = run_round(state, setup, uplink)
+    with ThreadPoolExecutor(1) as worker:
+        uplink = scheme_uplink(setup, scheme, 10.0 ** (-snr_db / 10.0), worker)
+        state = initial_state(setup)
+        for _ in range(setup.train.rounds):
+            state = run_round(state, setup, uplink)
     return state
 
 

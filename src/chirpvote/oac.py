@@ -28,7 +28,7 @@ TCI_THRESHOLD = 0.1
 
 def sign_pm1(x: np.ndarray) -> np.ndarray:
     """Elementwise sign with sign(0) = +1, values in {+1, -1}."""
-    return np.where(np.asarray(x) >= 0, 1, -1).astype(int)
+    return np.where(np.asarray(x) >= 0, 1, -1)
 
 
 def votes_per_block(num_bins: int, guard_bins: int) -> int:
@@ -98,28 +98,47 @@ def build_vote_plan(grad_dim: int, num_bins: int, guard_bins: int) -> VotePlan:
     )
 
 
-def csc_tones(plan: VotePlan, votes: np.ndarray, rngs: Sequence[np.random.Generator]) -> np.ndarray:
-    """Tones of a stack of devices: votes (devices, grad_dim) -> (num_blocks, V, 2, devices).
+def csc_phases(grad_dim: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+    """The phases of a stack of devices, (grad_dim, devices): column k holds
+    device k's fresh unit-circle phase per vote, drawn from ``rngs[k]``.
+    They do not depend on the votes, so they can be drawn ahead of them."""
+    uniforms = np.empty((len(rngs), grad_dim))
+    for row, rng in zip(uniforms, rngs):
+        rng.random(out=row)
+    phases = 2j * np.pi * uniforms.T
+    np.exp(phases, out=phases)
+    return phases
 
-    V is votes_per_block. Device k draws one fresh unit-circle phase per vote
-    from ``rngs[k]``; entry (b, u, s, k) holds its phase for gradient b * V + u
-    if that vote has sign s (+1 first), else 0. Padding past grad_dim holds 0.
+
+def place_tones(plan: VotePlan, votes: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """Tones of a stack of devices: votes (devices, grad_dim) and their
+    :func:`csc_phases` -> (num_blocks, V, 2, devices).
+
+    V is votes_per_block. Entry (b, u, s, k) holds device k's phase for
+    gradient b * V + u if that vote has sign s (+1 first; a vote <= 0 is
+    -1), else 0. Padding past grad_dim holds 0.
     """
     votes = np.asarray(votes)
     if votes.ndim != 2 or votes.shape[1] != plan.grad_dim:
         raise FramingError("votes must be (devices, grad_dim)")
     num_eds = votes.shape[0]
-    uniforms = np.empty((num_eds, plan.grad_dim))
-    for row, rng in zip(uniforms, rngs, strict=True):
-        rng.random(out=row)
-    phases = 2j * np.pi * uniforms.T
-    np.exp(phases, out=phases)
+    if phases.shape != (plan.grad_dim, num_eds):
+        raise FramingError(
+            f"votes of {num_eds} devices need phases of shape {(plan.grad_dim, num_eds)}"
+        )
     tones = np.zeros((plan.num_blocks, plan.votes_per_block, 2, num_eds), dtype=complex)
-    slots = tones.reshape(-1, 2, num_eds)[: plan.grad_dim]
-    positive = votes.T > 0
-    np.copyto(slots[:, 0], phases, where=positive)
-    np.copyto(slots[:, 1], phases, where=~positive)
+    # per gradient, the 2 * devices columns (sign, device): each phase goes
+    # to its device's column of the sign it voted
+    slots = tones.reshape(-1, 2 * num_eds)[: plan.grad_dim]
+    columns = (votes.T <= 0) * num_eds + np.arange(num_eds)
+    np.put_along_axis(slots, columns, phases, axis=1)
     return tones
+
+
+def csc_tones(plan: VotePlan, votes: np.ndarray, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+    """:func:`place_tones` of the phases device k draws from ``rngs[k]``:
+    votes (devices, grad_dim) -> (num_blocks, V, 2, devices)."""
+    return place_tones(plan, votes, csc_phases(plan.grad_dim, rngs))
 
 
 def encode_csc(plan: VotePlan, votes: np.ndarray, rng: np.random.Generator) -> np.ndarray:

@@ -9,7 +9,10 @@ The ACLR evaluations of ``aclr_study`` (each scheme's back-offs) and
 ``coverage_study`` (one bisection per scheme) run on one thread per CPU the
 process may use. Each evaluation only reads its stream's ``rf.PaDriver``,
 and the rows are collected in the serial order, so the results do not depend
-on the worker count. The other studies run serially.
+on the worker count. The other studies run serially, except that a chirp
+training run draws each round's phases and receiver noise one round ahead
+on one worker thread of its own (``learn.run_training``). Every draw is
+keyed, so no artifact depends on that thread either.
 """
 from __future__ import annotations
 

@@ -219,9 +219,16 @@ def matched_despread(fdss: np.ndarray, subcarriers: np.ndarray) -> np.ndarray:
     """Matched receiver, (..., M) occupied subcarriers -> (..., M) bin symbols, in
     one working copy: fold back to DFT order (``ifftshift`` along the last
     axis), conjugate shaping and M-point orthonormal IDFT."""
-    shaped = np.fft.ifftshift(np.asarray(subcarriers, dtype=complex), axes=-1)
-    np.multiply(np.fft.ifftshift(np.conj(fdss)), shaped, out=shaped)
-    return np.fft.ifft(shaped, norm="ortho", axis=-1, out=shaped)
+    return despread_folded(
+        fdss, np.fft.ifftshift(np.asarray(subcarriers, dtype=complex), axes=-1)
+    )
+
+
+def despread_folded(fdss: np.ndarray, folded: np.ndarray) -> np.ndarray:
+    """:func:`matched_despread` of complex subcarriers already folded back to
+    DFT order, computed in place in ``folded``."""
+    np.multiply(np.fft.ifftshift(np.conj(fdss)), folded, out=folded)
+    return np.fft.ifft(folded, norm="ortho", axis=-1, out=folded)
 
 
 def despread(cfg: WaveformConfig, fdss: np.ndarray, received: np.ndarray) -> np.ndarray:

@@ -6,10 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chirpvote import cli, studies
+from chirpvote import cli, learn, studies
 from chirpvote._rng import keyed_rng
 from chirpvote.config import ExperimentConfig, MetricsConfig, TrainConfig, save_config
 from chirpvote.deployment import PowerControlParams, coverage_radius
+from chirpvote.errors import InfeasibleError
 from chirpvote.oac import random_csc_traffic, random_qpsk
 from chirpvote.waveform import WaveformConfig, build_fdss, modulate_ofdm, spread
 
@@ -604,6 +605,22 @@ class TestErrorPaths:
         out = tmp_path / "coverage"
         assert run("coverage", "--config", cfg, "--out", out) == 2
         assert "beta is too small" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_uplink_worker_error_keeps_its_exit_code(self, tmp_path, monkeypatch, capsys):
+        # raised in round 1's draw, which runs on the run's worker thread
+        draw = learn._receiver_noise
+
+        def failing(setup, round_index, *args):
+            if round_index == 1:
+                raise InfeasibleError("noise draw failed")
+            return draw(setup, round_index, *args)
+
+        monkeypatch.setattr(learn, "_receiver_noise", failing)
+        out = tmp_path / "train"
+        argv = ("train", "--config", write_cfg(tmp_path), "--scheme", "csc_mv_2", "--out", out)
+        assert run(*argv) == 3
+        assert "noise draw failed" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unrepresentable_path_loss_exits_2(self, tmp_path, capsys):

@@ -1,5 +1,8 @@
 import math
+import sys
+import threading
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from typing import Sequence
 
@@ -454,6 +457,151 @@ class TestTrainingMechanics:
             offset(room + 3, window_rolloff=0)
         with pytest.raises(InfeasibleError):
             offset(0, cp_len=5)
+
+
+class TestPipelinedUplink:
+    """Given a worker, the chirp uplink draws each round's phases and receiver
+    noise one round ahead on it, and ``run_training`` gives it one. Every
+    draw is keyed, so no statistic may depend on the worker, and a draw made
+    for another round is never used."""
+
+    CHIRPS = ["csc_mv_1", "csc_mv_2", "csc_mv_4"]
+
+    @staticmethod
+    def _record_margins(monkeypatch) -> list:
+        """Every statistic the uplink returns from now on, in call order."""
+        margins = []
+
+        def recording(plan, blocks):
+            report = detect_mv(plan, blocks)
+            margins.append(report.margins)
+            return report
+
+        monkeypatch.setattr(learn, "detect_mv", recording)
+        return margins
+
+    @pytest.mark.parametrize("scheme", CHIRPS)
+    def test_statistics_equal_with_worker_on_and_off(self, monkeypatch, scheme):
+        setup = studies.training_setup(_tiny_cfg(rounds=4), 3)
+        margins = self._record_margins(monkeypatch)
+        handed = []
+
+        class Recording(ThreadPoolExecutor):
+            def submit(self, fn, *args):
+                handed.append(args[0])
+                return super().submit(fn, *args)
+
+        monkeypatch.setattr(learn, "ThreadPoolExecutor", Recording)
+        # switch threads as often as the interpreter allows, so that a draw
+        # touching the round's state would interleave with it
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            piped = run_training(setup, scheme, 20.0)
+        finally:
+            sys.setswitchinterval(interval)
+        piped_margins = margins[:]
+        # the same rounds with every draw inline
+        del margins[:]
+        inline = initial_state(setup)
+        uplink = scheme_uplink(setup, scheme, 10.0 ** (-20.0 / 10.0))
+        for _ in range(4):
+            inline = run_round(inline, setup, uplink)
+        # no hand-off past the last round
+        assert handed == [1, 2, 3]
+        assert len(margins) == len(piped_margins) == 4
+        for a, b in zip(margins, piped_margins):
+            assert a.tobytes() == b.tobytes()
+        assert inline.weights.tobytes() == piped.weights.tobytes()
+        assert inline.history == piped.history
+
+    @pytest.mark.parametrize("scheme", CHIRPS)
+    def test_out_of_order_calls_draw_afresh(self, scheme):
+        setup = studies.training_setup(_tiny_cfg(rounds=5), 4)
+        weights = initial_state(setup).weights
+        fresh = scheme_uplink(setup, scheme, 0.05)
+        with ThreadPoolExecutor(1) as worker:
+            uplink = scheme_uplink(setup, scheme, 0.05, worker)
+            # a repeat, a skip and a step back each find a draw made for
+            # another round waiting; the last three rounds use theirs
+            for round_index in (0, 0, 2, 1, 1, 2, 3, 4):
+                votes = _collect_votes(weights, round_index, setup)
+                stat = uplink(round_index, votes)
+                assert stat.tobytes() == fresh(round_index, votes).tobytes()
+
+    @pytest.mark.parametrize("scheme, workers", [("csc_mv_2", 1), ("obda", 0), ("ideal", 0)])
+    def test_worker_thread_lives_only_inside_a_chirp_run(self, monkeypatch, scheme, workers):
+        step = learn.run_round
+        during = []
+
+        def counting(state, setup, uplink):
+            during.append(threading.active_count())
+            return step(state, setup, uplink)
+
+        monkeypatch.setattr(learn, "run_round", counting)
+        setup = studies.training_setup(_tiny_cfg(rounds=3), 0)
+        before = threading.active_count()
+        run_training(setup, scheme, 20.0)
+        assert threading.active_count() == before
+        # the thread starts at the first hand-off, at the end of round 0
+        assert during == [before] + [before + workers] * 2
+
+    def test_worker_error_surfaces_from_its_round(self, monkeypatch):
+        draw = learn._receiver_noise
+        failed_on = []
+
+        def failing(setup, round_index, *args):
+            if round_index == 2:
+                failed_on.append(threading.current_thread())
+                raise InfeasibleError("noise draw failed")
+            return draw(setup, round_index, *args)
+
+        step = learn.run_round
+        rounds = []
+
+        def counting(state, setup, uplink):
+            rounds.append(state.round_index)
+            return step(state, setup, uplink)
+
+        monkeypatch.setattr(learn, "_receiver_noise", failing)
+        monkeypatch.setattr(learn, "run_round", counting)
+        setup = studies.training_setup(_tiny_cfg(rounds=4), 0)
+        before = threading.active_count()
+        with pytest.raises(InfeasibleError, match="noise draw failed"):
+            run_training(setup, "csc_mv_2", 20.0)
+        assert rounds == [0, 1, 2]
+        assert len(failed_on) == 1 and failed_on[0] is not threading.main_thread()
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("roll", [0, 3, -15, 31])
+    def test_rolled_noise_matches_np_roll(self, roll):
+        # the draw writes the noise straight into DFT order
+        setup = studies.training_setup(_tiny_cfg(rounds=3), 2)
+        shape = (7, 30)
+        rng = keyed_rng(setup.seed, "noise", 1)
+        expected = np.empty(shape, dtype=complex)
+        expected.real = rng.standard_normal(shape)
+        expected.imag = rng.standard_normal(shape)
+        expected *= math.sqrt(0.05 / 2.0)
+        noise = learn._receiver_noise(setup, 1, 0.05, shape, roll)
+        assert noise.tobytes() == np.roll(expected, roll, axis=-1).tobytes()
+
+    @pytest.mark.parametrize(
+        "shape",
+        [(4, PARAM_DIM), (6, PARAM_DIM), (5, PARAM_DIM - 1)],
+        ids=["fewer-devices", "more-devices", "short-votes"],
+    )
+    def test_votes_of_the_wrong_shape_rejected(self, shape):
+        setup = studies.training_setup(_tiny_cfg(rounds=3), 0)
+        votes = _collect_votes(initial_state(setup).weights, 0, setup)
+        assert votes.shape == (5, PARAM_DIM)
+        with ThreadPoolExecutor(1) as worker:
+            uplink = scheme_uplink(setup, "csc_mv_2", 0.05, worker)
+            uplink(0, votes)  # hands round 1's draws to the worker
+            with pytest.raises(FramingError):
+                uplink(1, np.ones(shape, dtype=int))
+            with pytest.raises(FramingError):
+                scheme_uplink(setup, "csc_mv_2", 0.05)(0, np.ones(shape, dtype=int))
 
 
 def local_gradient_loop(state: TrainState, setup: TrainSetup) -> np.ndarray:

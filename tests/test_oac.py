@@ -9,6 +9,7 @@ from chirpvote.errors import FramingError, InfeasibleError
 from chirpvote.oac import (
     VotePlan,
     build_vote_plan,
+    csc_phases,
     csc_tones,
     decode_obda,
     detect_mv,
@@ -17,6 +18,7 @@ from chirpvote.oac import (
     group_energies,
     guard_for_votes,
     obda_blocks_needed,
+    place_tones,
     random_csc_traffic,
     random_qpsk,
     sign_pm1,
@@ -31,6 +33,13 @@ M = CFG.num_bins
 class TestArithmetic:
     def test_sign_convention(self):
         np.testing.assert_array_equal(sign_pm1(np.array([-2.0, 0.0, 3.0])), [-1, 1, 1])
+
+    def test_sign_special_values_and_dtype(self):
+        x = np.array([0.0, -0.0, np.nan, np.inf, -np.inf])
+        signs = sign_pm1(x)
+        assert signs.dtype == np.asarray(1).dtype
+        np.testing.assert_array_equal(signs, [1, 1, -1, 1, -1])
+        assert sign_pm1(np.zeros((20, 3))).dtype == signs.dtype
 
     @pytest.mark.parametrize("votes,guard", [(1, 26), (2, 12), (4, 5)])
     def test_guard_presets(self, votes, guard):
@@ -106,6 +115,40 @@ class TestResourceMap:
         for d in range(k):
             one = encode_csc(plan, votes[d], keyed_rng(3, "oac-stack", d))
             assert np.array_equal(scattered[d], one)
+
+
+    @staticmethod
+    def two_copyto_tones(plan, votes, phases):
+        """The scatter by two masked copies, one per sign."""
+        tones = np.zeros((plan.num_blocks, plan.votes_per_block, 2, len(votes)), dtype=complex)
+        slots = tones.reshape(-1, 2, len(votes))[: plan.grad_dim]
+        positive = votes.T > 0
+        np.copyto(slots[:, 0], phases, where=positive)
+        np.copyto(slots[:, 1], phases, where=~positive)
+        return tones
+
+    @pytest.mark.parametrize("votes_per_block", [1, 2, 4])
+    @pytest.mark.parametrize("extra", [0, 1], ids=["whole-blocks", "one-more-vote"])
+    def test_scatter_matches_two_copyto_form(self, votes_per_block, extra):
+        plan = build_vote_plan(
+            5 * votes_per_block + extra, M, guard_for_votes(M, votes_per_block)
+        )
+        k = 7
+        rngs = [keyed_rng(4, "oac-scatter", d) for d in range(k)]
+        votes = sign_pm1(keyed_rng(5, "oac-scatter").standard_normal((k, plan.grad_dim)))
+        phases = csc_phases(plan.grad_dim, rngs)
+        expected = self.two_copyto_tones(plan, votes, phases)
+        assert place_tones(plan, votes, phases).tobytes() == expected.tobytes()
+        rngs = [keyed_rng(4, "oac-scatter", d) for d in range(k)]
+        assert csc_tones(plan, votes, rngs).tobytes() == expected.tobytes()
+
+    def test_phases_must_match_the_votes(self):
+        plan = build_vote_plan(6, M, 12)
+        phases = csc_phases(6, [keyed_rng(0, "x", d) for d in range(3)])
+        with pytest.raises(FramingError):
+            place_tones(plan, np.ones((2, 6), dtype=int), phases)
+        with pytest.raises(FramingError):
+            csc_tones(plan, np.ones((2, 6), dtype=int), [keyed_rng(0, "x")] * 3)
 
 
 class TestEncodeDetect:
