@@ -54,14 +54,24 @@ def epa_phase_table(cfg: WaveformConfig, max_offset: int) -> np.ndarray:
     return table
 
 
-def draw_epa(cfg: WaveformConfig, rng: np.random.Generator) -> ChannelRealization:
-    """One EPA realization: Rayleigh gains on the profile snapped to the
-    sample grid, unit average power."""
+@cache
+def _epa_profile(cfg: WaveformConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The snapped tap delays and each tap's Rayleigh scale sqrt(p / 2), the
+    powers p normalized to unit sum; cached and read-only."""
     delays = epa_tap_delays(cfg)
     powers = 10.0 ** (np.asarray(EPA_POWERS_DB) / 10.0)
     powers = powers / powers.sum()
+    scales = np.sqrt(powers / 2.0)
+    delays.flags.writeable = scales.flags.writeable = False
+    return delays, scales
+
+
+def draw_epa(cfg: WaveformConfig, rng: np.random.Generator) -> ChannelRealization:
+    """One EPA realization: Rayleigh gains on the profile snapped to the
+    sample grid, unit average power."""
+    delays, scales = _epa_profile(cfg)
     n = len(delays)
-    gains = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * np.sqrt(powers / 2.0)
+    gains = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * scales
     return ChannelRealization(delays=delays, gains=gains)
 
 

@@ -15,6 +15,16 @@ aggregation:
 
 The radio paths share batch, channel, timing-offset and noise draws through
 keyed RNG streams so schemes can be compared on identical realisations.
+
+A round makes one forward pass of the model over the pooled training set,
+at the updated weights.  The round's per-device losses are read from it,
+and the next round's mini-batch gradients gather their hidden activations
+from it instead of running the hidden layer again.  That equals the
+batch's own hidden layer bit for bit because each row of ``x @ w1`` and of
+tanh depends only on the matching input row; the test suite holds the BLAS
+to that at 1 and 2 threads.  The narrow output layer is not shared: the
+BLAS computes the last rows of a (n, 32) @ (32, 10) product by another
+kernel, so a row's logits can differ in the last bit with its place.
 """
 from __future__ import annotations
 
@@ -61,6 +71,9 @@ def init_params(seed: int) -> np.ndarray:
 
 
 def _unpack(w: np.ndarray):
+    w = np.asarray(w, dtype=float)
+    if w.shape != (PARAM_DIM,):
+        raise ValueError(f"parameter vector must have length {PARAM_DIM}")
     i = 0
     w1 = w[i : i + INPUT_DIM * HIDDEN_DIM].reshape(INPUT_DIM, HIDDEN_DIM)
     i += INPUT_DIM * HIDDEN_DIM
@@ -72,16 +85,33 @@ def _unpack(w: np.ndarray):
     return w1, b1, w2, b2
 
 
+def hidden_layer(w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The tanh hidden activations of the rows ``x`` (..., n, 64), computed
+    in place of the pre-activations."""
+    w1, b1, _, _ = _unpack(w)
+    h = x @ w1
+    h += b1
+    np.tanh(h, out=h)
+    return h
+
+
+def _output_logits(w: np.ndarray, h: np.ndarray) -> np.ndarray:
+    _, _, w2, b2 = _unpack(w)
+    logits = h @ w2
+    logits += b2
+    return logits
+
+
 def forward_logits(w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    w1, b1, w2, b2 = _unpack(np.asarray(w, dtype=float))
-    h = np.tanh(x @ w1 + b1)
-    return h @ w2 + b2
+    return _output_logits(w, hidden_layer(w, x))
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Row-wise softmax, computed in place of ``logits``."""
+    logits -= logits.max(axis=-1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=-1, keepdims=True)
+    return logits
 
 
 def _sample_nll(probs: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -90,44 +120,18 @@ def _sample_nll(probs: np.ndarray, y: np.ndarray) -> np.ndarray:
     return -np.log(picked + 1e-300)
 
 
-def loss_and_gradient(
-    w: np.ndarray, x: np.ndarray, y: np.ndarray
-) -> tuple[float | np.ndarray, np.ndarray]:
-    """Mean cross-entropy over the batch and its flat gradient.
-
-    ``x`` is one batch (n, 64) or a stack of equal-size batches (..., n, 64)
-    with labels (..., n); a stack gives one loss per batch, shape (...), and
-    gradients (..., PARAM_DIM) from the same batched products.
-    """
-    w = np.asarray(w, dtype=float)
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    y = np.asarray(y, dtype=int)
-    if w.shape != (PARAM_DIM,):
-        raise ValueError(f"parameter vector must have length {PARAM_DIM}")
-    w1, b1, w2, b2 = _unpack(w)
-    h = np.tanh(x @ w1 + b1)
-    probs = _softmax(h @ w2 + b2)
-    loss = np.mean(_sample_nll(probs, y), axis=-1)
-    # subtracting the one-hot labels leaves the other entries bit-exact
-    delta2 = probs - (y[..., None] == np.arange(NUM_CLASSES))
-    delta2 /= x.shape[-2]
-    g_w2 = h.swapaxes(-1, -2) @ delta2
-    g_b2 = delta2.sum(axis=-2)
-    delta1 = (delta2 @ w2.T) * (1.0 - h**2)
-    g_w1 = x.swapaxes(-1, -2) @ delta1
-    g_b1 = delta1.sum(axis=-2)
-    lead = x.shape[:-2]
-    grad = np.concatenate(
-        [g_w1.reshape(*lead, -1), g_b1, g_w2.reshape(*lead, -1), g_b2], axis=-1
-    )
-    return (float(loss) if loss.ndim == 0 else loss), grad
-
-
-def mean_loss(w: np.ndarray, data: Dataset, bounds: np.ndarray) -> np.ndarray:
+def mean_loss(w: np.ndarray, data: Dataset, bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Mean cross-entropy of each contiguous segment
-    ``data[bounds[i]:bounds[i + 1]]``, from one forward pass over ``data``."""
-    nll = _sample_nll(_softmax(forward_logits(w, data.features)), data.labels)
-    return np.array([np.mean(nll[a:b]) for a, b in zip(bounds[:-1], bounds[1:])])
+    ``data[bounds[i]:bounds[i + 1]]``, from one forward pass over ``data``,
+    and that pass's hidden activations, (len(data), HIDDEN_DIM).
+
+    Each mean is ``np.add.reduce`` of the segment over its length, which is
+    ``np.mean`` bit for bit (``np.add.reduceat`` is not: its segment sums
+    can differ in the last bit)."""
+    hidden = hidden_layer(w, data.features)
+    nll = _sample_nll(_softmax(_output_logits(w, hidden)), data.labels)
+    segments = zip(bounds[:-1], bounds[1:])
+    return np.array([np.add.reduce(nll[a:b]) / (b - a) for a, b in segments]), hidden
 
 
 def predict(w: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -141,6 +145,7 @@ def evaluate(w: np.ndarray, data: Dataset) -> float:
 
 def local_gradient(
     w: np.ndarray,
+    hidden: np.ndarray,
     data: Dataset,
     bounds: np.ndarray,
     batch_size: int,
@@ -150,8 +155,13 @@ def local_gradient(
 
     Device k holds rows ``bounds[k]:bounds[k + 1]`` of ``data`` and draws
     min(batch_size, n_k) of them uniformly without replacement with
-    ``rngs[k]``.  Devices with equal batch sizes share one gather and one
-    stacked ``loss_and_gradient`` pass, normally a single pass for all.
+    ``rngs[k]``.  ``hidden`` is ``hidden_layer(w, data.features)``: a batch's
+    hidden activations are gathered from it, which equals the batch's own
+    hidden layer bit for bit while the BLAS computes each row of ``x @ w1``
+    independently of the other rows.  The output layer is recomputed per
+    batch, since the rows of the narrow ``h @ w2`` product do depend on
+    their place in it.  Devices with equal batch sizes share one gather and
+    one stacked pass, normally a single pass for all.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be positive")
@@ -161,11 +171,26 @@ def local_gradient(
         for start, n, rng in zip(bounds[:-1], counts, rngs, strict=True)
     ]
     sizes = np.minimum(counts, batch_size)
+    w2 = _unpack(w)[2]
     grads = np.empty((len(rows), PARAM_DIM))
     for size in set(sizes.tolist()):  # groups write disjoint rows, in any order
         group = np.flatnonzero(sizes == size)
         idx = np.stack([rows[k] for k in group])
-        _, grads[group] = loss_and_gradient(w, data.features[idx], data.labels[idx])
+        x, y, h = data.features[idx], data.labels[idx], hidden[idx]
+        # subtracting the one-hot labels leaves the other entries bit-exact
+        delta2 = _softmax(_output_logits(w, h))
+        delta2 -= y[..., None] == np.arange(NUM_CLASSES)
+        delta2 /= size
+        delta1 = (delta2 @ w2.T) * (1.0 - h**2)
+        grads[group] = np.concatenate(
+            [
+                (x.swapaxes(-1, -2) @ delta1).reshape(len(group), -1),
+                delta1.sum(axis=-2),
+                (h.swapaxes(-1, -2) @ delta2).reshape(len(group), -1),
+                delta2.sum(axis=-2),
+            ],
+            axis=-1,
+        )
     return grads
 
 
@@ -257,7 +282,13 @@ class RoundRecord:
 
 @dataclass(frozen=True)
 class TrainState:
+    """The model between rounds: its weights and the hidden activations of
+    the set-up's training set at those weights, from the forward pass that
+    the round's losses were read from; the next round's gradients gather
+    their batches' hidden rows from them."""
+
     weights: np.ndarray
+    hidden: np.ndarray
     round_index: int = 0
     history: tuple[RoundRecord, ...] = field(default_factory=tuple)
 
@@ -265,12 +296,20 @@ class TrainState:
 def initial_state(setup: TrainSetup) -> TrainState:
     """Common starting point: the initial weights depend only on the seed,
     so different aggregation schemes start from the same model."""
-    return TrainState(weights=init_params(setup.seed))
+    weights = init_params(setup.seed)
+    return TrainState(weights=weights, hidden=hidden_layer(weights, setup.train_set.features))
 
 
-def _collect_votes(weights: np.ndarray, round_index: int, setup: TrainSetup) -> np.ndarray:
-    rngs = keyed_rngs(setup.seed, "batch", round_index, count=setup.deployment.num_eds)
-    grads = local_gradient(weights, setup.train_set, setup.bounds, setup.train.batch_size, rngs)
+def _collect_votes(state: TrainState, setup: TrainSetup) -> np.ndarray:
+    rngs = keyed_rngs(setup.seed, "batch", state.round_index, count=setup.deployment.num_eds)
+    grads = local_gradient(
+        state.weights,
+        state.hidden,
+        setup.train_set,
+        setup.bounds,
+        setup.train.batch_size,
+        rngs,
+    )
     return sign_pm1(grads)
 
 
@@ -435,11 +474,14 @@ def run_round(state: TrainState, setup: TrainSetup, uplink: Uplink) -> TrainStat
     run's ``uplink`` (see ``scheme_uplink``), then the shared model update.
     The majority vote is the sign of the uplink's statistic, taken here and
     nowhere else, with sign(0) = +1.  The recorded loss/accuracy describe
-    the model after the update."""
-    votes = _collect_votes(state.weights, state.round_index, setup)
+    the model after the update.  The round makes one forward pass over the
+    training set, at the updated weights: the losses are read from it, and
+    its hidden activations feed the next round's gradients."""
+    votes = _collect_votes(state, setup)
     mv = sign_pm1(uplink(state.round_index, votes))
     weights = state.weights - setup.train.step_size * mv
-    per_ed = tuple(mean_loss(weights, setup.train_set, setup.bounds).tolist())
+    losses, hidden = mean_loss(weights, setup.train_set, setup.bounds)
+    per_ed = tuple(losses.tolist())
     record = RoundRecord(
         round_index=state.round_index,
         train_loss=float(np.mean(per_ed)),
@@ -448,6 +490,7 @@ def run_round(state: TrainState, setup: TrainSetup, uplink: Uplink) -> TrainStat
     )
     return TrainState(
         weights=weights,
+        hidden=hidden,
         round_index=state.round_index + 1,
         history=state.history + (record,),
     )

@@ -27,8 +27,8 @@ TCI_THRESHOLD = 0.1
 
 
 def sign_pm1(x: np.ndarray) -> np.ndarray:
-    """Elementwise sign with sign(0) = +1, values in {+1, -1}."""
-    return np.where(np.asarray(x) >= 0, 1, -1)
+    """Elementwise sign with sign(0) = +1, values in {+1, -1}; NaN gives -1."""
+    return 2 * (np.asarray(x) >= 0) - 1
 
 
 def votes_per_block(num_bins: int, guard_bins: int) -> int:
@@ -215,14 +215,14 @@ def encode_obda(votes: np.ndarray, channel_response: np.ndarray) -> np.ndarray:
     TCI_THRESHOLD * rms(|h|) and silenced otherwise; each symbol is then
     renormalized to the nominal per-symbol power budget (sum |x|^2 = M).
     """
-    votes = np.asarray(votes, dtype=float)
+    votes = np.asarray(votes)
     h = np.asarray(channel_response)
-    q, num_bins = votes.shape[-1], h.shape[-1]
+    lead, q, num_bins = votes.shape[:-1], votes.shape[-1], h.shape[-1]
     n_blocks = obda_blocks_needed(q, num_bins)
-    padded = np.zeros(votes.shape[:-1] + (2 * n_blocks * num_bins,))
-    padded[..., :q] = votes
-    x = (padded[..., 0::2] + 1j * padded[..., 1::2]) / np.sqrt(2.0)
-    x = x.reshape(votes.shape[:-1] + (n_blocks, num_bins))
+    x = np.zeros(lead + (n_blocks, num_bins), dtype=complex)
+    # the float view interleaves I and Q, so sign 2i lands on I of subcarrier i
+    x.reshape(lead + (-1,)).view(float)[..., :q] = votes
+    x /= np.sqrt(2.0)
 
     mag = np.abs(h)
     usable = mag >= TCI_THRESHOLD * np.sqrt(np.mean(mag**2, axis=-1, keepdims=True))

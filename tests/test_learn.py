@@ -26,19 +26,21 @@ from chirpvote.errors import ConfigError, FramingError, InfeasibleError
 from chirpvote import learn
 from chirpvote.learn import (
     CLAMP_RADIUS_M,
+    NUM_CLASSES,
     PARAM_DIM,
     BoundParams,
+    RoundRecord,
     TrainSetup,
-    TrainState,
     _channel_responses,
     _collect_votes,
+    _unpack,
     convergence_bound,
     evaluate,
     forward_logits,
+    hidden_layer,
     init_params,
     initial_state,
     local_gradient,
-    loss_and_gradient,
     loss_by_distance,
     mean_loss,
     partition_dataset,
@@ -99,6 +101,46 @@ def _parts(data, dep, mode):
     return _device_sets(*partition_dataset(data, dep, mode))
 
 
+def _initial_votes(setup: TrainSetup, round_index: int = 0) -> np.ndarray:
+    """Every device's votes at the initial model, from round
+    ``round_index``'s batch draws."""
+    return _collect_votes(replace(initial_state(setup), round_index=round_index), setup)
+
+
+def loss_and_gradient(
+    w: np.ndarray, x: np.ndarray, y: np.ndarray
+) -> tuple[float | np.ndarray, np.ndarray]:
+    """Reference for the training passes: a forward and a backward pass of
+    one batch, mean cross-entropy over the batch and its flat gradient.
+
+    ``x`` is one batch (n, 64) or a stack of equal-size batches (..., n, 64)
+    with labels (..., n); a stack gives one loss per batch, shape (...), and
+    gradients (..., PARAM_DIM) from the same batched products.
+    """
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    y = np.asarray(y, dtype=int)
+    w1, b1, w2, b2 = _unpack(w)
+    h = np.tanh(x @ w1 + b1)
+    logits = h @ w2 + b2
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    probs = e / e.sum(axis=-1, keepdims=True)
+    picked = np.take_along_axis(probs, y[..., None], axis=-1)[..., 0]
+    loss = np.mean(-np.log(picked + 1e-300), axis=-1)
+    # subtracting the one-hot labels leaves the other entries bit-exact
+    delta2 = probs - (y[..., None] == np.arange(NUM_CLASSES))
+    delta2 /= x.shape[-2]
+    g_w2 = h.swapaxes(-1, -2) @ delta2
+    g_b2 = delta2.sum(axis=-2)
+    delta1 = (delta2 @ w2.T) * (1.0 - h**2)
+    g_w1 = x.swapaxes(-1, -2) @ delta1
+    g_b1 = delta1.sum(axis=-2)
+    lead = x.shape[:-2]
+    grad = np.concatenate(
+        [g_w1.reshape(*lead, -1), g_b1, g_w2.reshape(*lead, -1), g_b2], axis=-1
+    )
+    return (float(loss) if loss.ndim == 0 else loss), grad
+
+
 class TestModel:
     def test_parameter_count(self):
         assert PARAM_DIM == 64 * 32 + 32 + 32 * 10 + 10
@@ -129,11 +171,12 @@ class TestModel:
     def test_loss_decreases_under_gradient_descent(self):
         data = synthetic_digits(200, seed=0)
         w = init_params(1)
-        first = mean_loss(w, data, [0, len(data)])
+        whole = [0, len(data)]
+        (first,), _ = mean_loss(w, data, whole)
         for _ in range(40):
-            _, g = loss_and_gradient(w, data.features, data.labels)
-            w = w - 0.5 * g
-        assert mean_loss(w, data, [0, len(data)]) < first * 0.7
+            hidden = hidden_layer(w, data.features)
+            w = w - 0.5 * local_gradient(w, hidden, data, whole, 200, [keyed_rng(0, "gd")])[0]
+        assert mean_loss(w, data, whole)[0][0] < first * 0.7
 
     def test_untrained_accuracy_near_chance(self):
         # one fixed random net can favor a few classes; the average over
@@ -149,15 +192,20 @@ class TestModel:
         assert predict(w, x).shape == (3,)
 
     def test_bad_parameter_vector_rejected(self):
-        with pytest.raises(ValueError):
-            loss_and_gradient(np.zeros(10), np.zeros((1, 64)), np.zeros(1, dtype=int))
+        with pytest.raises(ValueError, match="parameter vector"):
+            hidden_layer(np.zeros(10), np.zeros((1, 64)))
+        data = synthetic_digits(10, seed=0)
+        hidden = hidden_layer(init_params(0), data.features)
+        with pytest.raises(ValueError, match="parameter vector"):
+            local_gradient(np.zeros(10), hidden, data, np.array([0, 10]), 5, [keyed_rng(0, "x")])
 
     def test_local_gradient_full_batch_deterministic(self):
         data = synthetic_digits(40, seed=1)
         w = init_params(2)
         whole = np.array([0, len(data)])
-        g1 = local_gradient(w, data, whole, 40, [keyed_rng(0, "a")])[0]
-        g2 = local_gradient(w, data, whole, 40, [keyed_rng(1, "b")])[0]
+        hidden = hidden_layer(w, data.features)
+        g1 = local_gradient(w, hidden, data, whole, 40, [keyed_rng(0, "a")])[0]
+        g2 = local_gradient(w, hidden, data, whole, 40, [keyed_rng(1, "b")])[0]
         _, ref = loss_and_gradient(w, data.features, data.labels)
         # batch == dataset: the draw is without replacement, so both match
         np.testing.assert_allclose(np.sort(g1), np.sort(ref), atol=1e-12)
@@ -165,8 +213,10 @@ class TestModel:
 
     def test_local_gradient_batch_validation(self):
         data = synthetic_digits(10, seed=0)
+        w = init_params(0)
+        hidden = hidden_layer(w, data.features)
         with pytest.raises(ValueError):
-            local_gradient(init_params(0), data, np.array([0, len(data)]), 0, [keyed_rng(0, "x")])
+            local_gradient(w, hidden, data, np.array([0, len(data)]), 0, [keyed_rng(0, "x")])
 
 
 def ideal_mv(votes: np.ndarray) -> np.ndarray:
@@ -361,7 +411,7 @@ class TestTrainingMechanics:
         setup = studies.training_setup(_tiny_cfg(step_size=0.05), 2)
         state = initial_state(setup)
         uplink = scheme_uplink(setup, scheme, 10.0 ** (-15.0 / 10.0))
-        votes = _collect_votes(state.weights, 0, setup)
+        votes = _collect_votes(state, setup)
         mv = sign_pm1(uplink(0, votes))
         if scheme == "ideal":
             assert np.array_equal(mv, ideal_mv(votes))
@@ -403,8 +453,8 @@ class TestTrainingMechanics:
     def test_batches_shared_between_phy_modes(self):
         setup = studies.training_setup(_tiny_cfg(), 3)
         state = initial_state(setup)
-        v1 = _collect_votes(state.weights, state.round_index, setup)
-        v2 = _collect_votes(state.weights, state.round_index, setup)
+        v1 = _collect_votes(state, setup)
+        v2 = _collect_votes(state, setup)
         np.testing.assert_array_equal(v1, v2)
 
     def test_training_produces_history(self):
@@ -518,14 +568,13 @@ class TestPipelinedUplink:
     @pytest.mark.parametrize("scheme", CHIRPS)
     def test_out_of_order_calls_draw_afresh(self, scheme):
         setup = studies.training_setup(_tiny_cfg(rounds=5), 4)
-        weights = initial_state(setup).weights
         fresh = scheme_uplink(setup, scheme, 0.05)
         with ThreadPoolExecutor(1) as worker:
             uplink = scheme_uplink(setup, scheme, 0.05, worker)
             # a repeat, a skip and a step back each find a draw made for
             # another round waiting; the last three rounds use theirs
             for round_index in (0, 0, 2, 1, 1, 2, 3, 4):
-                votes = _collect_votes(weights, round_index, setup)
+                votes = _initial_votes(setup, round_index)
                 stat = uplink(round_index, votes)
                 assert stat.tobytes() == fresh(round_index, votes).tobytes()
 
@@ -593,7 +642,7 @@ class TestPipelinedUplink:
     )
     def test_votes_of_the_wrong_shape_rejected(self, shape):
         setup = studies.training_setup(_tiny_cfg(rounds=3), 0)
-        votes = _collect_votes(initial_state(setup).weights, 0, setup)
+        votes = _initial_votes(setup, 0)
         assert votes.shape == (5, PARAM_DIM)
         with ThreadPoolExecutor(1) as worker:
             uplink = scheme_uplink(setup, "csc_mv_2", 0.05, worker)
@@ -604,16 +653,28 @@ class TestPipelinedUplink:
                 scheme_uplink(setup, "csc_mv_2", 0.05)(0, np.ones(shape, dtype=int))
 
 
-def local_gradient_loop(state: TrainState, setup: TrainSetup) -> np.ndarray:
-    """Per-device reference for the stacked gradient pass: the same keyed
-    batch draws, one 2-D loss_and_gradient call per device."""
-    grads = []
-    for k, data in enumerate(_device_sets(setup.train_set, setup.bounds)):
-        rng = keyed_rng(setup.seed, "batch", state.round_index, k)
-        idx = rng.choice(len(data), size=min(setup.train.batch_size, len(data)), replace=False)
-        _, grad = loss_and_gradient(state.weights, data.features[idx], data.labels[idx])
-        grads.append(grad)
-    return np.array(grads)
+def _batches(setup: TrainSetup, round_index: int) -> list[np.ndarray]:
+    """Each device's batch rows of the pooled training set in round
+    ``round_index``, from its keyed draw."""
+    batches = []
+    for k, (a, b) in enumerate(zip(setup.bounds[:-1], setup.bounds[1:])):
+        rng = keyed_rng(setup.seed, "batch", round_index, k)
+        size = min(setup.train.batch_size, b - a)
+        batches.append(a + rng.choice(b - a, size=size, replace=False))
+    return batches
+
+
+def local_gradient_loop(w: np.ndarray, round_index: int, setup: TrainSetup) -> np.ndarray:
+    """Per-device reference for the gradient pass: the same keyed batch
+    draws, one 2-D loss_and_gradient call, forward pass included, per
+    device."""
+    data = setup.train_set
+    return np.array(
+        [
+            loss_and_gradient(w, data.features[idx], data.labels[idx])[1]
+            for idx in _batches(setup, round_index)
+        ]
+    )
 
 
 def mean_loss_loop(w: np.ndarray, setup: TrainSetup) -> tuple[float, ...]:
@@ -640,36 +701,44 @@ RAGGED_CASES = [
 ]
 
 
-class TestBatchedAgainstLoops:
-    def _states(self, case, rounds=3):
-        num_eds, samples, partition, seed = case
-        setup = studies.training_setup(_tiny_cfg(num_eds, samples, partition), seed)
-        state = initial_state(setup)
-        states = [state]
-        for _ in range(rounds):
-            state = run_round(state, setup, scheme_uplink(setup, "ideal", 0.01))
-            states.append(state)
-        return setup, states
+def _ideal_states(case, rounds=3):
+    """A case's set-up and the states of ``rounds`` ideal rounds from the
+    initial one, that one included."""
+    num_eds, samples, partition, seed = case
+    setup = studies.training_setup(_tiny_cfg(num_eds, samples, partition), seed)
+    state = initial_state(setup)
+    states = [state]
+    for _ in range(rounds):
+        state = run_round(state, setup, scheme_uplink(setup, "ideal", 0.01))
+        states.append(state)
+    return setup, states
 
+
+class TestBatchedAgainstLoops:
     @pytest.mark.parametrize("case", RAGGED_CASES)
     def test_stacked_votes_match_device_loop(self, case):
-        setup, states = self._states(case)
+        setup, states = _ideal_states(case)
         for state in states:
-            ref = local_gradient_loop(state, setup)
+            ref = local_gradient_loop(state.weights, state.round_index, setup)
             rngs = [
                 keyed_rng(setup.seed, "batch", state.round_index, k)
                 for k in range(setup.deployment.num_eds)
             ]
             grads = local_gradient(
-                state.weights, setup.train_set, setup.bounds, setup.train.batch_size, rngs
+                state.weights,
+                state.hidden,
+                setup.train_set,
+                setup.bounds,
+                setup.train.batch_size,
+                rngs,
             )
             assert np.array_equal(grads, ref)
-            votes = _collect_votes(state.weights, state.round_index, setup)
+            votes = _collect_votes(state, setup)
             assert np.array_equal(votes, sign_pm1(ref))
 
     def test_ragged_cases_are_ragged(self):
         def batch_sizes(case):
-            setup = self._states(case, rounds=0)[0]
+            setup = _ideal_states(case, rounds=0)[0]
             return set(np.minimum(np.diff(setup.bounds), setup.train.batch_size))
 
         assert len(batch_sizes(RAGGED_CASES[1])) > 1
@@ -679,7 +748,7 @@ class TestBatchedAgainstLoops:
 
     @pytest.mark.parametrize("case", RAGGED_CASES)
     def test_pooled_losses_match_device_loop(self, case):
-        setup, states = self._states(case)
+        setup, states = _ideal_states(case)
         for state in states[1:]:
             ref = mean_loss_loop(state.weights, setup)
             assert state.history[-1].per_ed_loss == ref
@@ -726,12 +795,70 @@ class TestBatchedAgainstLoops:
 
     @pytest.mark.parametrize("case", RAGGED_CASES)
     def test_link_powers_match_device_loop(self, case):
-        setup = self._states(case, rounds=0)[0]
+        setup = _ideal_states(case, rounds=0)[0]
         for coverage in (CLAMP_RADIUS_M["csc_mv_2"], CLAMP_RADIUS_M["obda"]):
             ref = [link_power(setup.power, coverage, d) for d in setup.deployment.ed_distances]
             links = link_power(setup.power, coverage, setup.deployment.ed_distances)
             assert links.shape == (len(ref),)
             assert np.array_equal(links, ref)
+
+
+def pooled_loss_ref(w: np.ndarray, setup: TrainSetup) -> tuple[float, ...]:
+    """Reference for the per-device losses: one out-of-place forward pass
+    over the pooled training set, as the oracle makes it, and ``np.mean``
+    over each device's rows.  Pooled, because a device's own pass can
+    differ from it in the last bit of the output layer."""
+    data = setup.train_set
+    w1, b1, w2, b2 = _unpack(w)
+    logits = np.tanh(data.features @ w1 + b1) @ w2 + b2
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    probs = e / e.sum(axis=1, keepdims=True)
+    nll = -np.log(probs[np.arange(len(data)), data.labels] + 1e-300)
+    return tuple(float(np.mean(nll[a:b])) for a, b in zip(setup.bounds[:-1], setup.bounds[1:]))
+
+
+class TestSharedHiddenLayer:
+    """A round's one forward pass over the training set feeds both the
+    round's losses and, through its hidden activations, the next round's
+    gradients.  That equals each batch's own hidden layer bit for bit only
+    while every row of ``x @ w1`` is computed independently of the other
+    rows, which these tests hold at whatever BLAS thread count they run
+    under."""
+
+    @pytest.mark.parametrize("case", RAGGED_CASES)
+    def test_batch_rows_of_the_pass_equal_the_batch_hidden_layer(self, case):
+        setup, states = _ideal_states(case)
+        features = setup.train_set.features
+        for state in states:
+            assert state.hidden.tobytes() == hidden_layer(state.weights, features).tobytes()
+            batches = _batches(setup, state.round_index)
+            for idx in batches:
+                alone = hidden_layer(state.weights, features[idx])
+                assert alone.tobytes() == state.hidden[idx].tobytes()
+            # stacked as the gradient pass stacks equal-size batches
+            for size in {len(idx) for idx in batches}:
+                idx = np.stack([idx for idx in batches if len(idx) == size])
+                stacked = hidden_layer(state.weights, features[idx])
+                assert stacked.tobytes() == state.hidden[idx].tobytes()
+
+    @pytest.mark.parametrize("scheme", ["ideal", "obda", "csc_mv_2"])
+    @pytest.mark.parametrize("case", [RAGGED_CASES[0], RAGGED_CASES[2]], ids=["equal", "ragged"])
+    def test_run_equals_loop_that_recomputes_each_batch_pass(self, case, scheme):
+        num_eds, samples, partition, seed = case
+        setup = studies.training_setup(_tiny_cfg(num_eds, samples, partition, rounds=5), seed)
+        run = run_training(setup, scheme, 10.0)
+        uplink = scheme_uplink(setup, scheme, 0.1)
+        w = init_params(seed)
+        history = []
+        for round_index in range(5):
+            votes = sign_pm1(local_gradient_loop(w, round_index, setup))
+            w = w - setup.train.step_size * sign_pm1(uplink(round_index, votes))
+            per_ed = pooled_loss_ref(w, setup)
+            accuracy = evaluate(w, setup.test_set)
+            history.append(RoundRecord(round_index, float(np.mean(per_ed)), accuracy, per_ed))
+        assert run.weights.tobytes() == w.tobytes()
+        assert run.history == tuple(history)
+        assert run.hidden.tobytes() == hidden_layer(w, setup.train_set.features).tobytes()
 
 
 def _csc_plan(setup: TrainSetup, votes_per_block: int):
@@ -879,7 +1006,7 @@ def _assert_matches_oracle(fast: np.ndarray, oracle: np.ndarray) -> None:
 class TestRadioAggregation:
     def test_spectral_path_matches_sampled_path_noiseless(self):
         setup = studies.training_setup(_tiny_cfg(num_eds=4, samples=100), 2)
-        votes = _collect_votes(initial_state(setup).weights, 0, setup)
+        votes = _initial_votes(setup, 0)
         fast = scheme_uplink(setup, "csc_mv_2", 0.0)(0, votes)
         slow = csc_majority_sampled(0, setup, votes, 0.0, 2)
         np.testing.assert_array_equal(sign_pm1(fast), sign_pm1(slow))
@@ -900,7 +1027,7 @@ class TestRadioAggregation:
     ):
         cfg = _tiny_cfg(num_eds=num_eds, samples=60, max_sync_offset=max_sync_offset)
         setup = studies.training_setup(cfg, seed)
-        votes = _collect_votes(initial_state(setup).weights, round_index, setup)
+        votes = _initial_votes(setup, round_index)
         np.testing.assert_array_equal(
             sign_pm1(scheme_uplink(setup, f"csc_mv_{votes_per_block}", 0.0)(round_index, votes)),
             sign_pm1(csc_majority_sampled(round_index, setup, votes, 0.0, votes_per_block)),
@@ -916,7 +1043,7 @@ class TestRadioAggregation:
             # every offset TrainSetup admits (0-8 at the defaults)
             for max_sync_offset in range(_max_admitted_offset(base.wave) + 1):
                 setup = replace(base, train=replace(base.train, max_sync_offset=max_sync_offset))
-                votes = _collect_votes(initial_state(setup).weights, round_index, setup)
+                votes = _initial_votes(setup, round_index)
                 np.testing.assert_array_equal(
                     sign_pm1(scheme_uplink(setup, "obda", 0.0)(round_index, votes)),
                     sign_pm1(obda_majority_sampled(round_index, setup, votes)),
@@ -927,7 +1054,7 @@ class TestRadioAggregation:
         offset = _max_admitted_offset(default_config().wave)
         cfg = _tiny_cfg(num_eds=4, samples=80, max_sync_offset=offset)
         setup = studies.training_setup(cfg, 1)
-        votes = _collect_votes(initial_state(setup).weights, 2, setup)
+        votes = _initial_votes(setup, 2)
         _assert_matches_oracle(
             scheme_uplink(setup, f"csc_mv_{votes_per_block}", 0.0)(2, votes),
             csc_majority_sampled(2, setup, votes, 0.0, votes_per_block),
@@ -938,7 +1065,7 @@ class TestRadioAggregation:
         offset = _max_admitted_offset(default_config().wave)
         cfg = _tiny_cfg(num_eds=num_eds, samples=60, max_sync_offset=offset)
         setup = studies.training_setup(cfg, 3)
-        votes = _collect_votes(initial_state(setup).weights, 1, setup)
+        votes = _initial_votes(setup, 1)
         _assert_matches_oracle(
             scheme_uplink(setup, "obda", 0.0)(1, votes), obda_majority_sampled(1, setup, votes)
         )
@@ -946,20 +1073,20 @@ class TestRadioAggregation:
     def test_single_device_noiseless_csc_recovers_votes(self):
         setup = studies.training_setup(_tiny_cfg(num_eds=1, samples=60), 4)
         # heavy fading cannot flip a single device's energy detection
-        votes = _collect_votes(initial_state(setup).weights, 0, setup)
+        votes = _initial_votes(setup, 0)
         out = scheme_uplink(setup, "csc_mv_2", 0.0)(0, votes)
         np.testing.assert_array_equal(sign_pm1(out), votes[0])
 
     def test_csc_majority_tracks_ideal_at_high_snr(self):
         setup = studies.training_setup(_tiny_cfg(num_eds=5, samples=150), 5)
-        votes = _collect_votes(initial_state(setup).weights, 0, setup)
+        votes = _initial_votes(setup, 0)
         radio = sign_pm1(scheme_uplink(setup, "csc_mv_2", 1e-6)(0, votes))
         ideal = ideal_mv(votes)
         assert np.mean(radio == ideal) > 0.7
 
     def test_obda_majority_tracks_ideal_at_high_snr(self):
         setup = studies.training_setup(_tiny_cfg(num_eds=5, samples=150), 5)
-        votes = _collect_votes(initial_state(setup).weights, 0, setup)
+        votes = _initial_votes(setup, 0)
         radio = sign_pm1(scheme_uplink(setup, "obda", 1e-6)(0, votes))
         ideal = ideal_mv(votes)
         assert np.mean(radio == ideal) > 0.7

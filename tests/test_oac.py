@@ -41,6 +41,16 @@ class TestArithmetic:
         np.testing.assert_array_equal(signs, [1, 1, -1, 1, -1])
         assert sign_pm1(np.zeros((20, 3))).dtype == signs.dtype
 
+    def test_sign_matches_where_form(self):
+        # the (devices, PARAM_DIM) votes a training round takes the sign of
+        x = keyed_rng(0, "oac-sign").standard_normal((20, 2410))
+        x.flat[:7] = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324]
+        for values in (x, np.rint(x[np.isfinite(x)] * 3).astype(int)):
+            signs = sign_pm1(values)
+            expected = np.where(values >= 0, 1, -1)
+            assert signs.dtype == expected.dtype
+            assert np.array_equal(signs, expected)
+
     @pytest.mark.parametrize("votes,guard", [(1, 26), (2, 12), (4, 5)])
     def test_guard_presets(self, votes, guard):
         assert guard_for_votes(M, votes) == guard
