@@ -15,6 +15,7 @@ run snr-distance --config "$profile" --out "$out/snr_distance"
 run train --config "$profile" --out "$out/train"
 # flags that override profile values
 run train --config "$profile" --scheme ideal --seed 1 --snr-db 5 --out "$out/train_flags"
+run train --config "$profile" --scheme ideal --scheme obda --seed 1 --out "$out/train_two"
 run aclr --config "$profile" --scheme obda --obo-db 6 --seed 1 --out "$out/aclr_flags"
 run waveform-dump --config "$profile" --scheme csc_mv_2 --out "$out/waveform"
 run bound --config "$profile" --out "$out/bound"

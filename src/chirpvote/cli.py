@@ -31,7 +31,8 @@ import numpy as np
 from . import studies
 from ._rng import keyed_rng
 from .config import (
-    SCHEME_NAMES,
+    RADIO_SCHEMES,
+    SCHEMES,
     ExperimentConfig,
     default_config,
     load_config,
@@ -161,9 +162,7 @@ def cmd_snr_distance(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = _load_cfg(args)
-    schemes = (args.scheme,) if args.scheme else cfg.schemes
-    history, summary, loss_rows = studies.train_sweep(cfg, schemes)
+    history, summary, loss_rows = studies.train_sweep(_load_cfg(args))
     _emit(
         args.out,
         [
@@ -235,8 +234,7 @@ def _add_common(sp: argparse.ArgumentParser, scheme_choices=None, seed=True) -> 
             dest="schemes",
             action="append",
             choices=scheme_choices,
-            default=None,
-            help="restrict to a scheme (repeatable)",
+            help="run this scheme (repeatable; default: the profile's schemes)",
         )
 
 
@@ -248,15 +246,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("pmepr", help="per-symbol PMEPR distribution per scheme")
-    _add_common(sp, SCHEME_NAMES)
+    _add_common(sp, RADIO_SCHEMES)
     sp.set_defaults(func=cmd_distribution)
 
     sp = sub.add_parser("cm", help="per-symbol cubic-metric distribution per scheme")
-    _add_common(sp, SCHEME_NAMES)
+    _add_common(sp, RADIO_SCHEMES)
     sp.set_defaults(func=cmd_distribution)
 
     sp = sub.add_parser("aclr", help="adjacent-channel leakage against PA back-off")
-    _add_common(sp, SCHEME_NAMES)
+    _add_common(sp, RADIO_SCHEMES)
     sp.add_argument(
         "--obo-db",
         type=_backoff_db,
@@ -266,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_aclr)
 
     sp = sub.add_parser("coverage", help="minimum compliant back-off and coverage radius")
-    _add_common(sp, SCHEME_NAMES)
+    _add_common(sp, RADIO_SCHEMES)
     sp.set_defaults(func=cmd_coverage)
 
     sp = sub.add_parser("snr-distance", help="uplink SNR versus distance per training SNR")
@@ -274,13 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_snr_distance)
 
     sp = sub.add_parser("train", help="federated sign-vote training sweep")
-    _add_common(sp)
-    sp.add_argument(
-        "--scheme",
-        choices=SCHEME_NAMES + ("ideal",),
-        default=None,
-        help="run one scheme instead of the configured selection",
-    )
+    _add_common(sp, SCHEMES)
     sp.add_argument(
         "--snr-db",
         type=_finite_float,
@@ -294,8 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
     sp.add_argument(
         "--scheme",
-        choices=SCHEME_NAMES,
-        default=None,
+        choices=RADIO_SCHEMES,
         help="the scheme to dump (default: the profile's first)",
     )
     sp.set_defaults(func=cmd_waveform_dump)

@@ -19,22 +19,40 @@ from .errors import ConfigError
 from .rf import RappPa
 from .waveform import WaveformConfig
 
-#: votes per block of each scheme token; None marks the QPSK baseline
-_SCHEME_VOTES = {"csc_mv_1": 1, "csc_mv_2": 2, "csc_mv_4": 4, "obda": None}
 
-#: scheme identifiers accepted across the CLI and config files
-SCHEME_NAMES = tuple(_SCHEME_VOTES)
+@dataclass(frozen=True)
+class Scheme:
+    """What a scheme token means; every reader dispatches on these fields."""
+
+    votes_per_block: int  # chirp votes per DFT-spread symbol
+    spread: bool  # whether a symbol is DFT-spread, or plain subcarriers
+    #: the power-control clamp radius in m: ``coverage_radius`` at the paper's
+    #: compliant back-offs, 3.3 dB for the chirps and 10.5 dB for OBDA, rounded by hand
+    clamp_radius_m: float | None
+    transmits: bool = True  # False for the error-free vote: no transmit chain
+
+
+#: every scheme token's meaning, in the order the CLI and the studies list them
+SCHEMES = {
+    "csc_mv_1": Scheme(votes_per_block=1, spread=True, clamp_radius_m=46.5),
+    "csc_mv_2": Scheme(votes_per_block=2, spread=True, clamp_radius_m=46.5),
+    "csc_mv_4": Scheme(votes_per_block=4, spread=True, clamp_radius_m=46.5),
+    "obda": Scheme(votes_per_block=0, spread=False, clamp_radius_m=30.73),
+    "ideal": Scheme(votes_per_block=0, spread=False, clamp_radius_m=None, transmits=False),
+}
+
+#: the tokens with a transmit chain: the default ``schemes`` and the RF commands' choices
+RADIO_SCHEMES = tuple(name for name, s in SCHEMES.items() if s.transmits)
 
 #: a random-stream key; keyed_rng needs a non-negative integer
 Seed = NewType("Seed", int)
 
 
-def scheme_votes(name: str) -> int | None:
-    """Votes per block for a chirp scheme, None for the QPSK baseline."""
-    try:
-        return _SCHEME_VOTES[name]
-    except KeyError:
-        raise ConfigError(f"unknown scheme {name!r}") from None
+def scheme(name: str) -> Scheme:
+    """The record of a scheme token; an unknown token raises ConfigError."""
+    if name not in SCHEMES:
+        raise ConfigError(f"unknown scheme {name!r}")
+    return SCHEMES[name]
 
 
 @dataclass(frozen=True)
@@ -106,7 +124,7 @@ class ExperimentConfig:
     power: PowerControlParams = field(default_factory=PowerControlParams)
     metrics: MetricsConfig = field(default_factory=MetricsConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
-    schemes: tuple[str, ...] = SCHEME_NAMES
+    schemes: tuple[str, ...] = RADIO_SCHEMES
     r_min: float = 10.0
     r_max: float = 50.0
     aclr_target_db: float = -22.0
@@ -115,7 +133,7 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "schemes", tuple(str(s) for s in self.schemes))
         for name in self.schemes:
-            scheme_votes(name)  # validates
+            scheme(name)  # validates
         if not self.schemes:
             raise ConfigError("at least one scheme is required")
         if self.seed < 0:

@@ -3,7 +3,7 @@
 Each round, every edge device computes a mini-batch gradient of a shared
 two-layer MLP, reduces it to per-coordinate sign votes, and the votes are
 aggregated to a majority decision that all devices apply with a common step
-size.  The scheme token (see ``config.scheme_votes``) selects the
+size.  The scheme token (its record in ``config.SCHEMES``) selects the
 aggregation:
 
 * ``ideal``      -- error-free majority vote (upper bound);
@@ -37,7 +37,7 @@ import numpy as np
 
 from ._rng import keyed_rng, keyed_rngs
 from .channel import draw_epa, draw_sync_offset, epa_phase_table, epa_tap_delays
-from .config import SCHEME_NAMES, TrainConfig, scheme_votes
+from .config import TrainConfig, scheme as scheme_record
 from .datasets import Dataset
 from .deployment import Deployment, PowerControlParams, link_power
 from .errors import ConfigError, InfeasibleError
@@ -241,8 +241,8 @@ class TrainSetup:
     """Everything a training run needs besides the mutable model state.
 
     ``train`` is the profile's own section: batch size, step size, rounds
-    and timing offset are read from it. The uplinks' clamp radii are
-    ``CLAMP_RADIUS_M`` and OBDA's inversion threshold is
+    and timing offset are read from it. The uplinks' clamp radii are the
+    scheme records' ``clamp_radius_m`` and OBDA's inversion threshold is
     ``oac.TCI_THRESHOLD``.
     """
 
@@ -358,13 +358,6 @@ def _receiver_noise(
 #: decision statistic (PARAM_DIM,), real, whose sign is the majority vote
 Uplink = Callable[[int, np.ndarray], np.ndarray]
 
-#: each scheme's power-control clamp radius in m: ``coverage_radius`` at the
-#: paper's compliant back-offs, 3.3 dB for the chirps and 10.5 dB for OBDA,
-#: rounded by hand
-CLAMP_RADIUS_M = {
-    name: 30.73 if scheme_votes(name) is None else 46.5 for name in SCHEME_NAMES
-}
-
 
 def scheme_uplink(
     setup: TrainSetup, scheme: str, noise_power: float, worker: Executor | None = None
@@ -372,8 +365,8 @@ def scheme_uplink(
     """The aggregation a scheme token names, built once per run as a function
     ``(round_index, votes) -> statistic``: one real number per coordinate
     whose sign is the majority vote, taken by ``run_round``.  The statistic
-    is the vote sum for ``ideal``, else that of the uplink and vote count
-    that ``config.scheme_votes`` gives, at receiver noise power
+    is the vote sum for a token without a transmit chain, else that of the
+    uplink its ``config.Scheme`` record names, at receiver noise power
     ``noise_power``: the group-energy margin of the chirp energy detector,
     or the received I/Q component for OBDA.  Everything that does not
     change between rounds (vote plan, shaping, tone shifts, link amplitudes
@@ -386,12 +379,12 @@ def scheme_uplink(
     round ``setup.train.rounds - 1``, and the next call collects them if it
     is that round; any other call draws its own inline.  Every draw is
     keyed, so the statistics do not depend on the worker."""
-    if scheme == "ideal":
+    record = scheme_record(scheme)
+    if not record.transmits:
         return lambda round_index, votes: votes.sum(axis=0)
-    votes_per_block = scheme_votes(scheme)
     wave = setup.wave
-    links = link_power(setup.power, CLAMP_RADIUS_M[scheme], setup.deployment.ed_distances)
-    if votes_per_block is None:
+    links = link_power(setup.power, record.clamp_radius_m, setup.deployment.ed_distances)
+    if not record.spread:
         amps = (np.sqrt(links) * math.sqrt(wave.idft_size / wave.num_bins))[:, None]
 
         def obda(round_index: int, votes: np.ndarray) -> np.ndarray:
@@ -410,7 +403,7 @@ def scheme_uplink(
 
         return obda
     m = wave.num_bins
-    plan = build_vote_plan(PARAM_DIM, m, guard_for_votes(m, votes_per_block))
+    plan = build_vote_plan(PARAM_DIM, m, guard_for_votes(m, record.votes_per_block))
     fdss = build_fdss(wave)
     # ``response[..., shifts[2u + s]]`` is ``response`` circularly shifted to
     # the bin of slot u's sign-s tone (+ first)

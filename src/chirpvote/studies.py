@@ -23,7 +23,7 @@ from dataclasses import replace
 import numpy as np
 
 from ._rng import keyed_rng
-from .config import ExperimentConfig, scheme_votes
+from .config import ExperimentConfig, scheme as scheme_record
 from .datasets import synthetic_digits
 from .deployment import Deployment, coverage_radius
 from .errors import ConfigError, InfeasibleError
@@ -69,10 +69,12 @@ def _scheme_traffic(
 ) -> np.ndarray:
     """Random traffic before the transmit grid: QPSK subcarrier symbols for
     OBDA, CSC vote bins for the chirp schemes. (n_symbols, M)."""
-    votes = scheme_votes(scheme)
-    if votes is None:
-        return random_qpsk(cfg.wave.num_bins, n_symbols, rng)
-    return random_csc_traffic(cfg.wave.num_bins, votes, n_symbols, rng)
+    record = scheme_record(scheme)
+    if not record.transmits:
+        raise ConfigError(f"scheme {scheme!r} has no transmit chain to measure")
+    if record.spread:
+        return random_csc_traffic(cfg.wave.num_bins, record.votes_per_block, n_symbols, rng)
+    return random_qpsk(cfg.wave.num_bins, n_symbols, rng)
 
 
 def _traffic_grids(cfg: ExperimentConfig, scheme: str, traffic: np.ndarray) -> np.ndarray:
@@ -81,9 +83,9 @@ def _traffic_grids(cfg: ExperimentConfig, scheme: str, traffic: np.ndarray) -> n
     OBDA's QPSK goes straight onto the subcarriers; chirp votes are DFT-spread
     and shaped first.
     """
-    if scheme_votes(scheme) is None:
-        return ofdm_grid(cfg.wave, traffic)
-    return precode(cfg.wave, build_fdss(cfg.wave), traffic)
+    if scheme_record(scheme).spread:
+        return precode(cfg.wave, build_fdss(cfg.wave), traffic)
+    return ofdm_grid(cfg.wave, traffic)
 
 
 def scheme_grids(
@@ -281,10 +283,8 @@ def run_scheme_training(
     return run_training(training_setup(cfg, seed), scheme, snr_db)
 
 
-def train_sweep(
-    cfg: ExperimentConfig, schemes: tuple[str, ...]
-) -> tuple[list[dict], list[dict], list[dict]]:
-    """Full scheme x ``train.snr_db`` x ``train.seeds`` grid.
+def train_sweep(cfg: ExperimentConfig) -> tuple[list[dict], list[dict], list[dict]]:
+    """Full ``schemes`` x ``train.snr_db`` x ``train.seeds`` grid.
 
     Returns per-round history rows, one summary row per run, and the
     final-round loss-by-distance snapshot, all in fixed loop order so the
@@ -295,7 +295,7 @@ def train_sweep(
     history: list[dict] = []
     summary: list[dict] = []
     loss_rows: list[dict] = []
-    for scheme in schemes:
+    for scheme in cfg.schemes:
         for snr_db in cfg.train.snr_db:
             for seed in cfg.train.seeds:
                 setup = setups[seed]

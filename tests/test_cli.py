@@ -334,6 +334,12 @@ class TestFlagOverrides:
                 ["bound"],
                 {"train": {"rounds": 7, "num_eds": 3}},
             ),
+            # train's --scheme is repeatable and takes every token
+            (
+                ["train", "--scheme", "ideal", "--scheme", "obda"],
+                ["train"],
+                {"schemes": ["ideal", "obda"]},
+            ),
         ],
     )
     def test_flag_matches_the_profile_value_it_replaces(self, tmp_path, flagged, plain, profile):
@@ -389,6 +395,33 @@ class TestErrorPaths:
         with pytest.raises(SystemExit) as exc:
             run("pmepr", "--scheme", "bogus")
         assert exc.value.code == 2
+
+    def test_scheme_without_transmit_chain_flag_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run("pmepr", "--scheme", "ideal")
+        assert exc.value.code == 2
+        assert "invalid choice: 'ideal'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, schemes",
+        [
+            ("pmepr", ("obda", "ideal")),
+            ("cm", ("obda", "ideal")),
+            ("aclr", ("obda", "ideal")),
+            ("coverage", ("obda", "ideal")),
+            ("waveform-dump", ("ideal",)),
+        ],
+    )
+    def test_profile_scheme_without_transmit_chain_exits_2(
+        self, tmp_path, command, schemes, capsys
+    ):
+        # the error-free vote has no waveform to measure; the check reads its
+        # record, and no artifact is written, not even the other scheme's
+        cfg = write_cfg(tmp_path, schemes=schemes)
+        out = tmp_path / "out"
+        assert run(command, "--config", cfg, "--out", out) == 2
+        assert "'ideal' has no transmit chain" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_snr_exits_2(self, tmp_path, value, capsys):

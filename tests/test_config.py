@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from chirpvote.config import (
-    SCHEME_NAMES,
+    SCHEMES,
     ExperimentConfig,
     MetricsConfig,
     TrainConfig,
@@ -14,7 +14,7 @@ from chirpvote.config import (
     default_config,
     load_config,
     save_config,
-    scheme_votes,
+    scheme,
 )
 from chirpvote.errors import ConfigError
 
@@ -24,10 +24,13 @@ PROFILES = ROOT / "scripts" / "profiles"
 
 class TestSchemeTokens:
     def test_votes_per_scheme(self):
-        assert scheme_votes("csc_mv_1") == 1
-        assert scheme_votes("csc_mv_2") == 2
-        assert scheme_votes("csc_mv_4") == 4
-        assert scheme_votes("obda") is None
+        assert scheme("csc_mv_1").votes_per_block == 1
+        assert scheme("csc_mv_2").votes_per_block == 2
+        assert scheme("csc_mv_4").votes_per_block == 4
+        assert all(scheme(f"csc_mv_{v}").spread for v in (1, 2, 4))
+        assert not scheme("obda").spread
+        # every token but the error-free vote has a transmit chain
+        assert [name for name, s in SCHEMES.items() if not s.transmits] == ["ideal"]
 
     # only the listed tokens: csc_mv_3 and csc_mv_7 are well formed but not schemes
     @pytest.mark.parametrize(
@@ -35,7 +38,11 @@ class TestSchemeTokens:
     )
     def test_unknown_scheme_rejected(self, bad):
         with pytest.raises(ConfigError):
-            scheme_votes(bad)
+            scheme(bad)
+
+    def test_scheme_without_transmit_chain_accepted(self):
+        # train runs the error-free vote; the RF studies reject it by its record
+        assert ExperimentConfig(schemes=("ideal",)).schemes == ("ideal",)
 
 
 class TestDefaults:
@@ -43,7 +50,7 @@ class TestDefaults:
         cfg = default_config()
         assert cfg.wave.num_bins == 54
         assert cfg.wave.idft_size == 64
-        assert cfg.schemes == SCHEME_NAMES
+        assert cfg.schemes == ("csc_mv_1", "csc_mv_2", "csc_mv_4", "obda")
         assert 0 < cfg.r_min <= cfg.r_max
         assert cfg.train.partition == "homogeneous"
         assert cfg.train.seeds == (0, 1, 2, 3, 4)
@@ -149,8 +156,8 @@ class TestDictConversion:
         [("csc_coverage_m", 46.5), ("obda_coverage_m", 30.73), ("tci_threshold", 0.1)],
     )
     def test_removed_train_key(self, key, value):
-        # the clamp radii are learn.CLAMP_RADIUS_M and the inversion
-        # threshold is oac.TCI_THRESHOLD, so no profile sets them
+        # the clamp radii are the config.SCHEMES records' clamp_radius_m and
+        # the inversion threshold is oac.TCI_THRESHOLD, so no profile sets them
         with pytest.raises(ConfigError, match=rf"train: unknown keys \['{key}'\]"):
             config_from_dict({"train": {key: value}})
 

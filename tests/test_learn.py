@@ -19,13 +19,12 @@ from chirpvote.channel import (
     epa_tap_delays,
     propagate,
 )
-from chirpvote.config import default_config
+from chirpvote.config import SCHEMES, default_config
 from chirpvote.datasets import Dataset, synthetic_digits
 from chirpvote.deployment import Deployment, link_power
 from chirpvote.errors import ConfigError, FramingError, InfeasibleError
 from chirpvote import learn
 from chirpvote.learn import (
-    CLAMP_RADIUS_M,
     NUM_CLASSES,
     PARAM_DIM,
     BoundParams,
@@ -387,7 +386,7 @@ class TestTrainingMechanics:
             return build(cfg, seed)
 
         monkeypatch.setattr(studies, "training_setup", counted)
-        history, summary, loss_rows = studies.train_sweep(cfg, schemes)
+        history, summary, loss_rows = studies.train_sweep(replace(cfg, schemes=schemes))
         assert calls == {0: 1, 3: 1}
         runs = [(s, snr, seed) for s in schemes for snr in (5.0, 20.0) for seed in (0, 3, 0)]
         assert [(r["scheme"], r["snr_db"], r["seed"]) for r in summary] == runs
@@ -678,15 +677,19 @@ def local_gradient_loop(w: np.ndarray, round_index: int, setup: TrainSetup) -> n
 
 
 def mean_loss_loop(w: np.ndarray, setup: TrainSetup) -> tuple[float, ...]:
-    """Per-device reference for the pooled loss pass: one forward pass and
-    one softmax cross-entropy per local dataset."""
+    """Per-device reference for the pooled loss pass: one softmax
+    cross-entropy per local dataset, over that device's rows of one pooled
+    ``forward_logits``.  Pooled, because a device's own forward pass can
+    differ from its pooled rows in the last bit of the output layer, and the
+    package's losses read the pooled rows."""
+    pooled = forward_logits(w, setup.train_set.features)
     losses = []
-    for data in _device_sets(setup.train_set, setup.bounds):
-        logits = forward_logits(w, data.features)
+    for a, b in zip(setup.bounds[:-1], setup.bounds[1:]):
+        logits, labels = pooled[a:b], setup.train_set.labels[a:b]
         z = logits - logits.max(axis=1, keepdims=True)
         e = np.exp(z)
         probs = e / e.sum(axis=1, keepdims=True)
-        nll = np.log(probs[np.arange(len(data)), data.labels] + 1e-300)
+        nll = np.log(probs[np.arange(len(labels)), labels] + 1e-300)
         losses.append(float(-np.mean(nll)))
     return tuple(losses)
 
@@ -796,7 +799,7 @@ class TestBatchedAgainstLoops:
     @pytest.mark.parametrize("case", RAGGED_CASES)
     def test_link_powers_match_device_loop(self, case):
         setup = _ideal_states(case, rounds=0)[0]
-        for coverage in (CLAMP_RADIUS_M["csc_mv_2"], CLAMP_RADIUS_M["obda"]):
+        for coverage in (SCHEMES["csc_mv_2"].clamp_radius_m, SCHEMES["obda"].clamp_radius_m):
             ref = [link_power(setup.power, coverage, d) for d in setup.deployment.ed_distances]
             links = link_power(setup.power, coverage, setup.deployment.ed_distances)
             assert links.shape == (len(ref),)
@@ -941,7 +944,9 @@ def csc_majority_sampled(
     plan = _csc_plan(setup, votes_per_block)
     fdss = build_fdss(wave)
     links = link_power(
-        setup.power, CLAMP_RADIUS_M[f"csc_mv_{votes_per_block}"], setup.deployment.ed_distances
+        setup.power,
+        SCHEMES[f"csc_mv_{votes_per_block}"].clamp_radius_m,
+        setup.deployment.ed_distances,
     )
     amp = math.sqrt(wave.idft_size / votes_per_block)
     arrivals = []  # per device: (list of per-block received symbols, link power)
@@ -974,7 +979,9 @@ def obda_majority_sampled(
     superposed at its link power and demodulated, with the keyed channel and
     offset draws of the bin-domain path."""
     wave = setup.wave
-    links = link_power(setup.power, CLAMP_RADIUS_M["obda"], setup.deployment.ed_distances)
+    links = link_power(
+        setup.power, SCHEMES["obda"].clamp_radius_m, setup.deployment.ed_distances
+    )
     amp = math.sqrt(wave.idft_size / wave.num_bins)
     arrivals = []  # per device: (list of per-block received symbols, received power)
     for k in range(votes.shape[0]):
