@@ -6,13 +6,15 @@ artifact, so the CLI only has to format them and the tests only have to
 assert on them.
 
 The ACLR evaluations of ``aclr_study`` (each scheme's back-offs) and
-``coverage_study`` (one bisection per scheme) run on one thread per CPU the
-process may use. Each evaluation only reads its stream's ``rf.PaDriver``,
-and the rows are collected in the serial order, so the results do not depend
-on the worker count. The other studies run serially, except that a chirp
-training run draws each round's phases and receiver noise one round ahead
-on one worker thread of its own (``learn.run_training``). Every draw is
-keyed, so no artifact depends on that thread either.
+``coverage_study`` (one bisection per scheme) run on one worker per CPU the
+process may use: the calling thread plus one pool thread for each further
+CPU, so the process keeps one thread's malloc arena fewer. Each evaluation
+only reads its stream's ``rf.PaDriver``, and the rows are collected in the
+serial order, so the results do not depend on the worker count. The other
+studies run serially, except that a chirp training run draws each round's
+phases and receiver noise one round ahead on one worker thread of its own
+(``learn.run_training``). Every draw is keyed, so no artifact depends on
+that thread either.
 """
 from __future__ import annotations
 
@@ -23,7 +25,7 @@ from dataclasses import replace
 import numpy as np
 
 from ._rng import keyed_rng
-from .config import ExperimentConfig, scheme as scheme_record
+from .config import ExperimentConfig, Scheme, scheme as scheme_record
 from .datasets import synthetic_digits
 from .deployment import Deployment, coverage_radius
 from .errors import ConfigError, InfeasibleError
@@ -64,14 +66,28 @@ SNR_DISTANCE_POINTS = 81
 _SYMBOL_BLOCK = 256  # symbols mapped, oversampled and measured per pass
 
 
+def _radio_record(scheme: str) -> Scheme:
+    """The scheme's record; ConfigError if it has no transmit chain to measure."""
+    record = scheme_record(scheme)
+    if not record.transmits:
+        raise ConfigError(f"scheme {scheme!r} has no transmit chain to measure")
+    return record
+
+
+def _radio_schemes(cfg: ExperimentConfig) -> tuple[str, ...]:
+    """``cfg.schemes``, once every one has a transmit chain, so an RF study
+    fails before it measures any scheme."""
+    for scheme in cfg.schemes:
+        _radio_record(scheme)
+    return cfg.schemes
+
+
 def _scheme_traffic(
     cfg: ExperimentConfig, scheme: str, n_symbols: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Random traffic before the transmit grid: QPSK subcarrier symbols for
     OBDA, CSC vote bins for the chirp schemes. (n_symbols, M)."""
-    record = scheme_record(scheme)
-    if not record.transmits:
-        raise ConfigError(f"scheme {scheme!r} has no transmit chain to measure")
+    record = _radio_record(scheme)
     if record.spread:
         return random_csc_traffic(cfg.wave.num_bins, record.votes_per_block, n_symbols, rng)
     return random_qpsk(cfg.wave.num_bins, n_symbols, rng)
@@ -150,14 +166,44 @@ def _cpus() -> int:
 
 
 def _map(fn, items: list) -> list:
-    """``[fn(item) for item in items]``, on one thread per CPU the process may
+    """``[fn(item) for item in items]``, on one worker per CPU the process may
     use. NumPy's FFTs and ufuncs release the GIL, so threads share the work
-    without a copy of the inputs. ``fn`` must only read shared state."""
+    without a copy of the inputs. ``fn`` must only read shared state.
+
+    The calling thread is the last worker: it computes every ``workers``-th
+    item (0, w, 2w, ...) when the in-order collection reaches it, and pool
+    threads compute the rest. A pool thread's malloc arena keeps its working
+    set after the work ends, so one pool thread fewer is one retained arena
+    fewer. As with ``Executor.map``, the first exception in input order is
+    raised and the items not yet started are cancelled.
+    """
     workers = min(len(items), _cpus())
     if workers <= 1:
         return [fn(item) for item in items]
-    with ThreadPoolExecutor(workers) as pool:
-        return list(pool.map(fn, items))
+    pool = ThreadPoolExecutor(workers - 1)
+    try:
+        futures = {i: pool.submit(fn, item) for i, item in enumerate(items) if i % workers}
+        return [
+            futures[i].result() if i in futures else fn(item) for i, item in enumerate(items)
+        ]
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _quantiles(samples: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``np.quantile(samples, q)`` of 1-D finite samples at q in [0, 1], the
+    default linear method bit for bit (its ``_lerp``, which takes the nearer
+    neighbour as the base). ``np.quantile`` and ``np.percentile`` partition
+    at ``np.unique`` indices, and ``np.unique`` imports ``numpy.ma``, whose
+    import costs more time and memory than this sort."""
+    ordered = np.sort(samples)
+    virtual = (len(ordered) - 1) * q
+    below = np.floor(virtual).astype(np.intp)
+    above = np.minimum(below + 1, len(ordered) - 1)
+    t = virtual - below
+    lo, hi = ordered[below], ordered[above]
+    step = hi - lo
+    return np.where(t >= 0.5, hi - step * (1 - t), lo + step * t)
 
 
 def _distribution_report(cfg: ExperimentConfig, metric) -> tuple[list[dict], dict]:
@@ -165,9 +211,9 @@ def _distribution_report(cfg: ExperimentConfig, metric) -> tuple[list[dict], dic
     metric, measured block by block (``_per_symbol_blocks``)."""
     rows: list[dict] = []
     summary: dict[str, dict[str, float]] = {}
-    for scheme in cfg.schemes:
+    for scheme in _radio_schemes(cfg):
         samples = np.concatenate(_per_symbol_blocks(cfg, scheme, cfg.seed, metric))
-        values = np.percentile(samples, PERCENTILES)
+        values = _quantiles(samples, PERCENTILES / 100.0)
         rows += [
             {"scheme": scheme, "percentile": float(q), "value_db": float(v)}
             for q, v in zip(PERCENTILES, values)
@@ -197,7 +243,7 @@ def aclr_study(cfg: ExperimentConfig, obo_db: float | None = None) -> list[dict]
     else:
         obos = [float(obo_db)]
     rows = []
-    for scheme in cfg.schemes:
+    for scheme in _radio_schemes(cfg):
         drive = PaDriver(cfg.pa, scheme_stream(cfg, scheme, cfg.seed))
         values = _map(lambda obo: aclr(drive(obo), inband), obos)
         rows += [
@@ -238,7 +284,7 @@ def coverage_study(cfg: ExperimentConfig) -> list[dict]:
         return {"scheme": scheme, "status": "ok", "obo_min_db": obo_min, "coverage_m": radius}
 
     build_fdss(cfg.wave)  # fill the shaping cache here, so the workers only read it
-    return _map(solve, list(cfg.schemes))
+    return _map(solve, list(_radio_schemes(cfg)))
 
 
 def snr_distance_study(cfg: ExperimentConfig) -> list[dict]:

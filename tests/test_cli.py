@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chirpvote import cli, learn, studies
+from chirpvote import cli, learn, rf, studies
 from chirpvote._rng import keyed_rng
 from chirpvote.config import ExperimentConfig, MetricsConfig, TrainConfig, save_config
 from chirpvote.deployment import PowerControlParams, coverage_radius
@@ -422,6 +422,28 @@ class TestErrorPaths:
         assert run(command, "--config", cfg, "--out", out) == 2
         assert "'ideal' has no transmit chain" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["pmepr", "cm", "aclr", "coverage"])
+    def test_scheme_without_transmit_chain_fails_before_measuring(
+        self, tmp_path, monkeypatch, command
+    ):
+        # the check reads every scheme's record before the first scheme's
+        # stream or symbols are built
+        built = []
+
+        def spy(real):
+            def wrapped(*args, **kwargs):
+                built.append(real.__name__)
+                return real(*args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(studies, "PaDriver", spy(studies.PaDriver))
+        monkeypatch.setattr(rf, "PaDriver", spy(rf.PaDriver))
+        monkeypatch.setattr(studies, "_per_symbol_blocks", spy(studies._per_symbol_blocks))
+        cfg = write_cfg(tmp_path, schemes=("obda", "csc_mv_2", "ideal"))
+        assert run(command, "--config", cfg) == 2
+        assert built == []
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_snr_exits_2(self, tmp_path, value, capsys):

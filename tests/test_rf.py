@@ -1,7 +1,10 @@
 import math
+import subprocess
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -261,6 +264,34 @@ class TestSymbolBlocks:
             }
 
 
+class TestQuantiles:
+    """The reports' percentiles come from ``studies._quantiles``, which keeps
+    ``np.percentile``'s bytes without its ``numpy.ma`` import."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 200, 999, 1000, 4000])
+    def test_equals_percentile(self, n):
+        rng = np.random.default_rng(n)
+        for samples in (rng.standard_normal(n) * 3.0 + 7.0, rng.integers(0, 5, n) * 0.5):
+            got = studies._quantiles(samples, studies.PERCENTILES / 100.0)
+            assert got.tobytes() == np.percentile(samples, studies.PERCENTILES).tobytes()
+
+    def test_reports_do_not_import_numpy_ma(self, tmp_path):
+        quick = Path(__file__).resolve().parents[1] / "scripts" / "profiles" / "quick.json"
+        code = (
+            "import sys; from chirpvote.cli import main\n"
+            "for cmd in ('pmepr', 'cm'):\n"
+            "    assert main([cmd, '--config', sys.argv[1], '--out', sys.argv[2] + cmd]) == 0\n"
+            "sys.exit('numpy.ma' in sys.modules)"
+        )
+        result = subprocess.run(
+            [sys.executable, "-B", "-c", code, str(quick), str(tmp_path / "out_")],
+            env={"PYTHONPATH": str(Path(studies.__file__).resolve().parents[1]), "PATH": ""},
+            capture_output=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr.decode()
+
+
 class TestAclr:
     def test_band_validation(self):
         sig = _tone()
@@ -387,8 +418,9 @@ class TestWorkerCount:
         serial = self._rows(monkeypatch, 1, studies.aclr_study, cfg, obo_db)
         assert pools == []
         threaded = self._rows(monkeypatch, 3, studies.aclr_study, cfg, obo_db)
-        # one pool per scheme's sweep; a single back-off needs none
-        assert pools == ([3] * len(schemes) if obo_db is None else [])
+        # one pool per scheme's sweep, whose calling thread is the third
+        # worker; a single back-off needs none
+        assert pools == ([2] * len(schemes) if obo_db is None else [])
         assert threaded == serial
         obos = [obo_db] if obo_db is not None else np.arange(0.0, 30.1, 5.0).tolist()
         assert [(r["scheme"], r["obo_db"]) for r in serial] == [
@@ -399,10 +431,36 @@ class TestWorkerCount:
         cfg = replace(self.SMALL, metrics=MetricsConfig(stream_symbols=50, obo_step_db=2.5))
         serial = self._rows(monkeypatch, 1, studies.coverage_study, cfg)
         threaded = self._rows(monkeypatch, 3, studies.coverage_study, cfg)
-        assert pools == [3]
+        assert pools == [2]
         assert threaded == serial
         assert [r["scheme"] for r in serial] == list(cfg.schemes)
         assert all(r["status"] == "ok" for r in serial)
+
+    def test_calling_thread_is_a_worker(self, monkeypatch, pools):
+        monkeypatch.setattr(studies, "_cpus", lambda: 3)
+        idents = []
+
+        def fn(item):
+            idents.append(threading.get_ident())
+            return item * item
+
+        assert studies._map(fn, list(range(10))) == [i * i for i in range(10)]
+        assert pools == [2]
+        assert threading.get_ident() in idents
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("failing", [(1, 2), (3, 4)])  # at 3 workers, 3 is the caller's
+    def test_first_exception_in_input_order_is_raised(self, monkeypatch, workers, failing):
+        monkeypatch.setattr(studies, "_cpus", lambda: workers)
+
+        def fn(item):
+            if item in failing:
+                raise ValueError(item)
+            return item
+
+        with pytest.raises(ValueError) as exc:
+            studies._map(fn, list(range(6)))
+        assert exc.value.args == (failing[0],)
 
     def test_infeasible_row_keeps_its_place(self, monkeypatch):
         # OBDA needs about 10 dB of back-off, more than the 5 dB available at
