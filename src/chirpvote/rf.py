@@ -97,18 +97,19 @@ class PaDriver:
 
     The stream is scaled by g so that its mean power sits ``obo_db`` below
     saturation, then passed through the Rapp curve. The curve's
-    (g^2 |x|^2)^p is (g^2)^p times (|x|^2)^p. The constructor computes
-    |x|^2, its mean and peak, and (|x|^2)^p once, so each back-off costs one
-    ``np.power``. g x is divided by the real divisor through the real and
-    imaginary parts, as complex division by a real number does. A call only
-    reads the driver's arrays, so threads may share one driver.
+    (g^2 |x|^2)^p is (g^2 max|x|^2)^p times (|x|^2 / max|x|^2)^p. The second
+    factor lies in [0, 1] and the constructor computes it once. The first is
+    one scalar per back-off: g^2 max|x|^2 is the stream's peak-to-mean power
+    ratio less the back-off. So each back-off costs one ``np.power``. g x is
+    divided by the real divisor through the real and imaginary parts, as
+    complex division by a real number does. A call only reads the driver's
+    arrays, so threads may share one driver.
 
-    For a large p either factor of the divisor's largest term,
-    (g^2)^p (max |x|^2)^p, can overflow and leave an infinite or NaN
-    divisor. For a small p the output's peak power,
+    For a large p the scalar (g^2 max|x|^2)^p can overflow, which leaves an
+    infinite divisor. For a small p the output's peak power,
     g^2 max|x|^2 (1 + (g^2 max|x|^2)^p)^(-1/p), falls as 2^(-1/p) and can
-    underflow to a silent output. Each call checks both from the peak power
-    first, and either raises a ConfigError naming ``pa.smoothness``.
+    underflow to a silent output. Each call checks both before the drive,
+    and either raises a ConfigError naming ``pa.smoothness``.
     """
 
     def __init__(self, pa: RappPa, stream: ComplexSignal) -> None:
@@ -117,23 +118,24 @@ class PaDriver:
         if self._mean_power <= 0:
             raise ValueError("cannot scale a zero-power signal")
         self._peak_power = float(power.max())
-        with np.errstate(over="ignore"):  # an overflow is rejected per call
-            self._power_pow = np.power(power, pa.smoothness)
+        power /= self._peak_power
+        self._power_pow = np.power(power, pa.smoothness, out=power)
         self.pa = pa
         self.stream = stream
 
     def __call__(self, obo_db: float) -> ComplexSignal:
         p = self.pa.smoothness
         gain2 = 10.0 ** (-obo_db / 10.0) / self._mean_power
+        peak_ratio = gain2 * self._peak_power
         try:
-            scale = gain2**p
-            peak_term = self._peak_power**p * scale
+            peak_term = peak_ratio**p
         except OverflowError:
             peak_term = math.inf
         if math.isinf(peak_term):
             raise ConfigError(
-                f"pa.smoothness {p:g} is too large: the Rapp divisor's (g^2)^p (|x|^2)^p "
-                f"overflows at {obo_db:g} dB back-off"
+                f"pa.smoothness {p:g} is too large: the stream's peak-to-mean power ratio, "
+                f"{10.0 * math.log10(self._peak_power / self._mean_power):.2f} dB, less the "
+                f"{obo_db:g} dB back-off overflows when raised to the power p"
             )
         # the output's peak power in the log domain, where g^2 max|x|^2 cannot underflow
         log_peak = math.log(self._peak_power / self._mean_power) - obo_db / 10.0 * math.log(10.0)
@@ -143,7 +145,7 @@ class PaDriver:
                 f"underflows at {obo_db:g} dB back-off"
             )
         gain = math.sqrt(gain2)
-        divisor = self._power_pow * scale
+        divisor = self._power_pow * peak_term
         divisor += 1.0
         np.power(divisor, 1.0 / (2.0 * p), out=divisor)
         x = self.stream.samples

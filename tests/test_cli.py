@@ -576,10 +576,11 @@ class TestErrorPaths:
     @pytest.mark.parametrize(
         "smoothness, argv",
         [
-            # (g^2)^p overflows for the low-power chirp streams at 0 dB
-            (200.0, ["aclr"]),
-            (200.0, ["coverage"]),
-            # (|x|^2)^p overflows at OBDA's peaks, at every back-off
+            # (g^2 max|x|^2)^p overflows at 0 dB past p = ln(float max) over
+            # ln(PMEPR): on this 50-symbol stream, about 1,669 for csc_mv_1
+            # and 313 for OBDA
+            (2000.0, ["aclr"]),
+            (2000.0, ["coverage"]),
             (400.0, ["aclr", "--scheme", "obda"]),
             (400.0, ["coverage", "--scheme", "obda"]),
             # the Rapp output's peak power, about 2^(-1/p), underflows
@@ -596,6 +597,24 @@ class TestErrorPaths:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:") and "pa.smoothness" in captured.err
+
+    @pytest.mark.parametrize(
+        "command, artifact", [("aclr", "aclr_vs_obo.csv"), ("coverage", "coverage.csv")]
+    )
+    def test_sharp_smoothness_within_limit_exits_0(self, tmp_path, command, artifact):
+        # the drive's divisor depends on the stream's peak-to-mean ratio, not
+        # on its absolute power, so p = 200 stays below every scheme's limit
+        cfg = tmp_path / "sharp.json"
+        cfg.write_text(json.dumps({"pa": {"smoothness": 200.0}, "metrics": {"stream_symbols": 50}}))
+        out = tmp_path / command
+        assert run(command, "--config", cfg, "--out", out) == 0
+        rows = (out / artifact).read_text().splitlines()[1:]
+        assert {row.split(",")[0] for row in rows} == {"csc_mv_1", "csc_mv_2", "csc_mv_4", "obda"}
+        for row in rows:
+            values = row.split(",")[1:]
+            if command == "coverage":
+                assert values.pop(0) == "ok"
+            assert all(math.isfinite(float(v)) for v in values)
 
     @pytest.mark.parametrize("command", ["snr-distance", "coverage"])
     @pytest.mark.parametrize(

@@ -114,7 +114,7 @@ class TestRappPa:
         out = scale_to_obo(pa, sig, 7.0)
         assert np.mean(np.abs(out.samples) ** 2) == pytest.approx(10 ** (-0.7), rel=1e-12)
 
-    @pytest.mark.parametrize("smoothness", [0.9, 3.0])
+    @pytest.mark.parametrize("smoothness", [0.9, 3.0, 50.0, 200.0])
     def test_drive_matches_scale_then_amplify(self, smoothness):
         pa = RappPa(smoothness=smoothness)
         stream = _csc_stream(2, 32, seed=7)
@@ -124,6 +124,21 @@ class TestRappPa:
             out = drive(obo)
             assert out.sample_period == stream.sample_period
             np.testing.assert_allclose(out.samples, ref, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("smoothness", [0.9, 200.0])
+    @pytest.mark.parametrize("amplitude", [1e-3, 1e3])
+    def test_drive_independent_of_stream_scale(self, amplitude, smoothness):
+        # the drive sets the mean power from the back-off, so a stream scaled
+        # by any constant gives the same output; the stream's absolute power
+        # must not enter the range of p that the drive accepts
+        pa = RappPa(smoothness=smoothness)
+        stream = _csc_stream(1, 16, seed=5)
+        scaled = ComplexSignal(stream.samples * amplitude, stream.sample_period)
+        drive, drive_scaled = PaDriver(pa, stream), PaDriver(pa, scaled)
+        for obo in (0.0, 3.3, 30.0):
+            np.testing.assert_allclose(
+                drive_scaled(obo).samples, drive(obo).samples, rtol=1e-14, atol=0
+            )
 
     def test_reused_signal_matches_fresh_copy(self):
         # two drivers with different smoothness on one stream, called in
@@ -142,10 +157,12 @@ class TestRappPa:
 
     @pytest.mark.parametrize("smoothness", [5e-4, 1e-3, 150.0, 200.0, 400.0, 1e4])
     def test_drive_output_finite_or_smoothness_rejected(self, smoothness):
-        # a large p overflows (g^2)^p or (|x|^2)^p, and a small p makes the
-        # output's peak power, about 2^(-1/p), underflow; the drive either
-        # gives finite samples whose peak power is a normal float or names
-        # the profile key, never inf, NaN or a silent output
+        # a large p overflows (g^2 max|x|^2)^p, the stream's peak-to-mean
+        # power ratio less the back-off raised to p: at 0 dB, past p = 302
+        # for OBDA's 16-symbol stream and past p = 1,660 for csc_mv_1's. A
+        # small p makes the output's peak power, about 2^(-1/p), underflow.
+        # The drive either gives finite samples whose peak power is a normal
+        # float or names the profile key, never inf, NaN or a silent output
         pa = RappPa(smoothness=smoothness)
         cfg = ExperimentConfig(metrics=MetricsConfig(stream_symbols=16))
         rejected = set()
@@ -160,7 +177,7 @@ class TestRappPa:
                 else:
                     assert np.isfinite(out.samples).all()
                     assert np.max(np.abs(out.samples) ** 2) >= sys.float_info.min
-        assert bool(rejected) == (smoothness > 150.0 or smoothness < 1e-3)
+        assert bool(rejected) == (smoothness > 200.0 or smoothness < 1e-3)
 
     def test_drive_rejects_zero_power(self):
         dead = ComplexSignal(samples=np.zeros(8, dtype=complex), sample_period=1.0)
