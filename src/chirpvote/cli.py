@@ -14,8 +14,9 @@ overrides it in ``_load_cfg`` alone.  The studies read only the profile, and
 each CSV's columns are the keys of the rows its study builds.
 
 Exit codes: 0 success, 2 configuration/usage error (including a NaN or
-infinite number flag, a negative seed and an ``aclr --obo-db`` outside the
-sweep's 0-30 dB span), 3 infeasible request.
+infinite number flag, a negative seed, an ``aclr --obo-db`` outside the
+sweep's 0-30 dB span, and an ``--out`` that is not a directory or cannot be
+written), 3 infeasible request.
 """
 from __future__ import annotations
 
@@ -84,6 +85,16 @@ def _seed_int(text: str) -> int:
     return value
 
 
+def _out_dir(text: str) -> Path:
+    """argparse type for --out: a directory, or a path to create whose nearest
+    existing ancestor is one, so a bad path fails before the study runs."""
+    path = Path(text)
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if not existing.is_dir():
+        raise argparse.ArgumentTypeError(f"not a directory: {existing}")
+    return path
+
+
 def _csv(rows: list[dict]) -> str:
     """A CSV table with the first row's keys as the header."""
     header = list(rows[0])
@@ -98,9 +109,12 @@ def _json(payload) -> str:
 
 def _emit(out_dir: Path | None, artifacts: list[tuple[str, str]]) -> None:
     if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for name, text in artifacts:
-            (out_dir / name).write_text(text)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+            for name, text in artifacts:
+                (out_dir / name).write_text(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write the artifacts to --out {out_dir}: {exc}") from None
         return
     if len(artifacts) == 1:
         sys.stdout.write(artifacts[0][1])
@@ -226,7 +240,7 @@ def _add_common(sp: argparse.ArgumentParser, scheme_choices=None, seed=True) -> 
             "--seed", type=_seed_int, default=None, help="set the profile's seed and train.seeds"
         )
     sp.add_argument(
-        "--out", type=Path, default=None, help="output directory (default: stdout)"
+        "--out", type=_out_dir, default=None, help="output directory (default: stdout)"
     )
     if scheme_choices is not None:
         sp.add_argument(

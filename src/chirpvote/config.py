@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, is_dataclass
 from pathlib import Path
 from typing import NewType, get_args, get_origin, get_type_hints
 
@@ -142,15 +142,6 @@ class ExperimentConfig:
             raise ConfigError("need 0 < r_min <= r_max")
 
 
-_SECTIONS = {
-    "wave": WaveformConfig,
-    "pa": RappPa,
-    "power": PowerControlParams,
-    "metrics": MetricsConfig,
-    "train": TrainConfig,
-}
-
-
 #: what a profile value must be, by field annotation
 _EXPECTED = {
     int: "an integer", Seed: "a non-negative integer", float: "a finite number", str: "a string"
@@ -162,8 +153,6 @@ def _fits(value, kind) -> bool:
     bool) for int, a finite number for float, a list of such for a tuple."""
     if get_origin(kind) is tuple:
         return isinstance(value, (list, tuple)) and all(_fits(v, get_args(kind)[0]) for v in value)
-    if kind not in _EXPECTED:  # an already built section
-        return True
     if isinstance(value, bool):
         return False
     if kind is float:
@@ -180,19 +169,25 @@ def _describe(kind) -> str:
 
 
 def _build(cls, data: dict, where: str):
+    """``cls`` from a JSON object, checked against its field annotations; a
+    dataclass-typed field is a section, built the same way under its name."""
     if not isinstance(data, dict):
         raise ConfigError(f"{where}: expected an object")
     kinds = get_type_hints(cls)
     unknown = sorted(set(data) - set(kinds))
     if unknown:
         raise ConfigError(f"{where}: unknown keys {unknown}")
+    kwargs = {}
     for name, value in data.items():
-        if not _fits(value, kinds[name]):
+        if is_dataclass(kinds[name]):
+            value = _build(kinds[name], value, name)
+        elif not _fits(value, kinds[name]):
             raise ConfigError(
                 f"{where}: {name} must be {_describe(kinds[name])}, got {value!r}"
             )
+        kwargs[name] = value
     try:
-        return cls(**data)
+        return cls(**kwargs)
     except TypeError as exc:
         raise ConfigError(f"{where}: {exc}") from None
 
@@ -200,11 +195,7 @@ def _build(cls, data: dict, where: str):
 def config_from_dict(data: dict) -> ExperimentConfig:
     if not isinstance(data, dict):
         raise ConfigError("configuration root must be an object")
-    kwargs = dict(data)
-    for key, cls in _SECTIONS.items():
-        if key in kwargs:
-            kwargs[key] = _build(cls, kwargs[key], key)
-    return _build(ExperimentConfig, kwargs, "config")
+    return _build(ExperimentConfig, data, "config")
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
@@ -84,31 +85,26 @@ def _radio_schemes(cfg: ExperimentConfig) -> tuple[str, ...]:
 
 def _scheme_traffic(
     cfg: ExperimentConfig, scheme: str, n_symbols: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Random traffic before the transmit grid: QPSK subcarrier symbols for
-    OBDA, CSC vote bins for the chirp schemes. (n_symbols, M)."""
+) -> tuple[np.ndarray, partial]:
+    """Random traffic before the transmit grid, (n_symbols, M), and the map of
+    its rows onto the scheme's transmit grids, (..., M) -> (..., N).
+
+    OBDA draws QPSK subcarrier symbols that go straight onto the grid; the
+    chirp schemes draw CSC vote bins that are DFT-spread and shaped first.
+    """
     record = _radio_record(scheme)
     if record.spread:
-        return random_csc_traffic(cfg.wave.num_bins, record.votes_per_block, n_symbols, rng)
-    return random_qpsk(cfg.wave.num_bins, n_symbols, rng)
-
-
-def _traffic_grids(cfg: ExperimentConfig, scheme: str, traffic: np.ndarray) -> np.ndarray:
-    """The scheme's transmit grids of drawn traffic: (..., M) -> (..., N).
-
-    OBDA's QPSK goes straight onto the subcarriers; chirp votes are DFT-spread
-    and shaped first.
-    """
-    if scheme_record(scheme).spread:
-        return precode(cfg.wave, build_fdss(cfg.wave), traffic)
-    return ofdm_grid(cfg.wave, traffic)
+        traffic = random_csc_traffic(cfg.wave.num_bins, record.votes_per_block, n_symbols, rng)
+        return traffic, partial(precode, cfg.wave, build_fdss(cfg.wave))
+    return random_qpsk(cfg.wave.num_bins, n_symbols, rng), partial(ofdm_grid, cfg.wave)
 
 
 def scheme_grids(
     cfg: ExperimentConfig, scheme: str, n_symbols: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Random traffic on the scheme's transmit grids. (n_symbols, N)."""
-    return _traffic_grids(cfg, scheme, _scheme_traffic(cfg, scheme, n_symbols, rng))
+    traffic, to_grids = _scheme_traffic(cfg, scheme, n_symbols, rng)
+    return to_grids(traffic)
 
 
 def _per_symbol_blocks(cfg: ExperimentConfig, scheme: str, seed: int, fn) -> list:
@@ -123,17 +119,11 @@ def _per_symbol_blocks(cfg: ExperimentConfig, scheme: str, seed: int, fn) -> lis
     how the rows are blocked, and the blocks concatenate to the one-shot
     ``fn(analog_body(cfg.wave, scheme_grids(...), OVERSAMPLE))``.
     """
-    traffic = _scheme_traffic(
+    traffic, to_grids = _scheme_traffic(
         cfg, scheme, cfg.metrics.num_symbols, keyed_rng(seed, "traffic", scheme)
     )
     return [
-        fn(
-            analog_body(
-                cfg.wave,
-                _traffic_grids(cfg, scheme, traffic[start : start + _SYMBOL_BLOCK]),
-                OVERSAMPLE,
-            )
-        )
+        fn(analog_body(cfg.wave, to_grids(traffic[start : start + _SYMBOL_BLOCK]), OVERSAMPLE))
         for start in range(0, len(traffic), _SYMBOL_BLOCK)
     ]
 

@@ -23,10 +23,11 @@ domain: DFT_M(s_hat) = |f|^2 * DFT_M(s) bin by bin. Energy detection
 downstream sums |s_hat|^2 over guard-spaced groups, for which this matched
 cascade is the faithful model.
 
-One framing step serves every rate: :func:`spread` and :func:`modulate_ofdm`
-keep one critical-rate symbol period of it, and :func:`assemble_stream`
-overlap-adds oversampled symbols (zero-padded IDFT, :func:`analog_body`) into
-the stream the PA and the spectral metrics see.
+One framing pass serves every rate: :func:`assemble_stream` writes each
+oversampled symbol (zero-padded IDFT, :func:`analog_body`) straight into its
+stride of the stream the PA and the spectral metrics see, and :func:`spread`
+and :func:`modulate_ofdm` are the first critical-rate period of a
+one-symbol stream.
 """
 from __future__ import annotations
 
@@ -118,18 +119,6 @@ def build_fdss(cfg: WaveformConfig) -> np.ndarray:
     return f
 
 
-def _dft_shape(cfg: WaveformConfig, fdss: np.ndarray, bins: np.ndarray) -> np.ndarray:
-    """DFT-spread and shape bin symbols: (..., M) -> (..., M) subcarrier symbols.
-
-    The M-point DFT is reordered to the ascending occupied subcarriers
-    ``bin_indices`` (``fftshift``, since ``bin_low`` = -(M // 2)) and shaped.
-    """
-    bins = np.asarray(bins, dtype=complex)
-    if bins.shape[-1] != cfg.num_bins:
-        raise FramingError("bin vector length must equal num_bins")
-    return fdss * np.fft.fftshift(np.fft.fft(bins, norm="ortho", axis=-1), axes=-1)
-
-
 def ofdm_grid(cfg: WaveformConfig, symbols: np.ndarray) -> np.ndarray:
     """Map per-subcarrier symbols onto the centered occupied subcarriers of
     the IDFT grid: (..., M) -> (..., N), zeros elsewhere."""
@@ -142,8 +131,15 @@ def ofdm_grid(cfg: WaveformConfig, symbols: np.ndarray) -> np.ndarray:
 
 
 def precode(cfg: WaveformConfig, fdss: np.ndarray, bins: np.ndarray) -> np.ndarray:
-    """DFT-precode and shape bin symbols onto the IDFT grid: (..., M) -> (..., N)."""
-    return ofdm_grid(cfg, _dft_shape(cfg, fdss, bins))
+    """DFT-precode and shape bin symbols onto the IDFT grid: (..., M) -> (..., N).
+
+    The M-point DFT is reordered to the ascending occupied subcarriers
+    ``bin_indices`` (``fftshift``, since ``bin_low`` = -(M // 2)) and shaped.
+    """
+    bins = np.asarray(bins, dtype=complex)
+    if bins.shape[-1] != cfg.num_bins:
+        raise FramingError("bin vector length must equal num_bins")
+    return ofdm_grid(cfg, fdss * np.fft.fftshift(np.fft.fft(bins, norm="ortho", axis=-1), axes=-1))
 
 
 def analog_body(cfg: WaveformConfig, grid: np.ndarray, oversample: int) -> np.ndarray:
@@ -167,38 +163,17 @@ def _rc_ramp(n: int) -> np.ndarray:
     return 0.5 * (1.0 - np.cos(np.pi * (np.arange(n) + 0.5) / n))
 
 
-def _framed(cfg: WaveformConfig, grids: np.ndarray, oversample: int) -> np.ndarray:
-    """Cyclic prefix + body + cyclic suffix of each grid, with raised-cosine edges.
-
-    At ``oversample`` times the sample rate, the prefix is the body's last
-    cp_len samples and the suffix its first window_rolloff samples. The
-    rising ramp covers the head of the prefix and the falling ramp the
-    suffix, so the receiver window [cp_len, cp_len + N) is untouched.
-    """
-    bodies = analog_body(cfg, grids, oversample)
-    n = bodies.shape[-1]
-    cp = cfg.cp_len * oversample
-    w = cfg.window_rolloff * oversample
-    syms = np.concatenate([bodies[..., n - cp :], bodies, bodies[..., :w]], axis=-1)
-    if w:
-        ramp = _rc_ramp(w)
-        syms[..., :w] *= ramp
-        syms[..., -w:] *= ramp[::-1]
-    return syms
-
-
 def modulate_ofdm(cfg: WaveformConfig, symbols: np.ndarray) -> np.ndarray:
-    """One OFDM symbol (cyclic prefix included) from M subcarrier symbols.
-
-    The suffix, which carries the falling edge, belongs to the next symbol's
-    period and is left to :func:`assemble_stream`.
-    """
-    return _framed(cfg, ofdm_grid(cfg, symbols), 1)[: cfg.cp_len + cfg.idft_size]
+    """One OFDM symbol (cyclic prefix included) from M subcarrier symbols: the
+    first period of its stream. The suffix, which carries the falling edge,
+    belongs to the next symbol's period."""
+    return assemble_stream(cfg, ofdm_grid(cfg, symbols), 1)[: cfg.cp_len + cfg.idft_size]
 
 
 def spread(cfg: WaveformConfig, fdss: np.ndarray, bins: np.ndarray) -> np.ndarray:
-    """Synthesize one chirp symbol (cyclic prefix included) from M bin symbols."""
-    return modulate_ofdm(cfg, _dft_shape(cfg, fdss, bins))
+    """Synthesize one chirp symbol (cyclic prefix included) from M bin symbols:
+    the first period of its stream."""
+    return assemble_stream(cfg, precode(cfg, fdss, bins), 1)[: cfg.cp_len + cfg.idft_size]
 
 
 def demodulate_ofdm(cfg: WaveformConfig, received: np.ndarray) -> np.ndarray:
@@ -239,15 +214,23 @@ def despread(cfg: WaveformConfig, fdss: np.ndarray, received: np.ndarray) -> np.
 def assemble_stream(cfg: WaveformConfig, grids: np.ndarray, oversample: int) -> np.ndarray:
     """Weighted-overlap-add symbol stream at ``oversample`` times the sample rate.
 
-    Symbol i starts at i * stride, stride = (cp_len + N) * oversample, so the
-    receiver's symbol timing is unchanged; its suffix overlaps the head of
-    symbol i + 1, and the last suffix ends the stream.
+    Symbol i fills its stride [i * stride, (i + 1) * stride), stride =
+    (cp_len + N) * oversample, so the receiver's symbol timing is unchanged:
+    a cyclic prefix (the body's last cp_len samples) and then the body. The
+    rising raised-cosine ramp covers the head of the prefix, and the cyclic
+    suffix (the body's first window_rolloff samples, under the falling ramp)
+    is added onto the head of stride i + 1; the last suffix ends the stream.
+    So the receiver window [cp_len, cp_len + N) of each stride is untouched.
     """
-    syms = _framed(cfg, np.atleast_2d(grids), oversample)
-    n_sym = syms.shape[0]
-    stride = (cfg.cp_len + cfg.idft_size) * oversample
+    bodies = analog_body(cfg, np.atleast_2d(grids), oversample)
+    n_sym, n = bodies.shape
+    cp = cfg.cp_len * oversample
     w = cfg.window_rolloff * oversample
+    stride = cp + n
     out = np.zeros((n_sym + 1, stride), dtype=complex)
-    out[:-1] = syms[:, :stride]
-    out[1:, :w] += syms[:, stride:]
+    out[:-1, :cp] = bodies[:, n - cp :]
+    out[:-1, cp:] = bodies
+    ramp = _rc_ramp(w)
+    out[:-1, :w] *= ramp
+    out[1:, :w] += bodies[:, :w] * ramp[::-1]
     return out.ravel()[: n_sym * stride + w]

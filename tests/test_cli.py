@@ -216,15 +216,6 @@ class TestTrainCommand:
         summary = json.loads((out / "train_summary.json").read_text())
         assert [row["seed"] for row in summary] == [3]
 
-    def test_idx_dataset_without_files_is_diagnosed(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path, name="idx.json")
-        data = json.loads(cfg.read_text())
-        data["train"]["dataset"] = "idx"
-        cfg.write_text(json.dumps(data))
-        # no profile key selects the data: synthetic digits are the only data
-        assert run("train", "--config", cfg, "--scheme", "ideal") == 2
-        assert "unknown keys ['dataset']" in capsys.readouterr().err
-
 
 class TestWaveformDump:
     def test_matches_library_symbol(self, tmp_path):
@@ -390,6 +381,48 @@ class TestErrorPaths:
         bad = tmp_path / "extra.json"
         bad.write_text('{"modulation": "qam"}')
         assert run("pmepr", "--config", bad) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("bound",), ("train", "--config", QUICK)],
+        ids=["bound", "train"],
+    )
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+    def test_out_naming_a_file_exits_2_before_the_study(
+        self, tmp_path, monkeypatch, capsys, argv, under
+    ):
+        # an existing file, or a path under one, is rejected before the study
+        # runs, so nothing is computed and nothing is written
+        existing = tmp_path / "taken"
+        existing.write_text("keep")
+        ran = []
+        monkeypatch.setattr(studies, "train_sweep", lambda cfg: ran.append(cfg))
+        out = existing / "sub" if under else existing
+        with pytest.raises(SystemExit) as exc:
+            run(*argv, "--out", out)
+        assert exc.value.code == 2
+        assert "--out" in capsys.readouterr().err
+        assert ran == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+        assert existing.read_text() == "keep"
+
+    def test_unwritable_artifact_exits_2_naming_the_path(self, tmp_path, capsys):
+        # an OS error while writing is a usage error that names the path
+        out = tmp_path / "bound"
+        (out / "bound.json").mkdir(parents=True)
+        assert run("bound", "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"--out {out}" in err
+
+    @pytest.mark.parametrize(
+        "profile, message",
+        [({"train": [1]}, "train: expected an object"), ({"wave": 5}, "wave: expected an object")],
+    )
+    def test_section_that_is_not_an_object_exits_2(self, tmp_path, capsys, profile, message):
+        cfg = tmp_path / "section.json"
+        cfg.write_text(json.dumps(profile))
+        assert run("snr-distance", "--config", cfg) == 2
+        assert message in capsys.readouterr().err
 
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -294,12 +294,13 @@ class TestAnalogPaths:
         assert type(stream) is np.ndarray  # studies.scheme_stream attaches the rate
         assert len(stream) == n * stride + CFG.window_rolloff * 4
 
-    def test_stream_frames_and_overlaps_every_symbol(self):
+    @pytest.mark.parametrize("os", [1, 2])
+    @pytest.mark.parametrize("cp_len, rolloff", [(5, 3), (5, 5), (5, 0), (0, 0)])
+    def test_stream_frames_and_overlaps_every_symbol(self, cp_len, rolloff, os):
         # prefix = body tail, suffix = body head; the rising ramp covers the
         # prefix head and the falling ramp the suffix, which lands on the
         # next symbol's prefix head
-        cfg = WaveformConfig(cp_len=5, window_rolloff=3)
-        os = 2
+        cfg = WaveformConfig(cp_len=cp_len, window_rolloff=rolloff)
         rng = np.random.default_rng(6)
         bins = rng.standard_normal((3, cfg.num_bins)) + 1j * rng.standard_normal(
             (3, cfg.num_bins)
@@ -322,7 +323,8 @@ class TestAnalogPaths:
         np.testing.assert_allclose(stream[3 * stride :], ramp[::-1] * bodies[-1][:w], atol=1e-15)
 
     def test_symbol_is_first_period_of_its_stream(self):
-        # spread, modulate_ofdm and assemble_stream share one framing step
+        # a transmit symbol is the first period of its one-symbol stream, so
+        # spread, modulate_ofdm and assemble_stream share one framing pass
         f = build_fdss(CFG)
         rng = np.random.default_rng(7)
         s = rng.standard_normal(CFG.num_bins) + 1j * rng.standard_normal(CFG.num_bins)
