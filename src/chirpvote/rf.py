@@ -101,9 +101,12 @@ class PaDriver:
     factor lies in [0, 1] and the constructor computes it once. The first is
     one scalar per back-off: g^2 max|x|^2 is the stream's peak-to-mean power
     ratio less the back-off. So each back-off costs one ``np.power``. g x is
-    divided by the real divisor through the real and imaginary parts, as
-    complex division by a real number does. A call only reads the driver's
-    arrays, so threads may share one driver.
+    one contiguous complex multiply: the scalar's zero imaginary part adds
+    only exact zeros to finite samples, so each part equals its own real
+    multiply. It is divided by the real divisor through the real and
+    imaginary parts, as complex division by a real number does: NumPy would
+    cast the divisor to complex, and its complex division changes bits. A
+    call only reads the driver's arrays, so threads may share one driver.
 
     For a large p the scalar (g^2 max|x|^2)^p can overflow, which leaves an
     infinite divisor. For a small p the output's peak power,
@@ -149,9 +152,7 @@ class PaDriver:
         divisor += 1.0
         np.power(divisor, 1.0 / (2.0 * p), out=divisor)
         x = self.stream.samples
-        y = np.empty_like(x)
-        np.multiply(x.real, gain, out=y.real)
-        np.multiply(x.imag, gain, out=y.imag)
+        y = np.multiply(x, gain)
         y.real /= divisor
         y.imag /= divisor
         return ComplexSignal(samples=y, sample_period=self.stream.sample_period)

@@ -5,16 +5,18 @@ included) and returns plain Python rows whose keys are the columns of its
 artifact, so the CLI only has to format them and the tests only have to
 assert on them.
 
-The ACLR evaluations of ``aclr_study`` (each scheme's back-offs) and
-``coverage_study`` (one bisection per scheme) run on one worker per CPU the
-process may use: the calling thread plus one pool thread for each further
-CPU, so the process keeps one thread's malloc arena fewer. Each evaluation
-only reads its stream's ``rf.PaDriver``, and the rows are collected in the
-serial order, so the results do not depend on the worker count. The other
-studies run serially, except that a chirp training run draws each round's
-phases and receiver noise one round ahead on one worker thread of its own
-(``learn.run_training``). Every draw is keyed, so no artifact depends on
-that thread either.
+The ACLR evaluations of ``aclr_study`` (each scheme's back-offs), the
+bisections of ``coverage_study`` (one per scheme) and the symbol blocks of
+``pmepr_report`` and ``cm_report`` (each scheme's ``_SYMBOL_BLOCK``-row
+blocks) run on one worker per CPU the process may use: the calling thread
+plus one pool thread for each further CPU, so the process keeps one
+thread's malloc arena fewer. Each task only reads shared state (its
+stream's ``rf.PaDriver``, or its scheme's drawn traffic), and the results
+are collected in the serial order, so they do not depend on the worker
+count. The other studies run serially, except that a chirp training run
+draws each round's phases and receiver noise one round ahead on one worker
+thread of its own (``learn.run_training``). Every draw is keyed, so no
+artifact depends on that thread either.
 """
 from __future__ import annotations
 
@@ -64,7 +66,7 @@ PERCENTILES = np.append(np.arange(0.5, 100.0, 0.5), 99.9)
 _SUMMARY_POINTS = {"median_db": 50.0, "p99_db": 99.0, "p99_9_db": 99.9}
 #: distance points of the SNR map, r_min to r_max
 SNR_DISTANCE_POINTS = 81
-_SYMBOL_BLOCK = 256  # symbols mapped, oversampled and measured per pass
+_SYMBOL_BLOCK = 128  # symbols mapped, oversampled and measured per task
 
 
 def _radio_record(scheme: str) -> Scheme:
@@ -109,23 +111,28 @@ def scheme_grids(
 
 def _per_symbol_blocks(cfg: ExperimentConfig, scheme: str, seed: int, fn) -> list:
     """``fn`` of the scheme's ``metrics.num_symbols`` oversampled symbol
-    bodies, ``_SYMBOL_BLOCK`` rows at a time, so no more than one block of
-    bodies is held at once.
+    bodies, ``_SYMBOL_BLOCK`` rows at a time, so each worker holds no more
+    than one block of bodies at once.
 
-    The traffic is drawn once, by the same calls in the same order as
-    ``scheme_grids``. Every later step works row by row: the DFT spread
-    along the last axis, the shaping, the grid scatter, the zero-padded IDFT
-    and any ``fn`` that reduces along axis -1. So no row's value depends on
-    how the rows are blocked, and the blocks concatenate to the one-shot
+    The traffic is drawn once on the calling thread, by the same calls in
+    the same order as ``scheme_grids``, and that draw fills the
+    ``build_fdss`` cache before any worker starts. The blocks are then
+    mapped over ``_map``, each task mapping its rows onto the grid,
+    oversampling and measuring them; the tasks only read the traffic and the
+    shaping vector. Every step after the draw works row by row: the DFT
+    spread along the last axis, the shaping, the grid scatter, the
+    zero-padded IDFT and any ``fn`` that reduces along axis -1. So no row's
+    value depends on how the rows are blocked or which thread measures them,
+    and the blocks, returned in input order, concatenate to the one-shot
     ``fn(analog_body(cfg.wave, scheme_grids(...), OVERSAMPLE))``.
     """
     traffic, to_grids = _scheme_traffic(
         cfg, scheme, cfg.metrics.num_symbols, keyed_rng(seed, "traffic", scheme)
     )
-    return [
-        fn(analog_body(cfg.wave, to_grids(traffic[start : start + _SYMBOL_BLOCK]), OVERSAMPLE))
-        for start in range(0, len(traffic), _SYMBOL_BLOCK)
+    blocks = [
+        traffic[start : start + _SYMBOL_BLOCK] for start in range(0, len(traffic), _SYMBOL_BLOCK)
     ]
+    return _map(lambda block: fn(analog_body(cfg.wave, to_grids(block), OVERSAMPLE)), blocks)
 
 
 def scheme_symbol_bodies(cfg: ExperimentConfig, scheme: str, seed: int) -> np.ndarray:

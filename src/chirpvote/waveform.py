@@ -163,17 +163,28 @@ def _rc_ramp(n: int) -> np.ndarray:
     return 0.5 * (1.0 - np.cos(np.pi * (np.arange(n) + 0.5) / n))
 
 
+def _one_symbol(values: np.ndarray) -> np.ndarray:
+    """``values`` as an array, once it is one symbol's (M,) vector: a stack of
+    symbols would frame as a stream whose first period is all that is kept."""
+    values = np.asarray(values)
+    if values.ndim != 1:
+        raise FramingError(f"expected one symbol's (M,) vector, got shape {values.shape}")
+    return values
+
+
 def modulate_ofdm(cfg: WaveformConfig, symbols: np.ndarray) -> np.ndarray:
     """One OFDM symbol (cyclic prefix included) from M subcarrier symbols: the
     first period of its stream. The suffix, which carries the falling edge,
     belongs to the next symbol's period."""
-    return assemble_stream(cfg, ofdm_grid(cfg, symbols), 1)[: cfg.cp_len + cfg.idft_size]
+    grid = ofdm_grid(cfg, _one_symbol(symbols))
+    return assemble_stream(cfg, grid, 1)[: cfg.cp_len + cfg.idft_size]
 
 
 def spread(cfg: WaveformConfig, fdss: np.ndarray, bins: np.ndarray) -> np.ndarray:
     """Synthesize one chirp symbol (cyclic prefix included) from M bin symbols:
     the first period of its stream."""
-    return assemble_stream(cfg, precode(cfg, fdss, bins), 1)[: cfg.cp_len + cfg.idft_size]
+    grid = precode(cfg, fdss, _one_symbol(bins))
+    return assemble_stream(cfg, grid, 1)[: cfg.cp_len + cfg.idft_size]
 
 
 def demodulate_ofdm(cfg: WaveformConfig, received: np.ndarray) -> np.ndarray:

@@ -179,6 +179,29 @@ class TestRappPa:
                     assert np.max(np.abs(out.samples) ** 2) >= sys.float_info.min
         assert bool(rejected) == (smoothness > 200.0 or smoothness < 1e-3)
 
+    @pytest.mark.parametrize("scheme", ExperimentConfig().schemes)
+    def test_drive_equals_two_pass_gain(self, scheme):
+        # the driver scales the stream in one complex multiply; on the
+        # rf-sweep workload's 80k-sample streams its bytes equal scaling the
+        # real and imaginary parts apart, then the Rapp divide
+        cfg = ExperimentConfig(metrics=MetricsConfig(stream_symbols=250))
+        stream = studies.scheme_stream(cfg, scheme, cfg.seed)
+        drive = PaDriver(cfg.pa, stream)
+        x = stream.samples
+        p = cfg.pa.smoothness
+        power = np.abs(x) ** 2
+        mean, peak = float(np.mean(power)), float(power.max())
+        for obo in (0.0, 9.6, 30.0):
+            gain2 = 10.0 ** (-obo / 10.0) / mean
+            divisor = np.power(power / peak, p) * (gain2 * peak) ** p + 1.0
+            np.power(divisor, 1.0 / (2.0 * p), out=divisor)
+            y = np.empty_like(x)
+            np.multiply(x.real, math.sqrt(gain2), out=y.real)
+            np.multiply(x.imag, math.sqrt(gain2), out=y.imag)
+            y.real /= divisor
+            y.imag /= divisor
+            assert drive(obo).samples.tobytes() == y.tobytes()
+
     def test_drive_rejects_zero_power(self):
         dead = ComplexSignal(samples=np.zeros(8, dtype=complex), sample_period=1.0)
         with pytest.raises(ValueError):
@@ -392,9 +415,10 @@ class TestSegmentLenWiring:
 
 
 class TestWorkerCount:
-    """The ACLR sweep and the coverage solves give the same rows whatever the
-    number of worker threads. The count is forced through ``studies._cpus``,
-    so the test does not depend on the host's CPUs."""
+    """The ACLR sweep, the coverage solves and the PMEPR/CM symbol blocks give
+    the same rows whatever the number of worker threads. The count is forced
+    through ``studies._cpus``, so the test does not depend on the host's
+    CPUs."""
 
     SMALL = ExperimentConfig(metrics=MetricsConfig(stream_symbols=50, obo_step_db=5.0))
 
@@ -452,6 +476,20 @@ class TestWorkerCount:
         assert threaded == serial
         assert [r["scheme"] for r in serial] == list(cfg.schemes)
         assert all(r["status"] == "ok" for r in serial)
+
+    @pytest.mark.parametrize("report", [studies.pmepr_report, studies.cm_report])
+    @pytest.mark.parametrize("num_symbols", [3 * studies._SYMBOL_BLOCK + 5, studies._SYMBOL_BLOCK])
+    def test_symbol_reports_do_not_depend_on_workers(
+        self, monkeypatch, pools, report, num_symbols
+    ):
+        cfg = ExperimentConfig(metrics=MetricsConfig(num_symbols=num_symbols))
+        serial = self._rows(monkeypatch, 1, report, cfg)
+        assert pools == []
+        threaded = self._rows(monkeypatch, 3, report, cfg)
+        # one pool per scheme's blocks, whose calling thread is the third
+        # worker; a one-block profile needs none
+        assert pools == ([2] * len(cfg.schemes) if num_symbols > studies._SYMBOL_BLOCK else [])
+        assert threaded == serial
 
     def test_calling_thread_is_a_worker(self, monkeypatch, pools):
         monkeypatch.setattr(studies, "_cpus", lambda: 3)

@@ -217,6 +217,20 @@ class TestRoundTrip:
             with pytest.raises(FramingError):
                 despread(CFG, f, np.ones(bad, dtype=complex))
 
+    @pytest.mark.parametrize(
+        "synthesize",
+        [lambda s: spread(CFG, build_fdss(CFG), s), lambda s: modulate_ofdm(CFG, s)],
+        ids=["spread", "modulate_ofdm"],
+    )
+    def test_symbol_synthesis_rejects_a_stack(self, synthesize):
+        # a (3, M) stack would frame as a three-symbol stream, of which only
+        # the first symbol's period would be returned
+        rng = np.random.default_rng(4)
+        stack = rng.standard_normal((3, CFG.num_bins)) + 0j
+        with pytest.raises(FramingError, match=r"\(3, 54\)"):
+            synthesize(stack)
+        assert synthesize(stack[0]).shape == (CFG.cp_len + CFG.idft_size,)
+
     @pytest.mark.parametrize("num_bins", [53, 54])  # ifftshift != fftshift at odd M
     def test_matched_despread_rows_match_despread(self, num_bins):
         cfg = WaveformConfig(num_bins=num_bins)
