@@ -13,11 +13,12 @@ metric (cubed normalized envelope, rms, referenced to 1.52 dB with slope
 1.52), and ACLR (out-of-band to in-band power ratio from the averaged
 periodogram). All are scale-invariant where the definitions demand it.
 
-The ACLR is the one measurement that reads a sample rate, so the stream it
-is taken on is the one signal that carries it: a :class:`ComplexSignal`.
-The waveform and channel chains pass plain sample arrays. A
-:class:`PaDriver` holds the instantaneous powers the PA reads for one
-stream, so a sweep or a solve computes them once for all its back-offs.
+The ACLR is a ratio of powers, so it reads no sample rate: the band is given
+in cycles per stream sample (:func:`occupied_band`, at ``OVERSAMPLE`` times
+the numerology's rate) and the periodogram is taken at unit rate. Streams
+are plain sample arrays throughout. A :class:`PaDriver` holds the
+instantaneous powers the PA reads for one stream, so a sweep or a solve
+computes them once for all its back-offs.
 
 The averaged periodogram (:func:`power_spectrum`) follows a fixed recipe so
 that leakage-sensitive quantities measured from it are reproducible
@@ -62,24 +63,6 @@ _WELCH_BLOCK = 32  # segments windowed and transformed per pass
 
 
 @dataclass(frozen=True)
-class ComplexSignal:
-    """A finite complex baseband sequence with its sample period."""
-
-    samples: np.ndarray
-    sample_period: float
-
-    def __post_init__(self) -> None:
-        if np.asarray(self.samples).size == 0:
-            raise ValueError("signal must be non-empty")
-        if self.sample_period <= 0:
-            raise ValueError("sample_period must be positive")
-
-    @property
-    def sample_rate(self) -> float:
-        return 1.0 / self.sample_period
-
-
-@dataclass(frozen=True)
 class RappPa:
     """Rapp AM/AM nonlinearity at unit saturation; the operating back-off is
     set per call."""
@@ -92,8 +75,8 @@ class RappPa:
 
 
 class PaDriver:
-    """The PA driving one stream at any back-off: ``driver(obo_db)`` is the
-    PA output for the stream driven at ``obo_db``.
+    """The PA driving one stream, a non-empty sample array, at any back-off:
+    ``driver(obo_db)`` is the PA output for the stream driven at ``obo_db``.
 
     The stream is scaled by g so that its mean power sits ``obo_db`` below
     saturation, then passed through the Rapp curve. The curve's
@@ -115,8 +98,10 @@ class PaDriver:
     and either raises a ConfigError naming ``pa.smoothness``.
     """
 
-    def __init__(self, pa: RappPa, stream: ComplexSignal) -> None:
-        power = np.abs(stream.samples) ** 2
+    def __init__(self, pa: RappPa, stream: np.ndarray) -> None:
+        if stream.size == 0:
+            raise ValueError("cannot drive an empty stream")
+        power = np.abs(stream) ** 2
         self._mean_power = float(np.mean(power))
         if self._mean_power <= 0:
             raise ValueError("cannot scale a zero-power signal")
@@ -126,7 +111,7 @@ class PaDriver:
         self.pa = pa
         self.stream = stream
 
-    def __call__(self, obo_db: float) -> ComplexSignal:
+    def __call__(self, obo_db: float) -> np.ndarray:
         p = self.pa.smoothness
         gain2 = 10.0 ** (-obo_db / 10.0) / self._mean_power
         peak_ratio = gain2 * self._peak_power
@@ -151,11 +136,10 @@ class PaDriver:
         divisor = self._power_pow * peak_term
         divisor += 1.0
         np.power(divisor, 1.0 / (2.0 * p), out=divisor)
-        x = self.stream.samples
-        y = np.multiply(x, gain)
+        y = np.multiply(self.stream, gain)
         y.real /= divisor
         y.imag /= divisor
-        return ComplexSignal(samples=y, sample_period=self.stream.sample_period)
+        return y
 
 
 def pmepr_batch(symbols: np.ndarray) -> np.ndarray:
@@ -218,18 +202,22 @@ def power_spectrum(
 
 
 def occupied_band(cfg: WaveformConfig) -> tuple[float, float]:
-    """Frequency interval covered by the occupied subcarriers, in Hz."""
-    df = cfg.sample_rate / cfg.idft_size
-    return ((cfg.bin_low - 0.5) * df, (cfg.bin_high + 0.5) * df)
+    """Interval covered by the occupied subcarriers, in cycles per sample of a
+    stream at ``OVERSAMPLE`` times the numerology's rate. Each edge is one
+    correctly rounded division, so a periodogram bin k / ``SEGMENT_LEN`` is in
+    band exactly when the integer comparison of k with the edge says so."""
+    n = cfg.idft_size * OVERSAMPLE
+    return ((cfg.bin_low - 0.5) / n, (cfg.bin_high + 0.5) / n)
 
 
-def aclr(sig: ComplexSignal, inband: tuple[float, float]) -> float:
+def aclr(samples: np.ndarray, inband: tuple[float, float]) -> float:
     """Out-of-band to in-band power ratio, dB (negative = cleaner), from the
-    ``SEGMENT_LEN``-point averaged periodogram."""
+    ``SEGMENT_LEN``-point averaged periodogram; ``inband`` is in cycles per
+    sample."""
     f_lo, f_hi = inband
     if f_hi <= f_lo:
         raise ValueError("in-band interval must have positive width")
-    freqs, dens = power_spectrum(sig.samples, sig.sample_rate, SEGMENT_LEN)
+    freqs, dens = power_spectrum(samples, 1.0, SEGMENT_LEN)
     inside = (freqs >= f_lo) & (freqs <= f_hi)
     if inside.all():
         raise ValueError("every PSD bin lies inside the band, so no leakage is visible")
@@ -241,7 +229,7 @@ def aclr(sig: ComplexSignal, inband: tuple[float, float]) -> float:
 
 
 def aclr_at_obo(
-    pa: RappPa, stream: ComplexSignal, inband: tuple[float, float], obo_db: float
+    pa: RappPa, stream: np.ndarray, inband: tuple[float, float], obo_db: float
 ) -> float:
     """ACLR of the stream driven through the PA at the given back-off."""
     return aclr(PaDriver(pa, stream)(obo_db), inband)
@@ -249,7 +237,7 @@ def aclr_at_obo(
 
 def obo_for_aclr(
     pa: RappPa,
-    stream: ComplexSignal,
+    stream: np.ndarray,
     inband: tuple[float, float],
     target_db: float,
     obo_range: tuple[float, float] = OBO_SPAN_DB,

@@ -44,7 +44,6 @@ from .rf import (
     OBO_SPAN_DB,
     OVERSAMPLE,
     SEGMENT_LEN,
-    ComplexSignal,
     PaDriver,
     aclr,
     cubic_metric_batch,
@@ -140,10 +139,11 @@ def scheme_symbol_bodies(cfg: ExperimentConfig, scheme: str, seed: int) -> np.nd
     return np.concatenate(_per_symbol_blocks(cfg, scheme, seed, np.asarray))
 
 
-def scheme_stream(cfg: ExperimentConfig, scheme: str, seed: int) -> ComplexSignal:
+def scheme_stream(cfg: ExperimentConfig, scheme: str, seed: int) -> np.ndarray:
     """Windowed overlap-add symbol stream for spectral metrics, at
-    ``OVERSAMPLE`` times the sample rate and at least one
-    ``SEGMENT_LEN``-sample PSD segment long."""
+    ``OVERSAMPLE`` times the numerology's rate (the rate ``occupied_band``
+    measures the band in) and at least one ``SEGMENT_LEN``-sample PSD
+    segment long."""
     rng = keyed_rng(seed, "stream", scheme)
     grids = scheme_grids(cfg, scheme, cfg.metrics.stream_symbols, rng)
     samples = assemble_stream(cfg.wave, grids, OVERSAMPLE)
@@ -152,7 +152,7 @@ def scheme_stream(cfg: ExperimentConfig, scheme: str, seed: int) -> ComplexSigna
             f"metrics.stream_symbols {cfg.metrics.stream_symbols} gives a {samples.size}-sample "
             f"stream, shorter than one {SEGMENT_LEN}-sample PSD segment: raise it"
         )
-    return ComplexSignal(samples, cfg.wave.sample_period / OVERSAMPLE)
+    return samples
 
 
 def _cpus() -> int:

@@ -47,7 +47,8 @@ class WaveformConfig:
 
     The ``num_bins`` = M occupied subcarriers are the DC-centered band
     ``bin_low`` = -(M // 2) ... ``bin_high`` = M - M // 2 - 1, which must
-    cover the chirp bandwidth ``sweep_cycles``.
+    cover the chirp bandwidth ``sweep_cycles``. ``sample_rate`` only places
+    the EPA channel taps; the RF metrics work in cycles per sample.
     """
 
     num_bins: int = 54
@@ -72,10 +73,6 @@ class WaveformConfig:
             raise ConfigError("window_rolloff must lie in [0, cp_len]")
         if self.sample_rate <= 0:
             raise ConfigError("sample_rate must be positive")
-
-    @property
-    def sample_period(self) -> float:
-        return 1.0 / self.sample_rate
 
     @property
     def bin_low(self) -> int:
@@ -123,7 +120,7 @@ def ofdm_grid(cfg: WaveformConfig, symbols: np.ndarray) -> np.ndarray:
     """Map per-subcarrier symbols onto the centered occupied subcarriers of
     the IDFT grid: (..., M) -> (..., N), zeros elsewhere."""
     symbols = np.asarray(symbols, dtype=complex)
-    if symbols.shape[-1] != cfg.num_bins:
+    if symbols.ndim == 0 or symbols.shape[-1] != cfg.num_bins:
         raise FramingError("symbol vector length must equal num_bins")
     grid = np.zeros(symbols.shape[:-1] + (cfg.idft_size,), dtype=complex)
     grid[..., cfg.bin_indices % cfg.idft_size] = symbols
@@ -137,7 +134,7 @@ def precode(cfg: WaveformConfig, fdss: np.ndarray, bins: np.ndarray) -> np.ndarr
     ``bin_indices`` (``fftshift``, since ``bin_low`` = -(M // 2)) and shaped.
     """
     bins = np.asarray(bins, dtype=complex)
-    if bins.shape[-1] != cfg.num_bins:
+    if bins.ndim == 0 or bins.shape[-1] != cfg.num_bins:
         raise FramingError("bin vector length must equal num_bins")
     return ofdm_grid(cfg, fdss * np.fft.fftshift(np.fft.fft(bins, norm="ortho", axis=-1), axes=-1))
 

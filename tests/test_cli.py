@@ -369,6 +369,26 @@ class TestDeterminism:
         for name in names:
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
+    @pytest.mark.parametrize("argv", [("aclr", "--obo-db", "9"), ("coverage",)])
+    def test_rf_rows_do_not_move_with_the_sample_rate(self, tmp_path, capsys, argv):
+        # the samples do not depend on the rate, so neither may the ACLR; at
+        # (96, 56) the low band edge falls exactly on PSD bin -76
+        printed = []
+        for rate in (1.8e6, 2.0e6):
+            cfg = tmp_path / f"{rate:g}.json"
+            cfg.write_text(
+                json.dumps(
+                    {
+                        "wave": {"idft_size": 96, "num_bins": 56, "sample_rate": rate},
+                        "metrics": {"stream_symbols": 200},
+                    }
+                )
+            )
+            capsys.readouterr()
+            assert run(*argv, "--config", cfg, "--scheme", "obda", "--scheme", "csc_mv_2") == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
+
 
 class TestErrorPaths:
     def test_malformed_config_exit_2(self, tmp_path, capsys):

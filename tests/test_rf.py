@@ -18,7 +18,6 @@ from chirpvote.deployment import PowerControlParams
 from chirpvote.errors import ConfigError, InfeasibleError
 from chirpvote.oac import random_csc_traffic, random_qpsk
 from chirpvote.rf import (
-    ComplexSignal,
     PaDriver,
     RappPa,
     aclr,
@@ -40,38 +39,32 @@ from chirpvote.waveform import (
 CFG = WaveformConfig()
 
 
-def scale_to_obo(pa: RappPa, sig: ComplexSignal, obo_db: float) -> ComplexSignal:
+def scale_to_obo(pa: RappPa, x: np.ndarray, obo_db: float) -> np.ndarray:
     """Reference: scale the signal so its mean power sits obo_db below the
     PA's unit saturation."""
-    mean_power = float(np.mean(np.abs(sig.samples) ** 2))
+    mean_power = float(np.mean(np.abs(x) ** 2))
     if mean_power <= 0:
         raise ValueError("cannot scale a zero-power signal")
     target = 10.0 ** (-obo_db / 10.0)
-    return ComplexSignal(
-        samples=sig.samples * math.sqrt(target / mean_power),
-        sample_period=sig.sample_period,
-    )
+    return x * math.sqrt(target / mean_power)
 
 
-def apply_pa(pa: RappPa, sig: ComplexSignal) -> ComplexSignal:
+def apply_pa(pa: RappPa, x: np.ndarray) -> np.ndarray:
     """Reference: the unit-saturation Rapp curve sample by sample, on |x|
     itself."""
-    x = sig.samples
     expo = 2.0 * pa.smoothness
-    y = x / (1.0 + np.abs(x) ** expo) ** (1.0 / expo)
-    return ComplexSignal(samples=y, sample_period=sig.sample_period)
+    return x / (1.0 + np.abs(x) ** expo) ** (1.0 / expo)
 
 
-def _tone(n=4096, fs=15.36e6, f0=1.0e6, amp=1.0):
-    t = np.arange(n) / fs
-    return ComplexSignal(samples=amp * np.exp(2j * np.pi * f0 * t), sample_period=1 / fs)
+def _tone(n=4096, f0=0.065, amp=1.0):
+    """A complex tone at ``f0`` cycles per sample."""
+    return amp * np.exp(2j * np.pi * f0 * np.arange(n))
 
 
-def _csc_stream(votes, n_symbols, seed, oversample=4):
+def _csc_stream(votes, n_symbols, seed):
     rng = keyed_rng(seed, "rf-test", votes)
     bins = random_csc_traffic(CFG.num_bins, votes, n_symbols, rng)
-    samples = assemble_stream(CFG, precode(CFG, build_fdss(CFG), bins), oversample)
-    return ComplexSignal(samples, CFG.sample_period / oversample)
+    return assemble_stream(CFG, precode(CFG, build_fdss(CFG), bins), rf.OVERSAMPLE)
 
 
 class TestRappPa:
@@ -84,35 +77,29 @@ class TestRappPa:
     def test_unit_drive_reference_point(self):
         # at the saturation amplitude with smoothness 3, gain is 2^(-1/6)
         pa = RappPa(smoothness=3.0)
-        sig = ComplexSignal(samples=np.array([1.0 + 0j]), sample_period=1.0)
-        out = apply_pa(pa, sig)
-        assert abs(out.samples[0]) == pytest.approx(2.0 ** (-1.0 / 6.0), abs=1e-12)
+        out = apply_pa(pa, np.array([1.0 + 0j]))
+        assert abs(out[0]) == pytest.approx(2.0 ** (-1.0 / 6.0), abs=1e-12)
 
     @settings(max_examples=50, deadline=None)
     @given(st.floats(min_value=1e-6, max_value=50.0))
     def test_amplifier_is_contractive_and_bounded(self, amplitude):
         pa = RappPa(smoothness=0.9)
-        sig = ComplexSignal(samples=np.array([amplitude + 0j]), sample_period=1.0)
-        out = abs(apply_pa(pa, sig).samples[0])
+        out = abs(apply_pa(pa, np.array([amplitude + 0j]))[0])
         assert out <= amplitude + 1e-12
         assert out <= 1.0 + 1e-12
 
     def test_phase_preserved(self):
         pa = RappPa()
         z = 0.7 * np.exp(1j * 1.234)
-        sig = ComplexSignal(samples=np.array([z]), sample_period=1.0)
-        out = apply_pa(pa, sig).samples[0]
+        out = apply_pa(pa, np.array([z]))[0]
         assert np.angle(out) == pytest.approx(1.234, abs=1e-12)
 
     def test_scale_to_obo_sets_mean_power(self):
         pa = RappPa()
         rng = np.random.default_rng(0)
-        sig = ComplexSignal(
-            samples=rng.standard_normal(512) + 1j * rng.standard_normal(512),
-            sample_period=1.0,
-        )
-        out = scale_to_obo(pa, sig, 7.0)
-        assert np.mean(np.abs(out.samples) ** 2) == pytest.approx(10 ** (-0.7), rel=1e-12)
+        x = rng.standard_normal(512) + 1j * rng.standard_normal(512)
+        out = scale_to_obo(pa, x, 7.0)
+        assert np.mean(np.abs(out) ** 2) == pytest.approx(10 ** (-0.7), rel=1e-12)
 
     @pytest.mark.parametrize("smoothness", [0.9, 3.0, 50.0, 200.0])
     def test_drive_matches_scale_then_amplify(self, smoothness):
@@ -120,10 +107,8 @@ class TestRappPa:
         stream = _csc_stream(2, 32, seed=7)
         drive = PaDriver(pa, stream)
         for obo in (0.0, 3.3, 10.0, 30.0):
-            ref = apply_pa(pa, scale_to_obo(pa, stream, obo)).samples
-            out = drive(obo)
-            assert out.sample_period == stream.sample_period
-            np.testing.assert_allclose(out.samples, ref, rtol=1e-14, atol=0)
+            ref = apply_pa(pa, scale_to_obo(pa, stream, obo))
+            np.testing.assert_allclose(drive(obo), ref, rtol=1e-14, atol=0)
 
     @pytest.mark.parametrize("smoothness", [0.9, 200.0])
     @pytest.mark.parametrize("amplitude", [1e-3, 1e3])
@@ -133,12 +118,9 @@ class TestRappPa:
         # must not enter the range of p that the drive accepts
         pa = RappPa(smoothness=smoothness)
         stream = _csc_stream(1, 16, seed=5)
-        scaled = ComplexSignal(stream.samples * amplitude, stream.sample_period)
-        drive, drive_scaled = PaDriver(pa, stream), PaDriver(pa, scaled)
+        drive, drive_scaled = PaDriver(pa, stream), PaDriver(pa, stream * amplitude)
         for obo in (0.0, 3.3, 30.0):
-            np.testing.assert_allclose(
-                drive_scaled(obo).samples, drive(obo).samples, rtol=1e-14, atol=0
-            )
+            np.testing.assert_allclose(drive_scaled(obo), drive(obo), rtol=1e-14, atol=0)
 
     def test_reused_signal_matches_fresh_copy(self):
         # two drivers with different smoothness on one stream, called in
@@ -148,12 +130,7 @@ class TestRappPa:
         drivers = [PaDriver(pa, stream) for pa in pas]
         for obo in (0.0, 4.5, 12.0):
             for pa, drive in zip(pas, drivers):
-                fresh = ComplexSignal(
-                    samples=stream.samples.copy(), sample_period=stream.sample_period
-                )
-                np.testing.assert_array_equal(
-                    drive(obo).samples, PaDriver(pa, fresh)(obo).samples
-                )
+                np.testing.assert_array_equal(drive(obo), PaDriver(pa, stream.copy())(obo))
 
     @pytest.mark.parametrize("smoothness", [5e-4, 1e-3, 150.0, 200.0, 400.0, 1e4])
     def test_drive_output_finite_or_smoothness_rejected(self, smoothness):
@@ -175,8 +152,8 @@ class TestRappPa:
                     assert "pa.smoothness" in str(exc)
                     rejected.add((name, obo))
                 else:
-                    assert np.isfinite(out.samples).all()
-                    assert np.max(np.abs(out.samples) ** 2) >= sys.float_info.min
+                    assert np.isfinite(out).all()
+                    assert np.max(np.abs(out) ** 2) >= sys.float_info.min
         assert bool(rejected) == (smoothness > 200.0 or smoothness < 1e-3)
 
     @pytest.mark.parametrize("scheme", ExperimentConfig().schemes)
@@ -187,7 +164,7 @@ class TestRappPa:
         cfg = ExperimentConfig(metrics=MetricsConfig(stream_symbols=250))
         stream = studies.scheme_stream(cfg, scheme, cfg.seed)
         drive = PaDriver(cfg.pa, stream)
-        x = stream.samples
+        x = stream
         p = cfg.pa.smoothness
         power = np.abs(x) ** 2
         mean, peak = float(np.mean(power)), float(power.max())
@@ -200,17 +177,21 @@ class TestRappPa:
             np.multiply(x.imag, math.sqrt(gain2), out=y.imag)
             y.real /= divisor
             y.imag /= divisor
-            assert drive(obo).samples.tobytes() == y.tobytes()
+            assert drive(obo).tobytes() == y.tobytes()
 
     def test_drive_rejects_zero_power(self):
-        dead = ComplexSignal(samples=np.zeros(8, dtype=complex), sample_period=1.0)
         with pytest.raises(ValueError):
-            PaDriver(RappPa(), dead)
+            PaDriver(RappPa(), np.zeros(8, dtype=complex))
+
+    def test_drive_rejects_empty_stream(self):
+        # before NumPy's "Mean of empty slice" warning and its empty max
+        with pytest.raises(ValueError, match="empty stream"):
+            PaDriver(RappPa(), np.zeros(0, dtype=complex))
 
 
 class TestEnvelopeMetrics:
     def test_constant_envelope_pmepr_zero(self):
-        assert pmepr_batch(_tone().samples[None])[0] == pytest.approx(0.0, abs=1e-9)
+        assert pmepr_batch(_tone()[None])[0] == pytest.approx(0.0, abs=1e-9)
 
     @settings(max_examples=30, deadline=None)
     @given(st.floats(min_value=0.01, max_value=100.0))
@@ -229,7 +210,7 @@ class TestEnvelopeMetrics:
 
     def test_constant_envelope_cubic_metric(self):
         # RCM of a constant envelope is 0 dB, so CM = -1 exactly
-        assert cubic_metric_batch(_tone().samples[None])[0] == pytest.approx(-1.0, abs=1e-9)
+        assert cubic_metric_batch(_tone()[None])[0] == pytest.approx(-1.0, abs=1e-9)
 
     def test_single_chirp_cubic_metric_below_zero(self):
         rng = keyed_rng(0, "cm-test")
@@ -336,16 +317,47 @@ class TestAclr:
     def test_band_validation(self):
         sig = _tone()
         with pytest.raises(ValueError):
-            aclr(sig, (1e6, 1e6))
+            aclr(sig, (0.1, 0.1))
         with pytest.raises(ValueError):
-            aclr(sig, (-20e6, 20e6))
+            aclr(sig, (-1.5, 1.5))
 
     def test_occupied_band_matches_grid(self):
+        # in cycles per sample of the OVERSAMPLE-times stream
         lo, hi = occupied_band(CFG)
-        df = CFG.sample_rate / CFG.idft_size
+        df = 1.0 / (CFG.idft_size * rf.OVERSAMPLE)
         assert lo == pytest.approx((CFG.bin_low - 0.5) * df)
         assert hi == pytest.approx((CFG.bin_high + 0.5) * df)
         assert hi - lo == pytest.approx(CFG.num_bins * df)
+
+    @pytest.mark.parametrize(
+        "idft_size, num_bins, n_inside", [(64, 54, 217), (96, 56, 150), (80, 58, 186)]
+    )
+    def test_inband_mask_is_the_integer_rule(self, monkeypatch, idft_size, num_bins, n_inside):
+        # PSD bin k lies at k / SEGMENT_LEN cycles per sample and the band
+        # edges at (2 bin_low - 1) / (2 N OVERSAMPLE) and (2 bin_high + 1) /
+        # (2 N OVERSAMPLE), so membership is an integer comparison; at
+        # (96, 56) the low edge falls exactly on bin -76
+        cfg = WaveformConfig(idft_size=idft_size, num_bins=num_bins)
+        seg = rf.SEGMENT_LEN
+        freqs, _ = power_spectrum(_tone(seg), 1.0, seg)
+        k = np.arange(-seg // 2, seg // 2)
+        scale = 2 * cfg.idft_size * rf.OVERSAMPLE
+        rule = ((2 * cfg.bin_low - 1) * seg <= k * scale) & (
+            k * scale <= (2 * cfg.bin_high + 1) * seg
+        )
+        assert rule.sum() == n_inside
+        # a unit density with one bin doubled: the ACLR falls exactly when
+        # that bin is counted in band
+        dens = np.ones(seg)
+        monkeypatch.setattr(rf, "power_spectrum", lambda samples, rate, n: (freqs, dens))
+        band = occupied_band(cfg)
+        flat = aclr(None, band)
+        inside = []
+        for j in range(seg):
+            dens[j] = 2.0
+            inside.append(aclr(None, band) < flat)
+            dens[j] = 1.0
+        np.testing.assert_array_equal(inside, rule)
 
     def test_psd_without_bins_outside_the_band_rejected(self):
         # a band that fills the sampled spectrum leaves no bin to see leakage
@@ -353,13 +365,13 @@ class TestAclr:
         # argument error that names no profile key
         sig = _tone()
         with pytest.raises(ValueError, match="no leakage") as exc:
-            aclr(sig, (-sig.sample_rate / 2, sig.sample_rate / 2))
+            aclr(sig, (-0.5, 0.5))
         assert type(exc.value) is ValueError
-        assert math.isfinite(aclr(sig, (-2e6, 2e6)))
+        assert math.isfinite(aclr(sig, (-0.13, 0.13)))
 
     def test_inband_tone_leaks_little(self):
-        sig = _tone(n=16384, f0=1.0e6)
-        assert aclr(sig, (-2e6, 2e6)) < -40.0
+        sig = _tone(n=16384)
+        assert aclr(sig, (-0.13, 0.13)) < -40.0
 
     def test_linear_regime_aclr_improves_with_backoff(self):
         pa = RappPa()
@@ -388,7 +400,8 @@ class TestAclr:
 
 class TestSegmentLenWiring:
     """Every study ACLR is measured on an ``rf.OVERSAMPLE``-times oversampled
-    stream with ``rf.SEGMENT_LEN``-point PSD segments."""
+    stream with ``rf.SEGMENT_LEN``-point PSD segments at unit rate: the band
+    is in cycles per sample, so no sample rate enters."""
 
     def test_studies_use_the_constants(self, monkeypatch):
         seen = []
@@ -404,14 +417,17 @@ class TestSegmentLenWiring:
         studies.aclr_study(cfg)
         studies.coverage_study(cfg)
         assert len(seen) > 7
-        assert set(seen) == {(rf.SEGMENT_LEN, rf.OVERSAMPLE * cfg.wave.sample_rate)}
+        assert set(seen) == {(rf.SEGMENT_LEN, 1.0)}
 
     def test_stream_carries_the_oversampled_rate(self):
+        # a plain array: every symbol stride and the last suffix at OVERSAMPLE
+        # samples per numerology sample
         cfg = ExperimentConfig(metrics=MetricsConfig(stream_symbols=16))
         stream = studies.scheme_stream(cfg, "csc_mv_2", 0)
-        # the one module that reads a sample rate defines the type carrying it
-        assert type(stream) is rf.ComplexSignal and rf.ComplexSignal.__module__ == rf.__name__
-        assert stream.sample_rate == pytest.approx(cfg.wave.sample_rate * rf.OVERSAMPLE)
+        wave = cfg.wave
+        stride = (wave.cp_len + wave.idft_size) * rf.OVERSAMPLE
+        assert type(stream) is np.ndarray
+        assert stream.shape == (16 * stride + wave.window_rolloff * rf.OVERSAMPLE,)
 
 
 class TestWorkerCount:

@@ -10,7 +10,6 @@ from scipy.special import fresnel
 from chirpvote.channel import draw_epa, propagate
 from chirpvote.config import load_config
 from chirpvote.errors import ConfigError, FramingError
-from chirpvote.rf import ComplexSignal
 from chirpvote.waveform import (
     WaveformConfig,
     analog_body,
@@ -66,20 +65,6 @@ class TestConfig:
     def test_window_must_fit_in_cp(self):
         with pytest.raises(ConfigError):
             WaveformConfig(window_rolloff=17)
-
-
-class TestSignal:
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            ComplexSignal(samples=np.array([]), sample_period=1.0)
-
-    def test_rejects_bad_period(self):
-        with pytest.raises(ValueError):
-            ComplexSignal(samples=np.ones(4), sample_period=0.0)
-
-    def test_sample_rate(self):
-        sig = ComplexSignal(samples=2.0 * np.ones(8, dtype=complex), sample_period=0.25)
-        assert sig.sample_rate == pytest.approx(4.0)
 
 
 def _fresnel_fdss(cfg):
@@ -252,7 +237,7 @@ class TestRoundTrip:
         assert np.max(np.abs(got - qpsk)) < 1e-9
 
     def test_symbol_chain_passes_plain_arrays(self):
-        # only the ACLR stream carries a sample rate (rf.ComplexSignal)
+        # every chain passes plain sample arrays; none carries a sample rate
         s = np.ones(CFG.num_bins, dtype=complex)
         chirp = spread(CFG, build_fdss(CFG), s)
         ofdm = modulate_ofdm(CFG, s)
@@ -305,7 +290,7 @@ class TestAnalogPaths:
         stream = assemble_stream(CFG, grids, oversample=4)
         stride = (CFG.cp_len + CFG.idft_size) * 4
         # n full symbol strides plus the last symbol's windowed suffix
-        assert type(stream) is np.ndarray  # studies.scheme_stream attaches the rate
+        assert type(stream) is np.ndarray
         assert len(stream) == n * stride + CFG.window_rolloff * 4
 
     @pytest.mark.parametrize("os", [1, 2])
@@ -374,3 +359,14 @@ class TestAnalogPaths:
         occupied = set(np.asarray(CFG.bin_indices) % CFG.idft_size)
         for idx in set(range(CFG.idft_size)) - occupied:
             assert grid[idx] == 0
+
+    @pytest.mark.parametrize(
+        "to_grid",
+        [lambda v: ofdm_grid(CFG, v), lambda v: precode(CFG, build_fdss(CFG), v)],
+        ids=["ofdm_grid", "precode"],
+    )
+    def test_grid_mapping_rejects_wrong_length(self, to_grid):
+        # a 0-d input has no last axis to read a length from
+        for bad in (1.0, np.ones(CFG.num_bins - 1), np.ones((2, CFG.num_bins + 1))):
+            with pytest.raises(FramingError, match="must equal num_bins"):
+                to_grid(bad)
