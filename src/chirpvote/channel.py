@@ -14,6 +14,7 @@ from functools import cache
 
 import numpy as np
 
+from .errors import ConfigError
 from .waveform import WaveformConfig
 
 EPA_DELAYS_NS: tuple[float, ...] = (0.0, 30.0, 70.0, 90.0, 110.0, 190.0, 410.0)
@@ -37,8 +38,16 @@ class ChannelRealization:
 
 
 def epa_tap_delays(cfg: WaveformConfig) -> np.ndarray:
-    """EPA tap delays snapped to the nearest sample at the configured rate."""
-    return np.rint(np.asarray(EPA_DELAYS_NS) * 1e-9 * cfg.sample_rate).astype(int)
+    """EPA tap delays snapped to the nearest sample at the configured rate;
+    a rate that snaps one past the int64 range raises ConfigError."""
+    snapped = np.rint(np.asarray(EPA_DELAYS_NS) * 1e-9 * cfg.sample_rate)
+    # the delays are non-negative, and the test is false for NaN and inf too
+    if not np.all(snapped < 2.0**63):
+        raise ConfigError(
+            f"wave.sample_rate {cfg.sample_rate:g} puts the EPA tap delays beyond "
+            "an int64 sample count"
+        )
+    return snapped.astype(np.int64)
 
 
 @cache

@@ -41,16 +41,7 @@ from .config import TrainConfig, scheme as scheme_record
 from .datasets import Dataset
 from .deployment import Deployment, PowerControlParams, link_power
 from .errors import ConfigError, InfeasibleError
-from .oac import (
-    build_vote_plan,
-    csc_phases,
-    detect_mv,
-    decode_obda,
-    encode_obda,
-    guard_for_votes,
-    place_tones,
-    sign_pm1,
-)
+from .oac import VotePlan, csc_phases, detect_mv, decode_obda, encode_obda, place_tones, sign_pm1
 from .waveform import WaveformConfig, build_fdss, despread_folded, matched_despread
 
 INPUT_DIM = 64
@@ -403,7 +394,7 @@ def scheme_uplink(
 
         return obda
     m = wave.num_bins
-    plan = build_vote_plan(PARAM_DIM, m, guard_for_votes(m, record.votes_per_block))
+    plan = VotePlan(PARAM_DIM, m, record.votes_per_block)
     fdss = build_fdss(wave)
     # ``response[..., shifts[2u + s]]`` is ``response`` circularly shifted to
     # the bin of slot u's sign-s tone (+ first)
@@ -431,7 +422,7 @@ def scheme_uplink(
         and timing-offset response, shaped by ``fdss`` and passed through
         ``matched_despread`` -- is computed once per round, and the despread
         signal is one product of the devices' tones (``place_tones`` of the
-        round's drawn phases, as ``csc_tones`` would draw them) as a
+        round's drawn ``csc_phases``) as a
         (blocks x 2V*devices) matrix with those responses shifted to each
         (slot, sign) tone bin.  Receiver noise is white across bins because
         the transforms are orthonormal; it goes through the matched despread

@@ -5,10 +5,11 @@ A gradient sign is carried by activating exactly one of two guard-separated
 bins (one chirp of a complementary pair); devices transmit simultaneously and
 the server compares the aggregate energy of the two bin groups — no channel
 knowledge needed, and any CP-admissible delay only smears energy within a
-group. ``VotePlan.tone_bins`` places the tones that :func:`csc_tones` draws for
-any number of devices. OBDA instead maps sign pairs to QPSK subcarriers with
-truncated channel inversion at each device, and the server reads the I/Q
-components of the aggregated subcarriers, whose signs are the votes.
+group. ``VotePlan.tone_bins`` places the tones that :func:`place_tones`
+scatters from any number of devices' :func:`csc_phases`. OBDA instead maps
+sign pairs to QPSK subcarriers with truncated channel inversion at each
+device, and the server reads the I/Q components of the aggregated
+subcarriers, whose signs are the votes.
 
 Sign convention: sign(0) = +1 everywhere.
 """
@@ -31,27 +32,6 @@ def sign_pm1(x: np.ndarray) -> np.ndarray:
     return 2 * (np.asarray(x) >= 0) - 1
 
 
-def votes_per_block(num_bins: int, guard_bins: int) -> int:
-    """How many vote pairs fit in one symbol at the given guard width."""
-    return num_bins // (2 + 2 * guard_bins)
-
-
-def guard_for_votes(num_bins: int, votes: int) -> int:
-    """Widest guard that fits the requested votes per symbol, which must then
-    be exactly ``votes``: if it fits more, every narrower guard does too, so
-    no guard carries exactly ``votes`` and InfeasibleError is raised."""
-    if votes < 1 or votes > num_bins // 2:
-        raise InfeasibleError(f"cannot fit {votes} vote pairs in {num_bins} bins")
-    guard = (num_bins // votes - 2) // 2
-    fitted = votes_per_block(num_bins, guard)
-    if fitted != votes:
-        raise InfeasibleError(
-            f"no guard width gives exactly {votes} vote pairs in {num_bins} bins "
-            f"(the widest guard that fits them, {guard}, gives {fitted})"
-        )
-    return guard
-
-
 @dataclass(frozen=True)
 class VotePlan:
     """Deterministic gradient-index -> (block, bin-pair) resource mapping.
@@ -59,43 +39,45 @@ class VotePlan:
     Gradient i (0-based) lands in block i // votes_per_block at within-block
     slot u = i % votes_per_block. Its sign-s chirp (s = 0 for +1, 1 for -1)
     occupies ``tone_bins[2u + s]`` = (2u + s)(1 + guard), the head of a group
-    of 1 + guard bins reserved for delay smear.
+    of 1 + guard bins reserved for delay smear. The guard is the widest that
+    fits votes_per_block pairs, which must then be exactly that many: if it
+    fits more, every narrower guard does too, so no guard carries exactly
+    votes_per_block pairs and InfeasibleError is raised.
     """
 
     grad_dim: int
     num_bins: int
-    guard_bins: int
     votes_per_block: int
-    num_blocks: int
+
+    def __post_init__(self) -> None:
+        if self.grad_dim < 1:
+            raise ValueError("grad_dim must be positive")
+        votes, num_bins = self.votes_per_block, self.num_bins
+        if votes < 1 or votes > num_bins // 2:
+            raise InfeasibleError(f"cannot fit {votes} vote pairs in {num_bins} bins")
+        fitted = num_bins // (2 * self.group_width)
+        if fitted != votes:
+            raise InfeasibleError(
+                f"no guard width gives exactly {votes} vote pairs in {num_bins} bins "
+                f"(the widest guard that fits them, {self.guard_bins}, gives {fitted})"
+            )
+
+    @property
+    def guard_bins(self) -> int:
+        return (self.num_bins // self.votes_per_block - 2) // 2
 
     @property
     def group_width(self) -> int:
         return 1 + self.guard_bins
 
     @property
+    def num_blocks(self) -> int:
+        return -(-self.grad_dim // self.votes_per_block)
+
+    @property
     def tone_bins(self) -> np.ndarray:
         """Head bin of each group 2u + s, (2 * votes_per_block,), +1 first."""
         return np.arange(2 * self.votes_per_block) * self.group_width
-
-
-def build_vote_plan(grad_dim: int, num_bins: int, guard_bins: int) -> VotePlan:
-    if grad_dim < 1:
-        raise ValueError("grad_dim must be positive")
-    if guard_bins < 0:
-        raise ValueError("guard_bins must be non-negative")
-    per_block = votes_per_block(num_bins, guard_bins)
-    if per_block < 1:
-        raise InfeasibleError(
-            f"guard width {guard_bins} leaves no room for votes in {num_bins} bins"
-        )
-    num_blocks = -(-grad_dim // per_block)
-    return VotePlan(
-        grad_dim=grad_dim,
-        num_bins=num_bins,
-        guard_bins=guard_bins,
-        votes_per_block=per_block,
-        num_blocks=num_blocks,
-    )
 
 
 def csc_phases(grad_dim: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
@@ -135,19 +117,15 @@ def place_tones(plan: VotePlan, votes: np.ndarray, phases: np.ndarray) -> np.nda
     return tones
 
 
-def csc_tones(plan: VotePlan, votes: np.ndarray, rngs: Sequence[np.random.Generator]) -> np.ndarray:
-    """:func:`place_tones` of the phases device k draws from ``rngs[k]``:
-    votes (devices, grad_dim) -> (num_blocks, V, 2, devices)."""
-    return place_tones(plan, votes, csc_phases(plan.grad_dim, rngs))
-
-
 def encode_csc(plan: VotePlan, votes: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One device's :func:`csc_tones` on ``plan.tone_bins``: (num_blocks, num_bins) bins."""
+    """One device's tones, :func:`place_tones` of the phases it draws from
+    ``rng``, on ``plan.tone_bins``: (num_blocks, num_bins) bins."""
     votes = np.asarray(votes)
     if votes.shape != (plan.grad_dim,):
         raise FramingError("vote vector length must equal grad_dim")
     blocks = np.zeros((plan.num_blocks, plan.num_bins), dtype=complex)
-    blocks[:, plan.tone_bins] = csc_tones(plan, votes[None], [rng]).reshape(plan.num_blocks, -1)
+    tones = place_tones(plan, votes[None], csc_phases(plan.grad_dim, [rng]))
+    blocks[:, plan.tone_bins] = tones.reshape(plan.num_blocks, -1)
     return blocks
 
 
@@ -189,7 +167,7 @@ def random_csc_traffic(
 ) -> np.ndarray:
     """Training-like traffic ensemble: i.i.d. equiprobable signs, fresh
     unit-circle symbols, widest guard for the vote count. (n_symbols, num_bins)."""
-    plan = build_vote_plan(votes * n_symbols, num_bins, guard_for_votes(num_bins, votes))
+    plan = VotePlan(votes * n_symbols, num_bins, votes)
     signs = rng.integers(0, 2, votes * n_symbols) * 2 - 1
     return encode_csc(plan, signs, rng)
 

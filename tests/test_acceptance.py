@@ -20,10 +20,9 @@ from chirpvote.config import ExperimentConfig, MetricsConfig, TrainConfig, save_
 from chirpvote.deployment import PowerControlParams, coverage_radius
 from chirpvote.learn import BoundParams, convergence_bound, loss_by_distance
 from chirpvote.oac import (
-    build_vote_plan,
+    VotePlan,
     detect_mv,
     encode_csc,
-    guard_for_votes,
     sign_pm1,
 )
 from chirpvote.rf import aclr_at_obo, obo_for_aclr, occupied_band, pmepr_batch
@@ -148,7 +147,7 @@ def test_criterion_06_detection_through_channel_and_vote_margins():
     n_trials = 1000
     for trial in range(n_trials):
         mv = (1, 2, 4)[trial % 3]
-        plan = build_vote_plan(mv, M, guard_for_votes(M, mv))
+        plan = VotePlan(mv, M, mv)
         votes = sign_pm1(rng.standard_normal(plan.grad_dim))
         block = encode_csc(plan, votes, rng)[0]
         realization = draw_epa(CFG, rng)
@@ -160,7 +159,7 @@ def test_criterion_06_detection_through_channel_and_vote_margins():
 
     # superposed devices, unit flat channels: the mean detected margin must
     # match the vote balance (sign and value) for every K <= 4 sign pattern
-    plan1 = build_vote_plan(1, M, 26)
+    plan1 = VotePlan(1, M, 1)
     rng2 = keyed_rng(1, "acceptance-margin")
     n_draws = 1200
     oracle_ok = True

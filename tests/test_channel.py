@@ -9,8 +9,10 @@ from chirpvote.channel import (
     draw_epa,
     draw_sync_offset,
     epa_rms_delay_spread_ns,
+    epa_tap_delays,
     propagate,
 )
+from chirpvote.errors import ConfigError
 from chirpvote.waveform import WaveformConfig
 
 CFG = WaveformConfig()
@@ -47,6 +49,14 @@ class TestProfile:
         real = draw_epa(CFG, keyed_rng(0, "epa"))
         np.testing.assert_array_equal(real.delays, [0, 0, 1, 1, 2, 3, 6])
         assert real.delays.max() == 6
+
+    def test_delays_past_int64_raise_config_error(self):
+        # each rate snaps the 410 ns tap to 2^63 samples or more
+        for rate in (1e300, 3.2e26, 1.001 * 2.0**63 / 410e-9):
+            with pytest.raises(ConfigError, match="wave.sample_rate"):
+                epa_tap_delays(WaveformConfig(sample_rate=rate))
+        delays = epa_tap_delays(WaveformConfig(sample_rate=0.999 * 2.0**63 / 410e-9))
+        assert delays.dtype == np.int64 and delays.max() > 2**62
 
     def test_average_tap_power_normalized(self):
         total = 0.0

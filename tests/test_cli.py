@@ -587,6 +587,20 @@ class TestErrorPaths:
             assert "cp_len - window_rolloff" in capsys.readouterr().err
             assert not out.exists()
 
+    @pytest.mark.parametrize("rate, code", [(1e300, 2), (3.2e26, 2), (1e9, 3)])
+    def test_sample_rate_past_int64_delays_exit_2(self, tmp_path, rate, code, capsys):
+        # the 410 ns EPA tap snaps to 410 samples at 1e9, past the cyclic
+        # prefix; at the two higher rates it snaps past the int64 range
+        data = json.loads(write_cfg(tmp_path).read_text())
+        data["wave"]["sample_rate"] = rate
+        cfg = tmp_path / "fast.json"
+        cfg.write_text(json.dumps(data))
+        out = tmp_path / "train"
+        assert run("train", "--config", cfg, "--scheme", "obda", "--out", out) == code
+        err = capsys.readouterr().err
+        assert "sample_rate" in err if code == 2 else "cp_len - window_rolloff" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["aclr", "pmepr"])
     @pytest.mark.parametrize("pa", [{"smoothness": 0.0}, {"smoothness": -1.0}])
     def test_bad_pa_exits_2(self, tmp_path, command, pa, capsys):

@@ -50,12 +50,11 @@ from chirpvote.learn import (
 )
 from chirpvote import studies
 from chirpvote.oac import (
-    build_vote_plan,
+    VotePlan,
     decode_obda,
     detect_mv,
     encode_csc,
     encode_obda,
-    guard_for_votes,
     sign_pm1,
 )
 from chirpvote.waveform import (
@@ -363,11 +362,11 @@ class TestTrainingMechanics:
         # the benchmark's oac.detect_mv and oac.encode_obda probes wrap these
         # names in learn: one call per round, all blocks in the one call
         detected_rows = []
-        for name in ("link_power", "build_vote_plan", "detect_mv", "encode_obda"):
+        for name in ("link_power", "VotePlan", "detect_mv", "encode_obda"):
             counting(name)
         setup = studies.training_setup(_tiny_cfg(rounds=3), 0)
         run_training(setup, "csc_mv_2", 20.0)
-        assert calls == {"link_power": 1, "build_vote_plan": 1, "detect_mv": 3}
+        assert calls == {"link_power": 1, "VotePlan": 1, "detect_mv": 3}
         assert detected_rows == [_csc_plan(setup, 2).num_blocks] * 3
         calls.clear()
         run_training(setup, "obda", 20.0)
@@ -865,8 +864,7 @@ class TestSharedHiddenLayer:
 
 
 def _csc_plan(setup: TrainSetup, votes_per_block: int):
-    m = setup.wave.num_bins
-    return build_vote_plan(PARAM_DIM, m, guard_for_votes(m, votes_per_block))
+    return VotePlan(PARAM_DIM, setup.wave.num_bins, votes_per_block)
 
 
 def _channel_draws(setup: TrainSetup, round_index: int, k: int):

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -8,21 +9,17 @@ from chirpvote.channel import draw_epa, propagate
 from chirpvote.errors import FramingError, InfeasibleError
 from chirpvote.oac import (
     VotePlan,
-    build_vote_plan,
     csc_phases,
-    csc_tones,
     decode_obda,
     detect_mv,
     encode_csc,
     encode_obda,
     group_energies,
-    guard_for_votes,
     obda_blocks_needed,
     place_tones,
     random_csc_traffic,
     random_qpsk,
     sign_pm1,
-    votes_per_block,
 )
 from chirpvote.waveform import WaveformConfig, build_fdss, despread, spread
 
@@ -51,60 +48,75 @@ class TestArithmetic:
             assert signs.dtype == expected.dtype
             assert np.array_equal(signs, expected)
 
+    @pytest.mark.parametrize("num_bins", [7, 30, 54, 64])
+    def test_vote_plan_properties(self, num_bins):
+        # every vote count up to M / 2: the widest guard carrying exactly V
+        # pairs, or InfeasibleError where no guard does
+        q = 100
+        for v in range(1, num_bins // 2 + 1):
+            exact = [g for g in range(num_bins) if num_bins // (2 + 2 * g) == v]
+            if not exact:
+                with pytest.raises(InfeasibleError, match=f"exactly {v} vote pairs"):
+                    VotePlan(q, num_bins, v)
+                continue
+            plan = VotePlan(q, num_bins, v)
+            assert plan.guard_bins == max(exact)
+            assert plan.num_blocks == math.ceil(q / v)
+            u, s = np.divmod(np.arange(2 * v), 2)
+            assert np.array_equal(plan.tone_bins, (2 * u + s) * (1 + plan.guard_bins))
+
     @pytest.mark.parametrize("votes,guard", [(1, 26), (2, 12), (4, 5)])
     def test_guard_presets(self, votes, guard):
-        assert guard_for_votes(M, votes) == guard
-        assert votes_per_block(M, guard) == votes
+        assert VotePlan(1, M, votes).guard_bins == guard
 
     def test_guard_roundtrip_feasible_range(self):
-        # the widest guard giving exactly v votes, or InfeasibleError if none does
+        # each plan's guard carries back its vote count, and one bin wider
+        # carries fewer pairs
+        feasible = 0
         for v in range(1, M // 2 + 1):
-            exact = [g for g in range(M) if votes_per_block(M, g) == v]
-            if exact:
-                assert guard_for_votes(M, v) == max(exact)
-            else:
-                with pytest.raises(InfeasibleError, match="exactly"):
-                    guard_for_votes(M, v)
+            try:
+                plan = VotePlan(1, M, v)
+            except InfeasibleError:
+                continue
+            feasible += 1
+            assert M // (2 * plan.group_width) == v
+            assert M // (2 * (plan.group_width + 1)) < v
+        assert feasible == 9
 
     def test_guard_infeasible(self):
-        with pytest.raises(InfeasibleError):
-            guard_for_votes(M, 0)
-        with pytest.raises(InfeasibleError):
-            guard_for_votes(M, 28)
+        for votes in (-1, 0, M // 2 + 1):
+            with pytest.raises(InfeasibleError, match=f"cannot fit {votes} vote pairs"):
+                VotePlan(10, M, votes)
 
     def test_block_counts_for_large_models(self):
-        assert build_vote_plan(123_090, M, 12).num_blocks == 61_545
-        assert build_vote_plan(123_090, M, 5).num_blocks == 30_773
-        assert build_vote_plan(5, M, 12).num_blocks == 3
+        assert VotePlan(123_090, M, 2).num_blocks == 61_545
+        assert VotePlan(123_090, M, 4).num_blocks == 30_773
+        assert VotePlan(5, M, 2).num_blocks == 3
         assert obda_blocks_needed(123_090, M) == 1140
         assert obda_blocks_needed(2410, M) == 23
 
     def test_plan_validation(self):
         with pytest.raises(ValueError):
-            build_vote_plan(0, M, 12)
-        with pytest.raises(ValueError):
-            build_vote_plan(10, M, -1)
-        with pytest.raises(InfeasibleError):
-            build_vote_plan(10, M, 27)
+            VotePlan(0, M, 2)
 
 
 class TestResourceMap:
     def test_bins_disjoint_within_block(self):
-        plan = build_vote_plan(8, M, 12)
+        plan = VotePlan(8, M, 2)
         used = plan.tone_bins.tolist()
         assert len(used) == 2 * plan.votes_per_block
         assert len(set(used)) == len(used)
         assert all(0 <= b < M for b in used)
 
     def test_groups_do_not_overlap(self):
-        plan = build_vote_plan(4, M, 5)
+        plan = VotePlan(4, M, 4)
         starts = sorted(plan.tone_bins.tolist())
         assert all(b - a >= plan.group_width for a, b in zip(starts, starts[1:]))
 
     def test_block_and_slot_indexing(self):
-        plan = build_vote_plan(10, M, 12)  # 2 votes per block
+        plan = VotePlan(10, M, 2)  # 2 votes per block
         votes = sign_pm1(keyed_rng(0, "oac-index").standard_normal((1, 10)))
-        tones = csc_tones(plan, votes, [keyed_rng(1, "oac-index")])
+        tones = place_tones(plan, votes, csc_phases(plan.grad_dim, [keyed_rng(1, "oac-index")]))
         # one tone per gradient i: block i // 2, slot i % 2, sign (+ first), device 0
         blocks, slots, signs, devices = np.nonzero(tones)
         np.testing.assert_array_equal(blocks, [0, 0, 1, 1, 2, 2, 3, 3, 4, 4])
@@ -115,10 +127,11 @@ class TestResourceMap:
     @pytest.mark.parametrize("votes_per_block", [1, 2, 4])
     def test_stacked_tones_match_one_device_encodes(self, votes_per_block):
         # 3V + 1 gradients: the last block is padded whenever V > 1
-        plan = build_vote_plan(3 * votes_per_block + 1, M, guard_for_votes(M, votes_per_block))
+        plan = VotePlan(3 * votes_per_block + 1, M, votes_per_block)
         k = 5
         votes = sign_pm1(keyed_rng(2, "oac-stack").standard_normal((k, plan.grad_dim)))
-        tones = csc_tones(plan, votes, [keyed_rng(3, "oac-stack", d) for d in range(k)])
+        rngs = [keyed_rng(3, "oac-stack", d) for d in range(k)]
+        tones = place_tones(plan, votes, csc_phases(plan.grad_dim, rngs))
         assert tones.shape == (plan.num_blocks, votes_per_block, 2, k)
         scattered = np.zeros((k, plan.num_blocks, M), dtype=complex)
         scattered[:, :, plan.tone_bins] = np.moveaxis(tones, -1, 0).reshape(k, plan.num_blocks, -1)
@@ -140,32 +153,25 @@ class TestResourceMap:
     @pytest.mark.parametrize("votes_per_block", [1, 2, 4])
     @pytest.mark.parametrize("extra", [0, 1], ids=["whole-blocks", "one-more-vote"])
     def test_scatter_matches_two_copyto_form(self, votes_per_block, extra):
-        plan = build_vote_plan(
-            5 * votes_per_block + extra, M, guard_for_votes(M, votes_per_block)
-        )
+        plan = VotePlan(5 * votes_per_block + extra, M, votes_per_block)
         k = 7
         rngs = [keyed_rng(4, "oac-scatter", d) for d in range(k)]
         votes = sign_pm1(keyed_rng(5, "oac-scatter").standard_normal((k, plan.grad_dim)))
         phases = csc_phases(plan.grad_dim, rngs)
         expected = self.two_copyto_tones(plan, votes, phases)
         assert place_tones(plan, votes, phases).tobytes() == expected.tobytes()
-        rngs = [keyed_rng(4, "oac-scatter", d) for d in range(k)]
-        assert csc_tones(plan, votes, rngs).tobytes() == expected.tobytes()
 
     def test_phases_must_match_the_votes(self):
-        plan = build_vote_plan(6, M, 12)
+        plan = VotePlan(6, M, 2)
         phases = csc_phases(6, [keyed_rng(0, "x", d) for d in range(3)])
         with pytest.raises(FramingError):
             place_tones(plan, np.ones((2, 6), dtype=int), phases)
-        with pytest.raises(FramingError):
-            csc_tones(plan, np.ones((2, 6), dtype=int), [keyed_rng(0, "x")] * 3)
 
 
 class TestEncodeDetect:
     @pytest.mark.parametrize("votes", [1, 2, 4])
     def test_noiseless_roundtrip_exact(self, votes):
-        guard = guard_for_votes(M, votes)
-        plan = build_vote_plan(6 * votes + 1, M, guard)
+        plan = VotePlan(6 * votes + 1, M, votes)
         rng = keyed_rng(0, "oac-roundtrip", votes)
         v = sign_pm1(rng.standard_normal(plan.grad_dim))
         blocks = encode_csc(plan, v, rng)
@@ -175,7 +181,7 @@ class TestEncodeDetect:
         assert np.all(out.margins * v > 0.0)
 
     def test_encode_shape_and_unit_amplitude(self):
-        plan = build_vote_plan(7, M, 12)
+        plan = VotePlan(7, M, 2)
         rng = keyed_rng(1, "oac-amp")
         blocks = encode_csc(plan, np.ones(7, dtype=int), rng)
         assert blocks.shape == (plan.num_blocks, M)
@@ -185,7 +191,7 @@ class TestEncodeDetect:
         assert int(np.sum(np.abs(blocks) > 0)) == 7
 
     def test_margins_scale_quadratically(self):
-        plan = build_vote_plan(8, M, 5)
+        plan = VotePlan(8, M, 4)
         rng = keyed_rng(2, "oac-scale")
         v = sign_pm1(rng.standard_normal(8))
         blocks = encode_csc(plan, v, rng)
@@ -194,16 +200,16 @@ class TestEncodeDetect:
         np.testing.assert_allclose(scaled, 9.0 * base, rtol=1e-12)
 
     def test_group_energy_shape_check(self):
-        plan = build_vote_plan(4, M, 12)
+        plan = VotePlan(4, M, 2)
         with pytest.raises(FramingError):
             group_energies(plan, np.zeros((plan.num_blocks, M + 1), dtype=complex))
 
     def test_vote_length_check(self):
-        plan = build_vote_plan(4, M, 12)
+        plan = VotePlan(4, M, 2)
         with pytest.raises(ValueError):
             encode_csc(plan, np.ones(5, dtype=int), keyed_rng(0, "x"))
         with pytest.raises(FramingError):
-            csc_tones(plan, np.ones((2, 5), dtype=int), [keyed_rng(0, "x")] * 2)
+            place_tones(plan, np.ones((2, 5), dtype=int), csc_phases(5, [keyed_rng(0, "x")] * 2))
 
 
 class TestMultiDeviceMargins:
@@ -217,8 +223,8 @@ class TestMultiDeviceMargins:
         # draw t's device j is vote t * k + j of one long encode, so the
         # phases come off the generator in the order of a loop over draws
         # and devices; one block per vote, summed over the k devices
-        draws = build_vote_plan(k * n_draws, M, 26)
-        plan = build_vote_plan(n_draws, M, 26)
+        draws = VotePlan(k * n_draws, M, 1)
+        plan = VotePlan(n_draws, M, 1)
         rng = keyed_rng(7, "margin-oracle", k)
         for pattern in itertools.product((-1, 1), repeat=k):
             blocks = encode_csc(draws, np.tile(pattern, n_draws), rng)
@@ -238,8 +244,7 @@ class TestGuardIsolation:
     def test_dispersive_channel_energy_stays_in_group(self):
         # with guards sized for the delay spread, the energy that a vote
         # leaks into other groups stays an order of magnitude down
-        guard = guard_for_votes(M, 2)
-        plan = build_vote_plan(2, M, guard)
+        plan = VotePlan(2, M, 2)
         fdss = build_fdss(CFG)
         rng = keyed_rng(3, "guard-iso")
         own = 0.0
