@@ -17,7 +17,10 @@ run train --config "$profile" --out "$out/train"
 run train --config "$profile" --scheme ideal --seed 1 --snr-db 5 --out "$out/train_flags"
 run train --config "$profile" --scheme ideal --scheme obda --seed 1 --out "$out/train_two"
 run aclr --config "$profile" --scheme obda --obo-db 6 --seed 1 --out "$out/aclr_flags"
-run waveform-dump --config "$profile" --scheme csc_mv_2 --out "$out/waveform"
+# one dumped symbol per scheme with a transmit chain
+for scheme in $(python3 -c 'from chirpvote.config import RADIO_SCHEMES; print(*RADIO_SCHEMES)'); do
+  run waveform-dump --config "$profile" --scheme "$scheme" --out "$out/waveform_$scheme"
+done
 run bound --config "$profile" --out "$out/bound"
 
 echo "done: artifacts under $out/"

@@ -41,7 +41,7 @@ from .config import (
 from .errors import ConfigError, InfeasibleError
 from .learn import PARAM_DIM, BoundParams, convergence_bound
 from .rf import OBO_SPAN_DB
-from .waveform import assemble_stream
+from .waveform import modulate_ofdm
 
 
 def _fmt(value) -> str:
@@ -192,9 +192,7 @@ def cmd_waveform_dump(args) -> int:
     cfg = _load_cfg(args)
     scheme = args.scheme or cfg.schemes[0]
     rng = keyed_rng(cfg.seed, "waveform-dump", scheme)
-    stream = assemble_stream(cfg.wave, studies.scheme_grids(cfg, scheme, 1, rng), 1)
-    # one critical-rate symbol period: cyclic prefix and body
-    samples = stream[: cfg.wave.cp_len + cfg.wave.idft_size]
+    samples = modulate_ofdm(cfg.wave, studies.scheme_subcarriers(cfg, scheme, 1, rng)[0])
     lines = ["index,real,imag"]
     lines += [f"{i},{v.real:.12e},{v.imag:.12e}" for i, v in enumerate(samples)]
     _emit(args.out, [("waveform_symbol.csv", "\n".join(lines) + "\n")])

@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import NewType, get_args, get_origin, get_type_hints
 
 from .deployment import PowerControlParams
-from .errors import ConfigError
+from .errors import ConfigError, require_finite_floats
 from .rf import RappPa
 from .waveform import WaveformConfig
 
@@ -64,6 +64,7 @@ class MetricsConfig:
     obo_step_db: float = 0.5
 
     def __post_init__(self) -> None:
+        require_finite_floats(self)
         if self.num_symbols < 1 or self.stream_symbols < 1:
             raise ConfigError("symbol counts must be positive")
         if self.obo_step_db <= 0:
@@ -86,6 +87,7 @@ class TrainConfig:
     seeds: tuple[Seed, ...] = (0, 1, 2, 3, 4)
 
     def __post_init__(self) -> None:
+        require_finite_floats(self)
         if isinstance(self.snr_db, str) or isinstance(self.seeds, str):
             raise ConfigError("snr_db and seeds must be sequences, not strings")
         object.__setattr__(self, "snr_db", tuple(float(s) for s in self.snr_db))
@@ -131,6 +133,7 @@ class ExperimentConfig:
     seed: Seed = 0
 
     def __post_init__(self) -> None:
+        require_finite_floats(self)
         object.__setattr__(self, "schemes", tuple(str(s) for s in self.schemes))
         for name in self.schemes:
             scheme(name)  # validates

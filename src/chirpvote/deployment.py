@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import keyed_rng
-from .errors import ConfigError
+from .errors import ConfigError, require_finite_floats
 
 
 @dataclass(frozen=True)
@@ -33,6 +33,7 @@ class PowerControlParams:
     obo_min: float = 10.5
 
     def __post_init__(self) -> None:
+        require_finite_floats(self)
         if not 0 < self.beta <= self.alpha:
             raise ConfigError("compensation exponent beta must lie in (0, alpha]")
         if self.r_ref <= 0:

@@ -125,13 +125,11 @@ def mean_loss(w: np.ndarray, data: Dataset, bounds: np.ndarray) -> tuple[np.ndar
     return np.array([np.add.reduce(nll[a:b]) / (b - a) for a, b in segments]), hidden
 
 
-def predict(w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return np.argmax(forward_logits(w, np.atleast_2d(x)), axis=1)
-
-
 def evaluate(w: np.ndarray, data: Dataset) -> float:
-    """Classification accuracy on the dataset."""
-    return float(np.mean(predict(w, data.features) == data.labels))
+    """Classification accuracy on the dataset: the share of samples whose
+    largest logit is their label's."""
+    predicted = np.argmax(forward_logits(w, data.features), axis=1)
+    return float(np.mean(predicted == data.labels))
 
 
 def local_gradient(
@@ -445,7 +443,7 @@ def scheme_uplink(
             phases, noise = draw(round_index)
         despreads = place_tones(plan, votes, phases).reshape(plan.num_blocks, -1) @ shifted
         despreads += despread_folded(fdss, noise)
-        margins = detect_mv(plan, despreads).margins
+        margins = detect_mv(plan, despreads)
         if worker is not None and round_index + 1 < setup.train.rounds:
             ahead.append((round_index + 1, worker.submit(draw, round_index + 1)))
         return margins

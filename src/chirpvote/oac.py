@@ -129,18 +129,6 @@ def encode_csc(plan: VotePlan, votes: np.ndarray, rng: np.random.Generator) -> n
     return blocks
 
 
-@dataclass(frozen=True)
-class DetectorReport:
-    """Energy margins of the majority-vote decisions."""
-
-    margins: np.ndarray
-
-    @property
-    def mv(self) -> np.ndarray:
-        """The decisions: the sign of each margin."""
-        return sign_pm1(self.margins)
-
-
 def group_energies(plan: VotePlan, blocks: np.ndarray) -> np.ndarray:
     """Energy per (block, bin group): sums |.|^2 over each group of
     1+guard_bins consecutive bins. Returns (num_blocks, 2*votes_per_block)."""
@@ -155,11 +143,12 @@ def group_energies(plan: VotePlan, blocks: np.ndarray) -> np.ndarray:
     return energy.reshape(plan.num_blocks, groups, plan.group_width).sum(axis=-1)
 
 
-def detect_mv(plan: VotePlan, blocks: np.ndarray) -> DetectorReport:
-    """Non-coherent majority vote: the energy difference between each
-    gradient's two bin groups, +1 group first; its sign is the vote."""
+def detect_mv(plan: VotePlan, blocks: np.ndarray) -> np.ndarray:
+    """Non-coherent majority vote margins, (grad_dim,): the energy difference
+    between each gradient's two bin groups, +1 group first; the vote is its
+    ``sign_pm1``."""
     pos, neg = group_energies(plan, blocks).reshape(-1, 2)[: plan.grad_dim].T
-    return DetectorReport(margins=pos - neg)
+    return pos - neg
 
 
 def random_csc_traffic(

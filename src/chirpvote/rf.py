@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError, InfeasibleError
+from .errors import ConfigError, InfeasibleError, require_finite_floats
 from .waveform import WaveformConfig
 
 RCM_REFERENCE_DB = 1.52
@@ -70,6 +70,7 @@ class RappPa:
     smoothness: float = 0.9
 
     def __post_init__(self) -> None:
+        require_finite_floats(self)
         if self.smoothness <= 0:
             raise ConfigError("smoothness must be positive")
 
@@ -226,13 +227,6 @@ def aclr(samples: np.ndarray, inband: tuple[float, float]) -> float:
     if p_in <= 0:
         raise ValueError("no in-band power")
     return float(10.0 * np.log10(p_out / p_in))
-
-
-def aclr_at_obo(
-    pa: RappPa, stream: np.ndarray, inband: tuple[float, float], obo_db: float
-) -> float:
-    """ACLR of the stream driven through the PA at the given back-off."""
-    return aclr(PaDriver(pa, stream)(obo_db), inband)
 
 
 def obo_for_aclr(

@@ -3,7 +3,9 @@
 Each study reads only its ExperimentConfig (seed, schemes and training grid
 included) and returns plain Python rows whose keys are the columns of its
 artifact, so the CLI only has to format them and the tests only have to
-assert on them.
+assert on them. The RF studies take each scheme's traffic as its (n, M)
+transmitted subcarrier symbols (``scheme_subcarriers``); a training run is
+``learn.run_training(training_setup(cfg, seed), scheme, snr_db)``.
 
 The ACLR evaluations of ``aclr_study`` (each scheme's back-offs), the
 bisections of ``coverage_study`` (one per scheme) and the symbol blocks of
@@ -21,6 +23,7 @@ artifact depends on that thread either.
 from __future__ import annotations
 
 import os
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from functools import partial
@@ -34,7 +37,6 @@ from .deployment import Deployment, coverage_radius
 from .errors import ConfigError, InfeasibleError
 from .learn import (
     TrainSetup,
-    TrainState,
     loss_by_distance,
     partition_dataset,
     run_training,
@@ -51,13 +53,7 @@ from .rf import (
     occupied_band,
     pmepr_batch,
 )
-from .waveform import (
-    analog_body,
-    assemble_stream,
-    build_fdss,
-    ofdm_grid,
-    precode,
-)
+from .waveform import analog_body, assemble_stream, build_fdss, precode
 
 #: CCDF grid for the per-symbol metric curves (dense body plus the far tail)
 PERCENTILES = np.append(np.arange(0.5, 100.0, 0.5), 99.9)
@@ -86,26 +82,24 @@ def _radio_schemes(cfg: ExperimentConfig) -> tuple[str, ...]:
 
 def _scheme_traffic(
     cfg: ExperimentConfig, scheme: str, n_symbols: int, rng: np.random.Generator
-) -> tuple[np.ndarray, partial]:
-    """Random traffic before the transmit grid, (n_symbols, M), and the map of
-    its rows onto the scheme's transmit grids, (..., M) -> (..., N).
-
-    OBDA draws QPSK subcarrier symbols that go straight onto the grid; the
-    chirp schemes draw CSC vote bins that are DFT-spread and shaped first.
-    """
+) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+    """Random traffic, (n_symbols, M), and the map of its rows onto the
+    scheme's transmitted subcarrier symbols, (..., M) -> (..., M): the DFT
+    spread and shaping of the chirps' CSC vote bins, or the identity for
+    OBDA's QPSK symbols."""
     record = _radio_record(scheme)
     if record.spread:
         traffic = random_csc_traffic(cfg.wave.num_bins, record.votes_per_block, n_symbols, rng)
         return traffic, partial(precode, cfg.wave, build_fdss(cfg.wave))
-    return random_qpsk(cfg.wave.num_bins, n_symbols, rng), partial(ofdm_grid, cfg.wave)
+    return random_qpsk(cfg.wave.num_bins, n_symbols, rng), np.asarray
 
 
-def scheme_grids(
+def scheme_subcarriers(
     cfg: ExperimentConfig, scheme: str, n_symbols: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Random traffic on the scheme's transmit grids. (n_symbols, N)."""
-    traffic, to_grids = _scheme_traffic(cfg, scheme, n_symbols, rng)
-    return to_grids(traffic)
+    """Random traffic as the scheme's transmitted subcarrier symbols, (n_symbols, M)."""
+    traffic, to_symbols = _scheme_traffic(cfg, scheme, n_symbols, rng)
+    return to_symbols(traffic)
 
 
 def _per_symbol_blocks(cfg: ExperimentConfig, scheme: str, seed: int, fn) -> list:
@@ -114,24 +108,24 @@ def _per_symbol_blocks(cfg: ExperimentConfig, scheme: str, seed: int, fn) -> lis
     than one block of bodies at once.
 
     The traffic is drawn once on the calling thread, by the same calls in
-    the same order as ``scheme_grids``, and that draw fills the
+    the same order as ``scheme_subcarriers``, and that draw fills the
     ``build_fdss`` cache before any worker starts. The blocks are then
-    mapped over ``_map``, each task mapping its rows onto the grid,
+    mapped over ``_map``, each task mapping its rows onto their subcarriers,
     oversampling and measuring them; the tasks only read the traffic and the
     shaping vector. Every step after the draw works row by row: the DFT
-    spread along the last axis, the shaping, the grid scatter, the
-    zero-padded IDFT and any ``fn`` that reduces along axis -1. So no row's
-    value depends on how the rows are blocked or which thread measures them,
-    and the blocks, returned in input order, concatenate to the one-shot
-    ``fn(analog_body(cfg.wave, scheme_grids(...), OVERSAMPLE))``.
+    spread along the last axis, the shaping, the scatter onto the IDFT bins,
+    the zero-padded IDFT and any ``fn`` that reduces along axis -1. So no
+    row's value depends on how the rows are blocked or which thread measures
+    them, and the blocks, returned in input order, concatenate to the
+    one-shot ``fn(analog_body(cfg.wave, scheme_subcarriers(...), OVERSAMPLE))``.
     """
-    traffic, to_grids = _scheme_traffic(
+    traffic, to_symbols = _scheme_traffic(
         cfg, scheme, cfg.metrics.num_symbols, keyed_rng(seed, "traffic", scheme)
     )
     blocks = [
         traffic[start : start + _SYMBOL_BLOCK] for start in range(0, len(traffic), _SYMBOL_BLOCK)
     ]
-    return _map(lambda block: fn(analog_body(cfg.wave, to_grids(block), OVERSAMPLE)), blocks)
+    return _map(lambda block: fn(analog_body(cfg.wave, to_symbols(block), OVERSAMPLE)), blocks)
 
 
 def scheme_symbol_bodies(cfg: ExperimentConfig, scheme: str, seed: int) -> np.ndarray:
@@ -145,8 +139,8 @@ def scheme_stream(cfg: ExperimentConfig, scheme: str, seed: int) -> np.ndarray:
     measures the band in) and at least one ``SEGMENT_LEN``-sample PSD
     segment long."""
     rng = keyed_rng(seed, "stream", scheme)
-    grids = scheme_grids(cfg, scheme, cfg.metrics.stream_symbols, rng)
-    samples = assemble_stream(cfg.wave, grids, OVERSAMPLE)
+    symbols = scheme_subcarriers(cfg, scheme, cfg.metrics.stream_symbols, rng)
+    samples = assemble_stream(cfg.wave, symbols, OVERSAMPLE)
     if samples.size < SEGMENT_LEN:
         raise ConfigError(
             f"metrics.stream_symbols {cfg.metrics.stream_symbols} gives a {samples.size}-sample "
@@ -318,12 +312,6 @@ def training_setup(cfg: ExperimentConfig, seed: int) -> TrainSetup:
         test_set=synthetic_digits(t.test_samples, seed + 10_000),
         seed=seed,
     )
-
-
-def run_scheme_training(
-    cfg: ExperimentConfig, scheme: str, snr_db: float, seed: int
-) -> TrainState:
-    return run_training(training_setup(cfg, seed), scheme, snr_db)
 
 
 def train_sweep(cfg: ExperimentConfig) -> tuple[list[dict], list[dict], list[dict]]:

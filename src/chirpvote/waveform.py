@@ -3,9 +3,9 @@
 The chirp chain is the OFDM chain with DFT spreading in front (orthonormal
 transforms throughout):
 
-    bins s (M values) -> DFT_M -> per-bin shaping f      (chirp only)
-      -> centered subcarrier mapping onto an N-point grid  (ofdm_grid)
-      -> IDFT_N body -> cyclic prefix/suffix + raised-cosine edges
+    bins s (M values) -> DFT_M -> per-bin shaping f      (chirp only: precode)
+      -> M subcarrier symbols scattered onto their IDFT bins -> IDFT body
+      -> cyclic prefix/suffix + raised-cosine edges
 
 With the Fresnel-integral shaping vector from :func:`build_fdss` (the
 Fourier coefficients of a unit chirp, evaluated by Gauss-Legendre quadrature),
@@ -38,7 +38,7 @@ from functools import cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import ConfigError, FramingError
+from .errors import ConfigError, FramingError, require_finite_floats
 
 
 @dataclass(frozen=True)
@@ -59,6 +59,7 @@ class WaveformConfig:
     window_rolloff: int = 2
 
     def __post_init__(self) -> None:
+        require_finite_floats(self)
         if self.num_bins <= 0 or self.idft_size <= 0:
             raise ConfigError("num_bins and idft_size must be positive")
         if self.num_bins > self.idft_size:
@@ -116,41 +117,32 @@ def build_fdss(cfg: WaveformConfig) -> np.ndarray:
     return f
 
 
-def ofdm_grid(cfg: WaveformConfig, symbols: np.ndarray) -> np.ndarray:
-    """Map per-subcarrier symbols onto the centered occupied subcarriers of
-    the IDFT grid: (..., M) -> (..., N), zeros elsewhere."""
-    symbols = np.asarray(symbols, dtype=complex)
-    if symbols.ndim == 0 or symbols.shape[-1] != cfg.num_bins:
-        raise FramingError("symbol vector length must equal num_bins")
-    grid = np.zeros(symbols.shape[:-1] + (cfg.idft_size,), dtype=complex)
-    grid[..., cfg.bin_indices % cfg.idft_size] = symbols
-    return grid
-
-
 def precode(cfg: WaveformConfig, fdss: np.ndarray, bins: np.ndarray) -> np.ndarray:
-    """DFT-precode and shape bin symbols onto the IDFT grid: (..., M) -> (..., N).
-
-    The M-point DFT is reordered to the ascending occupied subcarriers
-    ``bin_indices`` (``fftshift``, since ``bin_low`` = -(M // 2)) and shaped.
-    """
+    """DFT-precode and shape bin symbols: (..., M) bins -> (..., M) symbols on
+    the ascending occupied subcarriers ``bin_indices`` (the M-point DFT,
+    reordered by ``fftshift`` since ``bin_low`` = -(M // 2), and shaped)."""
     bins = np.asarray(bins, dtype=complex)
     if bins.ndim == 0 or bins.shape[-1] != cfg.num_bins:
         raise FramingError("bin vector length must equal num_bins")
-    return ofdm_grid(cfg, fdss * np.fft.fftshift(np.fft.fft(bins, norm="ortho", axis=-1), axes=-1))
+    return fdss * np.fft.fftshift(np.fft.fft(bins, norm="ortho", axis=-1), axes=-1)
 
 
-def analog_body(cfg: WaveformConfig, grid: np.ndarray, oversample: int) -> np.ndarray:
-    """Symbol bodies (no CP, no window) at ``oversample`` times the sample rate.
+def analog_body(cfg: WaveformConfig, symbols: np.ndarray, oversample: int) -> np.ndarray:
+    """Symbol bodies (no CP, no window) of (..., M) subcarrier symbols at
+    ``oversample`` times the sample rate: (..., oversample * N).
 
-    Zero-padded orthonormal IDFT scaled by sqrt(oversample), so the mean
-    power per sample matches the critical-rate body.
+    Subcarrier j lands on bin j mod (oversample * N) of the zero-padded
+    grid, and its orthonormal IDFT is scaled by sqrt(oversample), so the
+    mean power per sample matches the critical-rate body.
     """
     if oversample < 1:
         raise ValueError("oversample must be >= 1")
-    n = cfg.idft_size
-    padded = np.zeros(np.shape(grid)[:-1] + (oversample * n,), dtype=complex)
-    centered = (np.arange(n) + n // 2) % n - n // 2
-    padded[..., centered % (oversample * n)] = grid
+    symbols = np.asarray(symbols)
+    if symbols.ndim == 0 or symbols.shape[-1] != cfg.num_bins:
+        raise FramingError("symbol vector length must equal num_bins")
+    size = oversample * cfg.idft_size
+    padded = np.zeros(symbols.shape[:-1] + (size,), dtype=complex)
+    padded[..., cfg.bin_indices % size] = symbols
     np.fft.ifft(padded, norm="ortho", axis=-1, out=padded)
     padded *= np.sqrt(oversample)
     return padded
@@ -173,15 +165,13 @@ def modulate_ofdm(cfg: WaveformConfig, symbols: np.ndarray) -> np.ndarray:
     """One OFDM symbol (cyclic prefix included) from M subcarrier symbols: the
     first period of its stream. The suffix, which carries the falling edge,
     belongs to the next symbol's period."""
-    grid = ofdm_grid(cfg, _one_symbol(symbols))
-    return assemble_stream(cfg, grid, 1)[: cfg.cp_len + cfg.idft_size]
+    return assemble_stream(cfg, _one_symbol(symbols), 1)[: cfg.cp_len + cfg.idft_size]
 
 
 def spread(cfg: WaveformConfig, fdss: np.ndarray, bins: np.ndarray) -> np.ndarray:
     """Synthesize one chirp symbol (cyclic prefix included) from M bin symbols:
-    the first period of its stream."""
-    grid = precode(cfg, fdss, _one_symbol(bins))
-    return assemble_stream(cfg, grid, 1)[: cfg.cp_len + cfg.idft_size]
+    the OFDM symbol of their precoded subcarriers."""
+    return modulate_ofdm(cfg, precode(cfg, fdss, bins))
 
 
 def demodulate_ofdm(cfg: WaveformConfig, received: np.ndarray) -> np.ndarray:
@@ -219,8 +209,9 @@ def despread(cfg: WaveformConfig, fdss: np.ndarray, received: np.ndarray) -> np.
     return matched_despread(fdss, demodulate_ofdm(cfg, received))
 
 
-def assemble_stream(cfg: WaveformConfig, grids: np.ndarray, oversample: int) -> np.ndarray:
-    """Weighted-overlap-add symbol stream at ``oversample`` times the sample rate.
+def assemble_stream(cfg: WaveformConfig, symbols: np.ndarray, oversample: int) -> np.ndarray:
+    """Weighted-overlap-add stream of (n_symbols, M) subcarrier symbols at
+    ``oversample`` times the sample rate.
 
     Symbol i fills its stride [i * stride, (i + 1) * stride), stride =
     (cp_len + N) * oversample, so the receiver's symbol timing is unchanged:
@@ -230,7 +221,7 @@ def assemble_stream(cfg: WaveformConfig, grids: np.ndarray, oversample: int) -> 
     is added onto the head of stride i + 1; the last suffix ends the stream.
     So the receiver window [cp_len, cp_len + N) of each stride is untouched.
     """
-    bodies = analog_body(cfg, np.atleast_2d(grids), oversample)
+    bodies = analog_body(cfg, np.atleast_2d(symbols), oversample)
     n_sym, n = bodies.shape
     cp = cfg.cp_len * oversample
     w = cfg.window_rolloff * oversample

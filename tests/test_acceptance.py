@@ -18,14 +18,14 @@ from chirpvote._rng import keyed_rng
 from chirpvote.channel import draw_epa, epa_rms_delay_spread_ns, propagate
 from chirpvote.config import ExperimentConfig, MetricsConfig, TrainConfig, save_config
 from chirpvote.deployment import PowerControlParams, coverage_radius
-from chirpvote.learn import BoundParams, convergence_bound, loss_by_distance
+from chirpvote.learn import BoundParams, convergence_bound, loss_by_distance, run_training
 from chirpvote.oac import (
     VotePlan,
     detect_mv,
     encode_csc,
     sign_pm1,
 )
-from chirpvote.rf import aclr_at_obo, obo_for_aclr, occupied_band, pmepr_batch
+from chirpvote.rf import PaDriver, aclr, obo_for_aclr, occupied_band, pmepr_batch
 from chirpvote import studies
 from chirpvote.waveform import (
     WaveformConfig,
@@ -106,7 +106,7 @@ def test_criterion_03_aclr_floors_and_minimum_backoff():
     floors, obos = {}, {}
     for scheme in ("csc_mv_2", "csc_mv_4", "obda"):
         stream = studies.scheme_stream(cfg, scheme, cfg.seed)
-        floors[scheme] = aclr_at_obo(cfg.pa, stream, inband, 30.0)
+        floors[scheme] = aclr(PaDriver(cfg.pa, stream)(30.0), inband)
         obos[scheme] = obo_for_aclr(cfg.pa, stream, inband, -22.0, tol_db=0.1)
     ok = (
         abs(floors["obda"] - (-23.0)) <= 1.5
@@ -154,7 +154,7 @@ def test_criterion_06_detection_through_channel_and_vote_margins():
         offset = int(rng.integers(0, 5))
         rx = propagate(realization, offset, spread(CFG, fdss, block))
         out = detect_mv(plan, despread(CFG, fdss, rx)[None, :])
-        if not np.array_equal(out.mv, votes):
+        if not np.array_equal(sign_pm1(out), votes):
             failures += 1
 
     # superposed devices, unit flat channels: the mean detected margin must
@@ -170,7 +170,7 @@ def test_criterion_06_detection_through_channel_and_vote_margins():
                 total = np.zeros((1, M), dtype=complex)
                 for vote in pattern:
                     total += encode_csc(plan1, np.array([vote]), rng2)
-                margins[t] = detect_mv(plan1, total).margins[0]
+                margins[t] = detect_mv(plan1, total)[0]
             mean = margins.mean()
             band = 4.0 * margins.std(ddof=1) / np.sqrt(n_draws)
             expected = sum(pattern)
@@ -198,8 +198,12 @@ def test_criterion_07_homogeneous_training_matches_ideal():
     snr_db = cfg.train.snr_db[0]
     ideal, csc = [], []
     for seed in cfg.train.seeds:
-        ideal.append(_final_accuracy(studies.run_scheme_training(cfg, "ideal", snr_db, seed)))
-        csc.append(_final_accuracy(studies.run_scheme_training(cfg, "csc_mv_2", snr_db, seed)))
+        ideal.append(
+            _final_accuracy(run_training(studies.training_setup(cfg, seed), "ideal", snr_db))
+        )
+        csc.append(
+            _final_accuracy(run_training(studies.training_setup(cfg, seed), "csc_mv_2", snr_db))
+        )
     mean_ideal, mean_csc = float(np.mean(ideal)), float(np.mean(csc))
     ok = mean_csc >= mean_ideal - 0.03
     _report(
@@ -218,8 +222,10 @@ def test_criterion_08_heterogeneous_training_beats_baseline():
     far_losses, near_losses = [], []
     boundary = cfg.r_max / np.sqrt(2.0)
     for seed in cfg.train.seeds:
-        csc.append(_final_accuracy(studies.run_scheme_training(cfg, "csc_mv_2", snr_db, seed)))
-        state = studies.run_scheme_training(cfg, "obda", snr_db, seed)
+        csc.append(
+            _final_accuracy(run_training(studies.training_setup(cfg, seed), "csc_mv_2", snr_db))
+        )
+        state = run_training(studies.training_setup(cfg, seed), "obda", snr_db)
         obda.append(_final_accuracy(state))
         setup = studies.training_setup(cfg, seed)
         dist, loss = loss_by_distance(state, setup)

@@ -1,11 +1,13 @@
 """sha256 pins of the quick-profile artifacts of every study command, of
-one dumped chirp and OFDM symbol and of the convergence bound.
+one dumped chirp and OFDM symbol and of the convergence bound, and of the
+symbol synthesis and spectra at an odd M and N != 64.
 
 A change that moves any byte of them fails here, so a shift in the training,
 RF or synthesis numbers is caught and has to be explained before the pins
 are updated.
 """
 import hashlib
+import json
 from pathlib import Path
 
 from chirpvote import cli
@@ -41,13 +43,43 @@ DIGESTS = {
     "waveform-obda/waveform_symbol.csv": "3c5054adcc850cc2bc262cc6419b9c87b8d5901c2d98275a5c70a8c2a6b22c01",
 }
 
+#: the quick profile at M = 55 occupied subcarriers on a 96-point IDFT
+WAVE_96_55 = {"idft_size": 96, "num_bins": 55}
 
-def test_quick_profile_artifacts_match_pinned_digests(tmp_path):
-    for name, argv in RUNS.items():
-        assert cli.main([*argv, "--config", str(QUICK), "--out", str(tmp_path / name)]) == 0
-    digests = {
-        path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
-        for path in sorted(tmp_path.rglob("*"))
+#: output directory -> command line, each run at ``WAVE_96_55``
+RUNS_96_55 = {
+    "pmepr": ["pmepr"],
+    "aclr": ["aclr"],
+    "waveform-csc_mv_2": ["waveform-dump", "--scheme", "csc_mv_2"],
+    "waveform-obda": ["waveform-dump", "--scheme", "obda"],
+}
+
+DIGESTS_96_55 = {
+    "aclr/aclr_vs_obo.csv": "96f5d7ee5638d84e1d8c44b89b87f37e4ee4cac0e4bc79810c9cddec6b240ed3",
+    "pmepr/pmepr_distribution.csv": "7989d640088106bdf3e6b11c488c5e74d4eaee15bb1af9016c58f0e9ef16d54b",
+    "pmepr/pmepr_summary.json": "fdf73aba0933360120e96ca29c9f712630d986aafa64bde57cddec9f12f4634d",
+    "waveform-csc_mv_2/waveform_symbol.csv": "44118bd2c48ab9b2f2a0b1ed092f9db04a5ea8b982ed685386e83cb8fd06e001",
+    "waveform-obda/waveform_symbol.csv": "f211a65185997782a45cd0b9bb3269a5cdbc08bd99fbf86641fef3d62edaa396",
+}
+
+
+def _run_digests(runs: dict, config: Path, out: Path) -> dict:
+    for name, argv in runs.items():
+        assert cli.main([*argv, "--config", str(config), "--out", str(out / name)]) == 0
+    return {
+        path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(out.rglob("*"))
         if path.is_file()
     }
-    assert digests == DIGESTS
+
+
+def test_quick_profile_artifacts_match_pinned_digests(tmp_path):
+    assert _run_digests(RUNS, QUICK, tmp_path) == DIGESTS
+
+
+def test_odd_numerology_artifacts_match_pinned_digests(tmp_path):
+    profile = json.loads(QUICK.read_text())
+    profile["wave"] = WAVE_96_55
+    config = tmp_path / "quick_96_55.json"
+    config.write_text(json.dumps(profile))
+    assert _run_digests(RUNS_96_55, config, tmp_path / "out") == DIGESTS_96_55

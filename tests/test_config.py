@@ -1,5 +1,6 @@
 """Configuration tree: defaults, validation, and JSON round-trips."""
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,10 @@ from chirpvote.config import (
     save_config,
     scheme,
 )
+from chirpvote.deployment import PowerControlParams
 from chirpvote.errors import ConfigError
+from chirpvote.rf import RappPa
+from chirpvote.waveform import WaveformConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 PROFILES = ROOT / "scripts" / "profiles"
@@ -114,6 +118,30 @@ class TestValidation:
         for bad in ({"snr_db": ["loud"]}, {"snr_db": "20"}, {"seeds": ["x"]}, {"seeds": [1.5]}):
             with pytest.raises(ConfigError, match="must be a list, each entry"):
                 config_from_dict({"train": bad})
+
+    @pytest.mark.parametrize(
+        "cls, kwargs, field",
+        [
+            (WaveformConfig, {"sample_rate": float("inf")}, "sample_rate"),
+            (WaveformConfig, {"sample_rate": float("nan")}, "sample_rate"),
+            (WaveformConfig, {"sweep_cycles": float("nan")}, "sweep_cycles"),
+            (RappPa, {"smoothness": float("inf")}, "smoothness"),
+            (RappPa, {"smoothness": float("nan")}, "smoothness"),
+            (PowerControlParams, {"alpha": float("inf"), "beta": float("inf")}, "alpha"),
+            (MetricsConfig, {"obo_step_db": float("inf")}, "obo_step_db"),
+            (MetricsConfig, {"obo_step_db": float("nan")}, "obo_step_db"),
+            (TrainConfig, {"step_size": float("inf")}, "step_size"),
+            (TrainConfig, {"step_size": float("nan")}, "step_size"),
+            (ExperimentConfig, {"aclr_target_db": float("nan")}, "aclr_target_db"),
+            (ExperimentConfig, {"r_max": float("inf")}, "r_max"),
+        ],
+    )
+    def test_non_finite_float_field_rejected(self, cls, kwargs, field):
+        # the Python API meets the check a profile's values meet in _fits
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ConfigError, match=f"^{field} must be a finite number"):
+                cls(**kwargs)
 
     def test_negative_seeds(self):
         with pytest.raises(ConfigError, match="non-negative"):

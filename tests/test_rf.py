@@ -21,7 +21,6 @@ from chirpvote.rf import (
     PaDriver,
     RappPa,
     aclr,
-    aclr_at_obo,
     cubic_metric_batch,
     obo_for_aclr,
     occupied_band,
@@ -239,8 +238,8 @@ class TestSymbolBlocks:
 
     def _one_shot_bodies(self, cfg, scheme):
         rng = keyed_rng(cfg.seed, "traffic", scheme)
-        grids = studies.scheme_grids(cfg, scheme, cfg.metrics.num_symbols, rng)
-        return analog_body(cfg.wave, grids, rf.OVERSAMPLE)
+        symbols = studies.scheme_subcarriers(cfg, scheme, cfg.metrics.num_symbols, rng)
+        return analog_body(cfg.wave, symbols, rf.OVERSAMPLE)
 
     @pytest.mark.parametrize("scheme", ExperimentConfig().schemes)
     @pytest.mark.parametrize("block", [1, 7, NUM_SYMBOLS + 1])
@@ -258,9 +257,9 @@ class TestSymbolBlocks:
     def test_reports_hold_one_block(self, monkeypatch, report):
         rows_seen = []
 
-        def spy(cfg, grid, oversample):
-            rows_seen.append(grid.shape[0])
-            return analog_body(cfg, grid, oversample)
+        def spy(cfg, symbols, oversample):
+            rows_seen.append(symbols.shape[0])
+            return analog_body(cfg, symbols, oversample)
 
         monkeypatch.setattr(studies, "analog_body", spy)
         num_symbols = 3 * studies._SYMBOL_BLOCK + 5
@@ -377,8 +376,9 @@ class TestAclr:
         pa = RappPa()
         stream = _csc_stream(2, 64, seed=3)
         band = occupied_band(CFG)
-        hard = aclr_at_obo(pa, stream, band, 1.0)
-        soft = aclr_at_obo(pa, stream, band, 12.0)
+        drive = PaDriver(pa, stream)
+        hard = aclr(drive(1.0), band)
+        soft = aclr(drive(12.0), band)
         assert soft < hard
 
     def test_obo_search_meets_target(self):
@@ -387,8 +387,9 @@ class TestAclr:
         band = occupied_band(CFG)
         target = -20.0
         obo = obo_for_aclr(pa, stream, band, target, tol_db=0.05)
-        assert aclr_at_obo(pa, stream, band, obo) <= target + 0.05
-        assert aclr_at_obo(pa, stream, band, max(obo - 1.0, 0.0)) > target - 3.0
+        drive = PaDriver(pa, stream)
+        assert aclr(drive(obo), band) <= target + 0.05
+        assert aclr(drive(max(obo - 1.0, 0.0)), band) > target - 3.0
 
     def test_obo_search_infeasible_target(self):
         pa = RappPa()

@@ -19,7 +19,6 @@ from chirpvote.waveform import (
     despread,
     matched_despread,
     modulate_ofdm,
-    ofdm_grid,
     precode,
     spread,
 )
@@ -253,9 +252,9 @@ class TestAnalogPaths:
         s = rng.standard_normal((10, CFG.num_bins)) + 1j * rng.standard_normal(
             (10, CFG.num_bins)
         )
-        grids = precode(CFG, f, s)
-        body1 = analog_body(CFG, grids, oversample=1)
-        body4 = analog_body(CFG, grids, oversample=4)
+        symbols = precode(CFG, f, s)
+        body1 = analog_body(CFG, symbols, oversample=1)
+        body4 = analog_body(CFG, symbols, oversample=4)
         p1 = np.mean(np.abs(body1) ** 2, axis=-1)
         p4 = np.mean(np.abs(body4) ** 2, axis=-1)
         np.testing.assert_allclose(p1, p4, rtol=1e-12)
@@ -266,18 +265,33 @@ class TestAnalogPaths:
         s = rng.standard_normal((6, CFG.num_bins)) + 1j * rng.standard_normal(
             (6, CFG.num_bins)
         )
-        grids = precode(CFG, build_fdss(CFG), s)
-        before = grids.copy()
-        n = CFG.idft_size
-        padded = np.zeros((6, oversample * n), dtype=complex)
-        padded[:, ((np.arange(n) + n // 2) % n - n // 2) % (oversample * n)] = grids
+        symbols = precode(CFG, build_fdss(CFG), s)
+        before = symbols.copy()
+        padded = np.zeros((6, oversample * CFG.idft_size), dtype=complex)
+        padded[:, CFG.bin_indices % (oversample * CFG.idft_size)] = symbols
         ref = np.fft.ifft(padded, norm="ortho", axis=-1) * np.sqrt(oversample)
-        np.testing.assert_array_equal(analog_body(CFG, grids, oversample), ref)
-        np.testing.assert_array_equal(grids, before)
+        np.testing.assert_array_equal(analog_body(CFG, symbols, oversample), ref)
+        np.testing.assert_array_equal(symbols, before)
+
+    @pytest.mark.parametrize("oversample", [1, 4])
+    @pytest.mark.parametrize("idft_size, num_bins", [(64, 54), (96, 55), (65, 65)])
+    def test_one_scatter_matches_two_step_grid_map(self, idft_size, num_bins, oversample):
+        # the former map: the M subcarriers onto an N-point grid, then the
+        # centered scatter of that grid onto the oversampled grid
+        cfg = WaveformConfig(idft_size=idft_size, num_bins=num_bins)
+        rng = np.random.default_rng(9)
+        s = rng.standard_normal((5, num_bins)) + 1j * rng.standard_normal((5, num_bins))
+        n = idft_size
+        grid = np.zeros((5, n), dtype=complex)
+        grid[:, cfg.bin_indices % n] = s
+        padded = np.zeros((5, oversample * n), dtype=complex)
+        padded[:, ((np.arange(n) + n // 2) % n - n // 2) % (oversample * n)] = grid
+        ref = np.fft.ifft(padded, norm="ortho", axis=-1) * np.sqrt(oversample)
+        assert np.array_equal(analog_body(cfg, s, oversample), ref)
 
     def test_oversample_validity(self):
         with pytest.raises(ValueError):
-            analog_body(CFG, np.ones(CFG.idft_size, dtype=complex), oversample=0)
+            analog_body(CFG, np.ones(CFG.num_bins, dtype=complex), oversample=0)
 
     def test_stream_shape_and_rate(self):
         f = build_fdss(CFG)
@@ -286,8 +300,7 @@ class TestAnalogPaths:
         s = rng.standard_normal((n, CFG.num_bins)) + 1j * rng.standard_normal(
             (n, CFG.num_bins)
         )
-        grids = precode(CFG, f, s)
-        stream = assemble_stream(CFG, grids, oversample=4)
+        stream = assemble_stream(CFG, precode(CFG, f, s), oversample=4)
         stride = (CFG.cp_len + CFG.idft_size) * 4
         # n full symbol strides plus the last symbol's windowed suffix
         assert type(stream) is np.ndarray
@@ -304,9 +317,9 @@ class TestAnalogPaths:
         bins = rng.standard_normal((3, cfg.num_bins)) + 1j * rng.standard_normal(
             (3, cfg.num_bins)
         )
-        grids = precode(cfg, build_fdss(cfg), bins)
-        bodies = analog_body(cfg, grids, os)
-        stream = assemble_stream(cfg, grids, os)
+        symbols = precode(cfg, build_fdss(cfg), bins)
+        bodies = analog_body(cfg, symbols, os)
+        stream = assemble_stream(cfg, symbols, os)
         n, cp, w = cfg.idft_size * os, cfg.cp_len * os, cfg.window_rolloff * os
         stride = cp + n
         ramp = 0.5 * (1.0 - np.cos(np.pi * (np.arange(w) + 0.5) / w))
@@ -328,12 +341,9 @@ class TestAnalogPaths:
         rng = np.random.default_rng(7)
         s = rng.standard_normal(CFG.num_bins) + 1j * rng.standard_normal(CFG.num_bins)
         period = CFG.cp_len + CFG.idft_size
-        pairs = (
-            (spread(CFG, f, s), precode(CFG, f, s)),
-            (modulate_ofdm(CFG, s), ofdm_grid(CFG, s)),
-        )
-        for sym, grid in pairs:
-            stream = assemble_stream(CFG, grid, 1)
+        pairs = ((spread(CFG, f, s), precode(CFG, f, s)), (modulate_ofdm(CFG, s), s))
+        for sym, subcarriers in pairs:
+            stream = assemble_stream(CFG, subcarriers, 1)
             np.testing.assert_array_equal(stream[:period], sym)
 
     def test_stream_mean_power_close_to_symbol_power(self):
@@ -343,30 +353,33 @@ class TestAnalogPaths:
         s = rng.standard_normal((n, CFG.num_bins)) + 1j * rng.standard_normal(
             (n, CFG.num_bins)
         )
-        grids = precode(CFG, f, s)
-        stream = assemble_stream(CFG, grids, oversample=2)
-        bodies = analog_body(CFG, grids, oversample=2)
+        symbols = precode(CFG, f, s)
+        stream = assemble_stream(CFG, symbols, oversample=2)
+        bodies = analog_body(CFG, symbols, oversample=2)
         assert np.mean(np.abs(stream) ** 2) == pytest.approx(
             float(np.mean(np.abs(bodies) ** 2)), rel=0.05
         )
 
-    def test_ofdm_grid_maps_bins_to_subcarriers(self):
+    def test_analog_body_maps_subcarriers_to_bins(self):
+        # subcarrier j lands on IDFT bin j mod (oversample * N), and every
+        # other bin stays empty
         s = np.arange(1, CFG.num_bins + 1, dtype=complex)
-        grid = ofdm_grid(CFG, s)
-        assert grid.shape == (CFG.idft_size,)
-        for j, v in zip(CFG.bin_indices, s):
-            assert grid[j % CFG.idft_size] == v
-        occupied = set(np.asarray(CFG.bin_indices) % CFG.idft_size)
-        for idx in set(range(CFG.idft_size)) - occupied:
-            assert grid[idx] == 0
+        for oversample in (1, 4):
+            size = oversample * CFG.idft_size
+            body = analog_body(CFG, s, oversample)
+            assert body.shape == (size,)
+            expected = np.zeros(size, dtype=complex)
+            expected[CFG.bin_indices % size] = s
+            spectrum = np.fft.fft(body, norm="ortho") / np.sqrt(oversample)
+            np.testing.assert_allclose(spectrum, expected, atol=1e-12)
 
     @pytest.mark.parametrize(
-        "to_grid",
-        [lambda v: ofdm_grid(CFG, v), lambda v: precode(CFG, build_fdss(CFG), v)],
-        ids=["ofdm_grid", "precode"],
+        "mapping",
+        [lambda v: analog_body(CFG, v, 1), lambda v: precode(CFG, build_fdss(CFG), v)],
+        ids=["analog_body", "precode"],
     )
-    def test_grid_mapping_rejects_wrong_length(self, to_grid):
+    def test_grid_mapping_rejects_wrong_length(self, mapping):
         # a 0-d input has no last axis to read a length from
         for bad in (1.0, np.ones(CFG.num_bins - 1), np.ones((2, CFG.num_bins + 1))):
             with pytest.raises(FramingError, match="must equal num_bins"):
-                to_grid(bad)
+                mapping(bad)
