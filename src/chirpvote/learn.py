@@ -40,7 +40,7 @@ from .channel import draw_epa, draw_sync_offset, epa_phase_table, epa_tap_delays
 from .config import TrainConfig, scheme as scheme_record
 from .datasets import Dataset
 from .deployment import Deployment, PowerControlParams, link_power
-from .errors import ConfigError, InfeasibleError
+from .errors import ConfigError, InfeasibleError, require_finite_floats
 from .oac import VotePlan, csc_phases, detect_mv, decode_obda, encode_obda, place_tones, sign_pm1
 from .waveform import WaveformConfig, build_fdss, despread_folded, matched_despread
 
@@ -523,10 +523,12 @@ class BoundParams:
     num_rounds: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "smoothness", np.asarray(self.smoothness, dtype=float))
-        object.__setattr__(
-            self, "grad_noise_scale", np.asarray(self.grad_noise_scale, dtype=float)
-        )
+        require_finite_floats(self)
+        for name in ("smoothness", "grad_noise_scale"):
+            values = np.asarray(getattr(self, name), dtype=float)
+            if not np.all(np.isfinite(values)):
+                raise ConfigError(f"{name} must hold finite numbers")
+            object.__setattr__(self, name, values)
 
 
 def convergence_bound(p: BoundParams) -> float:
@@ -552,4 +554,7 @@ def convergence_bound(p: BoundParams) -> float:
     a = (1.0 + 2.0 / (p.detection_snr * p.num_workers)) / math.sqrt(p.step_scale)
     drift = a * math.sqrt(l1_smooth) * (p.initial_gap + p.step_scale / 2.0)
     noise = (2.0 * math.sqrt(2.0 * p.step_scale) / 3.0) * l1_noise
-    return (drift + noise) / math.sqrt(p.num_rounds)
+    bound = (drift + noise) / math.sqrt(p.num_rounds)
+    if not math.isfinite(bound):
+        raise ValueError("the bound overflows: the inputs are too extreme to give a finite value")
+    return bound

@@ -13,30 +13,26 @@ metric (cubed normalized envelope, rms, referenced to 1.52 dB with slope
 1.52), and ACLR (out-of-band to in-band power ratio from the averaged
 periodogram). All are scale-invariant where the definitions demand it.
 
-The ACLR is a ratio of powers, so it reads no sample rate: the band is given
-in cycles per stream sample (:func:`occupied_band`, at ``OVERSAMPLE`` times
-the numerology's rate) and the periodogram is taken at unit rate. Streams
-are plain sample arrays throughout. A :class:`PaDriver` holds the
-instantaneous powers the PA reads for one stream, so a sweep or a solve
-computes them once for all its back-offs.
+The ACLR is a ratio of powers, so it reads no sample rate: it sums the
+unit-rate periodogram (:func:`power_spectrum`) under the bin mask of the
+occupied band (:func:`occupied_band`). Streams are plain sample arrays. A
+:class:`PaDriver` holds the instantaneous powers the PA reads for one stream,
+so a sweep or a solve computes them once for all its back-offs.
 
-The averaged periodogram (:func:`power_spectrum`) follows a fixed recipe so
-that leakage-sensitive quantities measured from it are reproducible
-bit-for-bit across runs: a periodic Hann taper, segments overlapping by
-``segment_len // 2`` samples with no padding or detrending, two-sided
-density scaling and the mean over segments. It equals
-``scipy.signal.welch(..., window="hann", detrend=False,
-return_onesided=False, scaling="density")`` to rounding, with the frequency
-axis sorted ascending; ``scipy.signal`` itself is not imported.
+The periodogram follows a fixed recipe so that leakage-sensitive quantities
+measured from it are reproducible bit-for-bit across runs: a periodic Hann
+taper, ``SEGMENT_LEN``-sample segments overlapping by half with no padding or
+detrending, two-sided density scaling and the mean over segments. It equals
+``scipy.signal.welch(..., fs=1.0, window="hann", nperseg=SEGMENT_LEN,
+detrend=False, return_onesided=False, scaling="density")`` to rounding, with
+the frequency axis sorted ascending; ``scipy.signal`` itself is not imported.
 
 The segments are windowed and transformed 32 at a time in one reused complex
 buffer, and their |X|^2 rows are folded into a running sum carried in row 0
-of a reused real buffer. NumPy reduces a C-ordered (rows, segment_len) array
-over axis 0 row after row, so folding block after block adds the rows in the
-same order as one sum over all segments: the density is bit-identical to
-transforming every segment at once. That holds for ``segment_len >= 2``
-only: a length-1 column is contiguous and NumPy sums it pairwise instead,
-which differs in the last bits, so a shorter segment is rejected.
+of a reused real buffer. NumPy reduces a C-ordered (rows, ``SEGMENT_LEN``)
+array over axis 0 row after row, so folding block after block adds the rows
+in the same order as one sum over all segments: the density is bit-identical
+to transforming every segment at once.
 """
 from __future__ import annotations
 
@@ -164,66 +160,58 @@ def cubic_metric_batch(symbols: np.ndarray) -> np.ndarray:
     return (rcm - RCM_REFERENCE_DB) / CM_SLOPE
 
 
-def power_spectrum(
-    samples: np.ndarray, sample_rate: float, segment_len: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Averaged-periodogram PSD of a complex baseband sequence.
-
-    Hann taper, 50% overlap, two-sided, density scaling: the integral of the
-    returned density over frequency equals the mean power of the input to
-    within estimator bias (about 1%).
-
-    Returns (frequencies ascending in Hz, density in power/Hz).
-    """
+def power_spectrum(samples: np.ndarray) -> np.ndarray:
+    """Averaged-periodogram density of a complex baseband sequence at unit
+    rate, ascending: bin k / L cycles per sample for k = -L/2 ... L/2 - 1, L =
+    ``SEGMENT_LEN``. Its mean is the input's mean power to within estimator
+    bias (about 1%)."""
     samples = np.asarray(samples)
-    segment_len = int(segment_len)
-    if segment_len < 2:
-        raise ValueError("segment_len must be at least 2")
-    if segment_len > samples.size:
-        raise ValueError("segment_len exceeds signal length")
-    step = segment_len - segment_len // 2
-    segments = sliding_window_view(samples, segment_len)[::step]
-    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(segment_len) / segment_len)
+    if samples.size < SEGMENT_LEN:
+        raise ValueError(f"signal shorter than one {SEGMENT_LEN}-sample PSD segment")
+    segments = sliding_window_view(samples, SEGMENT_LEN)[:: SEGMENT_LEN // 2]
+    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(SEGMENT_LEN) / SEGMENT_LEN)
     count = segments.shape[0]
-    block = np.empty((min(_WELCH_BLOCK, count), segment_len), dtype=complex)
-    power = np.zeros((block.shape[0] + 1, segment_len))  # row 0: running sum
+    block = np.empty((min(_WELCH_BLOCK, count), SEGMENT_LEN), dtype=complex)
+    power = np.zeros((block.shape[0] + 1, SEGMENT_LEN))  # row 0: running sum
     for start in range(0, count, _WELCH_BLOCK):
         k = min(_WELCH_BLOCK, count - start)
         spectra = block[:k]
         np.multiply(segments[start : start + k], window, out=spectra)
         np.fft.fft(spectra, axis=-1, out=spectra)
-        rows = power[1 : k + 1]
-        np.square(spectra.real, out=rows)
-        np.square(spectra.imag, out=spectra.real)  # the real parts are spent
-        rows += spectra.real
+        parts = spectra.view(float)  # real and imaginary parts side by side
+        np.square(parts, out=parts)
+        np.add(parts[:, 0::2], parts[:, 1::2], out=power[1 : k + 1])
         np.add.reduce(power[: k + 1], axis=0, out=power[0])
-    dens = power[0] / count / (sample_rate * np.sum(window**2))
-    freqs = np.fft.fftfreq(segment_len, 1.0 / sample_rate)
-    return np.fft.fftshift(freqs), np.fft.fftshift(dens)
+    return np.fft.fftshift(power[0] / count / np.sum(window**2))
 
 
-def occupied_band(cfg: WaveformConfig) -> tuple[float, float]:
-    """Interval covered by the occupied subcarriers, in cycles per sample of a
-    stream at ``OVERSAMPLE`` times the numerology's rate. Each edge is one
-    correctly rounded division, so a periodogram bin k / ``SEGMENT_LEN`` is in
-    band exactly when the integer comparison of k with the edge says so."""
-    n = cfg.idft_size * OVERSAMPLE
-    return ((cfg.bin_low - 0.5) / n, (cfg.bin_high + 0.5) / n)
+def occupied_band(cfg: WaveformConfig) -> np.ndarray:
+    """Read-only mask of the :func:`power_spectrum` bins the occupied
+    subcarriers cover, bin_low - 1/2 to bin_high + 1/2 of n = ``OVERSAMPLE`` *
+    idft_size per sample: bin k is in band when (2 bin_low - 1) L <= 2 n k <=
+    (2 bin_high + 1) L, L = ``SEGMENT_LEN``."""
+    twice_nk = 2 * OVERSAMPLE * cfg.idft_size * np.arange(-SEGMENT_LEN // 2, SEGMENT_LEN // 2)
+    inside = ((2 * cfg.bin_low - 1) * SEGMENT_LEN <= twice_nk) & (
+        twice_nk <= (2 * cfg.bin_high + 1) * SEGMENT_LEN
+    )
+    inside.flags.writeable = False
+    return inside
 
 
-def aclr(samples: np.ndarray, inband: tuple[float, float]) -> float:
+def aclr(samples: np.ndarray, inband: np.ndarray) -> float:
     """Out-of-band to in-band power ratio, dB (negative = cleaner), from the
-    ``SEGMENT_LEN``-point averaged periodogram; ``inband`` is in cycles per
-    sample."""
-    f_lo, f_hi = inband
-    if f_hi <= f_lo:
-        raise ValueError("in-band interval must have positive width")
-    freqs, dens = power_spectrum(samples, 1.0, SEGMENT_LEN)
-    inside = (freqs >= f_lo) & (freqs <= f_hi)
-    if inside.all():
+    averaged periodogram; ``inband`` is a boolean mask over its
+    ``SEGMENT_LEN`` bins (:func:`occupied_band`)."""
+    inband = np.asarray(inband)
+    if inband.dtype != bool or inband.shape != (SEGMENT_LEN,):
+        raise ValueError(f"the band must be a ({SEGMENT_LEN},) boolean mask")
+    if not inband.any():
+        raise ValueError("no PSD bin lies inside the band")
+    if inband.all():
         raise ValueError("every PSD bin lies inside the band, so no leakage is visible")
-    p_in = dens[inside].sum()
-    p_out = dens[~inside].sum()
+    dens = power_spectrum(samples)
+    p_in = dens[inband].sum()
+    p_out = dens[~inband].sum()
     if p_in <= 0:
         raise ValueError("no in-band power")
     return float(10.0 * np.log10(p_out / p_in))
@@ -232,7 +220,7 @@ def aclr(samples: np.ndarray, inband: tuple[float, float]) -> float:
 def obo_for_aclr(
     pa: RappPa,
     stream: np.ndarray,
-    inband: tuple[float, float],
+    inband: np.ndarray,
     target_db: float,
     obo_range: tuple[float, float] = OBO_SPAN_DB,
     tol_db: float = 0.1,

@@ -135,8 +135,8 @@ def scheme_symbol_bodies(cfg: ExperimentConfig, scheme: str, seed: int) -> np.nd
 
 def scheme_stream(cfg: ExperimentConfig, scheme: str, seed: int) -> np.ndarray:
     """Windowed overlap-add symbol stream for spectral metrics, at
-    ``OVERSAMPLE`` times the numerology's rate (the rate ``occupied_band``
-    measures the band in) and at least one ``SEGMENT_LEN``-sample PSD
+    ``OVERSAMPLE`` times the numerology's rate (the rate of the PSD bins
+    ``occupied_band`` marks) and at least one ``SEGMENT_LEN``-sample PSD
     segment long."""
     rng = keyed_rng(seed, "stream", scheme)
     symbols = scheme_subcarriers(cfg, scheme, cfg.metrics.stream_symbols, rng)

@@ -221,7 +221,10 @@ def assemble_stream(cfg: WaveformConfig, symbols: np.ndarray, oversample: int) -
     is added onto the head of stride i + 1; the last suffix ends the stream.
     So the receiver window [cp_len, cp_len + N) of each stride is untouched.
     """
-    bodies = analog_body(cfg, np.atleast_2d(symbols), oversample)
+    symbols = np.atleast_2d(symbols)
+    if symbols.ndim != 2:
+        raise FramingError(f"expected (n_symbols, M) symbols, got shape {symbols.shape}")
+    bodies = analog_body(cfg, symbols, oversample)
     n_sym, n = bodies.shape
     cp = cfg.cp_len * oversample
     w = cfg.window_rolloff * oversample

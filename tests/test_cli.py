@@ -533,6 +533,19 @@ class TestErrorPaths:
         assert exc.value.code == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--step-scale", "1e308"), ("--initial-gap", "1e308"), ("--detection-snr", "1e-308")],
+    )
+    def test_overflowing_bound_exits_2(self, tmp_path, capsys, flag, value):
+        # finite inputs whose bound overflows would be written as the non-JSON
+        # token Infinity
+        out = tmp_path / "bound"
+        assert run("bound", flag, value, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "overflows" in err
+        assert not out.exists()
+
     def test_snr_distance_takes_no_seed(self):
         # the SNR map has no random draw, so a seed would change nothing
         with pytest.raises(SystemExit) as exc:

@@ -1138,6 +1138,24 @@ class TestConvergenceBound:
             self._params(grad_noise_scale=np.full(10, 2.0))
         ) > convergence_bound(self._params())
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "name", ["initial_gap", "step_scale", "detection_snr", "smoothness", "grad_noise_scale"]
+    )
+    def test_non_finite_inputs_rejected(self, name, value):
+        arg = np.array([1.0, value]) if name in ("smoothness", "grad_noise_scale") else value
+        with pytest.raises(ValueError, match=name):
+            self._params(**{name: arg})
+
+    @pytest.mark.parametrize(
+        "kw",
+        [{"step_scale": 1e308}, {"initial_gap": 1e308}, {"detection_snr": 1e-308}],
+        ids=["step_scale", "initial_gap", "detection_snr"],
+    )
+    def test_overflowing_bound_rejected(self, kw):
+        with pytest.raises(ValueError, match="overflows"):
+            convergence_bound(self._params(**kw))
+
     def test_validation(self):
         with pytest.raises(ValueError):
             convergence_bound(self._params(num_rounds=0))

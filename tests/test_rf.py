@@ -60,6 +60,20 @@ def _tone(n=4096, f0=0.065, amp=1.0):
     return amp * np.exp(2j * np.pi * f0 * np.arange(n))
 
 
+def _float_band(lo, hi):
+    """The PSD bins from ``lo`` to ``hi`` cycles per sample, by comparing the
+    bins' float frequencies with the float edges."""
+    freqs = np.fft.fftshift(np.fft.fftfreq(rf.SEGMENT_LEN))
+    return (freqs >= lo) & (freqs <= hi)
+
+
+def _oracle_band(cfg):
+    """The occupied band as float edges half a subcarrier past the outer
+    occupied ones, at ``rf.OVERSAMPLE`` times the numerology's rate."""
+    n = cfg.idft_size * rf.OVERSAMPLE
+    return _float_band((cfg.bin_low - 0.5) / n, (cfg.bin_high + 0.5) / n)
+
+
 def _csc_stream(votes, n_symbols, seed):
     rng = keyed_rng(seed, "rf-test", votes)
     bins = random_csc_traffic(CFG.num_bins, votes, n_symbols, rng)
@@ -314,49 +328,59 @@ class TestQuantiles:
 
 class TestAclr:
     def test_band_validation(self):
+        # the band is a (SEGMENT_LEN,) boolean mask with bins on both sides
         sig = _tone()
-        with pytest.raises(ValueError):
-            aclr(sig, (0.1, 0.1))
-        with pytest.raises(ValueError):
-            aclr(sig, (-1.5, 1.5))
+        seg = rf.SEGMENT_LEN
+        for band in ((-0.13, 0.13), np.ones(seg - 1, dtype=bool), np.ones(seg), np.arange(seg)):
+            with pytest.raises(ValueError, match="boolean mask"):
+                aclr(sig, band)
+        with pytest.raises(ValueError, match="no PSD bin"):
+            aclr(sig, np.zeros(seg, dtype=bool))
 
     def test_occupied_band_matches_grid(self):
-        # in cycles per sample of the OVERSAMPLE-times stream
-        lo, hi = occupied_band(CFG)
-        df = 1.0 / (CFG.idft_size * rf.OVERSAMPLE)
-        assert lo == pytest.approx((CFG.bin_low - 0.5) * df)
-        assert hi == pytest.approx((CFG.bin_high + 0.5) * df)
-        assert hi - lo == pytest.approx(CFG.num_bins * df)
+        # one run of bins, from the first at or above the low edge to the
+        # last at or below the high edge, in cycles per sample of the
+        # OVERSAMPLE-times stream
+        inside = occupied_band(CFG)
+        seg = rf.SEGMENT_LEN
+        assert inside.dtype == bool and inside.shape == (seg,)
+        assert not inside.flags.writeable
+        k = np.flatnonzero(inside) - seg // 2
+        np.testing.assert_array_equal(np.diff(k), 1)
+        n = CFG.idft_size * rf.OVERSAMPLE
+        assert (k[0] - 1) / seg < (CFG.bin_low - 0.5) / n <= k[0] / seg
+        assert k[-1] / seg <= (CFG.bin_high + 0.5) / n < (k[-1] + 1) / seg
 
     @pytest.mark.parametrize(
-        "idft_size, num_bins, n_inside", [(64, 54, 217), (96, 56, 150), (80, 58, 186)]
+        "idft_size, num_bins, n_inside",
+        [(64, 54, 217), (96, 55, 147), (96, 56, 150), (80, 58, 186)],
     )
     def test_inband_mask_is_the_integer_rule(self, monkeypatch, idft_size, num_bins, n_inside):
-        # PSD bin k lies at k / SEGMENT_LEN cycles per sample and the band
-        # edges at (2 bin_low - 1) / (2 N OVERSAMPLE) and (2 bin_high + 1) /
-        # (2 N OVERSAMPLE), so membership is an integer comparison; at
-        # (96, 56) the low edge falls exactly on bin -76
+        # the integer rule marks the bins the float edges do; at (96, 56) the
+        # low edge falls exactly on bin -76
         cfg = WaveformConfig(idft_size=idft_size, num_bins=num_bins)
+        inside = occupied_band(cfg)
+        np.testing.assert_array_equal(inside, _oracle_band(cfg))
+        assert inside.sum() == n_inside
+        # on a unit density the ACLR is the ratio of the bin counts
         seg = rf.SEGMENT_LEN
-        freqs, _ = power_spectrum(_tone(seg), 1.0, seg)
-        k = np.arange(-seg // 2, seg // 2)
-        scale = 2 * cfg.idft_size * rf.OVERSAMPLE
-        rule = ((2 * cfg.bin_low - 1) * seg <= k * scale) & (
-            k * scale <= (2 * cfg.bin_high + 1) * seg
-        )
-        assert rule.sum() == n_inside
-        # a unit density with one bin doubled: the ACLR falls exactly when
-        # that bin is counted in band
-        dens = np.ones(seg)
-        monkeypatch.setattr(rf, "power_spectrum", lambda samples, rate, n: (freqs, dens))
-        band = occupied_band(cfg)
-        flat = aclr(None, band)
-        inside = []
-        for j in range(seg):
-            dens[j] = 2.0
-            inside.append(aclr(None, band) < flat)
-            dens[j] = 1.0
-        np.testing.assert_array_equal(inside, rule)
+        monkeypatch.setattr(rf, "power_spectrum", lambda samples: np.ones(seg))
+        flat = aclr(None, inside)
+        assert flat == pytest.approx(10.0 * np.log10((seg - n_inside) / n_inside), rel=1e-12)
+
+    def test_aclr_equals_the_float_band_sums(self):
+        # the density summed over the float-edge mask and its complement:
+        # the same elements in the same order, so the same bits
+        cfg = ExperimentConfig(metrics=MetricsConfig(stream_symbols=100))
+        oracle = _oracle_band(cfg.wave)
+        band = occupied_band(cfg.wave)
+        for scheme in studies._radio_schemes(cfg):
+            drive = PaDriver(cfg.pa, studies.scheme_stream(cfg, scheme, 0))
+            for obo in (0.0, 3.0, 9.61, 30.0):
+                y = drive(obo)
+                dens = power_spectrum(y)
+                expected = float(10.0 * np.log10(dens[~oracle].sum() / dens[oracle].sum()))
+                assert aclr(y, band).hex() == expected.hex()
 
     def test_psd_without_bins_outside_the_band_rejected(self):
         # a band that fills the sampled spectrum leaves no bin to see leakage
@@ -364,13 +388,13 @@ class TestAclr:
         # argument error that names no profile key
         sig = _tone()
         with pytest.raises(ValueError, match="no leakage") as exc:
-            aclr(sig, (-0.5, 0.5))
+            aclr(sig, np.ones(rf.SEGMENT_LEN, dtype=bool))
         assert type(exc.value) is ValueError
-        assert math.isfinite(aclr(sig, (-0.13, 0.13)))
+        assert math.isfinite(aclr(sig, _float_band(-0.13, 0.13)))
 
     def test_inband_tone_leaks_little(self):
         sig = _tone(n=16384)
-        assert aclr(sig, (-0.13, 0.13)) < -40.0
+        assert aclr(sig, _float_band(-0.13, 0.13)) < -40.0
 
     def test_linear_regime_aclr_improves_with_backoff(self):
         pa = RappPa()
@@ -401,24 +425,7 @@ class TestAclr:
 
 class TestSegmentLenWiring:
     """Every study ACLR is measured on an ``rf.OVERSAMPLE``-times oversampled
-    stream with ``rf.SEGMENT_LEN``-point PSD segments at unit rate: the band
-    is in cycles per sample, so no sample rate enters."""
-
-    def test_studies_use_the_constants(self, monkeypatch):
-        seen = []
-
-        def spy(samples, sample_rate, segment_len):
-            seen.append((segment_len, sample_rate))
-            return power_spectrum(samples, sample_rate, segment_len)
-
-        monkeypatch.setattr(rf, "power_spectrum", spy)
-        cfg = ExperimentConfig(
-            metrics=MetricsConfig(stream_symbols=50, obo_step_db=5.0), schemes=("csc_mv_2",)
-        )
-        studies.aclr_study(cfg)
-        studies.coverage_study(cfg)
-        assert len(seen) > 7
-        assert set(seen) == {(rf.SEGMENT_LEN, 1.0)}
+    stream, the rate of the PSD bins ``occupied_band`` marks."""
 
     def test_stream_carries_the_oversampled_rate(self):
         # a plain array: every symbol stride and the last suffix at OVERSAMPLE

@@ -215,6 +215,15 @@ class TestRoundTrip:
             synthesize(stack)
         assert synthesize(stack[0]).shape == (CFG.cp_len + CFG.idft_size,)
 
+    def test_stream_rejects_a_deeper_stack(self):
+        # a stream is one (M,) symbol or an (n_symbols, M) stack of them
+        stack = np.ones((2, 3, CFG.num_bins), dtype=complex)
+        with pytest.raises(FramingError, match=r"\(n_symbols, M\).*\(2, 3, 54\)"):
+            assemble_stream(CFG, stack, 1)
+        assert assemble_stream(CFG, stack[0], 1).shape == (
+            3 * (CFG.cp_len + CFG.idft_size) + CFG.window_rolloff,
+        )
+
     @pytest.mark.parametrize("num_bins", [53, 54])  # ifftshift != fftshift at odd M
     def test_matched_despread_rows_match_despread(self, num_bins):
         cfg = WaveformConfig(num_bins=num_bins)
