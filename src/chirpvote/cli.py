@@ -13,16 +13,20 @@ a repeated ``--scheme``; ``--snr-db``; ``bound --rounds``/``--workers``)
 overrides it in ``_load_cfg`` alone.  The studies read only the profile, and
 each CSV's columns are the keys of the rows its study builds.
 
-Exit codes: 0 success, 2 configuration/usage error (including a NaN or
-infinite number flag, a negative seed, an ``aclr --obo-db`` outside the
-sweep's 0-30 dB span, and an ``--out`` that is not a directory or cannot be
-written), 3 infeasible request.
+argparse only parses a number flag: its value passes only the check of the
+profile value or ``BoundParams`` field it sets, whose message names that key
+or field (``--snr-db nan``: ``snr_db``; ``--seed -1``: ``seeds``;
+``bound --noise-l1 nan``: ``grad_noise_scale``), before any study runs.
+
+Exit codes: 0 success, 2 configuration/usage error (including a value that
+fails the check of the key or field it sets, an ``aclr --obo-db`` outside
+the sweep's 0-30 dB span, and an ``--out`` that is not a directory or cannot
+be written), 3 infeasible request.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -52,36 +56,18 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _finite_float(text: str) -> float:
-    """argparse type for float flags: NaN and infinities are usage errors."""
+def _backoff_db(text: str) -> float:
+    """argparse type for ``aclr --obo-db``: a back-off inside the sweep's span.
+    Below it the PA is driven past saturation; far above it the drive gain
+    underflows to an all-zero output. The span check rejects NaN and the
+    infinities too."""
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
-    return value
-
-
-def _backoff_db(text: str) -> float:
-    """argparse type for ``aclr --obo-db``: a back-off inside the sweep's span.
-    Below it the PA is driven past saturation; far above it the drive gain
-    underflows to an all-zero output."""
-    value = _finite_float(text)
     lo, hi = OBO_SPAN_DB
     if not lo <= value <= hi:
         raise argparse.ArgumentTypeError(f"back-off must lie in [{lo:g}, {hi:g}] dB: {text!r}")
-    return value
-
-
-def _seed_int(text: str) -> int:
-    """argparse type for --seed: random streams need a non-negative integer."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"seed must be non-negative: {text!r}")
     return value
 
 
@@ -210,12 +196,8 @@ def cmd_bound(args) -> int:
         detection_snr=args.detection_snr,
         num_rounds=cfg.train.rounds,
     )
-    try:
-        value = convergence_bound(params)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
     payload = {
-        "bound": value,
+        "bound": convergence_bound(params),
         "detection_snr": args.detection_snr,
         "initial_gap": args.initial_gap,
         "noise_l1": args.noise_l1,
@@ -235,7 +217,7 @@ def _add_common(sp: argparse.ArgumentParser, scheme_choices=None, seed=True) -> 
     sp.add_argument("--config", type=Path, default=None, help="JSON experiment profile")
     if seed:
         sp.add_argument(
-            "--seed", type=_seed_int, default=None, help="set the profile's seed and train.seeds"
+            "--seed", type=int, default=None, help="set the profile's seed and train.seeds"
         )
     sp.add_argument(
         "--out", type=_out_dir, default=None, help="output directory (default: stdout)"
@@ -287,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp, SCHEMES)
     sp.add_argument(
         "--snr-db",
-        type=_finite_float,
+        type=float,
         action="append",
         default=None,
         help="uplink SNR point in dB (repeatable; default: profile list)",
@@ -307,11 +289,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp, seed=False)
     sp.add_argument("--rounds", type=int, default=None, help="set train.rounds")
     sp.add_argument("--workers", type=int, default=None, help="set train.num_eds")
-    sp.add_argument("--detection-snr", type=_finite_float, default=1.0)
-    sp.add_argument("--step-scale", type=_finite_float, default=1.0)
-    sp.add_argument("--initial-gap", type=_finite_float, default=10.0)
-    sp.add_argument("--smoothness-l1", type=_finite_float, default=float(PARAM_DIM))
-    sp.add_argument("--noise-l1", type=_finite_float, default=float(PARAM_DIM))
+    sp.add_argument("--detection-snr", type=float, default=1.0)
+    sp.add_argument("--step-scale", type=float, default=1.0)
+    sp.add_argument("--initial-gap", type=float, default=10.0)
+    sp.add_argument("--smoothness-l1", type=float, default=float(PARAM_DIM))
+    sp.add_argument("--noise-l1", type=float, default=float(PARAM_DIM))
     sp.set_defaults(func=cmd_bound)
 
     return parser

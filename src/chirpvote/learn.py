@@ -529,6 +529,18 @@ class BoundParams:
             if not np.all(np.isfinite(values)):
                 raise ConfigError(f"{name} must hold finite numbers")
             object.__setattr__(self, name, values)
+        if self.num_rounds < 1:
+            raise ConfigError("num_rounds must be positive")
+        if self.num_workers < 1:
+            raise ConfigError("num_workers must be positive")
+        if self.detection_snr <= 0:
+            raise ConfigError("detection_snr must be positive")
+        if self.step_scale <= 0:
+            raise ConfigError("step_scale must be positive")
+        if np.any(self.smoothness < 0) or np.any(self.grad_noise_scale < 0):
+            raise ConfigError("smoothness and noise scales must be non-negative")
+        if self.initial_gap < 0:
+            raise ConfigError("initial_gap must be non-negative")
 
 
 def convergence_bound(p: BoundParams) -> float:
@@ -537,18 +549,6 @@ def convergence_bound(p: BoundParams) -> float:
     Decreases like 1/sqrt(num_rounds); looser for noisier gradients, tighter
     for more workers or a cleaner vote channel.
     """
-    if p.num_rounds < 1:
-        raise ValueError("num_rounds must be positive")
-    if p.num_workers < 1:
-        raise ValueError("num_workers must be positive")
-    if p.detection_snr <= 0:
-        raise ValueError("detection_snr must be positive")
-    if p.step_scale <= 0:
-        raise ValueError("step_scale must be positive")
-    if np.any(p.smoothness < 0) or np.any(p.grad_noise_scale < 0):
-        raise ValueError("smoothness and noise scales must be non-negative")
-    if p.initial_gap < 0:
-        raise ValueError("initial_gap must be non-negative")
     l1_smooth = float(np.sum(p.smoothness))
     l1_noise = float(np.sum(p.grad_noise_scale))
     a = (1.0 + 2.0 / (p.detection_snr * p.num_workers)) / math.sqrt(p.step_scale)
@@ -556,5 +556,5 @@ def convergence_bound(p: BoundParams) -> float:
     noise = (2.0 * math.sqrt(2.0 * p.step_scale) / 3.0) * l1_noise
     bound = (drift + noise) / math.sqrt(p.num_rounds)
     if not math.isfinite(bound):
-        raise ValueError("the bound overflows: the inputs are too extreme to give a finite value")
+        raise ConfigError("the bound overflows: the inputs are too extreme to give a finite value")
     return bound

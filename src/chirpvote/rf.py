@@ -166,6 +166,8 @@ def power_spectrum(samples: np.ndarray) -> np.ndarray:
     ``SEGMENT_LEN``. Its mean is the input's mean power to within estimator
     bias (about 1%)."""
     samples = np.asarray(samples)
+    if samples.ndim != 1:
+        raise ValueError(f"expected one 1-D sample stream, got an array of shape {samples.shape}")
     if samples.size < SEGMENT_LEN:
         raise ValueError(f"signal shorter than one {SEGMENT_LEN}-sample PSD segment")
     segments = sliding_window_view(samples, SEGMENT_LEN)[:: SEGMENT_LEN // 2]
@@ -242,6 +244,8 @@ def obo_for_aclr(
         return lo
     while hi - lo > tol_db:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # lo and hi are adjacent floats
+            break
         if aclr(drive(mid), inband) <= target_db:
             hi = mid
         else:

@@ -500,12 +500,15 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_snr_exits_2(self, tmp_path, value, capsys):
-        # a NaN noise power would turn every statistic NaN and every vote -1
+        # a NaN noise power would turn every statistic NaN and every vote -1;
+        # the flag's value fails the check of train.snr_db, which it sets
         cfg = write_cfg(tmp_path)
-        with pytest.raises(SystemExit) as exc:
-            run("train", "--config", cfg, "--scheme", "ideal", f"--snr-db={value}")
-        assert exc.value.code == 2
-        assert "not a finite number" in capsys.readouterr().err
+        out = tmp_path / "train"
+        argv = ("train", "--config", cfg, "--scheme", "ideal", f"--snr-db={value}", "--out", out)
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "snr_db" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("scheme", ["csc_mv_2", "obda", "ideal"])
     def test_snr_flag_with_unrepresentable_noise_exits_2(self, tmp_path, scheme, capsys):
@@ -524,13 +527,40 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "snr_db" in err
 
-    @pytest.mark.parametrize("flag", ["--detection-snr", "--step-scale", "--noise-l1"])
-    def test_non_finite_bound_input_exits_2(self, tmp_path, flag):
-        # a NaN bound would be written as the non-JSON token NaN
+    @pytest.mark.parametrize(
+        "flag",
+        ["--detection-snr", "--step-scale", "--noise-l1", "--initial-gap", "--smoothness-l1"],
+    )
+    def test_non_finite_bound_input_exits_2(self, tmp_path, capsys, flag):
+        # a NaN bound would be written as the non-JSON token NaN; the flag's
+        # value fails the check of the BoundParams field it sets
+        field = {"--noise-l1": "grad_noise_scale", "--smoothness-l1": "smoothness"}.get(
+            flag, flag[2:].replace("-", "_")
+        )
         out = tmp_path / "bound"
-        with pytest.raises(SystemExit) as exc:
-            run("bound", flag, "nan", "--out", out)
-        assert exc.value.code == 2
+        for value in ("nan", "inf", "-inf"):
+            assert run("bound", f"{flag}={value}", "--out", out) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and field in err
+            assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, name",
+        [
+            ("--rounds", "0", "rounds"),
+            ("--workers", "0", "num_eds"),
+            ("--initial-gap", "-1", "initial_gap"),
+            ("--smoothness-l1", "-1", "smoothness"),
+            ("--detection-snr", "0", "detection_snr"),
+        ],
+    )
+    def test_bound_input_outside_the_domain_exits_2(self, tmp_path, capsys, flag, value, name):
+        # --rounds and --workers fail the checks of train.rounds and
+        # train.num_eds; the others that of their BoundParams field
+        out = tmp_path / "bound"
+        assert run("bound", f"{flag}={value}", "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and name in err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -802,11 +832,13 @@ class TestErrorPaths:
         "command", ["pmepr", "cm", "aclr", "coverage", "train", "waveform-dump"]
     )
     def test_negative_seed_flag_exits_2(self, tmp_path, command, capsys):
+        # --seed sets seed and train.seeds; the latter's check runs first
         cfg = write_cfg(tmp_path)
-        with pytest.raises(SystemExit) as exc:
-            run(command, "--config", cfg, "--seed", "-1")
-        assert exc.value.code == 2
-        assert "seed must be non-negative" in capsys.readouterr().err
+        out = tmp_path / "out"
+        assert run(command, "--config", cfg, "--seed", "-1", "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "seeds must be non-negative" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "profile", [{"seed": -3}, {"train": {"seeds": [-1]}}, {"train": {"seeds": ["x"]}}]

@@ -1157,13 +1157,16 @@ class TestConvergenceBound:
             convergence_bound(self._params(**kw))
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            convergence_bound(self._params(num_rounds=0))
-        with pytest.raises(ValueError):
-            convergence_bound(self._params(num_workers=0))
-        with pytest.raises(ValueError):
-            convergence_bound(self._params(detection_snr=0.0))
-        with pytest.raises(ValueError):
-            convergence_bound(self._params(step_scale=-1.0))
-        with pytest.raises(ValueError):
-            convergence_bound(self._params(smoothness=np.array([-1.0])))
+        # BoundParams checks the guarantee's domain itself, so no invalid
+        # instance reaches convergence_bound
+        for kw, message in [
+            ({"num_rounds": 0}, "num_rounds must be positive"),
+            ({"num_workers": 0}, "num_workers must be positive"),
+            ({"detection_snr": 0.0}, "detection_snr must be positive"),
+            ({"step_scale": -1.0}, "step_scale must be positive"),
+            ({"smoothness": np.array([-1.0])}, "noise scales must be non-negative"),
+            ({"grad_noise_scale": np.array([-1.0])}, "noise scales must be non-negative"),
+            ({"initial_gap": -1.0}, "initial_gap must be non-negative"),
+        ]:
+            with pytest.raises(ConfigError, match=message):
+                self._params(**kw)

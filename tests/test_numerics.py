@@ -76,6 +76,11 @@ class TestPowerSpectrum:
             power_spectrum(np.ones(SEGMENT_LEN - 1, dtype=complex))
         assert power_spectrum(np.ones(SEGMENT_LEN, dtype=complex)).shape == (SEGMENT_LEN,)
 
+    def test_non_1d_input_rejected(self):
+        # the periodogram of one stream: a stack of streams is an argument error
+        with pytest.raises(ValueError, match=r"1-D sample stream.*\(2, 4096\)"):
+            power_spectrum(np.ones((2, 4096), dtype=complex))
+
 
 class TestPowerSpectrumOracle:
     """The batched periodogram against ``scipy.signal.welch`` with the same

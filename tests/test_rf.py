@@ -415,6 +415,30 @@ class TestAclr:
         assert aclr(drive(obo), band) <= target + 0.05
         assert aclr(drive(max(obo - 1.0, 0.0)), band) > target - 3.0
 
+    def test_obo_search_ends_at_a_tolerance_below_the_float_spacing(self, monkeypatch):
+        # once lo and hi are adjacent floats their midpoint is one of them and
+        # hi - lo stops shrinking, so the search must stop there
+        pa = RappPa()
+        stream = _csc_stream(2, 64, seed=4)
+        band = occupied_band(CFG)
+        fine = obo_for_aclr(pa, stream, band, -20.0, tol_db=1e-12)
+        calls = []
+
+        def counted(samples, inband):
+            calls.append(None)
+            if len(calls) > 200:
+                raise AssertionError("the bisection does not end")
+            return aclr(samples, inband)
+
+        monkeypatch.setattr(rf, "aclr", counted)
+        assert obo_for_aclr(pa, stream, band, -20.0, tol_db=1e-300) == pytest.approx(fine, abs=1e-11)
+        assert len(calls) < 70
+
+    def test_two_dimensional_stream_rejected(self):
+        # one stream at a time: a stack of streams is an argument error
+        with pytest.raises(ValueError, match=r"1-D sample stream.*\(2, 4096\)"):
+            aclr(np.stack([_tone(), _tone()]), _float_band(-0.13, 0.13))
+
     def test_obo_search_infeasible_target(self):
         pa = RappPa()
         stream = _csc_stream(2, 64, seed=5)
