@@ -14,14 +14,15 @@ overrides it in ``_load_cfg`` alone.  The studies read only the profile, and
 each CSV's columns are the keys of the rows its study builds.
 
 argparse only parses a number flag: its value passes only the check of the
-profile value or ``BoundParams`` field it sets, whose message names that key
-or field (``--snr-db nan``: ``snr_db``; ``--seed -1``: ``seeds``;
-``bound --noise-l1 nan``: ``grad_noise_scale``), before any study runs.
+profile value, ``BoundParams`` field or study argument it sets, whose
+message names that key, field or argument (``--snr-db nan``: ``snr_db``;
+``--seed -1``: ``seeds``; ``bound --noise-l1 nan``: ``grad_noise_scale``;
+``aclr --obo-db 31``: ``obo_db``), before any study measures anything.
 
 Exit codes: 0 success, 2 configuration/usage error (including a value that
-fails the check of the key or field it sets, an ``aclr --obo-db`` outside
-the sweep's 0-30 dB span, and an ``--out`` that is not a directory or cannot
-be written), 3 infeasible request.
+fails the check of the key, field or argument it sets, such as an
+``aclr --obo-db`` outside the sweep's 0-30 dB span, and an ``--out`` that is
+not a directory or cannot be written), 3 infeasible request.
 """
 from __future__ import annotations
 
@@ -54,21 +55,6 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return f"{value:.6f}"
     return str(value)
-
-
-def _backoff_db(text: str) -> float:
-    """argparse type for ``aclr --obo-db``: a back-off inside the sweep's span.
-    Below it the PA is driven past saturation; far above it the drive gain
-    underflows to an all-zero output. The span check rejects NaN and the
-    infinities too."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    lo, hi = OBO_SPAN_DB
-    if not lo <= value <= hi:
-        raise argparse.ArgumentTypeError(f"back-off must lie in [{lo:g}, {hi:g}] dB: {text!r}")
-    return value
 
 
 def _out_dir(text: str) -> Path:
@@ -251,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp, RADIO_SCHEMES)
     sp.add_argument(
         "--obo-db",
-        type=_backoff_db,
+        type=float,
         default=None,
         help="evaluate one back-off instead of the {:g}-{:g} dB sweep".format(*OBO_SPAN_DB),
     )

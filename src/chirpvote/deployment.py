@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import keyed_rng
-from .errors import ConfigError, require_finite_floats
+from .errors import ConfigError, require_field_types
 
 
 @dataclass(frozen=True)
@@ -33,7 +33,7 @@ class PowerControlParams:
     obo_min: float = 10.5
 
     def __post_init__(self) -> None:
-        require_finite_floats(self)
+        require_field_types(self)
         if not 0 < self.beta <= self.alpha:
             raise ConfigError("compensation exponent beta must lie in (0, alpha]")
         if self.r_ref <= 0:
@@ -62,6 +62,7 @@ class Deployment:
     r_max: float
 
     def __post_init__(self) -> None:
+        require_field_types(self)
         d = np.asarray(self.ed_distances, dtype=float)
         if d.size == 0:
             raise ConfigError("deployment must contain at least one device")

@@ -40,7 +40,7 @@ from .channel import draw_epa, draw_sync_offset, epa_phase_table, epa_tap_delays
 from .config import TrainConfig, scheme as scheme_record
 from .datasets import Dataset
 from .deployment import Deployment, PowerControlParams, link_power
-from .errors import ConfigError, InfeasibleError, require_finite_floats
+from .errors import ConfigError, InfeasibleError, require_field_types
 from .oac import VotePlan, csc_phases, detect_mv, decode_obda, encode_obda, place_tones, sign_pm1
 from .waveform import WaveformConfig, build_fdss, despread_folded, matched_despread
 
@@ -523,11 +523,11 @@ class BoundParams:
     num_rounds: int
 
     def __post_init__(self) -> None:
-        require_finite_floats(self)
+        require_field_types(self)
         for name in ("smoothness", "grad_noise_scale"):
             values = np.asarray(getattr(self, name), dtype=float)
-            if not np.all(np.isfinite(values)):
-                raise ConfigError(f"{name} must hold finite numbers")
+            if not np.all(np.isfinite(values) & (values >= 0)):
+                raise ConfigError(f"{name} must hold finite non-negative numbers")
             object.__setattr__(self, name, values)
         if self.num_rounds < 1:
             raise ConfigError("num_rounds must be positive")
@@ -537,8 +537,6 @@ class BoundParams:
             raise ConfigError("detection_snr must be positive")
         if self.step_scale <= 0:
             raise ConfigError("step_scale must be positive")
-        if np.any(self.smoothness < 0) or np.any(self.grad_noise_scale < 0):
-            raise ConfigError("smoothness and noise scales must be non-negative")
         if self.initial_gap < 0:
             raise ConfigError("initial_gap must be non-negative")
 

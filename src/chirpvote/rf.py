@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError, InfeasibleError, require_finite_floats
+from .errors import ConfigError, InfeasibleError, require_field_types
 from .waveform import WaveformConfig
 
 RCM_REFERENCE_DB = 1.52
@@ -66,7 +66,7 @@ class RappPa:
     smoothness: float = 0.9
 
     def __post_init__(self) -> None:
-        require_finite_floats(self)
+        require_field_types(self)
         if self.smoothness <= 0:
             raise ConfigError("smoothness must be positive")
 

@@ -225,14 +225,19 @@ def cm_report(cfg: ExperimentConfig) -> tuple[list[dict], dict]:
 
 def aclr_study(cfg: ExperimentConfig, obo_db: float | None = None) -> list[dict]:
     """Leakage against back-off: the full ``OBO_SPAN_DB`` sweep, or one spot
-    value."""
-    inband = occupied_band(cfg.wave)
+    value inside that span. Below it the PA is driven past saturation; far
+    above it the drive gain underflows to an all-zero output, so a spot
+    value outside it (NaN included) raises ConfigError before any stream is
+    built."""
+    lo, hi = OBO_SPAN_DB
     if obo_db is None:
-        lo, hi = OBO_SPAN_DB
         step = cfg.metrics.obo_step_db
         obos = np.arange(lo, hi + step / 2.0, step).tolist()
-    else:
+    elif lo <= obo_db <= hi:
         obos = [float(obo_db)]
+    else:
+        raise ConfigError(f"obo_db must lie in [{lo:g}, {hi:g}] dB, got {obo_db!r}")
+    inband = occupied_band(cfg.wave)
     rows = []
     for scheme in _radio_schemes(cfg):
         drive = PaDriver(cfg.pa, scheme_stream(cfg, scheme, cfg.seed))

@@ -38,7 +38,7 @@ from functools import cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import ConfigError, FramingError, require_finite_floats
+from .errors import ConfigError, FramingError, require_field_types
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,7 @@ class WaveformConfig:
     window_rolloff: int = 2
 
     def __post_init__(self) -> None:
-        require_finite_floats(self)
+        require_field_types(self)
         if self.num_bins <= 0 or self.idft_size <= 0:
             raise ConfigError("num_bins and idft_size must be positive")
         if self.num_bins > self.idft_size:

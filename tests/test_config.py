@@ -1,11 +1,19 @@
 """Configuration tree: defaults, validation, and JSON round-trips."""
 import json
+import math
 import warnings
+from dataclasses import is_dataclass
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from chirpvote.cli import main
 from chirpvote.config import (
+    RADIO_SCHEMES,
     SCHEMES,
     ExperimentConfig,
     MetricsConfig,
@@ -17,8 +25,9 @@ from chirpvote.config import (
     save_config,
     scheme,
 )
-from chirpvote.deployment import PowerControlParams
+from chirpvote.deployment import Deployment, PowerControlParams
 from chirpvote.errors import ConfigError
+from chirpvote.learn import BoundParams
 from chirpvote.rf import RappPa
 from chirpvote.waveform import WaveformConfig
 
@@ -111,10 +120,10 @@ class TestValidation:
         with pytest.raises(ConfigError, match="rounds"):
             TrainConfig(rounds=0)
         for bad in ({"snr_db": "20"}, {"seeds": "12"}):
-            with pytest.raises(ConfigError, match="not strings"):
+            with pytest.raises(ConfigError, match="must be a list, each entry"):
                 TrainConfig(**bad)
-        # entries of the wrong type are rejected where a profile is read (a
-        # string is a sequence of characters)
+        # entries of the wrong type are rejected by the dataclass, so a
+        # profile meets the same check (a string is a sequence of characters)
         for bad in ({"snr_db": ["loud"]}, {"snr_db": "20"}, {"seeds": ["x"]}, {"seeds": [1.5]}):
             with pytest.raises(ConfigError, match="must be a list, each entry"):
                 config_from_dict({"train": bad})
@@ -137,7 +146,8 @@ class TestValidation:
         ],
     )
     def test_non_finite_float_field_rejected(self, cls, kwargs, field):
-        # the Python API meets the check a profile's values meet in _fits
+        # the one type check, errors.require_field_types, runs in the
+        # dataclass, so the Python API and a profile meet the same check
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(ConfigError, match=f"^{field} must be a finite number"):
@@ -148,6 +158,133 @@ class TestValidation:
             ExperimentConfig(seed=-3)
         with pytest.raises(ConfigError, match="non-negative"):
             TrainConfig(seeds=(0, -1))
+
+
+def _profile_fields():
+    """(section, class, name, annotation) of every profile value, read from
+    the annotations; the section is None at the root."""
+    found = []
+    for name, kind in get_type_hints(ExperimentConfig).items():
+        if is_dataclass(kind):
+            found += [(name, kind, n, k) for n, k in get_type_hints(kind).items()]
+        else:
+            found.append((None, ExperimentConfig, name, kind))
+    return found
+
+
+PROFILE_FIELDS = _profile_fields()
+FIELD_IDS = [f"{section or 'root'}.{name}" for section, _, name, _ in PROFILE_FIELDS]
+
+#: values no field of the kind may hold, each listed value tried on every field
+LISTED_BAD = {
+    int: [True, 2.5],
+    float: [False, math.nan, math.inf, -math.inf, 10**400],
+    str: [True],
+}
+#: valid entries of a list field, to surround a bad one
+GOOD_ENTRY = {int: st.integers(0, 9), float: st.floats(-50, 50), str: st.sampled_from(RADIO_SCHEMES)}
+
+
+def _listed_bad(kind) -> list:
+    if get_origin(kind) is tuple:
+        entry = get_args(kind)[0]
+        good = {int: 0, float: 1.0, str: "obda"}[entry]
+        return [True, "20", *([good, bad] for bad in LISTED_BAD[entry])]
+    return LISTED_BAD[kind]
+
+
+def _profile(section, name, value) -> dict:
+    return {section: {name: value}} if section else {name: value}
+
+
+def _bad_scalar(kind):
+    if kind is int:
+        fractions = st.floats(allow_nan=False, allow_infinity=False)
+        return st.booleans() | fractions.filter(lambda x: not x.is_integer())
+    if kind is float:
+        huge = st.integers(min_value=2**1024) | st.integers(max_value=-(2**1024))
+        return st.booleans() | st.sampled_from([math.nan, math.inf, -math.inf]) | huge
+    return st.booleans() | st.integers() | st.floats()
+
+
+def _bad_value(kind):
+    if get_origin(kind) is tuple:
+        entry = get_args(kind)[0]
+        around = st.lists(GOOD_ENTRY[entry], max_size=2)
+        one_bad = st.tuples(around, _bad_scalar(entry), around).map(
+            lambda t: [*t[0], t[1], *t[2]]
+        )
+        return st.booleans() | st.text() | one_bad
+    return _bad_scalar(kind)
+
+
+def _rejection(build) -> str:
+    with pytest.raises(ConfigError) as exc:
+        build()
+    return str(exc.value)
+
+
+def _assert_rejected_alike(section, cls, name, value) -> str:
+    """The Python API and a profile reject ``value`` with one message, which
+    names the field; returns it."""
+    api = _rejection(lambda: cls(**{name: value}))
+    assert _rejection(lambda: config_from_dict(_profile(section, name, value))) == api
+    assert api.startswith(f"{name} must be ")
+    return api
+
+
+class TestFieldTypes:
+    """One type check per value, run by the dataclass that holds it: a
+    constructor, a profile and the CLI reject a mistyped value alike."""
+
+    def test_every_field_is_typed(self):
+        for _, _, name, kind in PROFILE_FIELDS:
+            entry = get_args(kind)[0] if get_origin(kind) is tuple else kind
+            assert entry in LISTED_BAD, name
+
+    @pytest.mark.parametrize(
+        "cls, valid",
+        [
+            (
+                BoundParams,
+                dict(
+                    smoothness=np.ones(2), grad_noise_scale=np.ones(2), initial_gap=1.0,
+                    step_scale=1.0, num_workers=3, detection_snr=1.0, num_rounds=5,
+                ),
+            ),
+            # a NaN radius would pass every comparison of the range check
+            (Deployment, dict(ed_distances=np.array([20.0]), r_min=10.0, r_max=50.0)),
+        ],
+        ids=["BoundParams", "Deployment"],
+    )
+    def test_other_dataclasses_check_their_typed_fields(self, cls, valid):
+        cls(**valid)
+        for name, kind in get_type_hints(cls).items():
+            for value in LISTED_BAD.get(kind, []):
+                message = _rejection(lambda: cls(**{**valid, name: value}))
+                assert message.startswith(f"{name} must be ")
+
+    @pytest.mark.parametrize("section, cls, name, kind", PROFILE_FIELDS, ids=FIELD_IDS)
+    def test_listed_bad_values_rejected(self, tmp_path, capsys, section, cls, name, kind):
+        for value in _listed_bad(kind):
+            message = _assert_rejected_alike(section, cls, name, value)
+            # through the CLI: exit 2 before anything is written
+            profile = tmp_path / "bad.json"
+            profile.write_text(json.dumps(_profile(section, name, value)))
+            out = tmp_path / "out"
+            argv = ["train", "--config", str(profile), "--scheme", "ideal", "--out", str(out)]
+            assert main(argv) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
+            assert not out.exists()
+
+    @pytest.mark.parametrize("section, cls, name, kind", PROFILE_FIELDS, ids=FIELD_IDS)
+    def test_generated_bad_values_rejected(self, section, cls, name, kind):
+        @settings(max_examples=25, derandomize=True, deadline=None)
+        @given(value=_bad_value(kind))
+        def check(value):
+            _assert_rejected_alike(section, cls, name, value)
+
+        check()
 
 
 class TestDictConversion:

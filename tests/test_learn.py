@@ -1164,8 +1164,8 @@ class TestConvergenceBound:
             ({"num_workers": 0}, "num_workers must be positive"),
             ({"detection_snr": 0.0}, "detection_snr must be positive"),
             ({"step_scale": -1.0}, "step_scale must be positive"),
-            ({"smoothness": np.array([-1.0])}, "noise scales must be non-negative"),
-            ({"grad_noise_scale": np.array([-1.0])}, "noise scales must be non-negative"),
+            ({"smoothness": np.array([-1.0])}, "^smoothness must hold finite non-negative"),
+            ({"grad_noise_scale": np.array([-1.0])}, "^grad_noise_scale must hold finite non-negative"),
             ({"initial_gap": -1.0}, "initial_gap must be non-negative"),
         ]:
             with pytest.raises(ConfigError, match=message):

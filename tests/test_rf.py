@@ -447,6 +447,18 @@ class TestAclr:
             obo_for_aclr(pa, stream, band, -60.0)
 
 
+    @pytest.mark.parametrize("obo_db", [math.nan, -400.0, 30.5, 1e308])
+    def test_spot_backoff_outside_the_span_rejected_before_measuring(self, monkeypatch, obo_db):
+        # below 0 dB the PA is driven past saturation; far above 30 dB the
+        # drive gain underflows to a silent output
+        def unreachable(*args):
+            raise AssertionError("a stream was built")
+
+        monkeypatch.setattr(studies, "scheme_stream", unreachable)
+        with pytest.raises(ConfigError, match="^obo_db must lie in"):
+            studies.aclr_study(ExperimentConfig(), obo_db)
+
+
 class TestSegmentLenWiring:
     """Every study ACLR is measured on an ``rf.OVERSAMPLE``-times oversampled
     stream, the rate of the PSD bins ``occupied_band`` marks."""
