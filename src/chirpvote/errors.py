@@ -57,7 +57,8 @@ def _describe(kind) -> str:
 @cache
 def _typed_fields(cls) -> tuple:
     """The (name, annotation) pairs of a dataclass's int, float, str and
-    tuple fields; other fields (arrays, sections) are checked where read."""
+    tuple fields; fields of other types (arrays, sections) are not checked
+    here."""
     hints = get_type_hints(cls)
     kinds = [(f.name, hints[f.name]) for f in fields(cls)]
     return tuple((n, k) for n, k in kinds if k in _EXPECTED or get_origin(k) is tuple)
