@@ -36,13 +36,7 @@ import numpy as np
 
 from . import studies
 from ._rng import keyed_rng
-from .config import (
-    RADIO_SCHEMES,
-    SCHEMES,
-    ExperimentConfig,
-    default_config,
-    load_config,
-)
+from .config import RADIO_SCHEMES, SCHEMES, ExperimentConfig, load_config
 from .errors import ConfigError, InfeasibleError
 from .learn import PARAM_DIM, BoundParams, convergence_bound
 from .rf import OBO_SPAN_DB
@@ -99,7 +93,7 @@ def _load_cfg(args) -> ExperimentConfig:
     """The profile with every overriding flag applied; ``replace`` reruns the
     profile's checks, so a flag value passes the check of the value it
     replaces."""
-    cfg = load_config(args.config) if args.config else default_config()
+    cfg = load_config(args.config) if args.config else ExperimentConfig()
     top, train = {}, {}
     if getattr(args, "seed", None) is not None:
         top["seed"] = args.seed

@@ -21,23 +21,32 @@ from .waveform import WaveformConfig
 
 @dataclass(frozen=True)
 class Scheme:
-    """What a scheme token means; every reader dispatches on these fields."""
+    """What a scheme token means: two fields, and two properties derived from them."""
 
-    votes_per_block: int  # chirp votes per DFT-spread symbol
-    spread: bool  # whether a symbol is DFT-spread, or plain subcarriers
-    #: the power-control clamp radius in m: ``coverage_radius`` at the paper's
-    #: compliant back-offs, 3.3 dB for the chirps and 10.5 dB for OBDA, rounded by hand
+    votes_per_block: int  # chirp votes per DFT-spread symbol; 0 for plain subcarriers
+    #: the power-control clamp radius in m, None without a transmit chain: the
+    #: ``coverage_radius`` at the paper's compliant back-offs, 3.3 dB for the chirps
+    #: and 10.5 dB for OBDA, rounded by hand
     clamp_radius_m: float | None
-    transmits: bool = True  # False for the error-free vote: no transmit chain
+
+    @property
+    def spread(self) -> bool:
+        """Whether a symbol is DFT-spread chirp votes, or plain subcarriers."""
+        return self.votes_per_block > 0
+
+    @property
+    def transmits(self) -> bool:
+        """Whether the scheme has a transmit chain to measure and simulate."""
+        return self.clamp_radius_m is not None
 
 
 #: every scheme token's meaning, in the order the CLI and the studies list them
 SCHEMES = {
-    "csc_mv_1": Scheme(votes_per_block=1, spread=True, clamp_radius_m=46.5),
-    "csc_mv_2": Scheme(votes_per_block=2, spread=True, clamp_radius_m=46.5),
-    "csc_mv_4": Scheme(votes_per_block=4, spread=True, clamp_radius_m=46.5),
-    "obda": Scheme(votes_per_block=0, spread=False, clamp_radius_m=30.73),
-    "ideal": Scheme(votes_per_block=0, spread=False, clamp_radius_m=None, transmits=False),
+    "csc_mv_1": Scheme(votes_per_block=1, clamp_radius_m=46.5),
+    "csc_mv_2": Scheme(votes_per_block=2, clamp_radius_m=46.5),
+    "csc_mv_4": Scheme(votes_per_block=4, clamp_radius_m=46.5),
+    "obda": Scheme(votes_per_block=0, clamp_radius_m=30.73),
+    "ideal": Scheme(votes_per_block=0, clamp_radius_m=None),
 }
 
 #: the tokens with a transmit chain: the default ``schemes`` and the RF commands' choices
@@ -63,8 +72,9 @@ class MetricsConfig:
         require_field_types(self)
         if self.num_symbols < 1 or self.stream_symbols < 1:
             raise ConfigError("symbol counts must be positive")
-        if self.obo_step_db <= 0:
-            raise ConfigError("obo_step_db must be positive")
+        # 0.01 dB is a 3,001-point aclr sweep over rf.OBO_SPAN_DB
+        if self.obo_step_db < 0.01:
+            raise ConfigError(f"obo_step_db must be at least 0.01 dB, got {self.obo_step_db!r}")
 
 
 @dataclass(frozen=True)
@@ -139,16 +149,17 @@ class ExperimentConfig:
 
 def _build(cls, data: dict, where: str):
     """``cls`` from a JSON object whose keys are its fields; a
-    dataclass-typed field is a section, built the same way under its name.
-    The dataclasses check their own values."""
-    if not isinstance(data, dict):
-        raise ConfigError(f"{where}: expected an object")
+    dataclass-typed field given an object is a section, built the same way
+    under its name. The dataclasses check their own values, a section that
+    is not an object included."""
     kinds = get_type_hints(cls)
     unknown = sorted(set(data) - set(kinds))
     if unknown:
         raise ConfigError(f"{where}: unknown keys {unknown}")
     kwargs = {
-        name: _build(kinds[name], value, name) if is_dataclass(kinds[name]) else value
+        name: _build(kinds[name], value, name)
+        if is_dataclass(kinds[name]) and isinstance(value, dict)
+        else value
         for name, value in data.items()
     }
     return cls(**kwargs)
@@ -158,10 +169,6 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     if not isinstance(data, dict):
         raise ConfigError("configuration root must be an object")
     return _build(ExperimentConfig, data, "config")
-
-
-def config_to_dict(cfg: ExperimentConfig) -> dict:
-    return asdict(cfg)
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -178,8 +185,4 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 
 def save_config(cfg: ExperimentConfig, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(config_to_dict(cfg), indent=2, sort_keys=True) + "\n")
-
-
-def default_config() -> ExperimentConfig:
-    return ExperimentConfig()
+    Path(path).write_text(json.dumps(asdict(cfg), indent=2, sort_keys=True) + "\n")

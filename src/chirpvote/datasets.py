@@ -53,20 +53,18 @@ def _glyph_array(label: int) -> np.ndarray:
     return np.array([[1.0 if ch == "1" else 0.0 for ch in row] for row in rows])
 
 
-def synthetic_digits(
-    n_samples: int, seed: int, noise_std: float = 0.2, max_shift: int = 1
-) -> Dataset:
+def synthetic_digits(n_samples: int, seed: int) -> Dataset:
     """Class-balanced noisy glyphs: template, random circular shift of up to
-    max_shift pixels per axis, amplitude jitter, additive Gaussian noise."""
+    one pixel per axis, amplitude jitter, additive Gaussian noise of std 0.2."""
     if n_samples < 1:
         raise ConfigError("n_samples must be positive")
     rng = keyed_rng(seed, "synthetic-digits")
     labels = np.arange(n_samples) % 10
     rng.shuffle(labels)
     templates = np.stack([_glyph_array(k) for k in range(10)])
-    shifts = rng.integers(-max_shift, max_shift + 1, size=(n_samples, 2))
+    shifts = rng.integers(-1, 2, size=(n_samples, 2))
     amps = 0.8 + 0.4 * rng.random(n_samples)
-    noise = noise_std * rng.standard_normal((n_samples, 8, 8))
+    noise = 0.2 * rng.standard_normal((n_samples, 8, 8))
     # np.roll by (sr, sc) puts template pixel ((r - sr) % 8, (c - sc) % 8) at (r, c)
     grid = np.arange(8)
     rows = (grid - shifts[:, :1]) % 8

@@ -7,26 +7,22 @@ failure modes that callers (notably the CLI) dispatch on.
 from __future__ import annotations
 
 import sys
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
 from functools import cache
 from typing import get_args, get_origin, get_type_hints
 
 
-class ChirpVoteError(Exception):
-    """Base class for package-specific errors."""
-
-
-class ConfigError(ChirpVoteError, ValueError):
+class ConfigError(ValueError):
     """A configuration object or file violates its invariants."""
 
 
-class InfeasibleError(ChirpVoteError):
+class InfeasibleError(Exception):
     """A request has no solution in the admissible range (e.g. an ACLR
     target below the scheme's distortion floor, more vote pairs than fit in
     the band, or a delay beyond the untapered cyclic prefix)."""
 
 
-class FramingError(ChirpVoteError, ValueError):
+class FramingError(ValueError):
     """A signal or block sequence has the wrong length for the operation."""
 
 
@@ -36,7 +32,8 @@ _EXPECTED = {int: "an integer", float: "a finite number", str: "a string"}
 
 def _fits(value, kind) -> bool:
     """Whether a value has a field's annotated type: an integer (not a bool)
-    for int, a finite number for float, a list or tuple of such for a tuple."""
+    for int, a finite number for float, a list or tuple of such for a tuple,
+    an instance of the class for a section's dataclass."""
     if get_origin(kind) is tuple:
         return isinstance(value, (list, tuple)) and all(_fits(v, get_args(kind)[0]) for v in value)
     if isinstance(value, bool):
@@ -51,17 +48,21 @@ def _fits(value, kind) -> bool:
 def _describe(kind) -> str:
     if get_origin(kind) is tuple:
         return f"a list, each entry {_describe(get_args(kind)[0])}"
+    if is_dataclass(kind):
+        return f"a {kind.__name__} object"
     return _EXPECTED[kind]
 
 
 @cache
 def _typed_fields(cls) -> tuple:
-    """The (name, annotation) pairs of a dataclass's int, float, str and
-    tuple fields; fields of other types (arrays, sections) are not checked
-    here."""
+    """The (name, annotation) pairs of a dataclass's int, float, str, tuple
+    and section (dataclass-typed) fields; fields of other types, such as
+    arrays, are not checked here."""
     hints = get_type_hints(cls)
     kinds = [(f.name, hints[f.name]) for f in fields(cls)]
-    return tuple((n, k) for n, k in kinds if k in _EXPECTED or get_origin(k) is tuple)
+    return tuple(
+        (n, k) for n, k in kinds if k in _EXPECTED or get_origin(k) is tuple or is_dataclass(k)
+    )
 
 
 def require_field_types(config) -> None:

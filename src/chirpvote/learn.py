@@ -184,7 +184,7 @@ def local_gradient(
 
 
 def partition_dataset(
-    full: Dataset, deployment: Deployment, mode: str = "homogeneous"
+    full: Dataset, deployment: Deployment, mode: str
 ) -> tuple[Dataset, np.ndarray]:
     """Split a dataset across the deployed devices (a true partition).
 
@@ -203,14 +203,15 @@ def partition_dataset(
         raise ConfigError("fewer samples than devices")
     assignment = np.empty(len(full), dtype=int)
     if mode == "homogeneous":
-        groups = [(np.arange(k), np.arange(10))]
+        groups = [(np.arange(k), np.arange(NUM_CLASSES))]
     elif mode == "heterogeneous":
         boundary = deployment.r_max / math.sqrt(2.0)
         inner = np.flatnonzero(deployment.ed_distances <= boundary)
         outer = np.flatnonzero(deployment.ed_distances > boundary)
         if inner.size == 0 or outer.size == 0:
             raise ConfigError("heterogeneous split needs devices on both sides of the boundary")
-        groups = [(inner, np.arange(5)), (outer, np.arange(5, 10))]
+        half = NUM_CLASSES // 2
+        groups = [(inner, np.arange(half)), (outer, np.arange(half, NUM_CLASSES))]
     else:
         raise ConfigError(f"unknown partition mode {mode!r}")
     for eds, labels in groups:

@@ -225,9 +225,10 @@ def obo_for_aclr(
     inband: np.ndarray,
     target_db: float,
     obo_range: tuple[float, float] = OBO_SPAN_DB,
-    tol_db: float = 0.1,
+    *,
+    tol_db: float,
 ) -> float:
-    """Smallest back-off meeting the ACLR target, by bisection.
+    """Smallest back-off meeting the ACLR target, by bisection to within ``tol_db``.
 
     ACLR is monotone non-increasing in OBO down to the scheme's distortion
     floor; if even the top of ``obo_range`` misses the target the solve is

@@ -436,13 +436,40 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize(
         "profile, message",
-        [({"train": [1]}, "train: expected an object"), ({"wave": 5}, "wave: expected an object")],
+        [
+            ({"train": [1]}, "train must be a TrainConfig object, got [1]"),
+            ({"wave": 5}, "wave must be a WaveformConfig object, got 5"),
+        ],
+        ids=["train", "wave"],
     )
     def test_section_that_is_not_an_object_exits_2(self, tmp_path, capsys, profile, message):
         cfg = tmp_path / "section.json"
         cfg.write_text(json.dumps(profile))
         assert run("snr-distance", "--config", cfg) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["aclr", "coverage"])
+    def test_obo_step_at_the_floor_runs(self, tmp_path, command):
+        # 0.01 dB is the finest step: a 3,001-point aclr sweep
+        cfg = tmp_path / "step.json"
+        profile = {"schemes": ["obda"], "metrics": {"stream_symbols": 4, "obo_step_db": 0.01}}
+        cfg.write_text(json.dumps(profile))
+        out = tmp_path / "out"
+        assert run(command, "--config", cfg, "--out", out) == 0
+        (table,) = out.glob("*.csv")
+        assert len(table.read_text().splitlines()) == {"aclr": 3002, "coverage": 2}[command]
+
+    @pytest.mark.parametrize("command", ["aclr", "coverage"])
+    @pytest.mark.parametrize("step", [0.0099, 1e-300])
+    def test_obo_step_below_the_floor_exits_2(self, tmp_path, capsys, command, step):
+        # at 1e-300 dB aclr asked for a sweep longer than an array can hold
+        cfg = tmp_path / "step.json"
+        cfg.write_text(json.dumps({"metrics": {"obo_step_db": step}}))
+        out = tmp_path / "out"
+        assert run(command, "--config", cfg, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: obo_step_db must be at least 0.01 dB, got {step!r}\n"
+        assert not out.exists()
 
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as exc:

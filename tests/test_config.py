@@ -2,7 +2,7 @@
 import json
 import math
 import warnings
-from dataclasses import is_dataclass
+from dataclasses import asdict, fields, is_dataclass
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
@@ -17,10 +17,9 @@ from chirpvote.config import (
     SCHEMES,
     ExperimentConfig,
     MetricsConfig,
+    Scheme,
     TrainConfig,
     config_from_dict,
-    config_to_dict,
-    default_config,
     load_config,
     save_config,
     scheme,
@@ -41,9 +40,11 @@ class TestSchemeTokens:
         assert scheme("csc_mv_2").votes_per_block == 2
         assert scheme("csc_mv_4").votes_per_block == 4
         assert all(scheme(f"csc_mv_{v}").spread for v in (1, 2, 4))
-        assert not scheme("obda").spread
+        assert not scheme("obda").spread and not scheme("ideal").spread
         # every token but the error-free vote has a transmit chain
         assert [name for name, s in SCHEMES.items() if not s.transmits] == ["ideal"]
+        # spread and transmits are derived, so a record cannot contradict itself
+        assert [f.name for f in fields(Scheme)] == ["votes_per_block", "clamp_radius_m"]
 
     # only the listed tokens: csc_mv_3 and csc_mv_7 are well formed but not schemes
     @pytest.mark.parametrize(
@@ -60,7 +61,7 @@ class TestSchemeTokens:
 
 class TestDefaults:
     def test_default_profile_is_self_consistent(self):
-        cfg = default_config()
+        cfg = ExperimentConfig()
         assert cfg.wave.num_bins == 54
         assert cfg.wave.idft_size == 64
         assert cfg.schemes == ("csc_mv_1", "csc_mv_2", "csc_mv_4", "obda")
@@ -72,7 +73,7 @@ class TestDefaults:
     def test_readme_lists_the_default_profile(self):
         block = (ROOT / "README.md").read_text().split("```json\n", 1)[1]
         listed = json.loads(block.split("```", 1)[0])
-        assert listed == json.loads(json.dumps(config_to_dict(default_config())))
+        assert listed == json.loads(json.dumps(asdict(ExperimentConfig())))
 
     def test_sequence_fields_coerced_to_tuples(self):
         train = TrainConfig(snr_db=[5, 10], seeds=[3])
@@ -100,6 +101,11 @@ class TestValidation:
             MetricsConfig(num_symbols=0)
         with pytest.raises(ConfigError):
             MetricsConfig(obo_step_db=0.0)
+        # 0.01 dB, a 3,001-point aclr sweep, is the finest step
+        assert MetricsConfig(obo_step_db=0.01).obo_step_db == 0.01
+        for step in (0.0099, 1e-300):
+            with pytest.raises(ConfigError, match="^obo_step_db must be at least 0.01 dB"):
+                MetricsConfig(obo_step_db=step)
 
     def test_train_bounds(self):
         with pytest.raises(ConfigError):
@@ -174,6 +180,8 @@ def _profile_fields():
 
 PROFILE_FIELDS = _profile_fields()
 FIELD_IDS = [f"{section or 'root'}.{name}" for section, _, name, _ in PROFILE_FIELDS]
+#: (name, dataclass) of every section of a profile
+SECTIONS = [(n, k) for n, k in get_type_hints(ExperimentConfig).items() if is_dataclass(k)]
 
 #: values no field of the kind may hold, each listed value tried on every field
 LISTED_BAD = {
@@ -264,6 +272,26 @@ class TestFieldTypes:
                 message = _rejection(lambda: cls(**{**valid, name: value}))
                 assert message.startswith(f"{name} must be ")
 
+    @pytest.mark.parametrize("section, cls", SECTIONS, ids=[n for n, _ in SECTIONS])
+    def test_section_holds_only_its_dataclass(self, tmp_path, capsys, section, cls):
+        other = next(k for _, k in SECTIONS if k is not cls)()
+        for value in (5, True, [1], other):
+            message = _rejection(lambda: ExperimentConfig(**{section: value}))
+            assert message == f"{section} must be a {cls.__name__} object, got {value!r}"
+        # through a profile and the CLI: exit 2 naming the section, before
+        # anything is written; another section's values are unknown keys here
+        values = (5, True, [1], asdict(other))
+        messages = [f"{section} must be a {cls.__name__} object, got {v!r}" for v in values[:3]]
+        messages.append(f"{section}: unknown keys {sorted(asdict(other))}")
+        profile = tmp_path / "bad.json"
+        out = tmp_path / "out"
+        argv = ["train", "--config", str(profile), "--scheme", "ideal", "--out", str(out)]
+        for value, message in zip(values, messages):
+            profile.write_text(json.dumps({section: value}))
+            assert main(argv) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
+            assert not out.exists()
+
     @pytest.mark.parametrize("section, cls, name, kind", PROFILE_FIELDS, ids=FIELD_IDS)
     def test_listed_bad_values_rejected(self, tmp_path, capsys, section, cls, name, kind):
         for value in _listed_bad(kind):
@@ -289,8 +317,8 @@ class TestFieldTypes:
 
 class TestDictConversion:
     def test_round_trip_preserves_equality(self):
-        cfg = default_config()
-        assert config_from_dict(config_to_dict(cfg)) == cfg
+        cfg = ExperimentConfig()
+        assert config_from_dict(asdict(cfg)) == cfg
 
     def test_round_trip_non_default(self):
         cfg = ExperimentConfig(
@@ -302,16 +330,16 @@ class TestDictConversion:
             metrics=MetricsConfig(num_symbols=500, stream_symbols=300),
             train=TrainConfig(rounds=10, snr_db=(0.0, 10.0), seeds=(1, 2)),
         )
-        assert config_from_dict(config_to_dict(cfg)) == cfg
+        assert config_from_dict(asdict(cfg)) == cfg
 
     def test_unknown_root_key(self):
-        data = config_to_dict(default_config())
+        data = asdict(ExperimentConfig())
         data["modulation"] = "qam"
         with pytest.raises(ConfigError, match="modulation"):
             config_from_dict(data)
 
     def test_unknown_nested_key(self):
-        data = config_to_dict(default_config())
+        data = asdict(ExperimentConfig())
         data["wave"]["bandwidth_hz"] = 1e6
         with pytest.raises(ConfigError, match="bandwidth_hz"):
             config_from_dict(data)
@@ -327,12 +355,12 @@ class TestDictConversion:
             config_from_dict({"train": {key: value}})
 
     def test_settable_value_count(self):
-        data = config_to_dict(default_config())
+        data = asdict(ExperimentConfig())
         sections = [v for v in data.values() if isinstance(v, dict)]
         assert len(data) - len(sections) + sum(map(len, sections)) == 30
 
     def test_section_must_be_object(self):
-        data = config_to_dict(default_config())
+        data = asdict(ExperimentConfig())
         data["pa"] = 3.0
         with pytest.raises(ConfigError):
             config_from_dict(data)
@@ -342,7 +370,7 @@ class TestDictConversion:
             config_from_dict([1, 2, 3])
 
     def test_nested_validation_propagates(self):
-        data = config_to_dict(default_config())
+        data = asdict(ExperimentConfig())
         data["train"]["batch_size"] = 0
         with pytest.raises(ConfigError):
             config_from_dict(data)
@@ -372,7 +400,7 @@ class TestFiles:
     def test_idx_dataset_rejected_at_load(self, tmp_path):
         # the profile has no data source: synthetic digits are the only
         # training data, so a dataset key is unknown
-        data = config_to_dict(default_config())
+        data = asdict(ExperimentConfig())
         data["train"]["dataset"] = "idx"
         path = tmp_path / "idx.json"
         path.write_text(json.dumps(data))

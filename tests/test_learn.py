@@ -19,7 +19,7 @@ from chirpvote.channel import (
     epa_tap_delays,
     propagate,
 )
-from chirpvote.config import SCHEMES, default_config
+from chirpvote.config import SCHEMES, ExperimentConfig
 from chirpvote.datasets import Dataset, synthetic_digits
 from chirpvote.deployment import Deployment, link_power
 from chirpvote.errors import ConfigError, FramingError, InfeasibleError
@@ -73,7 +73,7 @@ def _max_admitted_offset(wave) -> int:
 
 
 def _tiny_cfg(num_eds=5, samples=120, partition="homogeneous", **train):
-    cfg = default_config()
+    cfg = ExperimentConfig()
     return replace(
         cfg,
         train=replace(
@@ -309,6 +309,7 @@ class TestPartition:
             partition_dataset(data, dep, "nonsense")
 
 
+@pytest.mark.blas_threads
 class TestTrainingMechanics:
     def test_initial_state_shared_across_schemes(self):
         setup = studies.training_setup(_tiny_cfg(), 7)
@@ -500,6 +501,7 @@ class TestTrainingMechanics:
             offset(0, cp_len=5)
 
 
+@pytest.mark.blas_threads
 class TestPipelinedUplink:
     """Given a worker, the chirp uplink draws each round's phases and receiver
     noise one round ahead on it, and ``run_training`` gives it one. Every
@@ -708,6 +710,7 @@ def _ideal_states(case, rounds=3):
     return setup, states
 
 
+@pytest.mark.blas_threads
 class TestBatchedAgainstLoops:
     @pytest.mark.parametrize("case", RAGGED_CASES)
     def test_stacked_votes_match_device_loop(self, case):
@@ -811,6 +814,7 @@ def pooled_loss_ref(w: np.ndarray, setup: TrainSetup) -> tuple[float, ...]:
     return tuple(float(np.mean(nll[a:b])) for a, b in zip(setup.bounds[:-1], setup.bounds[1:]))
 
 
+@pytest.mark.blas_threads
 class TestSharedHiddenLayer:
     """A round's one forward pass over the training set feeds both the
     round's losses and, through its hidden activations, the next round's
@@ -1000,6 +1004,7 @@ def _assert_matches_oracle(fast: np.ndarray, oracle: np.ndarray) -> None:
     assert np.max(np.abs(fast - oracle)) <= 1e-12 * np.max(np.abs(oracle))
 
 
+@pytest.mark.blas_threads
 class TestRadioAggregation:
     def test_spectral_path_matches_sampled_path_noiseless(self):
         setup = studies.training_setup(_tiny_cfg(num_eds=4, samples=100), 2)
@@ -1015,7 +1020,7 @@ class TestRadioAggregation:
         votes_per_block=st.sampled_from((1, 2, 4)),
         num_eds=st.integers(1, 6),
         # every offset TrainSetup admits (0-8 at the defaults)
-        max_sync_offset=st.integers(0, _max_admitted_offset(default_config().wave)),
+        max_sync_offset=st.integers(0, _max_admitted_offset(ExperimentConfig().wave)),
         seed=st.integers(0, 3),
         round_index=st.integers(0, 5),
     )
@@ -1048,7 +1053,7 @@ class TestRadioAggregation:
 
     @pytest.mark.parametrize("votes_per_block", [1, 2, 4])
     def test_chirp_statistic_matches_sampled_path(self, votes_per_block):
-        offset = _max_admitted_offset(default_config().wave)
+        offset = _max_admitted_offset(ExperimentConfig().wave)
         cfg = _tiny_cfg(num_eds=4, samples=80, max_sync_offset=offset)
         setup = studies.training_setup(cfg, 1)
         votes = _initial_votes(setup, 2)
@@ -1059,7 +1064,7 @@ class TestRadioAggregation:
 
     @pytest.mark.parametrize("num_eds", range(1, 7))
     def test_obda_statistic_matches_sampled_path(self, num_eds):
-        offset = _max_admitted_offset(default_config().wave)
+        offset = _max_admitted_offset(ExperimentConfig().wave)
         cfg = _tiny_cfg(num_eds=num_eds, samples=60, max_sync_offset=offset)
         setup = studies.training_setup(cfg, 3)
         votes = _initial_votes(setup, 1)

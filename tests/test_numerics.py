@@ -24,6 +24,7 @@ def _one_shot_density(x):
 
 
 class TestPowerSpectrum:
+    @pytest.mark.blas_threads
     @pytest.mark.parametrize(
         "count", [1, 31, 32, 33, 64, 65], ids=lambda count: f"{count}-{SEGMENT_LEN}"
     )

@@ -124,6 +124,7 @@ class TestResourceMap:
         np.testing.assert_array_equal(signs, (votes[0] < 0).astype(int))
         np.testing.assert_array_equal(devices, 0)
 
+    @pytest.mark.blas_threads
     @pytest.mark.parametrize("votes_per_block", [1, 2, 4])
     def test_stacked_tones_match_one_device_encodes(self, votes_per_block):
         # 3V + 1 gradients: the last block is padded whenever V > 1
@@ -150,6 +151,7 @@ class TestResourceMap:
         np.copyto(slots[:, 1], phases, where=~positive)
         return tones
 
+    @pytest.mark.blas_threads
     @pytest.mark.parametrize("votes_per_block", [1, 2, 4])
     @pytest.mark.parametrize("extra", [0, 1], ids=["whole-blocks", "one-more-vote"])
     def test_scatter_matches_two_copyto_form(self, votes_per_block, extra):
@@ -332,6 +334,7 @@ class TestObda:
         assert out.shape == (q,)
         np.testing.assert_array_equal(sign_pm1(out), votes)
 
+    @pytest.mark.blas_threads
     @pytest.mark.parametrize("q", [100, 2410])  # neither is a multiple of 2M
     def test_stacked_encode_matches_one_device_calls(self, q):
         rng = keyed_rng(4, "obda")

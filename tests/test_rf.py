@@ -444,7 +444,7 @@ class TestAclr:
         stream = _csc_stream(2, 64, seed=5)
         band = occupied_band(CFG)
         with pytest.raises(InfeasibleError):
-            obo_for_aclr(pa, stream, band, -60.0)
+            obo_for_aclr(pa, stream, band, -60.0, tol_db=0.1)
 
 
     @pytest.mark.parametrize("obo_db", [math.nan, -400.0, 30.5, 1e308])

@@ -224,6 +224,7 @@ class TestRoundTrip:
             3 * (CFG.cp_len + CFG.idft_size) + CFG.window_rolloff,
         )
 
+    @pytest.mark.blas_threads
     @pytest.mark.parametrize("num_bins", [53, 54])  # ifftshift != fftshift at odd M
     def test_matched_despread_rows_match_despread(self, num_bins):
         cfg = WaveformConfig(num_bins=num_bins)
