@@ -35,6 +35,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from ._placement import cpu_placement
 from ._rng import keyed_rng, keyed_rngs
 from .channel import draw_epa, draw_sync_offset, epa_phase_table, epa_tap_delays
 from .config import TrainConfig, scheme as scheme_record
@@ -364,11 +365,11 @@ def scheme_uplink(
     raises ConfigError, and a vote count no guard carries exactly raises
     InfeasibleError, before any round runs.
 
-    Given a ``worker``, the chirp uplink hands the next round's
-    vote-independent draws to it as the last step of each call before
-    round ``setup.train.rounds - 1``, and the next call collects them if it
-    is that round; any other call draws its own inline.  Every draw is
-    keyed, so the statistics do not depend on the worker."""
+    Given a ``worker``, each call before round ``setup.train.rounds - 1``
+    hands the next round's vote-independent draws to it as soon as it has
+    its own, before ``place_tones`` and the tone product, and the next call
+    collects them if it is that round; any other call draws its own inline.
+    Every draw is keyed, so the statistics do not depend on the worker."""
     record = scheme_record(scheme)
     if not record.transmits:
         return lambda round_index, votes: votes.sum(axis=0)
@@ -442,12 +443,11 @@ def scheme_uplink(
             if ahead:  # drawn for a round this call is not: discard it
                 ahead.pop()[1].cancel()
             phases, noise = draw(round_index)
-        despreads = place_tones(plan, votes, phases).reshape(plan.num_blocks, -1) @ shifted
-        despreads += despread_folded(fdss, noise)
-        margins = detect_mv(plan, despreads)
         if worker is not None and round_index + 1 < setup.train.rounds:
             ahead.append((round_index + 1, worker.submit(draw, round_index + 1)))
-        return margins
+        despreads = place_tones(plan, votes, phases).reshape(plan.num_blocks, -1) @ shifted
+        despreads += despread_folded(fdss, noise)
+        return detect_mv(plan, despreads)
 
     return csc_mv
 
@@ -491,13 +491,18 @@ def run_training(setup: TrainSetup, scheme: str, snr_db: float) -> TrainState:
 
     The chirp uplink gets a worker for its draws (see ``scheme_uplink``).
     Its one thread starts at the first hand-off, so OBDA and ideal runs
-    start none, and it is joined before the run returns or raises.  It is
-    used on one CPU too, where it is still faster than drawing inline: the
-    draws' buffers come from the worker thread's own malloc arena, which
-    keeps them between rounds instead of returning them to the OS.
+    start none, and it is joined before the run returns or raises.  While
+    it exists, ``cpu_placement`` pins the calling thread to the first CPU
+    of its affinity mask and the worker to another CPU of that mask, and
+    the caller's mask is restored when the run returns or raises: a thread
+    woken by a hand-off otherwise wakes on the CPU of the thread that woke
+    it, and the draw then overlaps nothing.  On one CPU nothing is pinned,
+    and the worker still beats drawing inline: the draws' buffers come
+    from the worker thread's own malloc arena, which keeps them between
+    rounds instead of returning them to the OS.
     """
     replace(setup.train, snr_db=(snr_db,))
-    with ThreadPoolExecutor(1) as worker:
+    with cpu_placement() as pin, ThreadPoolExecutor(1, initializer=pin) as worker:
         uplink = scheme_uplink(setup, scheme, 10.0 ** (-snr_db / 10.0), worker)
         state = initial_state(setup)
         for _ in range(setup.train.rounds):

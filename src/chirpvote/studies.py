@@ -19,6 +19,13 @@ count. The other studies run serially, except that a chirp training run
 draws each round's phases and receiver noise one round ahead on one worker
 thread of its own (``learn.run_training``). Every draw is keyed, so no
 artifact depends on that thread either.
+
+Both pools run under one placement rule, ``_placement.cpu_placement``:
+while a pool thread exists, the calling thread is pinned to the first CPU
+of its affinity mask and each pool thread to another CPU of that mask, and
+the caller's mask is restored when the pool closes or raises. A thread that
+sleeps between hand-offs is otherwise woken on its waker's CPU, so the two
+would share one CPU. With one CPU in the mask nothing is pinned.
 """
 from __future__ import annotations
 
@@ -30,6 +37,7 @@ from functools import partial
 
 import numpy as np
 
+from ._placement import cpu_placement
 from ._rng import keyed_rng
 from .config import ExperimentConfig, Scheme, scheme as scheme_record
 from .datasets import synthetic_digits
@@ -165,20 +173,22 @@ def _map(fn, items: list) -> list:
     item (0, w, 2w, ...) when the in-order collection reaches it, and pool
     threads compute the rest. A pool thread's malloc arena keeps its working
     set after the work ends, so one pool thread fewer is one retained arena
-    fewer. As with ``Executor.map``, the first exception in input order is
-    raised and the items not yet started are cancelled.
+    fewer. The pool's threads are placed by ``cpu_placement``. As with
+    ``Executor.map``, the first exception in input order is raised and the
+    items not yet started are cancelled.
     """
     workers = min(len(items), _cpus())
     if workers <= 1:
         return [fn(item) for item in items]
-    pool = ThreadPoolExecutor(workers - 1)
-    try:
-        futures = {i: pool.submit(fn, item) for i, item in enumerate(items) if i % workers}
-        return [
-            futures[i].result() if i in futures else fn(item) for i, item in enumerate(items)
-        ]
-    finally:
-        pool.shutdown(cancel_futures=True)
+    with cpu_placement() as pin:
+        pool = ThreadPoolExecutor(workers - 1, initializer=pin)
+        try:
+            futures = {i: pool.submit(fn, item) for i, item in enumerate(items) if i % workers}
+            return [
+                futures[i].result() if i in futures else fn(item) for i, item in enumerate(items)
+            ]
+        finally:
+            pool.shutdown(cancel_futures=True)
 
 
 def _quantiles(samples: np.ndarray, q: np.ndarray) -> np.ndarray:

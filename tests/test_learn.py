@@ -527,10 +527,13 @@ class TestPipelinedUplink:
         setup = studies.training_setup(_tiny_cfg(rounds=4), 3)
         margins = self._record_margins(monkeypatch)
         handed = []
+        # the statistics already returned when each draw is handed off
+        returned = []
 
         class Recording(ThreadPoolExecutor):
             def submit(self, fn, *args):
                 handed.append(args[0])
+                returned.append(len(margins))
                 return super().submit(fn, *args)
 
         monkeypatch.setattr(learn, "ThreadPoolExecutor", Recording)
@@ -551,6 +554,8 @@ class TestPipelinedUplink:
             inline = run_round(inline, setup, uplink)
         # no hand-off past the last round
         assert handed == [1, 2, 3]
+        # round r + 1's draw is handed off before round r's detect_mv runs
+        assert returned == [0, 1, 2]
         assert len(margins) == len(piped_margins) == 4
         for a, b in zip(margins, piped_margins):
             assert a.tobytes() == b.tobytes()

@@ -488,9 +488,9 @@ class TestWorkerCount:
         opened = []
 
         class Recording(ThreadPoolExecutor):
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer):
                 opened.append(max_workers)
-                super().__init__(max_workers)
+                super().__init__(max_workers, initializer=initializer)
 
         monkeypatch.setattr(studies, "ThreadPoolExecutor", Recording)
         return opened
