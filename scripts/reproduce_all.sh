@@ -6,6 +6,13 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 out="${1:-results}"
+# one BLAS/OpenMP thread unless the caller set a count: no output depends on
+# it, a second BLAS thread makes the chirp shaping's quadrature about ten
+# times slower, and beside a BLAS pool the package pins no thread
+# (_placement.cpu_placement)
+export OPENBLAS_NUM_THREADS="${OPENBLAS_NUM_THREADS:-1}"
+export OMP_NUM_THREADS="${OMP_NUM_THREADS:-1}"
+export MKL_NUM_THREADS="${MKL_NUM_THREADS:-1}"
 run() { echo "+ chirpvote $*"; python3 -m chirpvote.cli "$@"; }
 
 run pmepr --out "$out/pmepr"

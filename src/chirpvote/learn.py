@@ -25,12 +25,17 @@ tanh depends only on the matching input row; the test suite holds the BLAS
 to that at 1 and 2 threads.  The narrow output layer is not shared: the
 BLAS computes the last rows of a (n, 32) @ (32, 10) product by another
 kernel, so a row's logits can differ in the last bit with its place.
+
+The round's record (those losses and the test accuracy) feeds no later
+step, so OBDA and ``ideal`` runs compute it on the run's worker thread while
+the next round runs, with one record in flight at most (``run_training``).
 """
 from __future__ import annotations
 
 import math
 from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -112,15 +117,20 @@ def _sample_nll(probs: np.ndarray, y: np.ndarray) -> np.ndarray:
     return -np.log(picked + 1e-300)
 
 
-def mean_loss(w: np.ndarray, data: Dataset, bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def mean_loss(
+    w: np.ndarray, data: Dataset, bounds: np.ndarray, hidden: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Mean cross-entropy of each contiguous segment
     ``data[bounds[i]:bounds[i + 1]]``, from one forward pass over ``data``,
-    and that pass's hidden activations, (len(data), HIDDEN_DIM).
+    and that pass's hidden activations, (len(data), HIDDEN_DIM).  Given
+    ``hidden``, which must be ``hidden_layer(w, data.features)``, the pass
+    starts from it and does not write to it.
 
     Each mean is ``np.add.reduce`` of the segment over its length, which is
     ``np.mean`` bit for bit (``np.add.reduceat`` is not: its segment sums
     can differ in the last bit)."""
-    hidden = hidden_layer(w, data.features)
+    if hidden is None:
+        hidden = hidden_layer(w, data.features)
     nll = _sample_nll(_softmax(_output_logits(w, hidden)), data.labels)
     segments = zip(bounds[:-1], bounds[1:])
     return np.array([np.add.reduce(nll[a:b]) / (b - a) for a, b in segments]), hidden
@@ -276,12 +286,17 @@ class TrainState:
     """The model between rounds: its weights and the hidden activations of
     the set-up's training set at those weights, from the forward pass that
     the round's losses were read from; the next round's gradients gather
-    their batches' hidden rows from them."""
+    their batches' hidden rows from them.
+
+    ``pending`` is the last round's record while the run's worker still
+    computes it, and then the one record missing from ``history``; the next
+    round collects it, and so does ``run_training`` before it returns."""
 
     weights: np.ndarray
     hidden: np.ndarray
     round_index: int = 0
     history: tuple[RoundRecord, ...] = field(default_factory=tuple)
+    pending: Future | None = None
 
 
 def initial_state(setup: TrainSetup) -> TrainState:
@@ -452,31 +467,57 @@ def scheme_uplink(
     return csc_mv
 
 
-def run_round(state: TrainState, setup: TrainSetup, uplink: Uplink) -> TrainState:
+def _round_record(
+    round_index: int, weights: np.ndarray, hidden: np.ndarray, setup: TrainSetup
+) -> RoundRecord:
+    """The record of the round that left the model at ``weights``, whose
+    training-set activations are ``hidden``: each device's mean loss, their
+    mean and the test accuracy.  It reads its inputs and writes none."""
+    losses, _ = mean_loss(weights, setup.train_set, setup.bounds, hidden)
+    per_ed = tuple(losses.tolist())
+    return RoundRecord(
+        round_index=round_index,
+        train_loss=float(np.mean(per_ed)),
+        test_accuracy=evaluate(weights, setup.test_set),
+        per_ed_loss=per_ed,
+    )
+
+
+def _collected(state: TrainState) -> TrainState:
+    """``state`` with its pending record, if any, waited for and appended
+    to its history; a record that raised raises here."""
+    if state.pending is None:
+        return state
+    return replace(state, history=state.history + (state.pending.result(),), pending=None)
+
+
+def run_round(
+    state: TrainState, setup: TrainSetup, uplink: Uplink, worker: Executor | None = None
+) -> TrainState:
     """One training round: local gradients, sign votes, aggregation over the
     run's ``uplink`` (see ``scheme_uplink``), then the shared model update.
     The majority vote is the sign of the uplink's statistic, taken here and
     nowhere else, with sign(0) = +1.  The recorded loss/accuracy describe
     the model after the update.  The round makes one forward pass over the
     training set, at the updated weights: the losses are read from it, and
-    its hidden activations feed the next round's gradients."""
+    its hidden activations feed the next round's gradients.
+
+    Without a ``worker`` the round computes its record itself.  With one,
+    the round computes the hidden activations, collects the previous
+    round's record, and hands its own to the worker as the returned state's
+    ``pending``: at most one record is in flight."""
     votes = _collect_votes(state, setup)
     mv = sign_pm1(uplink(state.round_index, votes))
     weights = state.weights - setup.train.step_size * mv
-    losses, hidden = mean_loss(weights, setup.train_set, setup.bounds)
-    per_ed = tuple(losses.tolist())
-    record = RoundRecord(
-        round_index=state.round_index,
-        train_loss=float(np.mean(per_ed)),
-        test_accuracy=evaluate(weights, setup.test_set),
-        per_ed_loss=per_ed,
-    )
-    return TrainState(
-        weights=weights,
-        hidden=hidden,
-        round_index=state.round_index + 1,
-        history=state.history + (record,),
-    )
+    hidden = hidden_layer(weights, setup.train_set.features)
+    history = _collected(state).history
+    args = (state.round_index, weights, hidden, setup)
+    if worker is None:
+        history += (_round_record(*args),)
+        pending = None
+    else:
+        pending = worker.submit(_round_record, *args)
+    return TrainState(weights, hidden, state.round_index + 1, history, pending)
 
 
 def run_training(setup: TrainSetup, scheme: str, snr_db: float) -> TrainState:
@@ -489,25 +530,37 @@ def run_training(setup: TrainSetup, scheme: str, snr_db: float) -> TrainState:
     power is relative to the link power that power control delivers inside
     coverage: 10^(-snr_db/10).
 
-    The chirp uplink gets a worker for its draws (see ``scheme_uplink``).
-    Its one thread starts at the first hand-off, so OBDA and ideal runs
-    start none, and it is joined before the run returns or raises.  While
-    it exists, ``cpu_placement`` pins the calling thread to the first CPU
-    of its affinity mask and the worker to another CPU of that mask, and
-    the caller's mask is restored when the run returns or raises: a thread
-    woken by a hand-off otherwise wakes on the CPU of the thread that woke
-    it, and the draw then overlaps nothing.  On one CPU nothing is pinned,
-    and the worker still beats drawing inline: the draws' buffers come
-    from the worker thread's own malloc arena, which keeps them between
-    rounds instead of returning them to the OS.
+    The run has one worker thread.  A chirp run's worker draws each round's
+    phases and noise one round ahead (see ``scheme_uplink``), and the rounds
+    keep their records.  Any other run's worker computes each round's record
+    while the next round runs (see ``run_round``), where ``cpu_placement``
+    places it; no later step needs the record.  Round r's record is
+    collected before round r + 1's is handed off, so one extra array of
+    hidden activations is alive at most.  The history comes back complete
+    and in round order, and a record that raises raises here.  The thread
+    starts at the first hand-off and is joined before the run returns or
+    raises.  While it exists, ``cpu_placement`` pins the calling thread to
+    the first CPU of its affinity mask and the worker to another CPU of
+    that mask, and the caller's mask is restored when the run returns or
+    raises: a thread woken by a hand-off otherwise wakes on the CPU of the
+    thread that woke it, and its work then overlaps nothing.  Nothing is
+    pinned on one CPU or beside a foreign thread pool such as OpenBLAS's.
+    There the records stay on the calling thread, since on the worker they
+    made runs slower, but the chirp worker still beats drawing inline: the
+    draws' buffers come from the worker thread's own malloc arena, which
+    keeps them between rounds instead of returning them to the OS.
     """
     replace(setup.train, snr_db=(snr_db,))
     with cpu_placement() as pin, ThreadPoolExecutor(1, initializer=pin) as worker:
         uplink = scheme_uplink(setup, scheme, 10.0 ** (-snr_db / 10.0), worker)
+        # a record overlaps the next round only on a CPU of its own, and the
+        # chirp worker is busy with the draws: elsewhere records were slower
+        records = pin is not None and not scheme_record(scheme).spread
+        step = partial(run_round, worker=worker) if records else run_round
         state = initial_state(setup)
         for _ in range(setup.train.rounds):
-            state = run_round(state, setup, uplink)
-    return state
+            state = step(state, setup, uplink)
+        return _collected(state)
 
 
 def loss_by_distance(state: TrainState, setup: TrainSetup) -> tuple[np.ndarray, np.ndarray]:

@@ -15,17 +15,22 @@ plus one pool thread for each further CPU, so the process keeps one
 thread's malloc arena fewer. Each task only reads shared state (its
 stream's ``rf.PaDriver``, or its scheme's drawn traffic), and the results
 are collected in the serial order, so they do not depend on the worker
-count. The other studies run serially, except that a chirp training run
-draws each round's phases and receiver noise one round ahead on one worker
-thread of its own (``learn.run_training``). Every draw is keyed, so no
-artifact depends on that thread either.
+count. The other studies run serially, except that each training run has
+one worker thread of its own (``learn.run_training``): a chirp run's draws
+each round's phases and receiver noise one round ahead, and where the
+placement below pins it, an OBDA or ``ideal`` run's computes each round's
+record (losses and test accuracy) while the next round runs, one record in
+flight at most. Every draw is keyed and a record only reads its round's
+weights and activations, so no artifact depends on that thread either.
 
 Both pools run under one placement rule, ``_placement.cpu_placement``:
 while a pool thread exists, the calling thread is pinned to the first CPU
 of its affinity mask and each pool thread to another CPU of that mask, and
 the caller's mask is restored when the pool closes or raises. A thread that
 sleeps between hand-offs is otherwise woken on its waker's CPU, so the two
-would share one CPU. With one CPU in the mask nothing is pinned.
+would share one CPU. With one CPU in the mask nothing is pinned, and
+neither is anything beside a thread pool the interpreter did not start,
+such as OpenBLAS's at its default thread count.
 """
 from __future__ import annotations
 

@@ -1,8 +1,10 @@
 import math
 import sys
 import threading
+import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import replace
 from typing import Sequence
 
@@ -23,7 +25,7 @@ from chirpvote.config import SCHEMES, ExperimentConfig
 from chirpvote.datasets import Dataset, synthetic_digits
 from chirpvote.deployment import Deployment, link_power
 from chirpvote.errors import ConfigError, FramingError, InfeasibleError
-from chirpvote import learn
+from chirpvote import _placement, learn
 from chirpvote.learn import (
     NUM_CLASSES,
     PARAM_DIM,
@@ -577,6 +579,10 @@ class TestPipelinedUplink:
 
     @pytest.mark.parametrize("scheme, workers", [("csc_mv_2", 1), ("obda", 0), ("ideal", 0)])
     def test_worker_thread_lives_only_inside_a_chirp_run(self, monkeypatch, scheme, workers):
+        # beside a foreign thread pool nothing is placed, so OBDA and ideal
+        # runs keep their records and start no thread (TestRecordHandOff
+        # covers the placed runs)
+        monkeypatch.setattr(_placement, "foreign_threads", lambda: True)
         step = learn.run_round
         during = []
 
@@ -648,6 +654,137 @@ class TestPipelinedUplink:
                 uplink(1, np.ones(shape, dtype=int))
             with pytest.raises(FramingError):
                 scheme_uplink(setup, "csc_mv_2", 0.05)(0, np.ones(shape, dtype=int))
+
+
+@pytest.fixture
+def placed(monkeypatch):
+    """``run_training``'s worker placed, whatever the host: a placement that
+    hands the pool an initializer that pins nothing."""
+
+    @contextmanager
+    def placement():
+        yield lambda: None
+
+    monkeypatch.setattr(learn, "cpu_placement", placement)
+
+
+@pytest.mark.blas_threads
+class TestRecordHandOff:
+    """Where its worker is placed, an OBDA or ``ideal`` run computes each
+    round's record (per-device losses, their mean and the test accuracy) on
+    it while the next round runs; a chirp run, or a run whose worker is not
+    placed, keeps its records on the calling thread.  The record reads only
+    the round's weights and hidden activations, so the history may not
+    depend on where it is computed."""
+
+    @staticmethod
+    def _record_threads(monkeypatch, delay=0.0, failing=None) -> list:
+        """The thread of every record from now on, as (round, thread); a
+        record sleeps ``delay`` seconds first, and round ``failing``'s
+        raises."""
+        record = learn._round_record
+        threads = []
+
+        def recording(round_index, *args):
+            threads.append((round_index, threading.current_thread()))
+            time.sleep(delay)
+            if round_index == failing:
+                raise InfeasibleError("record failed")
+            return record(round_index, *args)
+
+        monkeypatch.setattr(learn, "_round_record", recording)
+        return threads
+
+    @pytest.mark.parametrize("scheme", ["obda", "ideal"])
+    def test_run_equals_rounds_with_inline_records(self, monkeypatch, placed, scheme):
+        setup = studies.training_setup(_tiny_cfg(rounds=4), 5)
+        threads = self._record_threads(monkeypatch)
+        # switch threads as often as the interpreter allows, so that a record
+        # touching the round's state would interleave with it
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            run = run_training(setup, scheme, 20.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert [r for r, thread in threads] == [0, 1, 2, 3]
+        assert all(thread is not threading.current_thread() for _, thread in threads)
+        inline = initial_state(setup)
+        uplink = scheme_uplink(setup, scheme, 10.0 ** (-20.0 / 10.0))
+        for _ in range(4):
+            inline = run_round(inline, setup, uplink)
+        assert run.pending is None and inline.pending is None
+        assert run.weights.tobytes() == inline.weights.tobytes()
+        assert run.hidden.tobytes() == inline.hidden.tobytes()
+        assert run.history == inline.history
+        assert [r.round_index for r in run.history] == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("scheme", ["obda", "ideal"])
+    def test_one_record_in_flight_off_the_calling_thread(self, monkeypatch, placed, scheme):
+        # each record outlasts a tiny round, so a second hand-off before the
+        # first record is collected would find it still running
+        threads = self._record_threads(monkeypatch, delay=0.05)
+        handed = []
+
+        class Recording(ThreadPoolExecutor):
+            def submit(self, fn, *args):
+                assert all(future.done() for future in handed)
+                handed.append(super().submit(fn, *args))
+                return handed[-1]
+
+        monkeypatch.setattr(learn, "ThreadPoolExecutor", Recording)
+        setup = studies.training_setup(_tiny_cfg(rounds=4), 0)
+        run = run_training(setup, scheme, 20.0)
+        assert len(handed) == 4
+        assert [r for r, _ in threads] == [0, 1, 2, 3]
+        assert all(thread is not threading.current_thread() for _, thread in threads)
+        assert [r.round_index for r in run.history] == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("failing", [1, 3])  # collected by round 2; by the run
+    def test_raising_record_surfaces_from_the_run(self, monkeypatch, placed, failing):
+        threads = self._record_threads(monkeypatch, failing=failing)
+        setup = studies.training_setup(_tiny_cfg(rounds=4), 0)
+        before = threading.active_count()
+        with pytest.raises(InfeasibleError, match="record failed"):
+            run_training(setup, "obda", 20.0)
+        assert threading.active_count() == before
+        assert threads[-1][0] == failing
+        assert threads[-1][1] is not threading.current_thread()
+
+    @pytest.mark.parametrize("scheme", ["csc_mv_1", "csc_mv_2", "csc_mv_4"])
+    def test_chirp_records_stay_on_the_calling_thread(self, monkeypatch, placed, scheme):
+        threads = self._record_threads(monkeypatch)
+        run = run_training(studies.training_setup(_tiny_cfg(rounds=3), 0), scheme, 20.0)
+        assert threads == [(r, threading.current_thread()) for r in range(3)]
+        assert [r.round_index for r in run.history] == [0, 1, 2]
+
+    @pytest.mark.parametrize("scheme", ["obda", "ideal"])
+    def test_records_stay_on_the_calling_thread_beside_a_foreign_pool(
+        self, monkeypatch, scheme
+    ):
+        monkeypatch.setattr(_placement, "foreign_threads", lambda: True)
+        threads = self._record_threads(monkeypatch)
+        run = run_training(studies.training_setup(_tiny_cfg(rounds=3), 0), scheme, 20.0)
+        assert threads == [(r, threading.current_thread()) for r in range(3)]
+        assert [r.round_index for r in run.history] == [0, 1, 2]
+
+    @pytest.mark.parametrize("scheme", ["obda", "ideal"])
+    def test_placed_run_starts_its_worker_at_the_first_record(
+        self, monkeypatch, placed, scheme
+    ):
+        step = learn.run_round
+        during = []
+
+        def counting(state, setup, uplink, **worker):
+            during.append(threading.active_count())
+            return step(state, setup, uplink, **worker)
+
+        monkeypatch.setattr(learn, "run_round", counting)
+        before = threading.active_count()
+        run_training(studies.training_setup(_tiny_cfg(rounds=3), 0), scheme, 20.0)
+        assert threading.active_count() == before
+        # the thread starts at the first hand-off, round 0's record
+        assert during == [before] + [before + 1] * 2
 
 
 def _batches(setup: TrainSetup, round_index: int) -> list[np.ndarray]:

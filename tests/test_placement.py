@@ -3,17 +3,22 @@
 While a pool thread exists, the calling thread runs on the first CPU of its
 affinity mask and each pool thread on another CPU of that mask; the caller's
 mask is restored when the pool closes, by return or by raise. With one CPU
-in the mask nothing is pinned, and a run that starts no pool thread pins
-nothing. The expectations follow the host's mask, so the tests hold on any
-number of CPUs; CI runs them again under ``taskset -c 0``.
+in the mask nothing is pinned, nor beside a thread pool the interpreter did
+not start (``_placement.foreign_threads``), and a run that starts no pool
+thread pins nothing. The expectations follow the host's mask and the gate's
+reading, so the tests hold on any number of CPUs and at any BLAS thread
+count; CI runs them again under ``taskset -c 0``. The ``gate`` tests patch
+the gate both ways.
 """
+import _thread
+import functools
 import os
 import threading
 from dataclasses import replace
 
 import pytest
 
-from chirpvote import learn, studies
+from chirpvote import _placement, learn, studies
 from chirpvote.errors import ConfigError, InfeasibleError
 from chirpvote.learn import run_training
 
@@ -51,10 +56,31 @@ def pins(monkeypatch):
     return calls
 
 
+@pytest.fixture(params=["foreign", "none"])
+def gate(request, monkeypatch):
+    """The gate's reading for the test, patched both ways: ``foreign`` reads
+    ``/proc`` afresh while a thread that ``threading`` does not count, one
+    started by ``_thread.start_new_thread``, is parked on a lock; ``none``
+    reads no foreign thread."""
+    if request.param == "none":
+        monkeypatch.setattr(_placement, "foreign_threads", lambda: False)
+        yield False
+        return
+    parked = _thread.allocate_lock()
+    parked.acquire()
+    _thread.start_new_thread(parked.acquire, ())
+    try:
+        fresh = functools.cache(_placement.foreign_threads.__wrapped__)
+        monkeypatch.setattr(_placement, "foreign_threads", fresh)
+        yield True
+    finally:
+        parked.release()
+
+
 def _placed(mask):
     """The caller's CPU and the pool threads' CPUs under the rule, or None
     when the rule pins nothing."""
-    if len(mask) < 2:
+    if len(mask) < 2 or _placement.foreign_threads():
         return None
     first, *others = sorted(mask)
     return first, set(others)
@@ -174,11 +200,83 @@ def test_inexact_vote_count_pins_nothing(pins):
 
 
 @pytest.mark.parametrize("scheme", ["obda", "ideal"])
-def test_run_without_a_worker_pins_nothing(pins, scheme):
+def test_run_gives_its_record_worker_another_cpu(monkeypatch, pins, scheme):
+    mask = os.sched_getaffinity(0)
+    caller = threading.get_native_id()
+    record = learn._round_record
+    seen = []
+
+    def recording(*args):
+        seen.append((threading.get_native_id() != caller, *_pool_masks(caller)))
+        return record(*args)
+
+    monkeypatch.setattr(learn, "_round_record", recording)
+    run_training(studies.training_setup(_tiny_cfg(rounds=3), 0), scheme, 20.0)
+    assert os.sched_getaffinity(0) == mask
+    placed = _placed(mask)
+    if placed is None:
+        # unplaced, the records stay on the calling thread
+        assert pins == []
+        assert seen == [(False, mask, mask)] * 3
+        return
+    first, others = placed
+    assert seen == [(True, {min(others)}, {first})] * 3
+    assert pins == [(caller, {first}), (0, {min(others)}), (caller, mask)]
+
+
+def test_run_restores_the_mask_when_a_record_raises(monkeypatch, pins):
+    mask = os.sched_getaffinity(0)
+    record = learn._round_record
+
+    def failing(round_index, *args):
+        if round_index == 1:
+            raise InfeasibleError("record failed")
+        return record(round_index, *args)
+
+    monkeypatch.setattr(learn, "_round_record", failing)
+    with pytest.raises(InfeasibleError, match="record failed"):
+        run_training(studies.training_setup(_tiny_cfg(rounds=4), 0), "obda", 20.0)
+    assert os.sched_getaffinity(0) == mask
+    if _placed(mask) is None:
+        assert pins == []
+    else:
+        assert pins[-1] == (threading.get_native_id(), mask)
+
+
+def test_gate_reads_a_thread_threading_does_not_count(gate):
+    assert _placement.foreign_threads() is gate
+
+
+def test_gate_reads_an_unreadable_proc_as_no_pool(monkeypatch):
+    def unreadable(path):
+        raise PermissionError(path)
+
+    monkeypatch.setattr(os, "listdir", unreadable)
+    assert _placement.foreign_threads.__wrapped__() is False
+
+
+def _expected_pins(mask, caller, gate):
+    """The pins of a pool with one thread under the gate's reading."""
+    if len(mask) < 2 or gate:
+        return []
+    first, *others = sorted(mask)
+    return [(caller, {first}), (0, {others[0]}), (caller, mask)]
+
+
+def test_gate_decides_the_pins_of_map(gate, monkeypatch, pins):
+    monkeypatch.setattr(studies, "_cpus", lambda: 2)
+    mask = os.sched_getaffinity(0)
+    assert studies._map(lambda item: item + 1, list(range(6))) == list(range(1, 7))
+    assert os.sched_getaffinity(0) == mask
+    assert pins == _expected_pins(mask, threading.get_native_id(), gate)
+
+
+@pytest.mark.parametrize("scheme", ["csc_mv_2", "obda"])
+def test_gate_decides_the_pins_of_a_run(gate, pins, scheme):
     mask = os.sched_getaffinity(0)
     run_training(studies.training_setup(_tiny_cfg(rounds=3), 0), scheme, 20.0)
     assert os.sched_getaffinity(0) == mask
-    assert pins == []
+    assert pins == _expected_pins(mask, threading.get_native_id(), gate)
 
 
 def test_one_cpu_mask_pins_nothing(one_cpu, pins, monkeypatch):
