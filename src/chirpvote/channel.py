@@ -3,13 +3,16 @@
 The fading model is the standard Extended Pedestrian A tapped delay line
 (RMS delay spread about 43 ns), redrawn independently per device per
 communication round with Rayleigh tap gains normalized to unit average
-power. Tap delays are snapped to the nearest sample at the configured rate;
-timing errors add an integer sample offset, absorbed — together with the
-delay spread — by the cyclic prefix when the guard condition holds.
+power. Tap delays are snapped to the nearest sample at the configured rate
+and fixed, so a draw is only its gains: ``draw_epa`` takes a stack of
+generators, one per device, and returns their gains as one (devices x
+taps) array. Timing errors add an integer sample offset, absorbed —
+together with the delay spread — by the cyclic prefix when the guard
+condition holds.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from functools import cache
 
 import numpy as np
@@ -20,21 +23,17 @@ from .waveform import WaveformConfig
 EPA_DELAYS_NS: tuple[float, ...] = (0.0, 30.0, 70.0, 90.0, 110.0, 190.0, 410.0)
 EPA_POWERS_DB: tuple[float, ...] = (0.0, -1.0, -2.0, -3.0, -8.0, -17.2, -20.8)
 
+_TAP_POWERS = 10.0 ** (np.asarray(EPA_POWERS_DB) / 10.0)
+#: each tap's Rayleigh scale sqrt(p / 2), the powers p normalized to unit sum
+_TAP_SCALES = np.sqrt(_TAP_POWERS / _TAP_POWERS.sum() / 2.0)
+_TAP_SCALES.flags.writeable = False
+
 
 def epa_rms_delay_spread_ns() -> float:
     """RMS delay spread of the continuous-time profile (before grid snapping)."""
-    p = 10.0 ** (np.asarray(EPA_POWERS_DB) / 10.0)
-    d = np.asarray(EPA_DELAYS_NS)
+    p, d = _TAP_POWERS, np.asarray(EPA_DELAYS_NS)
     mean = np.sum(p * d) / np.sum(p)
     return float(np.sqrt(np.sum(p * d**2) / np.sum(p) - mean**2))
-
-
-@dataclass(frozen=True)
-class ChannelRealization:
-    """Tapped delay line: integer sample delays with complex gains."""
-
-    delays: np.ndarray
-    gains: np.ndarray
 
 
 def epa_tap_delays(cfg: WaveformConfig) -> np.ndarray:
@@ -63,25 +62,13 @@ def epa_phase_table(cfg: WaveformConfig, max_offset: int) -> np.ndarray:
     return table
 
 
-@cache
-def _epa_profile(cfg: WaveformConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The snapped tap delays and each tap's Rayleigh scale sqrt(p / 2), the
-    powers p normalized to unit sum; cached and read-only."""
-    delays = epa_tap_delays(cfg)
-    powers = 10.0 ** (np.asarray(EPA_POWERS_DB) / 10.0)
-    powers = powers / powers.sum()
-    scales = np.sqrt(powers / 2.0)
-    delays.flags.writeable = scales.flags.writeable = False
-    return delays, scales
-
-
-def draw_epa(cfg: WaveformConfig, rng: np.random.Generator) -> ChannelRealization:
-    """One EPA realization: Rayleigh gains on the profile snapped to the
-    sample grid, unit average power."""
-    delays, scales = _epa_profile(cfg)
-    n = len(delays)
-    gains = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * scales
-    return ChannelRealization(delays=delays, gains=gains)
+def draw_epa(rngs: Sequence[np.random.Generator]) -> np.ndarray:
+    """The Rayleigh tap gains of one EPA draw per generator, (len(rngs) x
+    taps), unit average power: generator k gives row k's real parts, then
+    its imaginary parts.  The draws' tap delays are ``epa_tap_delays``."""
+    n = _TAP_SCALES.size
+    normals = np.array([rng.standard_normal(2 * n) for rng in rngs]).reshape(-1, 2, n)
+    return (normals[:, 0] + 1j * normals[:, 1]) * _TAP_SCALES
 
 
 def draw_sync_offset(max_offset: int, rng: np.random.Generator) -> int:
@@ -91,13 +78,16 @@ def draw_sync_offset(max_offset: int, rng: np.random.Generator) -> int:
     return int(rng.integers(0, max_offset + 1))
 
 
-def propagate(realization: ChannelRealization, sync_offset: int, tx: np.ndarray) -> np.ndarray:
-    """Convolve with the tap line, delayed by the timing error; the output is
-    truncated to the transmit length (the receiver's window)."""
+def propagate(
+    delays: np.ndarray, gains: np.ndarray, sync_offset: int, tx: np.ndarray
+) -> np.ndarray:
+    """Convolve with the tap line of integer sample ``delays`` and complex
+    ``gains``, delayed by the timing error; the output is truncated to the
+    transmit length (the receiver's window)."""
     if sync_offset < 0:
         raise ValueError("sync_offset must be non-negative")
     y = np.zeros_like(tx)
-    for d, g in zip(realization.delays, realization.gains):
+    for d, g in zip(delays, gains, strict=True):
         shift = int(d) + sync_offset
         if shift < tx.size:
             y[shift:] += g * tx[: tx.size - shift]

@@ -26,9 +26,12 @@ to that at 1 and 2 threads.  The narrow output layer is not shared: the
 BLAS computes the last rows of a (n, 32) @ (32, 10) product by another
 kernel, so a row's logits can differ in the last bit with its place.
 
-The round's record (those losses and the test accuracy) feeds no later
-step, so OBDA and ``ideal`` runs compute it on the run's worker thread while
-the next round runs, with one record in flight at most (``run_training``).
+A round holds its devices' votes, tap gains and channel responses as
+stacked arrays, one row per device; only the keyed draws are made one
+generator at a time.  The round's record (those losses and the test
+accuracy) feeds no later step, so where ``cpu_placement`` places the run's
+worker thread, the worker computes it while the next round runs, for
+every scheme, with one record in flight at most (``run_training``).
 """
 from __future__ import annotations
 
@@ -321,19 +324,18 @@ def _collect_votes(state: TrainState, setup: TrainSetup) -> np.ndarray:
 
 def _channel_responses(setup: TrainSetup, round_index: int) -> np.ndarray:
     """Each device's EPA channel and timing-offset response on the occupied
-    bins this round, (devices x M): its keyed draws applied to the phase
-    table of every admissible offset."""
+    bins this round, (devices x M): one stacked draw of the devices' keyed
+    tap gains, each applied to its keyed offset's page of the phase table
+    in one batched ``np.matmul``.  That equals each device's own
+    ``table[offset] @ gains`` bit for bit, which the test suite holds at 1
+    and 2 BLAS threads; ``np.einsum`` does not."""
     count = setup.deployment.num_eds
-    channels = keyed_rngs(setup.seed, "channel", round_index, count=count)
+    max_offset = setup.train.max_sync_offset
+    gains = draw_epa(keyed_rngs(setup.seed, "channel", round_index, count=count))
     syncs = keyed_rngs(setup.seed, "sync", round_index, count=count)
-    table = epa_phase_table(setup.wave, setup.train.max_sync_offset)
-    return np.array(
-        [
-            table[draw_sync_offset(setup.train.max_sync_offset, sync)]
-            @ draw_epa(setup.wave, channel).gains
-            for channel, sync in zip(channels, syncs)
-        ]
-    )
+    offsets = [draw_sync_offset(max_offset, sync) for sync in syncs]
+    table = epa_phase_table(setup.wave, max_offset)
+    return np.matmul(table[offsets], gains[:, :, None])[..., 0]
 
 
 def _receiver_noise(
@@ -380,11 +382,13 @@ def scheme_uplink(
     raises ConfigError, and a vote count no guard carries exactly raises
     InfeasibleError, before any round runs.
 
-    Given a ``worker``, each call before round ``setup.train.rounds - 1``
-    hands the next round's vote-independent draws to it as soon as it has
-    its own, before ``place_tones`` and the tone product, and the next call
-    collects them if it is that round; any other call draws its own inline.
-    Every draw is keyed, so the statistics do not depend on the worker."""
+    Given a ``worker``, each chirp call before round ``setup.train.rounds -
+    1`` hands the next round's vote-independent draws to it as soon as it
+    has its own, before ``place_tones`` and the tone product, and the next
+    call collects them if it is that round; any other call draws its own
+    inline.  The worker may still be computing the previous round's record
+    (``run_training``); the draw then starts after it.  Every draw is
+    keyed, so the statistics do not depend on the worker."""
     record = scheme_record(scheme)
     if not record.transmits:
         return lambda round_index, votes: votes.sum(axis=0)
@@ -531,32 +535,33 @@ def run_training(setup: TrainSetup, scheme: str, snr_db: float) -> TrainState:
     coverage: 10^(-snr_db/10).
 
     The run has one worker thread.  A chirp run's worker draws each round's
-    phases and noise one round ahead (see ``scheme_uplink``), and the rounds
-    keep their records.  Any other run's worker computes each round's record
-    while the next round runs (see ``run_round``), where ``cpu_placement``
-    places it; no later step needs the record.  Round r's record is
-    collected before round r + 1's is handed off, so one extra array of
-    hidden activations is alive at most.  The history comes back complete
-    and in round order, and a record that raises raises here.  The thread
-    starts at the first hand-off and is joined before the run returns or
-    raises.  While it exists, ``cpu_placement`` pins the calling thread to
-    the first CPU of its affinity mask and the worker to another CPU of
-    that mask, and the caller's mask is restored when the run returns or
-    raises: a thread woken by a hand-off otherwise wakes on the CPU of the
-    thread that woke it, and its work then overlaps nothing.  Nothing is
-    pinned on one CPU or beside a foreign thread pool such as OpenBLAS's.
-    There the records stay on the calling thread, since on the worker they
-    made runs slower, but the chirp worker still beats drawing inline: the
-    draws' buffers come from the worker thread's own malloc arena, which
-    keeps them between rounds instead of returning them to the OS.
+    phases and noise one round ahead (see ``scheme_uplink``).  Where
+    ``cpu_placement`` places the worker, it also computes each round's
+    record while the next round runs (see ``run_round``), for every scheme:
+    no later step needs the record.  A chirp run's worker thus takes round
+    r + 1's draw, handed off before round r's tone product, and then round
+    r's record.  Round r's record is collected before round r + 1's is
+    handed off, so one record is in flight and one extra array of hidden
+    activations is alive at most.  The history comes back complete and in
+    round order, and a record that raises raises here.  The thread starts
+    at the first hand-off and is joined before the run returns or raises.
+    While it exists, ``cpu_placement`` pins the calling thread to the first
+    CPU of its affinity mask and the worker to another CPU of that mask,
+    and the caller's mask is restored when the run returns or raises: a
+    thread woken by a hand-off otherwise wakes on the CPU of the thread
+    that woke it, and its work then overlaps nothing.  Nothing is pinned on
+    one CPU or beside a foreign thread pool such as OpenBLAS's.  There the
+    records stay on the calling thread, since on the worker they made runs
+    slower, but the chirp worker still beats drawing inline: the draws'
+    buffers come from the worker thread's own malloc arena, which keeps
+    them between rounds instead of returning them to the OS.
     """
     replace(setup.train, snr_db=(snr_db,))
     with cpu_placement() as pin, ThreadPoolExecutor(1, initializer=pin) as worker:
         uplink = scheme_uplink(setup, scheme, 10.0 ** (-snr_db / 10.0), worker)
-        # a record overlaps the next round only on a CPU of its own, and the
-        # chirp worker is busy with the draws: elsewhere records were slower
-        records = pin is not None and not scheme_record(scheme).spread
-        step = partial(run_round, worker=worker) if records else run_round
+        # a record overlaps the next round only on a CPU of its own:
+        # elsewhere records on the worker made runs slower
+        step = run_round if pin is None else partial(run_round, worker=worker)
         state = initial_state(setup)
         for _ in range(setup.train.rounds):
             state = step(state, setup, uplink)

@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 
 from chirpvote._rng import keyed_rng
-from chirpvote.channel import draw_epa, epa_rms_delay_spread_ns, propagate
+from chirpvote.channel import draw_epa, epa_rms_delay_spread_ns, epa_tap_delays, propagate
 from chirpvote.config import ExperimentConfig, MetricsConfig, TrainConfig, save_config
 from chirpvote.deployment import PowerControlParams, coverage_radius
 from chirpvote.learn import BoundParams, convergence_bound, loss_by_distance, run_training
@@ -150,9 +150,9 @@ def test_criterion_06_detection_through_channel_and_vote_margins():
         plan = VotePlan(mv, M, mv)
         votes = sign_pm1(rng.standard_normal(plan.grad_dim))
         block = encode_csc(plan, votes, rng)[0]
-        realization = draw_epa(CFG, rng)
+        gains = draw_epa([rng])[0]
         offset = int(rng.integers(0, 5))
-        rx = propagate(realization, offset, spread(CFG, fdss, block))
+        rx = propagate(epa_tap_delays(CFG), gains, offset, spread(CFG, fdss, block))
         out = detect_mv(plan, despread(CFG, fdss, rx)[None, :])
         if not np.array_equal(sign_pm1(out), votes):
             failures += 1

@@ -13,8 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chirpvote._rng import keyed_rng
+from chirpvote._rng import keyed_rng, keyed_rngs
 from chirpvote.channel import (
+    EPA_POWERS_DB,
     draw_epa,
     draw_sync_offset,
     epa_phase_table,
@@ -59,6 +60,7 @@ from chirpvote.oac import (
     sign_pm1,
 )
 from chirpvote.waveform import (
+    WaveformConfig,
     build_fdss,
     demodulate_ofdm,
     despread,
@@ -534,8 +536,9 @@ class TestPipelinedUplink:
 
         class Recording(ThreadPoolExecutor):
             def submit(self, fn, *args):
-                handed.append(args[0])
-                returned.append(len(margins))
+                if fn is not learn._round_record:  # a draw, not a placed run's record
+                    handed.append(args[0])
+                    returned.append(len(margins))
                 return super().submit(fn, *args)
 
         monkeypatch.setattr(learn, "ThreadPoolExecutor", Recording)
@@ -611,9 +614,9 @@ class TestPipelinedUplink:
         step = learn.run_round
         rounds = []
 
-        def counting(state, setup, uplink):
+        def counting(state, setup, uplink, **worker):
             rounds.append(state.round_index)
-            return step(state, setup, uplink)
+            return step(state, setup, uplink, **worker)
 
         monkeypatch.setattr(learn, "_receiver_noise", failing)
         monkeypatch.setattr(learn, "run_round", counting)
@@ -670,12 +673,12 @@ def placed(monkeypatch):
 
 @pytest.mark.blas_threads
 class TestRecordHandOff:
-    """Where its worker is placed, an OBDA or ``ideal`` run computes each
-    round's record (per-device losses, their mean and the test accuracy) on
-    it while the next round runs; a chirp run, or a run whose worker is not
-    placed, keeps its records on the calling thread.  The record reads only
-    the round's weights and hidden activations, so the history may not
-    depend on where it is computed."""
+    """Where its worker is placed, a run of any scheme computes each round's
+    record (per-device losses, their mean and the test accuracy) on it while
+    the next round runs; a run whose worker is not placed keeps its records
+    on the calling thread.  The record reads only the round's weights and
+    hidden activations, so the history may not depend on where it is
+    computed."""
 
     @staticmethod
     def _record_threads(monkeypatch, delay=0.0, failing=None) -> list:
@@ -752,10 +755,33 @@ class TestRecordHandOff:
         assert threads[-1][1] is not threading.current_thread()
 
     @pytest.mark.parametrize("scheme", ["csc_mv_1", "csc_mv_2", "csc_mv_4"])
-    def test_chirp_records_stay_on_the_calling_thread(self, monkeypatch, placed, scheme):
-        threads = self._record_threads(monkeypatch)
-        run = run_training(studies.training_setup(_tiny_cfg(rounds=3), 0), scheme, 20.0)
-        assert threads == [(r, threading.current_thread()) for r in range(3)]
+    def test_chirp_records_share_the_worker_one_in_flight(self, monkeypatch, placed, scheme):
+        # the worker takes each next round's draw before the round's record,
+        # and each record outlasts a tiny round, so a second record handed
+        # off before the first is collected would find it still running
+        threads = self._record_threads(monkeypatch, delay=0.05)
+        records = []
+
+        class Recording(ThreadPoolExecutor):
+            def submit(self, fn, *args):
+                if fn is learn._round_record:
+                    assert all(future.done() for future in records)
+                    records.append(super().submit(fn, *args))
+                    return records[-1]
+                return super().submit(fn, *args)
+
+        monkeypatch.setattr(learn, "ThreadPoolExecutor", Recording)
+        setup = studies.training_setup(_tiny_cfg(rounds=3), 0)
+        run = run_training(setup, scheme, 20.0)
+        assert len(records) == 3
+        assert [r for r, _ in threads] == [0, 1, 2]
+        assert all(thread is not threading.current_thread() for _, thread in threads)
+        inline = initial_state(setup)
+        uplink = scheme_uplink(setup, scheme, 10.0 ** (-20.0 / 10.0))
+        for _ in range(3):
+            inline = run_round(inline, setup, uplink)
+        assert run.weights.tobytes() == inline.weights.tobytes()
+        assert run.history == inline.history
         assert [r.round_index for r in run.history] == [0, 1, 2]
 
     @pytest.mark.parametrize("scheme", ["obda", "ideal"])
@@ -918,19 +944,50 @@ class TestBatchedAgainstLoops:
             limit = _max_admitted_offset(setup.wave)
             setup = replace(setup, train=replace(setup.train, max_sync_offset=limit))
         wave, seen = setup.wave, set()
+        delays = epa_tap_delays(wave)
         for round_index in range(10):
             ref = []
             for k in range(setup.deployment.num_eds):
-                realization, offset = _channel_draws(setup, round_index, k)
+                gains, offset = _channel_draws(setup, round_index, k)
                 seen.add(offset)
                 ref.append(
-                    frequency_response(realization, wave.bin_indices, wave.idft_size, offset)
+                    frequency_response(delays, gains, wave.bin_indices, wave.idft_size, offset)
                 )
             assert np.array_equal(_channel_responses(setup, round_index), ref)
         assert seen == set(range(setup.train.max_sync_offset + 1))
         table = epa_phase_table(wave, setup.train.max_sync_offset)
         assert not table.flags.writeable
         assert epa_phase_table(wave, setup.train.max_sync_offset) is table
+
+    @pytest.mark.parametrize("partition", ["homogeneous", "heterogeneous"])
+    @pytest.mark.parametrize(
+        "wave",
+        [WaveformConfig(), WaveformConfig(45, 50, 40.0, 13, 9.6e6, 1)],
+        ids=["default", "odd"],
+    )
+    def test_stacked_draw_matches_device_draws(self, partition, wave):
+        """The stacked EPA draw and its batched product against each
+        device's own keyed draw -- its real normals, then its imaginary
+        ones -- and ``table[offset] @ gains``: 100 rounds of 20 devices at
+        every admissible offset, bit for bit."""
+        limit = _max_admitted_offset(wave)
+        cfg = replace(_tiny_cfg(20, 200, partition, max_sync_offset=limit), wave=wave)
+        setup = studies.training_setup(cfg, 1)
+        table = epa_phase_table(wave, limit)
+        powers = 10.0 ** (np.asarray(EPA_POWERS_DB) / 10.0)
+        scales = np.sqrt(powers / powers.sum() / 2.0)
+        taps = len(EPA_POWERS_DB)
+        for round_index in range(100):
+            gains, responses = [], []
+            for k in range(20):
+                rng = keyed_rng(setup.seed, "channel", round_index, k)
+                gains.append((rng.standard_normal(taps) + 1j * rng.standard_normal(taps)) * scales)
+                offset = draw_sync_offset(limit, keyed_rng(setup.seed, "sync", round_index, k))
+                responses.append(table[offset] @ gains[-1])
+            rngs = keyed_rngs(setup.seed, "channel", round_index, count=20)
+            assert draw_epa(rngs).tobytes() == np.array(gains).tobytes()
+            stacked = _channel_responses(setup, round_index)
+            assert stacked.tobytes() == np.array(responses).tobytes()
 
     @pytest.mark.parametrize("case", RAGGED_CASES)
     def test_link_powers_match_device_loop(self, case):
@@ -1006,12 +1063,13 @@ def _csc_plan(setup: TrainSetup, votes_per_block: int):
 
 
 def _channel_draws(setup: TrainSetup, round_index: int, k: int):
-    """Device k's channel and timing offset this round, each from its own key."""
-    realization = draw_epa(setup.wave, keyed_rng(setup.seed, "channel", round_index, k))
+    """Device k's EPA tap gains and timing offset this round, each from its
+    own key."""
+    gains = draw_epa([keyed_rng(setup.seed, "channel", round_index, k)])[0]
     offset = draw_sync_offset(
         setup.train.max_sync_offset, keyed_rng(setup.seed, "sync", round_index, k)
     )
-    return realization, offset
+    return gains, offset
 
 
 def superpose(
@@ -1085,12 +1143,13 @@ def csc_majority_sampled(
         setup.deployment.ed_distances,
     )
     amp = math.sqrt(wave.idft_size / votes_per_block)
+    delays = epa_tap_delays(wave)
     arrivals = []  # per device: (list of per-block received symbols, link power)
     for k in range(votes.shape[0]):
         rng = keyed_rng(setup.seed, "phase", round_index, k)
         blocks = encode_csc(plan, votes[k], rng) * amp
-        realization, offset = _channel_draws(setup, round_index, k)
-        rx = [propagate(realization, offset, spread(wave, fdss, row)) for row in blocks]
+        gains, offset = _channel_draws(setup, round_index, k)
+        rx = [propagate(delays, gains, offset, spread(wave, fdss, row)) for row in blocks]
         arrivals.append((rx, links[k]))
     noise_rng = keyed_rng(setup.seed, "noise", round_index)
     despreads = np.vstack(
@@ -1119,12 +1178,13 @@ def obda_majority_sampled(
         setup.power, SCHEMES["obda"].clamp_radius_m, setup.deployment.ed_distances
     )
     amp = math.sqrt(wave.idft_size / wave.num_bins)
+    delays = epa_tap_delays(wave)
     arrivals = []  # per device: (list of per-block received symbols, received power)
     for k in range(votes.shape[0]):
-        realization, offset = _channel_draws(setup, round_index, k)
-        response = frequency_response(realization, wave.bin_indices, wave.idft_size, offset)
+        gains, offset = _channel_draws(setup, round_index, k)
+        response = frequency_response(delays, gains, wave.bin_indices, wave.idft_size, offset)
         tx = encode_obda(votes[k], response)
-        rx = [propagate(realization, offset, modulate_ofdm(wave, row)) for row in tx]
+        rx = [propagate(delays, gains, offset, modulate_ofdm(wave, row)) for row in tx]
         arrivals.append((rx, links[k] * amp**2))
     received = np.array(
         [

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from chirpvote._rng import keyed_rng
-from chirpvote.channel import draw_epa, propagate
+from chirpvote.channel import draw_epa, epa_tap_delays, propagate
 from chirpvote.errors import FramingError, InfeasibleError
 from chirpvote.oac import (
     VotePlan,
@@ -254,9 +254,9 @@ class TestGuardIsolation:
         for _ in range(200):
             votes = sign_pm1(rng.standard_normal(2))
             blocks = encode_csc(plan, votes, rng)
-            real = draw_epa(CFG, rng)
+            gains = draw_epa([rng])[0]
             offset = int(rng.integers(0, 5))
-            rx = propagate(real, offset, spread(CFG, fdss, blocks[0]))
+            rx = propagate(epa_tap_delays(CFG), gains, offset, spread(CFG, fdss, blocks[0]))
             post = despread(CFG, fdss, rx)
             energy = group_energies(plan, post[None, :])[0]
             chosen = np.zeros(2 * plan.votes_per_block, dtype=bool)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.special import fresnel
 
-from chirpvote.channel import draw_epa, propagate
+from chirpvote.channel import draw_epa, epa_tap_delays, propagate
 from chirpvote.config import load_config
 from chirpvote.errors import ConfigError, FramingError
 from chirpvote.waveform import (
@@ -250,7 +250,8 @@ class TestRoundTrip:
         s = np.ones(CFG.num_bins, dtype=complex)
         chirp = spread(CFG, build_fdss(CFG), s)
         ofdm = modulate_ofdm(CFG, s)
-        rx = propagate(draw_epa(CFG, np.random.default_rng(0)), 1, chirp)
+        gains = draw_epa([np.random.default_rng(0)])[0]
+        rx = propagate(epa_tap_delays(CFG), gains, 1, chirp)
         for samples in (chirp, ofdm, rx):
             assert type(samples) is np.ndarray
 
